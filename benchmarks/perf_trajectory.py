@@ -10,8 +10,9 @@ Measures, per circuit:
 * the relative difference of the final size vectors (the equivalence
   contract: ≤ 1e-12),
 * with ``--batch-scenarios K`` (default 8): a K-scenario sweep sharing
-  the circuit, solved by the scalar per-scenario loop vs one batched
-  ``SolverSession`` (compile-once + lockstep kernels), with the records
+  the circuit, solved as K independent one-scenario sessions (the
+  scalar baseline) vs one batched ``SolverSession`` (compile-once +
+  lockstep kernels), with the records
   asserted byte-identical before the speedup is recorded,
 * with ``--queue-workers N``: the same K-scenario sweep submitted to a
   throwaway :class:`~repro.runtime.queue.SweepQueue` and drained by N
@@ -97,13 +98,14 @@ def bench_batch_vs_scalar(name, k, patterns, repeats):
     """Batched SolverSession solve vs the scalar per-scenario loop.
 
     K scenarios over one circuit, differing in their noise bounds (the
-    natural per-circuit sweep axis): the scalar arm runs them through
-    ``BatchRunner(batch=False)`` (one circuit build + analysis + solve
-    per scenario), the batched arm through one grouped session.  Records
-    must match byte for byte; returns the timing fields for the
-    trajectory row plus the scalar arm's time and records (the baseline
-    the queue benchmark reuses).
+    natural per-circuit sweep axis): the scalar arm runs each one as an
+    independent ``SolverSession.for_ref(ref).solve([s])`` (one circuit
+    build + analysis + solve per scenario), the batched arm through one
+    grouped session.  Records must match byte for byte; returns the
+    timing fields for the trajectory row plus the scalar arm's time and
+    records (the baseline the queue benchmark reuses).
     """
+    from repro.core.session import SolverSession
     from repro.runtime import BatchRunner
 
     spec = _sweep_spec(name, k, patterns)
@@ -112,10 +114,11 @@ def bench_batch_vs_scalar(name, k, patterns, repeats):
     scalar_records = batch_records = None
     for _ in range(repeats):
         start = time.perf_counter()
-        scalar_records = BatchRunner(jobs=1, batch=False).run(spec)
+        scalar_records = [SolverSession.for_ref(s.circuit).solve([s])[0]
+                          for s in spec.scenarios()]
         scalar_s = min(scalar_s, time.perf_counter() - start)
         start = time.perf_counter()
-        batch_records = BatchRunner(jobs=1, batch=True).run(spec)
+        batch_records = BatchRunner(jobs=1).run(spec)
         batch_s = min(batch_s, time.perf_counter() - start)
     identical = ([r.canonical_json() for r in scalar_records]
                  == [r.canonical_json() for r in batch_records])
@@ -303,48 +306,6 @@ def bench_cold_breakdown(name, patterns, repeats):
     }
 
 
-def bench_partitioned(n_gates, repeats):
-    """Monolithic vs partitioned solve of one ``random:N`` netlist.
-
-    Records *honest* numbers: at every scale measured so far (20k–80k
-    gates) the partitioned path is slower end-to-end than the
-    monolithic one (setup is linear-to-sublinear, offset-bearing
-    regions burn 2–3× the iterations) — its value is the bounded
-    per-region working set that lets 50k+-gate netlists complete at
-    all.  See docs/architecture.md, "the partitioned solver".
-    """
-    from repro.core.partitioned import resolve_partitions, run_partitioned
-    from repro.core.session import SolverSession
-    from repro.runtime import CircuitRef, FlowConfig, Scenario
-
-    ref = CircuitRef.from_spec(f"random:{n_gates}", seed=1)
-    config = FlowConfig(max_iterations=60)
-    k = resolve_partitions(0, config.partition_threshold, n_gates)
-    mono_s = part_s = float("inf")
-    for _ in range(repeats):
-        session = SolverSession.for_ref(ref)          # cold each repeat
-        started = time.perf_counter()
-        mono = session.solve(
-            [Scenario(ref, config.replace(partitions=1))])[0]
-        mono_s = min(mono_s, time.perf_counter() - started)
-    for _ in range(repeats):
-        session = SolverSession.for_ref(ref)
-        started = time.perf_counter()
-        part = run_partitioned(session, Scenario(ref, config), max(k, 2))
-        part_s = min(part_s, time.perf_counter() - started)
-    return {
-        "name": ref.label, "gates": n_gates, "partitions": max(k, 2),
-        "cut_edges": part.diagnostics["cut_edges"],
-        "solve_mono_s": round(mono_s, 3),
-        "solve_partitioned_s": round(part_s, 3),
-        "partitioned_speedup": round(mono_s / part_s, 3),
-        "partitioned_feasible": bool(part.feasible),
-        "mono_feasible": bool(mono.feasible),
-        "area_premium": round(
-            part.metrics.area_um2 / mono.metrics.area_um2 - 1.0, 4),
-    }
-
-
 def bench_circuit(name, patterns, repeats):
     flow = NoiseAwareSizingFlow(iscas85_circuit(name), n_patterns=patterns)
     outcome = flow.run()
@@ -414,13 +375,6 @@ def main(argv=None):
     parser.add_argument("--check-cold-ms", type=float, default=None,
                         help="exit nonzero if any circuit's cold_total_ms "
                              "exceeds this bound (requires --cold-breakdown)")
-    parser.add_argument("--partitioned", action="store_true",
-                        help="also record a monolithic-vs-partitioned solve "
-                             "of one random:<--scale-gates> netlist "
-                             "(honest numbers; fails if the partitioned "
-                             "record is infeasible)")
-    parser.add_argument("--scale-gates", type=int, default=20000,
-                        help="gate count for the --partitioned arm")
     args = parser.parse_args(argv)
     if args.serve and not args.queue_workers:
         parser.error("--serve modifies --queue-workers; set both")
@@ -487,20 +441,6 @@ def main(argv=None):
         "machine": platform.machine(),
         "circuits": rows,
     }
-    if args.partitioned:
-        part_row = bench_partitioned(args.scale_gates, args.repeats)
-        entry["partitioned"] = part_row
-        print(f"{part_row['name']}: {part_row['gates']} gates, "
-              f"K={part_row['partitions']} "
-              f"({part_row['cut_edges']} cut edges): "
-              f"mono {part_row['solve_mono_s']:.2f} s -> partitioned "
-              f"{part_row['solve_partitioned_s']:.2f} s "
-              f"({part_row['partitioned_speedup']}x, area premium "
-              f"{part_row['area_premium']:+.2%}, "
-              f"{'feasible' if part_row['partitioned_feasible'] else 'INFEASIBLE'})")
-        if not part_row["partitioned_feasible"]:
-            print(f"FAIL: {part_row['name']} partitioned solve infeasible")
-            return 1
     out_path = pathlib.Path(args.out)
     try:
         payload = json.loads(out_path.read_text())

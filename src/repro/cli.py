@@ -45,35 +45,11 @@ from repro.runtime import (
     CircuitRef,
     FlowConfig,
     ResultCache,
-    Scenario,
     SweepSpec,
 )
 from repro.timing import CouplingDelayMode, ElmoreEngine, evaluate_metrics
 from repro.utils.errors import ReproError
 from repro.utils.tables import format_table
-
-
-def _parse_partitions(value):
-    """``--partitions`` values: ``auto`` (size-based, the default) or an int."""
-    if value == "auto":
-        return 0
-    try:
-        return int(value)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"expected 'auto' or an integer, got {value!r}")
-
-
-def _add_partition_args(parser):
-    """The partitioned-solver routing knobs (``size``, ``sweep``, ``queue``)."""
-    parser.add_argument(
-        "--partitions", type=_parse_partitions, default=0, metavar="K",
-        help="region count for the partitioned solver: 'auto' (default, "
-             "size-based), 1 (always monolithic), or an explicit K >= 2")
-    parser.add_argument(
-        "--partition-threshold", type=int, default=20000, metavar="GATES",
-        help="minimum gate count before partitioning engages; "
-             "<= 0 disables it outright (default: 20000)")
 
 
 def _add_axis_args(parser):
@@ -96,7 +72,6 @@ def _add_axis_args(parser):
     parser.add_argument("--tolerance", type=float, default=0.01)
     parser.add_argument("--seed", type=int, default=0,
                         help="base seed; per-scenario seeds derive from it")
-    _add_partition_args(parser)
 
 
 def _spec_from_args(args):
@@ -111,9 +86,7 @@ def _spec_from_args(args):
         delay_slacks=tuple(args.delay_slacks),
         base=FlowConfig(n_patterns=args.patterns, seed=args.seed,
                         max_iterations=args.max_iterations,
-                        tolerance=args.tolerance,
-                        partitions=args.partitions,
-                        partition_threshold=args.partition_threshold),
+                        tolerance=args.tolerance),
     )
 
 
@@ -147,7 +120,6 @@ def build_parser():
                       choices=["multiplicative", "subgradient"])
     size.add_argument("--seed", type=int, default=0,
                       help="seed for similarity patterns / random circuits")
-    _add_partition_args(size)
     size.add_argument("--kkt", action="store_true",
                       help="print the Theorem 6 KKT certificate")
     size.add_argument("--sizes", action="store_true",
@@ -158,12 +130,6 @@ def build_parser():
     _add_axis_args(sweep)
     sweep.add_argument("--jobs", default="1",
                        help="worker processes (1 = serial, auto = CPU count)")
-    sweep.add_argument("--batch", action=argparse.BooleanOptionalAction,
-                       default=None,
-                       help="group scenarios by circuit into compile-once "
-                            "SolverSessions with lockstep batched solving "
-                            "(default: on unless REPRO_NO_BATCH is set; "
-                            "records are byte-identical either way)")
     sweep.add_argument("--cache-dir", default=".repro_cache",
                        help="result cache directory (default: .repro_cache)")
     sweep.add_argument("--no-cache", action="store_true",
@@ -389,37 +355,11 @@ def cmd_info(args, out):
 
 
 def cmd_size(args, out):
-    from repro.core.partitioned import resolve_partitions
     from repro.core.session import SolverSession
 
-    ref = CircuitRef.from_spec(args.circuit, seed=args.seed)
-    session = SolverSession.for_ref(ref)
+    session = SolverSession.for_ref(
+        CircuitRef.from_spec(args.circuit, seed=args.seed))
     circuit = session.circuit
-    k = 1
-    if args.partitions != 1 and args.partition_threshold > 0:
-        k = resolve_partitions(args.partitions, args.partition_threshold,
-                               session.num_gates)
-    if k >= 2:
-        config = FlowConfig(
-            ordering=args.ordering, n_patterns=args.patterns, seed=args.seed,
-            delay_slack=args.delay_slack, noise_fraction=args.noise_fraction,
-            power_fraction=args.power_fraction,
-            max_iterations=args.max_iterations, tolerance=args.tolerance,
-            update=args.update, partitions=args.partitions,
-            partition_threshold=args.partition_threshold)
-        record = session.solve([Scenario(circuit=ref, config=config)])[0]
-        out.write(f"partitioned solve: {record.diagnostics['partitions']} "
-                  f"regions, {record.diagnostics['cut_edges']} cut edges\n")
-        out.write(record.summary() + "\n")
-        if args.kkt:
-            out.write("KKT: not available on the partitioned path "
-                      "(per-region multipliers are not a global certificate)\n")
-        if args.sizes:
-            rows = [[n.name, n.kind.name.lower(), record.sizes[n.index]]
-                    for n in circuit.components()]
-            out.write(format_table(["component", "kind", "size (um)"], rows,
-                                   floatfmt="{:.3f}") + "\n")
-        return 0 if record.feasible else 1
     flow = NoiseAwareSizingFlow(
         circuit,
         ordering=args.ordering,
@@ -460,11 +400,9 @@ def cmd_sweep(args, out):
     spec = _spec_from_args(args)
     cache = None if args.no_cache else ResultCache(
         args.cache_dir, verify_fingerprints=args.verify_cache)
-    runner = BatchRunner(jobs=args.jobs, cache=cache,
-                         batch=args.batch)
+    runner = BatchRunner(jobs=args.jobs, cache=cache)
     out.write(f"sweep: {len(spec)} scenarios "
               f"({len(args.circuits)} circuits), jobs={runner.jobs}, "
-              f"batch={'on' if runner.batch else 'off'}, "
               f"cache={'off' if cache is None else args.cache_dir}\n")
 
     progress = None if args.quiet else (

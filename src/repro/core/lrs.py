@@ -12,10 +12,17 @@ per-component update
 
 where ``C'_i`` is node i's downstream capacitance with its own
 x_i-proportional terms removed and ``R_i`` the λ-weighted upstream
-resistance.  :class:`LagrangianSubproblemSolver` iterates this update to
-its fixed point (paper step S5 "repeat until no improvement"), evaluating
-each pass with three vectorized sweeps (S2: capacitances, S3: upstream
-resistances, S4: the update) — linear work per pass.
+resistance.  :class:`LagrangianSubproblemSolver` iterates this update
+to its fixed point (paper step S5 "repeat until no improvement"),
+evaluating each pass with three vectorized sweeps (S2: capacitances,
+S3: upstream resistances, S4: the update) — linear work per pass.
+
+At odd coupling orders k > 2 the tangent intercepts inside the
+numerator turn negative once the mean width of two adjacent wires
+exceeds their spacing.  With a non-positive numerator both of node i's
+Lagrangian terms increase in x_i, so its box minimum is ``L_i``: every
+pass body clamps the numerator at zero before the divide, which clips
+``x*_i`` to exactly ``L_i`` and keeps the sizes finite.
 
 Two pass implementations sit behind the engine's ``backend`` flag:
 
@@ -192,8 +199,10 @@ class LagrangianSubproblemSolver:
                     np.add(ws.denom, ws.t1, out=ws.denom)
                 # Non-sizable entries of ``opt`` keep stale (finite,
                 # non-negative) values; the clip + explicit zeroing of
-                # x_new below makes them irrelevant.
+                # x_new below makes them irrelevant.  A non-positive
+                # numerator clamps to 0 and so clips to L_i.
                 np.multiply(numer_lam_r, ws.k_cap, out=ws.t1)
+                np.maximum(ws.t1, 0.0, out=ws.t1)
                 np.divide(ws.t1, ws.denom, out=ws.opt, where=sizable)
                 np.sqrt(ws.opt, out=ws.opt)
                 np.clip(ws.opt, cc.lower, cc.upper, out=x_new)
@@ -283,6 +292,7 @@ class LagrangianSubproblemSolver:
                     np.multiply(ws.upstream, terms.dx_sum, out=ws.t1)
                     np.add(ws.denom, ws.t1, out=ws.denom)
                 np.multiply(numer, ws.k_cap, out=ws.t1)
+                np.maximum(ws.t1, 0.0, out=ws.t1)
                 np.divide(ws.t1, ws.denom, out=ws.opt, where=c.is_sizable)
                 np.sqrt(ws.opt, out=ws.opt)
                 np.clip(ws.opt, c.lower, c.upper, out=x_new)
@@ -373,7 +383,8 @@ class LagrangianSubproblemSolver:
             if engine.mode is CouplingDelayMode.PROPAGATED:
                 denom = denom + upstream * cpl_np
             opt = np.zeros_like(x)
-            np.divide(numer_lam_r * k_cap, denom, out=opt, where=sizable)
+            np.divide(np.maximum(numer_lam_r * k_cap, 0.0), denom, out=opt,
+                      where=sizable)
             np.sqrt(opt, out=opt)                               # S4
             x_new = cc.clip_sizes(np.where(sizable, opt, 0.0))
             with np.errstate(invalid="ignore"):

@@ -435,8 +435,6 @@ def _batched_delays_arrival(engine, x_cols, bws):
     np.add(ws.t1, ws.child_sum, out=ws.t1)
     np.divide(c.r_hat_eff, x_cols, out=ws.r_eff, where=c.is_sizable)
     delays = ws.r_eff * ws.t1
-    if engine.arrival_offsets is not None:
-        delays += engine.arrival_offsets[:, None]
     arrival = np.empty_like(delays)
     kernels.arrival_sweep(plan, delays, arrival, ws)
     return delays, arrival

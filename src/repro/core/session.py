@@ -19,8 +19,11 @@ projection per outer iteration, with per-column convergence masking.
 The batched kernels replay the scalar arithmetic bit-for-bit per column
 (see :mod:`repro.timing.kernels`), so ``SolverSession.solve`` returns
 :class:`~repro.runtime.records.RunRecord`\\ s **byte-identical** to K
-independent :func:`repro.runtime.runner.run_scenario` executions — the
-property the batch-equivalence tests pin.
+independent one-scenario solves — the property the batch-equivalence
+tests pin.  This is the only solve path: every scenario, at every
+circuit size, runs ``SolverSession.solve → ScenarioBatch →
+run_lockstep`` (a group of one is a lockstep batch of width one), and
+:meth:`ScenarioBatch.run` is the only place a record is built.
 
 :class:`SessionPool` keeps sessions *warm across work units*: a small
 LRU of sessions keyed by the :class:`~repro.runtime.config.CircuitRef`
@@ -43,7 +46,7 @@ session are byte-identical to a cold rebuild (pinned by test).
 
 :class:`~repro.core.flow.NoiseAwareSizingFlow` is the K = 1 wrapper over
 this module; :class:`~repro.runtime.runner.BatchRunner` is the layer
-above, partitioning whole sweeps into per-circuit sessions.
+above, splitting whole sweeps into per-circuit sessions.
 """
 
 import collections
@@ -95,8 +98,6 @@ class SolverSession:
         self._engines = {}
         self._initials = {}      # engine key -> (x_init, CircuitMetrics)
         self._batch_ws = None
-        self._num_gates = None
-        self._partitions = {}    # (k, seed) -> (PartitionPlan, region sessions)
 
     @classmethod
     def for_ref(cls, ref):
@@ -215,34 +216,6 @@ class SolverSession:
             self._initials[key] = value
         return value
 
-    @property
-    def num_gates(self):
-        """Gate count of the session's circuit (partition routing key)."""
-        if self._num_gates is None:
-            self._num_gates = sum(1 for n in self.circuit.nodes if n.is_gate)
-        return self._num_gates
-
-    def partition_artifacts(self, k, seed):
-        """Memoized ``(PartitionPlan, region sessions)`` for one split.
-
-        Region sessions are full :class:`SolverSession` objects over the
-        region sub-circuits, so the partitioned path reuses the same
-        memoization (stage 1, coupling, engines) across scenarios that
-        share a split.  Keyed by ``(k, seed)``; the plan itself is
-        deterministic in the circuit content (see
-        :meth:`~repro.core.partition.PartitionPlan.signature`).
-        """
-        from repro.core.partition import partition_circuit
-
-        key = (int(k), seed)
-        value = self._partitions.get(key)
-        if value is None:
-            plan = partition_circuit(self.circuit, k, seed=seed)
-            value = (plan, [SolverSession.for_circuit(region.circuit)
-                            for region in plan.regions])
-            self._partitions[key] = value
-        return value
-
     def batch_workspace(self):
         """The session's pooled batched kernel workspace (lazily built)."""
         if self._batch_ws is None:
@@ -318,13 +291,12 @@ class SolverSession:
                 config.miller_mode, int(config.coupling_order),
                 config.delay_mode)
 
-    def solve(self, scenarios, batch=True):
+    def solve(self, scenarios):
         """Run scenarios over this circuit; returns records in input order.
 
-        Scenarios are grouped by engine key; each group of ≥ 2 becomes a
-        :class:`ScenarioBatch` advancing in lockstep (``batch=False``
-        forces the scalar per-scenario loop everywhere).  Records are
-        byte-identical to independent per-scenario runs either way.
+        Scenarios are grouped by engine key and each group runs as one
+        :class:`ScenarioBatch` advancing in lockstep.  Records are
+        byte-identical to independent one-scenario solves.
         """
         scenarios = list(scenarios)
         if scenarios and self.ref is None:
@@ -347,29 +319,14 @@ class SolverSession:
                     raise ValidationError(
                         f"scenario {scenario.label!r} references a different "
                         "circuit than this session")
-        from repro.core.partitioned import resolve_partitions, run_partitioned
-
         records = [None] * len(scenarios)
         groups = {}
         for index, scenario in enumerate(scenarios):
-            config = scenario.config
-            k = 1
-            if int(config.partitions) != 1 \
-                    and int(config.partition_threshold) > 0:
-                k = resolve_partitions(config.partitions,
-                                       config.partition_threshold,
-                                       self.num_gates)
-            if k >= 2:
-                # Oversized circuits take the region-decomposed path;
-                # partitioned scenarios never join a lockstep batch
-                # (each drives K region sessions of its own).
-                records[index] = run_partitioned(self, scenario, k)
-            else:
-                groups.setdefault(self._engine_key(config),
-                                  []).append((index, scenario))
+            groups.setdefault(self._engine_key(scenario.config),
+                              []).append((index, scenario))
         for members in groups.values():
             batch_records = ScenarioBatch(
-                self, [s for _, s in members]).run(batch=batch)
+                self, [s for _, s in members]).run()
             for (index, _), record in zip(members, batch_records):
                 records[index] = record
         return records
@@ -404,12 +361,13 @@ class ScenarioBatch:
         self.session = session
         self.scenarios = scenarios
 
-    def run(self, batch=True):
+    def run(self):
         """Execute the batch; returns one ``RunRecord`` per scenario.
 
-        ``batch=True`` advances all scenarios in lockstep through the
-        batched kernels; ``batch=False`` runs the scalar per-scenario
-        loop.  Both produce byte-identical records.
+        Every chunk of up to :attr:`LOCKSTEP_WIDTH` scenarios advances in
+        lockstep through :func:`~repro.core.ogws.run_lockstep` (a chunk
+        of one is a plain single run), so the records are byte-identical
+        to independent one-scenario solves.
         """
         from repro.runtime.records import RunRecord
 
@@ -438,14 +396,11 @@ class ScenarioBatch:
                 max_iterations=config.max_iterations,
                 tolerance=config.tolerance, update=config.update))
 
-        if batch and len(optimizers) > 1:
-            width = max(2, int(self.LOCKSTEP_WIDTH))
-            sizings = []
-            for lo in range(0, len(optimizers), width):
-                sizings.extend(run_lockstep(optimizers[lo:lo + width],
-                                            batch=session.batch_workspace()))
-        else:
-            sizings = [optimizer.run() for optimizer in optimizers]
+        width = max(2, int(self.LOCKSTEP_WIDTH))
+        sizings = []
+        for lo in range(0, len(optimizers), width):
+            sizings.extend(run_lockstep(optimizers[lo:lo + width],
+                                        batch=session.batch_workspace()))
 
         fingerprint = session.fingerprint()
         records = []

@@ -10,14 +10,14 @@ runs into data so sweeps scale:
 * :mod:`~repro.runtime.runner` — :class:`BatchRunner` executes a sweep
   serially or across worker processes, streaming :class:`RunRecord`\\ s in
   a deterministic order (parallel output is byte-identical to serial).
-  Its grouping planner (on by default) partitions scenarios by circuit
-  and runs each group through one compile-once
-  :class:`~repro.core.session.SolverSession` — circuit build,
-  similarity analysis, layout, ordering, and coupling amortized across
-  the group, and scenarios sharing an engine configuration advanced in
-  lockstep by the batched ``(n, K)`` kernels.  Batched and scalar paths
-  produce byte-identical records; ``batch=False`` / ``--no-batch`` /
-  ``REPRO_NO_BATCH=1`` selects the per-scenario loop,
+  Its grouping planner groups scenarios by circuit and runs each group
+  through one compile-once :class:`~repro.core.session.SolverSession` —
+  circuit build, similarity analysis, layout, ordering, and coupling
+  amortized across the group, and scenarios sharing an engine
+  configuration advanced in lockstep by the batched ``(n, K)`` kernels.
+  That is the one solve path at every circuit size (``random:N``
+  netlists of 50k+ gates included), and its records are byte-identical
+  to independent one-scenario solves,
 * :mod:`~repro.runtime.cache` — :class:`ResultCache` keys records by the
   scenario's content hash, so repeated sweeps hit disk instead of the
   solver; hit/miss counters persist as per-process shards (exact under

@@ -129,8 +129,8 @@ class CircuitRef:
     @classmethod
     def from_spec(cls, spec, seed=0):
         """CLI convenience: a Table 1 name, a ``.bench`` path, or
-        ``random:N`` — an N-gate synthetic netlist (128 PIs/POs, sized
-        for the partitioned-path scale tests)."""
+        ``random:N`` — an N-gate synthetic netlist with up to 128
+        primary inputs and outputs (large-netlist scale runs)."""
         from repro.circuit.iscas85 import ISCAS85_SPECS
 
         if spec in ISCAS85_SPECS:
@@ -224,13 +224,6 @@ class FlowConfig:
     max_iterations: int = 200
     tolerance: float = 0.01
     update: str = "multiplicative"
-    #: Region count for the partitioned path: 0 = auto (size-based),
-    #: 1 = always monolithic, N >= 2 = exactly N regions (still subject
-    #: to ``partition_threshold`` routing and the per-region gate floor).
-    partitions: int = 0
-    #: Minimum gate count before the partitioned path engages; <= 0
-    #: disables partitioning outright.
-    partition_threshold: int = 20000
 
     def __post_init__(self):
         if self.ordering not in ORDERING_NAMES:
@@ -245,8 +238,6 @@ class FlowConfig:
         for field in ("coupling_order", "n_patterns", "max_iterations"):
             if int(getattr(self, field)) < 1:
                 raise ValidationError(f"FlowConfig.{field} must be >= 1")
-        if int(self.partitions) < 0:
-            raise ValidationError("FlowConfig.partitions must be >= 0")
         for field in ("delay_slack", "noise_fraction", "power_fraction",
                       "tolerance"):
             if float(getattr(self, field)) <= 0:
@@ -270,8 +261,6 @@ class FlowConfig:
         data["n_patterns"] = int(data["n_patterns"])
         data["max_iterations"] = int(data["max_iterations"])
         data["seed"] = int(data["seed"])
-        data["partitions"] = int(data["partitions"])
-        data["partition_threshold"] = int(data["partition_threshold"])
         for field in ("delay_slack", "noise_fraction", "power_fraction",
                       "tolerance"):
             data[field] = float(data[field])

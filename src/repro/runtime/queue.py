@@ -95,8 +95,10 @@ from repro.runtime.config import Scenario, SweepSpec
 from repro.runtime.events import EventLog, read_events
 from repro.utils.errors import ReproError, ValidationError
 
-#: Version of the on-disk manifest / ticket envelope.
-QUEUE_SCHEMA_VERSION = 1
+#: Version of the on-disk manifest / ticket envelope.  Bumped to 2 when
+#: ``FlowConfig`` lost its two partition-routing fields: a schema-1
+#: queue's stored scenarios no longer load, so it is refused up front.
+QUEUE_SCHEMA_VERSION = 2
 
 #: Version of the :class:`PartialSweepError` wire document (the HTTP
 #: API's 409 body and ``to_dict``/``from_dict`` round-trip format).

@@ -22,8 +22,10 @@ from repro.runtime.config import Scenario
 from repro.utils.errors import ReproError
 
 #: Bumped to 2 when solver diagnostics (``repair_evals``) joined the
-#: canonical payload; schema-1 cache entries read back as misses.
-RECORD_SCHEMA_VERSION = 2
+#: canonical payload, and to 3 when ``FlowConfig`` lost its two
+#: partition-routing fields (every scenario's canonical JSON changed);
+#: older cache entries read back as misses.
+RECORD_SCHEMA_VERSION = 3
 
 
 @dataclasses.dataclass(frozen=True)

@@ -9,18 +9,17 @@ back in scenario order regardless of executor, and the per-scenario seed
 is derived from scenario content (see :attr:`Scenario.seed`), so parallel
 and serial runs of the same spec produce byte-identical records.
 
-**Grouping planner.**  With ``batch=True`` (the default; the
-``REPRO_NO_BATCH`` environment variable or ``--no-batch`` flips it) the
-runner partitions the cache-missing scenarios by :class:`CircuitRef` and
-dispatches whole groups to the executor as
+**Grouping planner.**  The runner groups the cache-missing scenarios
+by :class:`CircuitRef` and dispatches whole groups to the executor as
 :func:`run_scenario_group` units: each group builds **one**
 :class:`~repro.core.session.SolverSession` — circuit, compilation,
 similarity analysis, layout, ordering, coupling amortized across the
 group — and scenarios sharing an engine configuration advance in
 lockstep through the batched kernels.  Cache hits are peeled off per
-scenario *before* grouping, the record stream order and per-scenario
-seeds are unchanged, and records are byte-identical to the per-scenario
-path (pinned by the batch-equivalence tests).
+scenario *before* grouping; the record stream order and per-scenario
+seeds do not depend on the grouping, and records are byte-identical to
+independent one-scenario solves (pinned by the batch-equivalence
+tests).  :func:`run_scenario` is the one-scenario group.
 
 **Warm sessions.**  On the in-process path (``jobs=1``, no custom
 executor) the runner keeps a :class:`~repro.core.session.SessionPool`
@@ -39,64 +38,19 @@ import functools
 import multiprocessing
 import os
 
-from repro.core.flow import NoiseAwareSizingFlow
 from repro.runtime.config import SweepSpec
-from repro.runtime.records import RunRecord
 from repro.utils.errors import ValidationError
 
 
 def run_scenario(scenario):
-    """Execute one scenario through the two-stage flow; returns a RunRecord.
+    """Execute one scenario; returns its :class:`RunRecord`.
 
-    The record carries the realized circuit's fingerprint (computed here,
-    where the circuit is already built) so a parent process can persist
-    cache entries without constructing any circuit itself.
+    A one-scenario :func:`run_scenario_group`.  The record carries the
+    realized circuit's fingerprint (computed where the circuit is
+    already built) so a parent process can persist cache entries
+    without constructing any circuit itself.
     """
-    from repro.runtime.config import circuit_fingerprint
-
-    config = scenario.config
-    if int(config.partitions) != 1 and int(config.partition_threshold) > 0:
-        # Mirror SolverSession.solve's routing so the scalar path and the
-        # session path stay byte-identical for partitioned scenarios too.
-        from repro.core.partitioned import resolve_partitions
-        from repro.core.session import SolverSession
-
-        session = SolverSession.for_ref(scenario.circuit)
-        if resolve_partitions(config.partitions, config.partition_threshold,
-                              session.num_gates) >= 2:
-            return session.solve([scenario])[0]
-        circuit = session.circuit
-    else:
-        circuit = scenario.circuit.build()
-    flow = NoiseAwareSizingFlow(
-        circuit,
-        ordering=config.ordering,
-        miller_mode=config.miller_mode,
-        coupling_order=config.coupling_order,
-        delay_mode=config.delay_mode,
-        n_patterns=config.n_patterns,
-        seed=scenario.seed,
-        bound_factors=config.bound_factors,
-        optimizer_options=config.optimizer_options,
-    )
-    outcome = flow.run()
-    sizing = outcome.sizing
-    return RunRecord(
-        scenario=scenario,
-        feasible=bool(sizing.feasible),
-        converged=bool(sizing.converged),
-        iterations=int(sizing.iterations),
-        duality_gap=float(sizing.duality_gap),
-        ordering_cost_before=float(outcome.ordering_cost_before),
-        ordering_cost_after=float(outcome.ordering_cost_after),
-        initial_metrics=sizing.initial_metrics,
-        metrics=sizing.metrics,
-        sizes=tuple(float(x) for x in sizing.x),
-        diagnostics={"repair_evals": int(sizing.repair_evals)},
-        runtime_s=float(sizing.runtime_s),
-        memory_bytes=int(sizing.memory_bytes),
-        fingerprint=circuit_fingerprint(circuit),
-    )
+    return run_scenario_group([scenario])[0]
 
 
 def run_scenario_group(scenarios, pool=None):
@@ -107,7 +61,7 @@ def run_scenario_group(scenarios, pool=None):
     circuit build, compilation, and analysis artifacts, and scenarios
     sharing an engine configuration are solved in lockstep.  Returns the
     group's records in the given scenario order, byte-identical to
-    per-scenario :func:`run_scenario` results.
+    independent one-scenario solves.
 
     ``pool`` (an optional :class:`~repro.core.session.SessionPool`)
     serves the session warm: a pool hit skips the circuit build,
@@ -122,7 +76,7 @@ def run_scenario_group(scenarios, pool=None):
         session = pool.session(scenarios[0].circuit)
     else:
         session = SolverSession.for_ref(scenarios[0].circuit)
-    return session.solve(scenarios, batch=True)
+    return session.solve(scenarios)
 
 
 class SerialExecutor:
@@ -219,8 +173,8 @@ class SweepStats:
     total: int = 0
     computed: int = 0
     cache_hits: int = 0
-    #: Circuit groups dispatched by the grouping planner (0 ⇒ the
-    #: per-scenario path ran, e.g. ``batch=False`` or a warm cache).
+    #: Circuit groups dispatched by the grouping planner (0 ⇒ a custom
+    #: ``run`` function ran per scenario, or the cache was fully warm).
     groups: int = 0
     #: Cache writes that failed with OSError and were skipped — the
     #: record still streamed to the caller (the cache is an
@@ -251,15 +205,11 @@ class BatchRunner:
         The per-scenario work function (testing hook, e.g. to count
         invocations).  Anything other than the default requires
         ``jobs=1`` — worker processes can only import module-level
-        functions — and disables the grouping planner (custom runs are
-        per-scenario by definition).
-    batch:
-        ``True`` groups cache-missing scenarios by circuit and solves
-        each group through one compile-once
-        :class:`~repro.core.session.SolverSession` (lockstep batching
-        inside); ``False`` keeps the per-scenario path.  Default
-        (``None``): batched unless the ``REPRO_NO_BATCH`` environment
-        variable is set.  Both paths stream byte-identical records.
+        functions — and bypasses the grouping planner (custom runs are
+        per-scenario by definition).  The default groups cache-missing
+        scenarios by circuit and solves each group through one
+        compile-once :class:`~repro.core.session.SolverSession`
+        (lockstep batching inside).
     executor_factory:
         Optional zero-argument callable returning a fresh executor
         (``map``/``close``/``abort``) per sweep, overriding the default
@@ -268,16 +218,13 @@ class BatchRunner:
         durable work queue; see :mod:`repro.runtime.worker`).
     """
 
-    def __init__(self, jobs=1, cache=None, run=run_scenario, batch=None,
+    def __init__(self, jobs=1, cache=None, run=run_scenario,
                  executor_factory=None):
         self.jobs = resolve_jobs(jobs)
         if run is not run_scenario and self.jobs > 1:
             raise ValidationError("a custom run function requires jobs=1")
         self.cache = cache
         self._run = run
-        if batch is None:
-            batch = not os.environ.get("REPRO_NO_BATCH")
-        self.batch = bool(batch) and run is run_scenario
         self.executor_factory = executor_factory
         self.stats = SweepStats()
         self._sessions = None
@@ -320,9 +267,9 @@ class BatchRunner:
 
         Cache hits yield immediately; misses are dispatched to the
         executor — whole circuit groups under the grouping planner,
-        single scenarios otherwise — and merged back into the stream in
-        order, so a warm cache streams the whole sweep without touching
-        the solver.
+        single scenarios through a custom ``run`` — and merged back into
+        the stream in order, so a warm cache streams the whole sweep
+        without touching the solver.
         """
         scenarios = self._expand(spec_or_scenarios)
         self.stats = SweepStats(total=len(scenarios))
@@ -336,7 +283,7 @@ class BatchRunner:
             else:
                 missing.append((index, scenario))
 
-        if self.batch and missing:
+        if self._run is run_scenario and missing:
             yield from self._iter_grouped(scenarios, cached, missing)
             return
 

@@ -93,13 +93,6 @@ class ElmoreEngine:
             raise ValidationError(
                 f"unknown backend {backend!r}; choose from {BACKENDS}")
         self.backend = backend
-        #: Optional per-node fixed delay adders (ps), length ``num_nodes``.
-        #: The partitioned solver (:mod:`repro.core.partitioned`) sets the
-        #: boundary arrival time of each pseudo-driver here, making it a
-        #: "slow driver": the offset joins the node's delay, so arrival
-        #: times, the A4 edge residuals, and the Lagrangian value all see
-        #: it consistently.  ``None`` (the default) adds nothing.
-        self.arrival_offsets = None
         self._workspace = None
 
     def workspace(self):
@@ -222,10 +215,7 @@ class ElmoreEngine:
         if caps is None and self.backend == "kernel":
             return self._delays_kernel(x)
         caps = caps if caps is not None else self.capacitances(x)
-        delays = self.effective_resistance(x) * caps["downstream"]
-        if self.arrival_offsets is not None:
-            delays += self.arrival_offsets
-        return delays
+        return self.effective_resistance(x) * caps["downstream"]
 
     def _delays_kernel(self, x):
         cc = self.compiled
@@ -246,10 +236,7 @@ class ElmoreEngine:
         np.multiply(ws.t1, plan.wire_mask_f, out=ws.t1)
         np.add(ws.t1, ws.child_sum, out=ws.t1)
         np.divide(plan.r_hat_eff, x, out=ws.r_eff, where=cc.is_sizable)
-        delays = ws.r_eff * ws.t1
-        if self.arrival_offsets is not None:
-            delays += self.arrival_offsets
-        return delays
+        return ws.r_eff * ws.t1
 
     def arrival_times(self, delays):
         """Arrival time ``a_i`` per node (ps), paper Sec. 4.1 recurrences.

@@ -15,6 +15,12 @@ from repro.noise import CouplingSet, MillerMode, SimilarityAnalyzer
 from repro.runtime import BatchRunner, CircuitRef, FlowConfig, SweepSpec
 
 
+def pytest_configure(config):
+    # Numeric trouble inside the library (sqrt of a negative, 0/0) must
+    # fail the test that provokes it, not scroll past as a warning.
+    config.addinivalue_line("filterwarnings", "error::RuntimeWarning:repro")
+
+
 @pytest.fixture(scope="session")
 def figure1_circuit():
     """The paper's Figure 1: 3 drivers, 3 gates, 7 wires, 1 load."""

@@ -1,10 +1,11 @@
 """SolverSession / ScenarioBatch: compile-once, solve-many.
 
-The contract under test: ``SolverSession.solve([s1..sK])`` — batched or
-not — produces records **byte-identical** to K independent per-scenario
-runs through :func:`run_scenario` (which itself goes through
-``NoiseAwareSizingFlow``), across orderings, delay modes, and bound
-axes; and the lockstep driver is bit-identical to scalar OGWS runs.
+The contract under test: ``SolverSession.solve([s1..sK])`` produces
+records **byte-identical** to K independent one-scenario solves (a fresh
+session per scenario, so every lockstep batch has width one), across
+orderings, delay modes, and bound axes; the ``NoiseAwareSizingFlow``
+wrapper agrees with the session path; and the lockstep driver is
+bit-identical to scalar OGWS runs.
 """
 
 import numpy as np
@@ -16,7 +17,6 @@ from repro.core import OGWSOptimizer, SizingProblem, SolverSession
 from repro.core.ogws import run_lockstep
 from repro.core.session import ScenarioBatch
 from repro.runtime import CircuitRef, FlowConfig, SweepSpec
-from repro.runtime.runner import run_scenario
 from repro.timing.metrics import evaluate_metrics
 from repro.utils.errors import ValidationError
 
@@ -27,6 +27,11 @@ REF = CircuitRef.random(20, 5, 3, seed=0, target_depth=7)
 def _spec(**axes):
     base = axes.pop("base", FlowConfig(n_patterns=32, max_iterations=60))
     return SweepSpec(circuits=(REF,), base=base, **axes)
+
+
+def _solo(scenarios):
+    """The oracle: one fresh session and one-scenario solve per scenario."""
+    return [SolverSession.for_ref(s.circuit).solve([s])[0] for s in scenarios]
 
 
 @pytest.fixture(scope="module")
@@ -83,7 +88,7 @@ class TestArtifactSharing:
 
 
 class TestBatchEquivalence:
-    """The acceptance contract: batched records == scalar records, bytes."""
+    """The acceptance contract: batched records == one-scenario records."""
 
     @pytest.mark.parametrize("ordering", ["woss", "none", "random"])
     @pytest.mark.parametrize("delay_mode", ["own", "none", "propagated"])
@@ -91,17 +96,38 @@ class TestBatchEquivalence:
         spec = _spec(orderings=(ordering,), delay_modes=(delay_mode,),
                      noise_fractions=(0.09, 0.12), delay_slacks=(1.1, 1.3))
         scenarios = spec.scenarios()
-        scalar = [run_scenario(s) for s in scenarios]
-        batched = SolverSession.for_ref(REF).solve(scenarios, batch=True)
+        scalar = _solo(scenarios)
+        batched = SolverSession.for_ref(REF).solve(scenarios)
         assert ([r.canonical_json() for r in batched]
                 == [r.canonical_json() for r in scalar])
 
-    def test_batch_off_also_matches(self, session):
+    def test_warm_session_matches_solo_solves(self, session):
         scenarios = _spec(noise_fractions=(0.09, 0.12)).scenarios()
-        a = session.solve(scenarios, batch=True)
-        b = session.solve(scenarios, batch=False)
-        assert ([r.canonical_json() for r in a]
-                == [r.canonical_json() for r in b])
+        first = session.solve(scenarios)
+        again = session.solve(scenarios)
+        solo = _solo(scenarios)
+        assert ([r.canonical_json() for r in first]
+                == [r.canonical_json() for r in again]
+                == [r.canonical_json() for r in solo])
+
+    def test_flow_wrapper_matches_session_solve(self):
+        """``NoiseAwareSizingFlow`` (the K = 1 public wrapper) lands on
+        the same sizing as the scenario path."""
+        from repro.core import NoiseAwareSizingFlow
+
+        [scenario] = _spec(delay_modes=("propagated",)).scenarios()
+        [record] = _solo([scenario])
+        config = scenario.config
+        sizing = NoiseAwareSizingFlow(
+            REF.build(), ordering=config.ordering,
+            miller_mode=config.miller_mode,
+            coupling_order=config.coupling_order,
+            delay_mode=config.delay_mode, n_patterns=config.n_patterns,
+            seed=scenario.seed, bound_factors=config.bound_factors,
+            optimizer_options=config.optimizer_options).run().sizing
+        assert tuple(float(x) for x in sizing.x) == record.sizes
+        assert sizing.metrics == record.metrics
+        assert sizing.iterations == record.iterations
 
     def test_mixed_axes_grouped_and_ordered(self, session):
         """Axes that change the engine split into groups; record order is
@@ -109,10 +135,10 @@ class TestBatchEquivalence:
         spec = _spec(orderings=("woss", "none"), delay_modes=("own", "none"),
                      noise_fractions=(0.09, 0.12))
         scenarios = spec.scenarios()
-        records = session.solve(scenarios, batch=True)
+        records = session.solve(scenarios)
         assert [r.scenario.content_hash() for r in records] == \
             [s.content_hash() for s in scenarios]
-        scalar = [run_scenario(s) for s in scenarios]
+        scalar = _solo(scenarios)
         assert ([r.canonical_json() for r in records]
                 == [r.canonical_json() for r in scalar])
 
@@ -122,8 +148,8 @@ class TestBatchEquivalence:
         monkeypatch.setattr(ScenarioBatch, "LOCKSTEP_WIDTH", 2)
         spec = _spec(noise_fractions=(0.08, 0.1, 0.12, 0.15, 0.2))
         scenarios = spec.scenarios()
-        scalar = [run_scenario(s) for s in scenarios]
-        batched = SolverSession.for_ref(REF).solve(scenarios, batch=True)
+        scalar = _solo(scenarios)
+        batched = SolverSession.for_ref(REF).solve(scenarios)
         assert ([r.canonical_json() for r in batched]
                 == [r.canonical_json() for r in scalar])
 
@@ -168,8 +194,8 @@ class TestBatchEquivalence:
             delay_modes=(delay_mode,), noise_fractions=tuple(fractions),
             base=FlowConfig(n_patterns=16, max_iterations=40))
         scenarios = spec.scenarios()
-        scalar = [run_scenario(s) for s in scenarios]
-        batched = SolverSession.for_ref(ref).solve(scenarios, batch=True)
+        scalar = _solo(scenarios)
+        batched = SolverSession.for_ref(ref).solve(scenarios)
         assert ([r.canonical_json() for r in batched]
                 == [r.canonical_json() for r in scalar])
 
@@ -372,14 +398,14 @@ class TestFuzzSweepSmoke:
             circuits=refs, orderings=("woss", "random"),
             noise_fractions=(0.1, 0.15),
             base=FlowConfig(n_patterns=16, max_iterations=30))
-        runner = BatchRunner(jobs=1, batch=True)
+        runner = BatchRunner(jobs=1)
         records = runner.run(spec)
         assert len(records) == len(spec)
         assert runner.stats.groups == len(refs)
         assert [r.scenario.content_hash() for r in records] == \
             [s.content_hash() for s in spec.scenarios()]
-        # Grouped output still equals the per-scenario path, byte for byte.
-        scalar = BatchRunner(jobs=1, batch=False).run(spec)
+        # Grouped output still equals one-scenario solves, byte for byte.
+        scalar = _solo(spec.scenarios())
         assert ([r.canonical_json() for r in records]
                 == [r.canonical_json() for r in scalar])
 
@@ -461,7 +487,7 @@ class TestSessionPool:
         from repro.runtime import BatchRunner
 
         spec = _spec(noise_fractions=(0.1, 0.13))
-        runner = BatchRunner(jobs=1, batch=True)
+        runner = BatchRunner(jobs=1)
         first = [r.canonical_json() for r in runner.run(spec)]
         second = [r.canonical_json() for r in runner.run(spec)]
         assert first == second

@@ -69,12 +69,21 @@ def test_sweeps_and_lrs_match(case):
         reference.weighted_upstream_resistance(x, lam),
         rtol=1e-12, atol=1e-14)
 
-    rk = LagrangianSubproblemSolver(kernel, max_passes=60).solve(mult, x0=x)
+    solver = LagrangianSubproblemSolver(kernel, max_passes=60)
+    rk = solver.solve(mult, x0=x)
     rr = LagrangianSubproblemSolver(reference, max_passes=60).solve(mult, x0=x)
+    # S4 must never emit a non-finite size (odd coupling orders can make
+    # its numerator negative), and NaN must never count as agreement.
+    assert np.isfinite(rk.x).all() and np.isfinite(rr.x).all()
     assert rk.passes == rr.passes
-    np.testing.assert_allclose(rk.x, rr.x, rtol=1e-12, atol=1e-14)
+    np.testing.assert_allclose(rk.x, rr.x, rtol=1e-12, atol=1e-14,
+                               equal_nan=False)
     np.testing.assert_allclose(rk.max_rel_change, rr.max_rel_change,
-                               rtol=1e-6, atol=1e-12)
+                               rtol=1e-6, atol=1e-12, equal_nan=False)
+    # The batched pass body: every column bit-identical to the scalar.
+    for rb in solver.solve_batch([mult, mult.copy()], [x, x]):
+        assert rb.passes == rk.passes
+        assert np.array_equal(rb.x, rk.x)
 
 
 @settings(max_examples=20, deadline=None)

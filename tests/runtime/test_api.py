@@ -141,6 +141,8 @@ def test_submit_rejections_are_400(tmp_path):
         {"spec": _spec().canonical_dict(), "burst": 1},  # unknown field
         {"spec": {"circuits": [], "nonsense": 1}},  # unknown spec key
         {"spec": {"circuits": []}},                 # empty sweep
+        {"spec": dict(_spec().canonical_dict(),     # removed config key
+                      base={"partitions": 2})},
     ):
         with pytest.raises(ApiError) as err:
             service.submit(bad)

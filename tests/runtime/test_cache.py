@@ -81,6 +81,9 @@ def test_record_from_dict_rejects_junk():
         RunRecord.from_dict({"kind": "circuit"})
     with pytest.raises(ReproError):
         RunRecord.from_dict({"kind": "run_record", "schema": 99})
+    # Schema 2 records carry the removed partition fields in their config.
+    with pytest.raises(ReproError):
+        RunRecord.from_dict({"kind": "run_record", "schema": 2})
 
 
 def test_runner_overwrites_corrupt_entry(tmp_path, scenario):

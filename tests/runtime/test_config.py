@@ -1,5 +1,6 @@
 """Declarative scenario specs: validation, canonical form, expansion."""
 
+import dataclasses
 import json
 
 import pytest
@@ -39,6 +40,23 @@ class TestCircuitRef:
         assert CircuitRef.from_spec(str(builtin_bench_path("c17"))).kind == "bench"
         with pytest.raises(ValidationError, match="unknown circuit"):
             CircuitRef.from_spec("c9999")
+
+    def test_from_spec_random(self):
+        ref = CircuitRef.from_spec("random:500", seed=9)
+        assert ref.kind == "random"
+        assert dict(ref.params)["n_gates"] == 500
+        assert ref.seed == 9
+
+    def test_from_spec_random_rejects_junk(self):
+        with pytest.raises(ValidationError):
+            CircuitRef.from_spec("random:elephants")
+        with pytest.raises(ValidationError):
+            CircuitRef.from_spec("random:0")
+
+    def test_label_falls_back_to_params_digest(self):
+        ref = dataclasses.replace(CircuitRef.random(20, 4, 4), name="")
+        assert ref.label.startswith("random-")
+        assert ref.label == dataclasses.replace(ref).label  # stable
 
     def test_fingerprint_stable_and_discriminating(self):
         a = CircuitRef.iscas85("c432")

@@ -8,6 +8,7 @@ import pytest
 from repro.runtime import (
     CircuitRef,
     FlowConfig,
+    Scenario,
     Shard,
     SweepQueue,
     SweepSpec,
@@ -68,6 +69,25 @@ def test_submit_persists_manifest_and_tickets(tmp_path, sweep):
     assert kinds == ["sweep_submitted"]
     with pytest.raises(ReproError):
         queue.submit(sweep)     # one sweep per queue, ever
+
+
+def test_schema1_queue_refused_with_schema_error(tmp_path, sweep):
+    """A queue written before FlowConfig lost ``partitions`` /
+    ``partition_threshold`` is schema 1: its manifest and tickets are
+    refused with the schema error, never a TypeError from the config."""
+    queue = SweepQueue(tmp_path / "q")
+    queue.submit(sweep)
+    manifest = json.loads(queue.manifest_path.read_text())
+    manifest["schema"] = 1
+    for scenario in manifest["scenarios"]:
+        scenario["config"].update(partitions=0, partition_threshold=20000)
+    queue.manifest_path.write_text(json.dumps(manifest))
+    with pytest.raises(ReproError, match="unsupported queue schema 1"):
+        SweepQueue(queue.root).scenarios()
+    ticket = json.loads(next(queue.pending_dir.glob("*.json")).read_text())
+    ticket["schema"] = 1
+    with pytest.raises(ReproError, match="unsupported shard schema 1"):
+        Shard.from_dict(ticket)
 
 
 def test_unsubmitted_queue_raises_everywhere(tmp_path):
@@ -301,6 +321,16 @@ class TestCostModelCalibration:
         expected = _circuit_size_estimate(scenario.circuit) * 0.002
         assert model.scenario_cost(scenario) == pytest.approx(expected)
         assert model.scenario_cost(scenario) < 1.0
+
+    def test_cost_model_never_builds_random_refs(self, monkeypatch):
+        from repro.runtime.queue import CostModel
+
+        monkeypatch.setattr(
+            CircuitRef, "build",
+            lambda self: pytest.fail("CostModel built a circuit"))
+        cost = CostModel().scenario_cost(
+            Scenario(CircuitRef.random(5000, 64, 64, seed=1), FlowConfig()))
+        assert cost == pytest.approx(2.0 * 5000)
 
     def test_worker_shard_timing_carries_size_est(self, tmp_path, sweep):
         from repro.runtime import Worker

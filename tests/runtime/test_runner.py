@@ -160,19 +160,21 @@ def test_scenario_list_accepted_directly(sweep):
 
 
 class TestGroupingPlanner:
-    """batch=True partitions misses by CircuitRef and dispatches whole
+    """The runner groups misses by CircuitRef and dispatches whole
     compile-once groups; stream order, seeds, and bytes are unchanged."""
 
-    def test_grouped_matches_per_scenario_bytes(self, sweep, serial_records):
-        runner = BatchRunner(jobs=1, batch=True)
+    def test_grouped_matches_per_scenario_bytes(self, sweep):
+        runner = BatchRunner(jobs=1)
         grouped = runner.run(sweep)
         assert runner.stats.groups == 2          # one per circuit
         assert runner.stats.computed == len(sweep)
+        # run_scenario is a one-scenario group on a fresh session.
+        solo = [run_scenario(s) for s in sweep.scenarios()]
         assert ([r.canonical_json() for r in grouped]
-                == [r.canonical_json() for r in serial_records])
+                == [r.canonical_json() for r in solo])
 
     def test_grouped_parallel_matches_serial(self, sweep, serial_records):
-        runner = BatchRunner(jobs=2, batch=True)
+        runner = BatchRunner(jobs=2)
         parallel = runner.run(sweep)
         assert runner.stats.groups == 2
         assert ([r.canonical_json() for r in parallel]
@@ -185,7 +187,7 @@ class TestGroupingPlanner:
         scenarios = [s for s in sweep.scenarios()
                      if s.circuit == sweep.circuits[0]]
         assert len(scenarios) == 2              # woss + random orderings
-        runner = BatchRunner(jobs=2, batch=True)
+        runner = BatchRunner(jobs=2)
         records = runner.run(scenarios)
         assert runner.stats.groups == 2         # split, both workers busy
         by_hash = {r.scenario.content_hash(): r.canonical_json()
@@ -198,7 +200,7 @@ class TestGroupingPlanner:
         order (group results buffer until their turn)."""
         scenarios = sweep.scenarios()
         shuffled = [scenarios[0], scenarios[2], scenarios[1], scenarios[3]]
-        runner = BatchRunner(jobs=1, batch=True)
+        runner = BatchRunner(jobs=1)
         records = runner.run(shuffled)
         assert runner.stats.groups == 2
         assert [r.scenario.content_hash() for r in records] == \
@@ -211,8 +213,8 @@ class TestGroupingPlanner:
     def test_cache_hits_peeled_before_grouping(self, tmp_path, sweep):
         scenarios = sweep.scenarios()
         cache = ResultCache(tmp_path)
-        BatchRunner(jobs=1, cache=cache, batch=True).run(scenarios[:3])
-        runner = BatchRunner(jobs=1, cache=cache, batch=True)
+        BatchRunner(jobs=1, cache=cache).run(scenarios[:3])
+        runner = BatchRunner(jobs=1, cache=cache)
         records = runner.run(scenarios)
         assert runner.stats.cache_hits == 3
         assert runner.stats.computed == 1
@@ -222,8 +224,8 @@ class TestGroupingPlanner:
 
     def test_warm_cache_skips_grouping_entirely(self, tmp_path, sweep):
         cache = ResultCache(tmp_path)
-        BatchRunner(jobs=1, cache=cache, batch=True).run(sweep)
-        runner = BatchRunner(jobs=1, cache=cache, batch=True)
+        BatchRunner(jobs=1, cache=cache).run(sweep)
+        runner = BatchRunner(jobs=1, cache=cache)
         records = runner.run(sweep)
         assert runner.stats.cache_hits == len(sweep)
         assert runner.stats.groups == 0
@@ -236,20 +238,13 @@ class TestGroupingPlanner:
             calls.append(scenario)
             return run_scenario(scenario)
 
-        runner = BatchRunner(jobs=1, run=counting_run, batch=True)
+        runner = BatchRunner(jobs=1, run=counting_run)
         runner.run(sweep.scenarios()[:2])
-        assert not runner.batch
+        assert runner.stats.groups == 0
         assert len(calls) == 2
 
-    def test_no_batch_env_flips_default(self, monkeypatch):
-        monkeypatch.setenv("REPRO_NO_BATCH", "1")
-        assert not BatchRunner(jobs=1).batch
-        assert BatchRunner(jobs=1, batch=True).batch
-        monkeypatch.delenv("REPRO_NO_BATCH")
-        assert BatchRunner(jobs=1).batch
-
     def test_abandoned_grouped_stream_terminates(self, sweep):
-        runner = BatchRunner(jobs=2, batch=True)
+        runner = BatchRunner(jobs=2)
         for record in runner.iter_records(sweep):
             assert record.feasible
             break

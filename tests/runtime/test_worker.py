@@ -15,6 +15,7 @@ from repro.runtime import (
     SweepQueue,
     SweepSpec,
     Worker,
+    run_scenario,
     work_queue,
 )
 from repro.utils.errors import ValidationError
@@ -146,9 +147,13 @@ def test_queue_executor_keeps_explicit_root_inspectable(tmp_path, sweep,
                                                         serial_json):
     root = tmp_path / "qx"
     executor = QueueExecutor(root=root, workers=2, lease_s=30.0)
-    runner = BatchRunner(batch=False, executor_factory=lambda: executor)
-    records = runner.run(sweep.scenarios()[:2])
+    runner = BatchRunner(executor_factory=lambda: executor)
+    scenarios = sweep.scenarios()[:2]
+    records = runner.run(scenarios)
     assert [r.canonical_json() for r in records] == serial_json[:2]
+    # The grouped queue drain also equals independent one-scenario solves.
+    assert [r.canonical_json() for r in records] == \
+        [run_scenario(s).canonical_json() for s in scenarios]
     queue = SweepQueue(root)            # still on disk for post-mortems
     assert queue.status().drained
     assert any(e["kind"] == "record_done" for e in queue.events())
