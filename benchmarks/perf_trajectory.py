@@ -247,16 +247,16 @@ def bench_cold_breakdown(name, patterns, repeats):
     """Per-stage cold setup times (the similarity → ordering cold path).
 
     Rebuilds the circuit every repeat so all memoized artifacts
-    (``compile()``, ``sim_plan()``, analyzer Grams) start cold; netlist
+    (``compile()``, ``sim_plan()``, analyzer keys) start cold; netlist
     parsing and layout construction stay outside the clock.  Stages:
 
     * ``analyzer`` — SimPlan compilation + levelized simulation
       (analyzer construction end to end),
-    * ``keys`` — batched ±1 Gram products + int16 sort keys for every
-      channel (one block gather, one f32 matmul per channel),
+    * ``keys`` — int16 sort keys for every channel (one f32 ±1 matmul
+      per channel, reduced to integer keys),
     * ``ordering`` — WOSS over every channel via the keys fast path,
     * ``cost`` — before/after path-dissimilarity totals from the cached
-      Grams,
+      keys,
     * ``apply`` — layout reordering,
 
     plus ``cold_total_ms``: one uninstrumented end-to-end

@@ -70,28 +70,25 @@ def order_channel_wires(analyzer, layout, ordering):
     Returns ``(ordered_layout, cost_before, cost_after)`` where the
     costs are the summed ``1 − similarity`` over adjacent pairs.
 
-    All channel similarity data comes from one batched analyzer call (a
-    single block gather of every channel's rows), and the adjacent-pair
-    costs are one fancy-indexed sum per channel — no per-wire Python
-    work.  Ordering callables that declare ``accepts_sort_keys`` (WOSS)
-    receive the analyzer's integer distance keys via
-    :meth:`SimilarityAnalyzer.sort_keys_many`, trading the per-step
-    argmin loop for one sorted prefix walk per channel; on that path
-    neither the float weight matrix nor the float64 similarity matrix is
-    ever materialized (the keys determine the order, and
+    The adjacent-pair costs are one fancy-indexed sum per channel — no
+    per-wire Python work.  Ordering callables that declare
+    ``accepts_sort_keys`` (WOSS) receive the analyzer's integer distance
+    keys via :meth:`SimilarityAnalyzer.sort_keys_many`, trading the
+    per-step argmin loop for one sorted prefix walk per channel; on that
+    path neither the float weight matrix nor the float64 similarity
+    matrix is ever materialized (the keys determine the order, and
     :meth:`SimilarityAnalyzer.path_dissimilarity` sums the costs from
-    gathered Gram entries — bitwise-identical, since the elementwise
-    ``1 − s`` commutes with the gather).  Channels without keys (other
-    orderings, or too many patterns for ``int16``) fall back to one
-    batched :meth:`SimilarityAnalyzer.matrices` call.
+    gathered keys — bitwise-identical, since the elementwise ``1 − s``
+    commutes with the gather).  Channels without keys (other orderings,
+    or too many patterns for ``int16``) ask
+    :meth:`SimilarityAnalyzer.matrix` for one channel at a time, so at
+    most one float64 similarity matrix and its weights are alive at
+    once.
     """
     channels = [ch for ch in layout.channels if len(ch) >= 2]
     keyed = getattr(ordering, "accepts_sort_keys", False)
     keys_list = (analyzer.sort_keys_many([ch.wires for ch in channels])
                  if keyed else [None] * len(channels))
-    plain = [ch for ch, keys in zip(channels, keys_list) if keys is None]
-    sims = iter(analyzer.matrices([ch.wires for ch in plain]) if plain
-                else ())
     orders = {}
     cost_before = 0.0
     cost_after = 0.0
@@ -101,7 +98,7 @@ def order_channel_wires(analyzer, layout, ordering):
             cost_before += analyzer.path_dissimilarity(channel.wires)
             cost_after += analyzer.path_dissimilarity(channel.wires, order)
         else:
-            weights = 1.0 - next(sims)
+            weights = 1.0 - analyzer.matrix(channel.wires)
             np.fill_diagonal(weights, 0.0)
             order = (ordering(weights, channel.label, None) if keyed
                      else ordering(weights, channel.label))

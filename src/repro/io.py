@@ -24,32 +24,40 @@ SCHEMA_VERSION = 1
 # -- circuits -----------------------------------------------------------------------
 
 
-def circuit_to_dict(circuit):
-    """Plain-dict form of a circuit (nodes, edges, technology)."""
+def circuit_header(circuit):
+    """:func:`circuit_to_dict` without its ``nodes`` and ``edges`` lists."""
     return {
         "schema": SCHEMA_VERSION,
         "kind": "circuit",
         "name": circuit.name,
         "technology": dataclasses.asdict(circuit.tech),
-        "nodes": [
-            {
-                "index": n.index,
-                "kind": n.kind.name,
-                "name": n.name,
-                "r_hat": n.r_hat,
-                "c_hat": n.c_hat,
-                "fringe": n.fringe,
-                "alpha": n.alpha,
-                "lower": n.lower,
-                "upper": n.upper,
-                "function": n.function,
-                "length": n.length,
-                "load_cap": n.load_cap,
-            }
-            for n in circuit.nodes
-        ],
-        "edges": [list(edge) for edge in circuit.edges],
     }
+
+
+def node_to_dict(n):
+    """One entry of :func:`circuit_to_dict`'s ``nodes`` list."""
+    return {
+        "index": n.index,
+        "kind": n.kind.name,
+        "name": n.name,
+        "r_hat": n.r_hat,
+        "c_hat": n.c_hat,
+        "fringe": n.fringe,
+        "alpha": n.alpha,
+        "lower": n.lower,
+        "upper": n.upper,
+        "function": n.function,
+        "length": n.length,
+        "load_cap": n.load_cap,
+    }
+
+
+def circuit_to_dict(circuit):
+    """Plain-dict form of a circuit (nodes, edges, technology)."""
+    data = circuit_header(circuit)
+    data["nodes"] = [node_to_dict(n) for n in circuit.nodes]
+    data["edges"] = [list(edge) for edge in circuit.edges]
+    return data
 
 
 def circuit_from_dict(data):

@@ -29,6 +29,9 @@ from repro.noise.coupling import taylor_derivative_factor
 from repro.noise.miller import MillerMode, miller_weight
 from repro.utils.errors import GeometryError
 
+#: Pairs whose value rows :meth:`CouplingSet.from_layout` compares at once.
+_PAIR_BLOCK = 4096
+
 #: Fused per-node coupling terms (see :meth:`CouplingSet.node_terms`).
 #: ``node_caps`` is ``None`` unless requested.
 CouplingTerms = collections.namedtuple(
@@ -79,10 +82,6 @@ class CouplingSet:
         self.ctilde = weights * np.array([p.ctilde for p in pairs])
         self.chat = weights * np.array([p.chat for p in pairs])
         self._endpoints = np.concatenate([self.pair_i, self.pair_j])
-        # Stable endpoint order for the precompiled scatter operator the
-        # fused node_terms path builds lazily (see _ensure_scratch).
-        self._ep_order = np.ascontiguousarray(
-            np.argsort(self._endpoints, kind="stable"))
         self._two_distance = 2.0 * self.distance
         self._scratch = None
 
@@ -109,15 +108,20 @@ class CouplingSet:
         else:
             if analyzer is None:
                 raise GeometryError(f"MillerMode.{mode.name} needs a SimilarityAnalyzer")
-            signed = getattr(analyzer, "signed_values", None)
-            if signed is None:
-                signed = np.where(analyzer.values, 1.0, -1.0)
+            # Over P patterns with h disagreements the ±1 products sum
+            # to the integer P − 2h, so (P − 2h) / P is bit-identical to
+            # their mean — counted from the boolean values directly, a
+            # block of pairs at a time.
+            values = analyzer.values
             i_idx = np.array([p.i for p in pairs], dtype=np.int64)
             j_idx = np.array([p.j for p in pairs], dtype=np.int64)
-            if len(pairs):
-                similarity = np.mean(signed[i_idx] * signed[j_idx], axis=1)
-            else:
-                similarity = np.zeros(0)
+            differ = np.empty(len(pairs), dtype=np.int64)
+            for lo in range(0, len(pairs), _PAIR_BLOCK):
+                hi = lo + _PAIR_BLOCK
+                differ[lo:hi] = np.count_nonzero(
+                    values[i_idx[lo:hi]] != values[j_idx[lo:hi]], axis=1)
+            n_patterns = values.shape[1]
+            similarity = (n_patterns - 2 * differ) / n_patterns
         weights = miller_weight(similarity, mode) if len(pairs) else np.zeros(0)
         return cls(num_nodes, pairs, weights=np.atleast_1d(weights), order=order)
 
@@ -193,11 +197,9 @@ class CouplingSet:
 
             # Endpoint scatter as a static unit CSR operator: row i lists
             # the pairs touching node i (in stable endpoint order).
-            by_node = [[] for _ in range(n)]
-            for pos in self._ep_order:
-                by_node[int(self._endpoints[pos])].append(int(pos) % p)
             self._scratch = {
-                "op": kernels.CSROp(by_node, n),
+                "op": kernels.CSROp.from_arrays(
+                    self._endpoints, np.arange(2 * p) % p, n),
                 "ws": types.SimpleNamespace(cbuf=np.zeros(2 * p),
                                             sbuf=np.zeros(n)),
                 "u": np.zeros(p), "term": np.zeros(p), "tmp": np.zeros(p),

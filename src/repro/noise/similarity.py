@@ -65,18 +65,20 @@ def similarity_from_waveforms(waveforms):
 class SimilarityAnalyzer:
     """Runs logic simulation once and serves per-channel similarity.
 
-    Per-channel results are memoized by index tuple around one shared
-    Gram cache: each distinct channel's ±1 Gram product — the expensive
-    matmul — is computed once, and :meth:`matrix` / :meth:`matrices`,
-    :meth:`sort_keys` / :meth:`sort_keys_many`,
-    :meth:`path_dissimilarity`, and :meth:`pair` all read through it
-    (returned arrays are frozen read-only).  The batched accessors
-    answer many channels at once — one block gather of all missing rows
-    from the simulated values, one signed ``±1`` conversion, then one
-    matmul per missing channel over contiguous row blocks — so the
-    ordering stage never pays a per-channel fancy-index round-trip.
-    ``cache_hits``/``cache_misses`` count channel lookups through the
-    public accessors, hit ⇔ the Gram was already cached (pinned by
+    Each distinct channel (an index tuple) costs one ``±1`` Gram product,
+    computed on first request and reduced at once to the only thing
+    cached: the channel's integer distance keys ``2d = P − Σ±1`` (twice
+    the pairwise Hamming distance over ``P`` patterns) — ``int16`` while
+    ``P ≤ 16383``, ``int32`` above.  Every accessor reads through that
+    one integer matrix: :meth:`sort_keys` / :meth:`sort_keys_many` return
+    it (``int16`` only), while :meth:`matrix` / :meth:`matrices`,
+    :meth:`path_dissimilarity` and :meth:`pair` rebuild similarity from
+    ``P − keys`` — exactly the Gram's integers, so the float64 results
+    are bit-identical to a float64 ``±1`` product.  Nothing float is
+    kept: a float64 matrix lives only as long as its caller holds it
+    (returned arrays are read-only).  ``cache_hits``/``cache_misses``
+    count channel lookups through the public accessors, hit ⇔ the
+    channel's integer matrix is already cached (pinned by
     ``tests/noise/test_similarity.py``).
 
     Parameters
@@ -102,10 +104,7 @@ class SimilarityAnalyzer:
         self.patterns = np.asarray(patterns, dtype=bool)
         self._values = simulate_levelized(circuit, self.patterns,
                                           backend=backend)
-        self._grams = {}
-        self._matrices = {}
         self._keys = {}
-        self._signed = None
         self.cache_hits = 0
         self.cache_misses = 0
 
@@ -114,31 +113,18 @@ class SimilarityAnalyzer:
         """Node-by-pattern boolean matrix from the levelized simulation."""
         return self._values
 
-    @property
-    def signed_values(self):
-        """The values as a float ``±1`` matrix (lazy, computed once).
-
-        Shared by :meth:`matrices` and the Miller-weighting path in
-        :meth:`CouplingSet.from_layout`, which previously each re-ran
-        the full ``bool → ±1`` conversion.
-        """
-        if self._signed is None:
-            self._signed = np.where(self._values, 1.0, -1.0)
-            self._signed.setflags(write=False)
-        return self._signed
-
     def matrix(self, indices):
         """Similarity matrix over the node ``indices`` (a channel, usually).
 
-        Memoized per index tuple; the returned array is read-only (it is
-        shared with every later caller — copy before mutating).
+        Built from the channel's cached integer keys on every call; the
+        returned array is read-only.
         """
         return self.matrices([indices])[0]
 
     def _lookup(self, index_groups):
         """Normalize groups to tuples, counting cache hits/misses.
 
-        A group counts as a *hit* when its Gram product — the expensive
+        A group counts as a *hit* when its integer matrix — the expensive
         part — is already cached, regardless of which accessor computed
         it first.
         """
@@ -147,93 +133,86 @@ class SimilarityAnalyzer:
         groups = [g if type(g) is tuple else tuple(int(i) for i in g)
                   for g in index_groups]
         for g in groups:
-            if g in self._grams:
+            if g in self._keys:
                 self.cache_hits += 1
             else:
                 self.cache_misses += 1
         return groups
 
-    def _ensure_grams(self, groups):
-        """Compute the missing groups' ±1 Gram products in one batch.
+    def _ensure_keys(self, groups):
+        """Compute and cache the missing groups' keys, one channel at a time.
 
-        One boolean block gather + one ±1 conversion for every missing
-        channel (converting only the rows actually needed, not the whole
-        node set), then one matmul per channel over its contiguous slice
-        of the block.  The product of ±1 rows is a sum of ±1 terms
-        bounded by ``n_patterns``, so every partial sum is an exactly
-        representable integer even in float32 — the single-precision
-        matmul (about twice the dgemm throughput) gives bitwise-identical
-        similarity as long as ``n_patterns`` stays below 2**23.  The
-        integer distance keys ``2d = P − Σ±1`` (twice the Hamming
-        distance — halving would only cost another full pass) fall out
-        of the same product, exact in either precision; ``int16`` so
-        WOSS can sort them fast.
+        The product of ``±1`` rows is a sum of ``±1`` terms bounded by
+        ``P``, so every partial sum is an exactly representable integer
+        even in float32 — the single-precision matmul (about twice the
+        dgemm throughput) is exact as long as ``P`` stays below 2**23.
+        The keys ``2d = P − Σ±1`` (twice the Hamming distance — halving
+        would only cost another full pass) reach ``2P``: ``int16`` holds
+        them up to ``P = 16383``.  Only one channel's float rows and
+        Gram are alive at a time.
         """
-        missing = sorted({g for g in groups if g and g not in self._grams})
-        if not missing:
-            return
-        rows_idx = np.fromiter(
-            (i for g in missing for i in g), dtype=np.int64,
-            count=sum(len(g) for g in missing))
         n_patterns = self._values.shape[1]
-        use_f32 = n_patterns <= 2 ** 23
-        # bool → ±1 via a widening cast plus two in-place passes
-        # (np.where with scalar branches is ~3× slower here).
-        block = self._values[rows_idx].astype(
-            np.float32 if use_f32 else np.float64)
-        block *= 2.0
-        block -= 1.0
-        offset = 0
-        for g in missing:
-            rows = block[offset:offset + len(g)]
-            offset += len(g)
-            raw = rows @ rows.T
-            raw.setflags(write=False)
-            self._grams[g] = raw
-            if n_patterns <= 16383:  # keys reach 2P; int16 tops at 32767
-                keys = (n_patterns - raw).astype(np.int16)
-                keys.setflags(write=False)
-                self._keys[g] = keys
+        gram_dtype = np.float32 if n_patterns <= 2 ** 23 else np.float64
+        key_dtype = np.int16 if n_patterns <= 16383 else np.int32
+        for g in groups:
+            if not g or g in self._keys:
+                continue
+            # bool → ±1 via a widening cast plus two in-place passes
+            # (np.where with scalar branches is ~3× slower here).
+            rows = self._values[np.array(g, dtype=np.int64)].astype(gram_dtype)
+            rows *= 2.0
+            rows -= 1.0
+            gram = rows @ rows.T
+            np.subtract(n_patterns, gram, out=gram)
+            keys = gram.astype(key_dtype)
+            keys.setflags(write=False)
+            self._keys[g] = keys
+
+    def _gram(self, keys):
+        """The exact ``±1`` Gram ``P − keys`` as float64."""
+        return np.subtract(self._values.shape[1], keys, dtype=np.float64)
 
     def matrices(self, index_groups):
-        """Similarity matrices for many channels in one batched pass.
+        """Similarity matrices for many channels, one per input group.
 
-        Missing channels are computed together (see
-        :meth:`_ensure_grams`); the float64 similarity matrix of each
-        requested group is materialized from its cached Gram on first
-        request.  Returns one (cached, read-only) matrix per input
-        group, in order.
+        Missing channels' keys are computed first (see
+        :meth:`_ensure_keys`); each float64 matrix is then built fresh
+        from its channel's keys (read-only, not cached — callers that
+        need one channel at a time should ask one at a time).
         """
         groups = self._lookup(index_groups)
-        self._ensure_grams(groups)
+        self._ensure_keys(groups)
         n_patterns = self._values.shape[1]
-        for g in set(groups):
-            if g and g not in self._matrices:
-                matrix = self._grams[g].astype(np.float64)
-                matrix /= n_patterns
-                np.fill_diagonal(matrix, 1.0)
-                matrix.setflags(write=False)
-                self._matrices[g] = matrix
-        return [self._matrices[g] if g else similarity_from_values(
-            self._values, g) for g in groups]
+        out = []
+        for g in groups:
+            if not g:
+                out.append(similarity_from_values(self._values, g))
+                continue
+            matrix = self._gram(self._keys[g])
+            matrix /= n_patterns
+            np.fill_diagonal(matrix, 1.0)
+            matrix.setflags(write=False)
+            out.append(matrix)
+        return out
 
     def sort_keys_many(self, index_groups):
-        """Integer ordering keys for many channels in one batched pass.
+        """Integer ordering keys for many channels in one pass.
 
-        Same batching as :meth:`matrices`, but returns the channels'
-        read-only ``int16`` distance matrices (twice the pairwise
-        Hamming distance) without materializing their float64
-        similarity: the key ``2d[a, b]`` is an exact monotone image of
-        the ordering weight ``1 − similarity = 2d/P`` — within any row
-        (and globally), keys compare and tie exactly as the weights do.
+        Returns the channels' cached read-only ``int16`` distance
+        matrices (twice the pairwise Hamming distance) without
+        materializing their float64 similarity: the key ``2d[a, b]`` is
+        an exact monotone image of the ordering weight
+        ``1 − similarity = 2d/P`` — within any row (and globally), keys
+        compare and tie exactly as the weights do.
         :func:`~repro.noise.ordering.woss_ordering` uses them to replace
         its per-step masked argmin with one sorted prefix walk.
         ``None`` entries mark unavailable groups (empty channel, or more
         than 16383 patterns — keys reach ``2P``, beyond ``int16``).
         """
         groups = self._lookup(index_groups)
-        self._ensure_grams(groups)
-        return [self._keys.get(g) for g in groups]
+        self._ensure_keys(groups)
+        return [k if k is not None and k.dtype == np.int16 else None
+                for k in map(self._keys.get, groups)]
 
     def sort_keys(self, indices):
         """Ordering keys for one channel — see :meth:`sort_keys_many`."""
@@ -244,7 +223,7 @@ class SimilarityAnalyzer:
         stage-1 ordering cost.
 
         ``order`` is a position permutation (default: the given track
-        order).  Computed by gathering the cached Gram entries, without
+        order).  Computed by gathering the cached keys, without
         materializing the channel's float64 matrix; bitwise-equal to
         summing ``1 − matrix(indices)`` over the same pairs, since the
         elementwise ``1 − s`` commutes with the gather.
@@ -253,13 +232,13 @@ class SimilarityAnalyzer:
             int(i) for i in indices)
         if len(g) < 2:
             return 0.0
-        self._ensure_grams([g])
-        raw = self._grams[g]
+        self._ensure_keys([g])
+        keys = self._keys[g]
         if order is None:
-            s = np.diagonal(raw, 1).astype(np.float64)
+            s = self._gram(np.diagonal(keys, 1))
         else:
             idx = np.asarray(order, dtype=np.int64)
-            s = raw[idx[:-1], idx[1:]].astype(np.float64)
+            s = self._gram(keys[idx[:-1], idx[1:]])
         s /= self._values.shape[1]
         return float(np.sum(1.0 - s))
 

@@ -42,16 +42,46 @@ def _content_hash(data):
     return hashlib.sha256(_canonical_json(data).encode()).hexdigest()
 
 
+#: Nodes (or edges) encoded per hash update by :func:`circuit_fingerprint`.
+FINGERPRINT_CHUNK = 4096
+
+
 def circuit_fingerprint(circuit):
     """SHA-256 over a *built* circuit's canonical form.
 
     Shared by :meth:`CircuitRef.fingerprint` and the sweep workers (which
     fingerprint the circuit they already constructed, so cache writes in
     the parent never have to build one).
-    """
-    from repro.io import circuit_to_dict
 
-    return _content_hash(circuit_to_dict(circuit))
+    Equal to ``_content_hash(circuit_to_dict(circuit))``, but streamed:
+    the same canonical JSON bytes reach the hash in pieces of
+    :data:`FINGERPRINT_CHUNK` nodes or edges, so a large netlist never
+    holds all its node dicts or the whole JSON text at once.
+    """
+    from repro.io import circuit_header, node_to_dict
+
+    header = circuit_header(circuit)
+    lists = {"nodes": (circuit.nodes, node_to_dict),
+             "edges": (circuit.edges, list)}
+    step = FINGERPRINT_CHUNK
+    digest = hashlib.sha256()
+    opener = "{"
+    for key in sorted([*header, *lists]):  # sort_keys order
+        digest.update(f"{opener}{_canonical_json(key)}:".encode())
+        opener = ","
+        if key in header:
+            digest.update(_canonical_json(header[key]).encode())
+            continue
+        items, encode = lists[key]
+        digest.update(b"[")
+        for start in range(0, len(items), step):
+            chunk = [encode(item) for item in items[start:start + step]]
+            # Drop the chunk's own brackets; join chunks with a comma.
+            digest.update(("," if start else "").encode()
+                          + _canonical_json(chunk)[1:-1].encode())
+        digest.update(b"]")
+    digest.update(b"}")
+    return digest.hexdigest()
 
 
 def _normalize_params(pairs):

@@ -72,6 +72,8 @@ and ``ElmoreEngine.workspace()``.
 
 import numpy as np
 
+from repro.circuit.compiled import _csr
+
 try:  # SciPy's C kernels accumulate into a caller-provided output array.
     from scipy.sparse import _sparsetools as _st
 
@@ -89,21 +91,30 @@ class CSROp:
     ``indptr``/``indices`` follow the usual CSR convention; ``data`` is
     all ones (closure coefficients are unit by construction).  ``rows``
     and ``starts`` retain the nonempty-row view used by the pure-NumPy
-    fallback path.
+    fallback path.  Row order matters: the kernels add each row's
+    entries in ``indices`` order, so two operators with the same rows in
+    a different order agree only to rounding.
     """
 
     __slots__ = ("indptr", "indices", "data", "rows", "starts", "n_rows")
 
-    def __init__(self, lists, n_rows):
-        sizes = np.array([len(lst) for lst in lists], dtype=np.int64)
-        self.n_rows = n_rows
-        self.indptr = np.zeros(n_rows + 1, dtype=np.int64)
-        np.cumsum(sizes, out=self.indptr[1:])
-        self.indices = np.array(
-            [j for lst in lists for j in lst], dtype=np.int64)
+    def __init__(self, indptr, indices):
+        self.indptr = np.asarray(indptr, dtype=np.int64)
+        self.indices = np.ascontiguousarray(indices, dtype=np.int64)
+        self.n_rows = len(self.indptr) - 1
         self.data = np.ones(len(self.indices))
-        self.rows = np.flatnonzero(sizes)
+        self.rows = np.flatnonzero(np.diff(self.indptr))
         self.starts = np.ascontiguousarray(self.indptr[self.rows])
+
+    @classmethod
+    def from_arrays(cls, rows, cols, n_rows):
+        """The operator with one entry ``cols[k]`` in row ``rows[k]``.
+
+        Entries keep their given relative order within each row (one
+        stable sort by row).
+        """
+        indptr, order = _csr(rows, n_rows)
+        return cls(indptr, np.asarray(cols)[order])
 
     @property
     def nnz(self):
@@ -182,6 +193,57 @@ class ProjectLevel:
         self.n_targets = n_targets
 
 
+def _exclusive_cumsum(counts):
+    """Start offsets of consecutive segments of the given sizes."""
+    out = np.zeros(len(counts), dtype=np.int64)
+    np.cumsum(counts[:-1], out=out[1:])
+    return out
+
+
+def _ranges(starts, lengths):
+    """Concatenated ``arange(s, s + l)`` over the ``(s, l)`` pairs."""
+    lengths = np.asarray(lengths, dtype=np.int64)
+    offsets = _exclusive_cumsum(lengths)
+    total = int(offsets[-1] + lengths[-1]) if len(lengths) else 0
+    return np.repeat(starts - offsets, lengths) + np.arange(total)
+
+
+def _stage_closure(grouped, row_of, far, is_wire, schedule, n):
+    """One stage closure as a :class:`CSROp`, plus its row sizes.
+
+    Row ``i`` walks the edges ``e`` with ``row_of[e] == i`` in
+    ``grouped`` order (all edges, grouped by row, edge-id order within
+    a row) and lists ``far[e]``, followed by ``far[e]``'s own row when
+    ``far[e]`` is a wire — a pre-order walk that stops at gate
+    boundaries.  ``schedule`` visits the edges one graph level at a
+    time such that every ``far`` row is final before it is needed.
+
+    Two passes over ``schedule``: the first accumulates row sizes (an
+    edge spans one entry plus its wire's row), which fixes every edge's
+    slot by one prefix sum; the second copies each wire's finished row
+    into its slots, one block gather per level.
+    """
+    hop_edge = is_wire[far]
+    size = np.zeros(n, dtype=np.int64)
+    span = np.ones(len(far), dtype=np.int64)
+    for eids in schedule:
+        hops = eids[hop_edge[eids]]
+        span[hops] += size[far[hops]]
+        np.add.at(size, row_of[eids], span[eids])
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(size, out=indptr[1:])
+    slot = np.empty(len(far), dtype=np.int64)
+    slot[grouped] = _exclusive_cumsum(span[grouped])
+    indices = np.empty(indptr[-1], dtype=np.int64)
+    indices[slot] = far
+    for eids in schedule:
+        hops = eids[hop_edge[eids]]
+        lengths = size[far[hops]]
+        indices[_ranges(slot[hops] + 1, lengths)] = \
+            indices[_ranges(indptr[far[hops]], lengths)]
+    return CSROp(indptr, indices), size
+
+
 class SweepPlan:
     """Precompiled sweep structures for one :class:`CompiledCircuit`.
 
@@ -191,6 +253,11 @@ class SweepPlan:
     fused LRS pass (``r_hat_eff``, ``half_fringe_wire``, ``wire_mask_f``,
     ``wire_load_cap``) and index vectors (``gate_nodes``,
     ``driver_nodes``, ``sizable_idx``, ``nonsizable_idx``).
+
+    Built from flat index arrays — prefix sums, block copies, stable
+    sorts and loops over graph levels, never over nodes — with no
+    per-node Python lists; ``tests/oracles/sweep_plan.py`` keeps the
+    list-based spelling that every attribute is pinned against.
     """
 
     def __init__(self, compiled):
@@ -201,158 +268,11 @@ class SweepPlan:
         self.num_nodes = cc.num_nodes
         self.num_edges = cc.num_edges
         self.num_levels = cc.num_levels
-        n = cc.num_nodes
-
-        children = [[] for _ in range(n)]
-        parents = [[] for _ in range(n)]
-        for src, dst in zip(cc.edge_src, cc.edge_dst):
-            children[int(src)].append(int(dst))
-            parents[int(dst)].append(int(src))
-        order = np.argsort(cc.level, kind="stable")
-        is_wire = cc.is_wire
-
-        # Stage closures.  Wires have in-degree exactly one, so the
-        # within-stage reachability used by both is a forest: every
-        # closure entry corresponds to exactly one traversal path of the
-        # reference sweeps (multiset semantics at converging gates).
-        desc = [None] * n
-        for i in order[::-1]:
-            i = int(i)
-            lst = []
-            for c in children[i]:
-                lst.append(c)
-                if is_wire[c]:
-                    lst.extend(desc[c])
-            desc[i] = lst
-        anc = [None] * n
-        for i in order:
-            i = int(i)
-            lst = []
-            for p in parents[i]:
-                lst.append(p)
-                if is_wire[p]:
-                    lst.extend(anc[p])
-            anc[i] = lst
-        self.desc = CSROp(desc, n)
-        self.anc = CSROp(anc, n)
-        self.desc_base = cc.load_cap.copy()
-
-        # Condensed arrival graph: anchors, wire chain closure, and the
-        # max-plus schedule over non-wire nodes.  The condensed node
-        # order is (condensed level, node id); per-level node slices are
-        # contiguous in that order, so the sweep assigns into views.
-        anchor = np.arange(n, dtype=np.int64)
-        for i in order:
-            i = int(i)
-            if is_wire[i]:
-                anchor[i] = anchor[cc.wire_parent[i]]
-        self.anchor = anchor
-        chain = [[i] + [j for j in anc[i] if is_wire[j]] if is_wire[i] else []
-                 for i in range(n)]
-        self.wire_chain = CSROp(chain, n)
-        self.wire_indices = cc.wire_indices
-
-        nonwire = np.flatnonzero(~is_wire)
-        boundary = np.flatnonzero(~is_wire[cc.edge_dst])  # edge ids
-        cond_dst = cc.edge_dst[boundary]
-        cond_anchor = anchor[cc.edge_src[boundary]]
-        cond_hop = cc.edge_src[boundary]
-        clevel = np.zeros(n, dtype=np.int64)
-        for e in np.argsort(cond_dst, kind="stable"):
-            d, a = cond_dst[e], cond_anchor[e]  # ascending dst == topo order
-            if clevel[a] + 1 > clevel[d]:
-                clevel[d] = clevel[a] + 1
-        self.cond_nodes = nonwire[
-            np.argsort(clevel[nonwire], kind="stable")]
-        cpos = np.full(n, -1, dtype=np.int64)
-        cpos[self.cond_nodes] = np.arange(len(self.cond_nodes))
-        n_clevels = int(clevel[nonwire].max(initial=0)) + 1
-        self.cond_node_ptr = np.searchsorted(
-            np.sort(clevel[nonwire]), np.arange(n_clevels + 1))
-        self.wire_anchor_pos = np.ascontiguousarray(
-            cpos[anchor[cc.wire_indices]])
-
-        # Condensed edges sorted by (level of dst, dst): per level the
-        # segment targets are then exactly the level's node slice, so
-        # ``maximum.reduceat`` writes straight into the slice view.
-        eorder = np.lexsort((cond_dst, clevel[cond_dst]))
-        cond_dst = cond_dst[eorder]
-        self.arr_anchor_pos = np.ascontiguousarray(cpos[cond_anchor[eorder]])
-        self.arr_hop = np.ascontiguousarray(cond_hop[eorder])
-        edge_levels = clevel[cond_dst]
-        self.arr_edge_ptr = np.searchsorted(edge_levels,
-                                            np.arange(n_clevels + 1))
-        self.arr_starts = []
-        for level in range(n_clevels):
-            lo, hi = self.arr_edge_ptr[level], self.arr_edge_ptr[level + 1]
-            dsts = cond_dst[lo:hi]
-            starts = np.flatnonzero(
-                np.concatenate(([True], dsts[1:] != dsts[:-1]))) \
-                if hi > lo else np.zeros(0, dtype=np.int64)
-            self.arr_starts.append(np.ascontiguousarray(starts))
-            node_lo = self.cond_node_ptr[level]
-            node_hi = self.cond_node_ptr[level + 1]
-            if level and not np.array_equal(dsts[starts],
-                                            self.cond_nodes[node_lo:node_hi]):
-                raise AssertionError(
-                    "condensed arrival schedule out of sync")  # pragma: no cover
-        self.max_cond_edges = int(np.max(np.diff(self.arr_edge_ptr),
-                                         initial=0))
-
-        # Flow-projection cascade over the same condensed graph.  Only
-        # boundary edges (non-wire destination) carry independent
-        # multiplier values through the Theorem 3 renormalization: a
-        # wire's single in-edge always ends up at exactly its subtree's
-        # boundary out-flow, so wire edges are reconstructed afterwards
-        # by one static scatter.
-        self.boundary_ids = boundary
-        bpos = np.full(cc.num_edges, -1, dtype=np.int64)
-        bpos[boundary] = np.arange(len(boundary))
-        by_anchor = [[] for _ in range(n)]
-        for k, e in enumerate(boundary):
-            by_anchor[int(anchor[cc.edge_src[e]])].append(k)
-        in_of = [[] for _ in range(n)]
-        for k, e in enumerate(boundary):
-            in_of[int(cc.edge_dst[e])].append(k)
-        self.proj_levels = []
-        for level in range(n_clevels - 1, 0, -1):
-            lo, hi = self.cond_node_ptr[level], self.cond_node_ptr[level + 1]
-            targets = [int(t) for t in self.cond_nodes[lo:hi]
-                       if t != cc.sink]
-            if not targets:
-                continue
-            in_pos, in_starts, expand = [], [], []
-            out_pos, out_starts, out_sel = [], [], []
-            for ti, t in enumerate(targets):
-                in_starts.append(len(in_pos))
-                in_pos.extend(in_of[t])
-                expand.extend([ti] * len(in_of[t]))
-                if by_anchor[t]:
-                    out_sel.append(ti)
-                    out_starts.append(len(out_pos))
-                    out_pos.extend(by_anchor[t])
-            self.proj_levels.append(ProjectLevel(
-                np.array(in_pos, dtype=np.int64),
-                np.array(in_starts, dtype=np.int64),
-                np.array(expand, dtype=np.int64),
-                cc.in_degree[targets].astype(float),
-                np.array(out_pos, dtype=np.int64),
-                np.array(out_starts, dtype=np.int64),
-                np.array(out_sel, dtype=np.int64),
-                len(targets)))
-        # Per-edge reconstruction: boundary edges map to themselves;
-        # a wire's in-edge sums the boundary edges below the wire.
-        scatter = [[] for _ in range(cc.num_edges)]
-        for k, e in enumerate(boundary):
-            scatter[int(e)].append(k)
-            src = int(cc.edge_src[e])
-            walk = [src] if is_wire[src] else []
-            if walk:
-                walk += [int(j) for j in anc[src] if is_wire[j]]
-            for w in walk:
-                wire_in_edge = int(cc.in_edges[cc.in_ptr[w]])
-                scatter[wire_in_edge].append(k)
-        self.proj_scatter = CSROp(scatter, cc.num_edges)
+        # Each builder keeps only plan arrays; its scratch dies when it
+        # returns, so a build peaks near the plan's own size.
+        self._build_closures(cc)
+        self._build_condensed(cc)
+        self._build_projection(cc)
 
         self.gate_nodes = cc.gate_indices
         self.driver_nodes = np.flatnonzero(cc.is_driver)
@@ -373,6 +293,156 @@ class SweepPlan:
         self.alpha_sizable = cc.alpha * sizable_f
         self.c_hat_sizable = cc.c_hat * sizable_f
         self.fringe_total = float(np.sum(cc.fringe[cc.is_sizable]))
+
+    def _build_closures(self, cc):
+        """Stage closures, wire anchors and the wire chain closure.
+
+        Wires have in-degree exactly one, so the within-stage
+        reachability used by both closures is a forest: every closure
+        entry corresponds to exactly one traversal path of the reference
+        sweeps (multiset semantics at converging gates).  ``desc`` rows
+        walk out-edges (reverse level order), ``anc`` rows walk in-edges
+        (level order).
+        """
+        n, is_wire, wires = cc.num_nodes, cc.is_wire, cc.wire_indices
+        self.desc, _ = _stage_closure(
+            cc.out_edges, cc.edge_src, cc.edge_dst, is_wire,
+            cc.edges_by_src_level[::-1], n)
+        self.anc, anc_size = _stage_closure(
+            cc.in_edges, cc.edge_dst, cc.edge_src, is_wire,
+            cc.edges_by_dst_level, n)
+        self.desc_base = cc.load_cap.copy()
+        # A wire's ancestor row is its chain of wires up to the first
+        # non-wire node — its anchor, always the row's last entry — so
+        # the wire's chain row is the wire itself plus that row minus
+        # the anchor.
+        anc_ptr, anc_idx = self.anc.indptr, self.anc.indices
+        self.anchor = np.arange(n, dtype=np.int64)
+        self.anchor[wires] = anc_idx[anc_ptr[wires + 1] - 1]
+        chain_size = np.zeros(n, dtype=np.int64)
+        chain_size[wires] = anc_size[wires]
+        chain_ptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(chain_size, out=chain_ptr[1:])
+        chain_idx = np.empty(chain_ptr[-1], dtype=np.int64)
+        chain_idx[chain_ptr[wires]] = wires
+        chain_idx[_ranges(chain_ptr[wires] + 1, anc_size[wires] - 1)] = \
+            anc_idx[_ranges(anc_ptr[wires], anc_size[wires] - 1)]
+        self.wire_chain = CSROp(chain_ptr, chain_idx)
+        self.wire_indices = wires
+
+    def _build_condensed(self, cc):
+        """The condensed arrival graph's max-plus schedule.
+
+        The condensed node order is (condensed level, node id); per-level
+        node slices are contiguous in that order, so the sweep assigns
+        into views.
+        """
+        n, anchor = cc.num_nodes, self.anchor
+        nonwire = np.flatnonzero(~cc.is_wire)
+        boundary = np.flatnonzero(~cc.is_wire[cc.edge_dst])  # edge ids
+        cond_dst = cc.edge_dst[boundary]
+        cond_anchor = anchor[cc.edge_src[boundary]]
+        # Condensed levels: longest anchor paths.  Every anchor sits at
+        # a lower graph level than the gate it feeds, so relaxing the
+        # edges one graph level of their destination at a time sees
+        # only final anchor levels.
+        clevel = np.zeros(n, dtype=np.int64)
+        dst_level = cc.level[cond_dst]
+        by_level = np.argsort(dst_level, kind="stable")
+        level_ptr = np.searchsorted(dst_level[by_level],
+                                    np.arange(cc.num_levels + 1))
+        for lo, hi in zip(level_ptr[:-1], level_ptr[1:]):
+            if hi > lo:
+                sel = by_level[lo:hi]
+                np.maximum.at(clevel, cond_dst[sel],
+                              clevel[cond_anchor[sel]] + 1)
+        self.cond_nodes = nonwire[
+            np.argsort(clevel[nonwire], kind="stable")]
+        cpos = np.full(n, -1, dtype=np.int64)
+        cpos[self.cond_nodes] = np.arange(len(self.cond_nodes))
+        n_clevels = int(clevel[nonwire].max(initial=0)) + 1
+        self.cond_node_ptr = np.searchsorted(
+            np.sort(clevel[nonwire]), np.arange(n_clevels + 1))
+        self.wire_anchor_pos = np.ascontiguousarray(
+            cpos[anchor[cc.wire_indices]])
+
+        # Condensed edges sorted by (level of dst, dst): per level the
+        # segment targets are then exactly the level's node slice, so
+        # ``maximum.reduceat`` writes straight into the slice view.
+        eorder = np.lexsort((cond_dst, clevel[cond_dst]))
+        cond_dst = cond_dst[eorder]
+        self.arr_anchor_pos = np.ascontiguousarray(cpos[cond_anchor[eorder]])
+        self.arr_hop = np.ascontiguousarray(cc.edge_src[boundary[eorder]])
+        edge_levels = clevel[cond_dst]
+        self.arr_edge_ptr = np.searchsorted(edge_levels,
+                                            np.arange(n_clevels + 1))
+        self.arr_starts = []
+        for level in range(n_clevels):
+            lo, hi = self.arr_edge_ptr[level], self.arr_edge_ptr[level + 1]
+            dsts = cond_dst[lo:hi]
+            starts = np.flatnonzero(
+                np.concatenate(([True], dsts[1:] != dsts[:-1]))) \
+                if hi > lo else np.zeros(0, dtype=np.int64)
+            self.arr_starts.append(np.ascontiguousarray(starts))
+            node_lo = self.cond_node_ptr[level]
+            node_hi = self.cond_node_ptr[level + 1]
+            if level and not np.array_equal(dsts[starts],
+                                            self.cond_nodes[node_lo:node_hi]):
+                raise AssertionError(
+                    "condensed arrival schedule out of sync")  # pragma: no cover
+        self.max_cond_edges = int(np.max(np.diff(self.arr_edge_ptr),
+                                         initial=0))
+        self.boundary_ids = boundary
+
+    def _build_projection(self, cc):
+        """The flow-projection cascade over the condensed graph.
+
+        Only boundary edges (non-wire destination) carry independent
+        multiplier values through the Theorem 3 renormalization: a
+        wire's single in-edge always ends up at exactly its subtree's
+        boundary out-flow, so wire edges are reconstructed afterwards by
+        one static scatter.  Boundary positions grouped (stably) by
+        destination give each target's in-edges, grouped by anchor its
+        out-edges.
+        """
+        n, boundary = cc.num_nodes, self.boundary_ids
+        hop = cc.edge_src[boundary]
+        # Per-edge reconstruction (built first, before the level
+        # grouping arrays exist): boundary edges map to themselves; a
+        # wire's in-edge sums the boundary edges below the wire — those
+        # whose source's wire chain contains it.
+        chain = self.wire_chain
+        hops = np.diff(chain.indptr)[hop]
+        walk = chain.indices[_ranges(chain.indptr[hop], hops)]
+        positions = np.arange(len(boundary))
+        self.proj_scatter = CSROp.from_arrays(
+            np.concatenate([boundary, cc.in_edges[cc.in_ptr[walk]]]),
+            np.concatenate([positions, np.repeat(positions, hops)]),
+            cc.num_edges)
+        del hops, walk, positions
+        in_ptr, in_order = _csr(cc.edge_dst[boundary], n)
+        out_ptr, out_order = _csr(self.anchor[hop], n)
+        in_count, out_count = np.diff(in_ptr), np.diff(out_ptr)
+        self.proj_levels = []
+        for level in range(len(self.cond_node_ptr) - 2, 0, -1):
+            lo, hi = self.cond_node_ptr[level], self.cond_node_ptr[level + 1]
+            targets = self.cond_nodes[lo:hi]
+            targets = targets[targets != cc.sink]
+            if not len(targets):
+                continue
+            n_in = in_count[targets]
+            out_sel = np.flatnonzero(out_count[targets])
+            owners = targets[out_sel]
+            n_out = out_count[owners]
+            self.proj_levels.append(ProjectLevel(
+                in_order[_ranges(in_ptr[targets], n_in)],
+                _exclusive_cumsum(n_in),
+                np.repeat(np.arange(len(targets)), n_in),
+                cc.in_degree[targets].astype(float),
+                out_order[_ranges(out_ptr[owners], n_out)],
+                _exclusive_cumsum(n_out),
+                out_sel,
+                len(targets)))
 
     def cols(self):
         """Memoized ``(n, 1)`` column views of the per-node constants.

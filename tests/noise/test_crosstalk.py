@@ -6,6 +6,7 @@ import pytest
 from repro.geometry import ChannelLayout, CouplingPair
 from repro.noise import CouplingSet, MillerMode, SimilarityAnalyzer
 from repro.noise.coupling import coupling_capacitance_taylor
+from repro.noise.miller import miller_weight
 from repro.utils.errors import GeometryError
 
 
@@ -126,6 +127,29 @@ class TestFromLayout:
         with pytest.raises(GeometryError):
             CouplingSet.from_layout(layout, analyzer=None,
                                     mode=MillerMode.SIMILARITY)
+
+    @pytest.mark.parametrize("n_patterns", [1, 48, 64, 100, 257, 16384])
+    @pytest.mark.parametrize("mode", list(MillerMode))
+    def test_weights_equal_signed_mean_oracle(self, small_circuit, mode,
+                                              n_patterns):
+        """Similarity from Hamming counts, ``(P − 2h)/P``, is bit-identical
+        to the mean of the per-pattern ``±1`` products."""
+        pats = np.random.default_rng(n_patterns).random(
+            (n_patterns, small_circuit.num_drivers)) < 0.5
+        ana = SimilarityAnalyzer(small_circuit, patterns=pats)
+        layout = ChannelLayout.from_levels(small_circuit)
+        pairs = layout.coupling_pairs()
+        signed = np.where(ana.values, 1.0, -1.0)
+        i = np.array([p.i for p in pairs], dtype=np.int64)
+        j = np.array([p.j for p in pairs], dtype=np.int64)
+        oracle = CouplingSet(
+            small_circuit.num_nodes, pairs,
+            weights=miller_weight(np.mean(signed[i] * signed[j], axis=1),
+                                  mode))
+        cs = CouplingSet.from_layout(layout, ana, mode)
+        for name in ("pair_i", "pair_j", "weight", "ctilde", "chat"):
+            np.testing.assert_array_equal(getattr(cs, name),
+                                          getattr(oracle, name))
 
 
 class TestValidation:

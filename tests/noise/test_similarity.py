@@ -92,7 +92,7 @@ class TestAnalyzer:
 
 
 class TestAnalyzerCache:
-    """The memoization contract: hit ⇔ the channel's Gram is cached."""
+    """The memoization contract: hit ⇔ a channel's integer keys are cached."""
 
     def _channels(self, circuit, k=3, size=4):
         wires = [w.index for w in circuit.wires()]
@@ -105,7 +105,8 @@ class TestAnalyzerCache:
         assert (ana.cache_hits, ana.cache_misses) == (0, 1)
         second = ana.matrix(idx)
         assert (ana.cache_hits, ana.cache_misses) == (1, 1)
-        assert second is first  # memoized object, not a recomputation
+        # Rebuilt from the cached integer keys: equal, not the same object.
+        np.testing.assert_array_equal(second, first)
 
     def test_pair_reads_through_the_cache(self, small_circuit):
         """Regression: ``pair`` previously recomputed a fresh 2×2 matrix
@@ -118,7 +119,7 @@ class TestAnalyzerCache:
         assert (ana.cache_hits, ana.cache_misses) == (1, 1)
 
     def test_accessors_share_one_gram(self, small_circuit):
-        """sort_keys then matrix costs one Gram product, not two."""
+        """sort_keys then matrix costs one key computation, not two."""
         ana = SimilarityAnalyzer(small_circuit, n_patterns=64, seed=0)
         idx = self._channels(small_circuit, k=1)[0]
         ana.sort_keys(idx)
@@ -136,15 +137,16 @@ class TestAnalyzerCache:
         for m_batch, m_single in zip(batched, single):
             np.testing.assert_array_equal(m_batch, m_single)
         assert a.cache_misses == len(groups)
-        # Second batched call: all hits, same objects.
+        # Second batched call: all hits, equal matrices.
         again = a.matrices(groups)
         assert a.cache_hits == len(groups)
-        assert all(x is y for x, y in zip(again, batched))
+        for x, y in zip(again, batched):
+            np.testing.assert_array_equal(x, y)
 
     def test_returned_arrays_read_only(self, small_circuit):
         ana = SimilarityAnalyzer(small_circuit, n_patterns=64, seed=0)
         idx = self._channels(small_circuit, k=1)[0]
-        for arr in (ana.matrix(idx), ana.sort_keys(idx), ana.signed_values):
+        for arr in (ana.matrix(idx), ana.sort_keys(idx)):
             with pytest.raises(ValueError):
                 arr[0, 0] = 0
 
@@ -184,15 +186,28 @@ class TestAnalyzerCache:
         assert ana.path_dissimilarity(idx) == track
         assert ana.path_dissimilarity(idx[:1]) == 0.0
 
-    def test_f32_gram_bitwise_equals_f64(self, small_circuit):
-        """±1 Gram entries are exact integers ≤ P, so the f32 fast path
-        must give the same similarity bits as a float64 computation."""
-        ana = SimilarityAnalyzer(small_circuit, n_patterns=64, seed=0)
-        idx = self._channels(small_circuit, k=1)[0]
+    @pytest.mark.parametrize("n_patterns", [1, 48, 64, 100, 257, 16384])
+    def test_f32_gram_bitwise_equals_f64(self, small_circuit, n_patterns):
+        """The keys hold the ±1 Gram's exact integers (int16, or int32
+        above 16383 patterns), so the similarity rebuilt from them must
+        carry the same bits as a float64 ±1 computation — for
+        ``matrix`` and for ``path_dissimilarity``."""
+        pats = np.random.default_rng(n_patterns).random(
+            (n_patterns, small_circuit.num_drivers)) < 0.5
+        ana = SimilarityAnalyzer(small_circuit, patterns=pats)
+        idx = self._channels(small_circuit, k=1, size=6)[0]
         signed = np.where(ana.values[np.asarray(idx)], 1.0, -1.0)
         exact = signed @ signed.T / signed.shape[1]
         np.fill_diagonal(exact, 1.0)
         np.testing.assert_array_equal(ana.matrix(idx), exact)
+        order = [4, 1, 5, 0, 3, 2]
+        pairs = (np.asarray(order[:-1]), np.asarray(order[1:]))
+        assert ana.path_dissimilarity(idx, order) == \
+            float(np.sum(1.0 - exact[pairs]))
+        assert ana.path_dissimilarity(idx) == \
+            float(np.sum(1.0 - np.diagonal(exact, 1)))
+        keys = ana.sort_keys(idx)
+        assert (keys is None) == (n_patterns > 16383)
 
     def test_empty_group_served_without_caching(self, small_circuit):
         ana = SimilarityAnalyzer(small_circuit, n_patterns=64, seed=0)

@@ -5,8 +5,11 @@ import json
 
 import pytest
 
+from repro.circuit import iscas85_circuit, load_bench, random_circuit
 from repro.circuit.parser import builtin_bench_path
+from repro.io import circuit_to_dict
 from repro.runtime import CircuitRef, FlowConfig, Scenario, SweepSpec
+from repro.runtime import config as runtime_config
 from repro.utils.errors import ValidationError
 
 
@@ -82,6 +85,45 @@ class TestCircuitRef:
         assert rebuilt == ref
         assert hash(rebuilt) == hash(ref)
         assert rebuilt.build().num_gates == 12
+
+
+def _boundary_chunks(count):
+    """Chunk sizes that put ``count`` items exactly on, and one past, a
+    chunk boundary (at least two chunks where the count allows)."""
+    on = [k for k in range(2, count // 2 + 1) if count % k == 0]
+    past = [k for k in range(2, count // 2 + 1) if count % k == 1]
+    return [on[-1] if on else count, past[-1] if past else count - 1]
+
+
+class TestStreamedFingerprint:
+    """The streamed digest is the digest of the whole canonical JSON."""
+
+    @staticmethod
+    def _whole(circuit):
+        return runtime_config._content_hash(circuit_to_dict(circuit))
+
+    def test_c17_digest_pinned(self):
+        c17 = load_bench(builtin_bench_path("c17"))
+        digest = runtime_config.circuit_fingerprint(c17)
+        assert digest == self._whole(c17)
+        assert digest == ("8b412ec34c283c8f3b6173af34817ad9"
+                          "30475f2a14084a14db6dbeb36b06f215")
+
+    @pytest.mark.parametrize("name", ["c432", "c7552"])
+    def test_iscas_circuits(self, name):
+        """c7552's 9865 nodes span three default-size chunks."""
+        circuit = iscas85_circuit(name)
+        assert runtime_config.circuit_fingerprint(circuit) == \
+            self._whole(circuit)
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_chunk_boundaries(self, monkeypatch, seed):
+        circuit = random_circuit(40 + seed, 6, 4, seed=seed)
+        whole = self._whole(circuit)
+        counts = (len(circuit.nodes), len(circuit.edges))
+        for chunk in [k for count in counts for k in _boundary_chunks(count)]:
+            monkeypatch.setattr(runtime_config, "FINGERPRINT_CHUNK", chunk)
+            assert runtime_config.circuit_fingerprint(circuit) == whole, chunk
 
 
 class TestFlowConfig:
