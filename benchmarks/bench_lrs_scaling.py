@@ -2,9 +2,8 @@
 
 Times a single LRS fixed-point solve (the paper's Fig. 8 subroutine,
 steps S2–S5) across the suite and fits runtime against #gates+#wires.
-Also benchmarks one S2+S3+S4 pass in isolation on the largest circuit,
-for both sweep backends (the fused kernel pass vs the reference level
-loops) — the absolute-constant comparison behind ``BENCH_perf.json``.
+Also benchmarks one fused S2+S3+S4 pass in isolation on the largest
+circuit — the absolute constant behind ``BENCH_perf.json``.
 """
 
 import time
@@ -20,13 +19,13 @@ from repro.noise import CouplingSet, MillerMode
 _ROWS = []
 
 
-def build(name, backend="kernel"):
+def build(name):
     circuit = iscas85_circuit(name)
     compiled = circuit.compile()
     analyzer = SimilarityAnalyzer(circuit, n_patterns=64)
     coupling = CouplingSet.from_layout(ChannelLayout.from_levels(circuit),
                                        analyzer, MillerMode.SIMILARITY)
-    engine = ElmoreEngine(compiled, coupling, backend=backend)
+    engine = ElmoreEngine(compiled, coupling)
     mult = MultiplierState.initial(compiled, beta=1e-3, gamma=1e-3)
     return compiled, engine, mult
 
@@ -61,10 +60,9 @@ def test_lrs_linearity(benchmark, report_writer):
     assert fit.r_squared > 0.9, "LRS pass time is not linear in circuit size"
 
 
-@pytest.mark.parametrize("backend", ["kernel", "reference"])
-def test_single_lrs_pass_c7552(benchmark, backend):
+def test_single_lrs_pass_c7552(benchmark):
     """One S2+S3+S4 pass on the largest circuit — the core inner loop."""
-    compiled, engine, mult = build("c7552", backend=backend)
+    compiled, engine, mult = build("c7552")
     one_pass = LagrangianSubproblemSolver(engine, max_passes=1, tolerance=0.0)
     x0 = compiled.default_sizes(1.0)
 

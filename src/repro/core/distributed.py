@@ -9,7 +9,7 @@ crosstalk bound on each net".  This module is that extension:
 with one Lagrange multiplier ``γ_i`` per constrained net.  The Theorem 5
 closed form generalizes directly — each pair's slope enters its two
 endpoints' denominators weighted by the *owning* net's multiplier
-(:meth:`CouplingSet.slope_sums`), and the LRS/OGWS machinery is reused
+(:meth:`CouplingSet.node_terms_batch`), and the LRS/OGWS machinery is reused
 unchanged: :class:`DistributedSizingProblem` carries the per-net bounds
 and :class:`DistributedMultiplicativeUpdate` steps the γ vector.
 
@@ -170,7 +170,7 @@ class DistributedNoiseOGWS(OGWSOptimizer):
 
     Thin configuration subclass: wires the distributed update rule and
     the per-net multiplier initialization into the standard loop (LRS
-    already consumes the γ vector via ``CouplingSet.slope_sums``).
+    already consumes the γ vector via ``CouplingSet.node_terms_batch``).
     """
 
     def __init__(self, engine, problem, **kwargs):
@@ -180,8 +180,9 @@ class DistributedNoiseOGWS(OGWSOptimizer):
         kwargs.setdefault("update", DistributedMultiplicativeUpdate())
         super().__init__(engine, problem, **kwargs)
 
-    def run(self, multipliers=None):
+    def start(self, multipliers=None):
+        """A1 with a per-net γ vector unless a start is given."""
         if multipliers is None:
             multipliers = initial_distributed_multipliers(
                 self.engine.compiled, self.problem)
-        return super().run(multipliers)
+        return super().start(multipliers)

@@ -24,26 +24,24 @@ Lagrangian terms increase in x_i, so its box minimum is ``L_i``: every
 pass body clamps the numerator at zero before the divide, which clips
 ``x*_i`` to exactly ``L_i`` and keeps the sizes finite.
 
-Two pass implementations sit behind the engine's ``backend`` flag:
-
-* ``"kernel"`` (default): the S2/S3/S4 sweeps are *fused* into one
-  workspace-backed pass (:meth:`_solve_kernel`) over the circuit's
-  precompiled :class:`~repro.timing.kernels.SweepPlan`.  All coupling
-  terms come from one :meth:`CouplingSet.node_terms` traversal, every
-  intermediate lives in the engine's preallocated
-  :class:`~repro.timing.kernels.Workspace`, and a steady-state pass
-  performs **no array allocation** (guarded by tracemalloc in
-  ``tests/timing/test_kernels.py``).  Measured on c7552 this makes one
-  pass ~4× faster than the reference spelling (see ``BENCH_perf.json``).
-* ``"reference"``: the original engine-method-per-sweep loop, kept as
-  the golden implementation; the property tests pin kernel ≡ reference
-  to 1e-12 relative across delay modes, coupling orders, and scalar /
-  per-net γ.
+Every solve runs one pass body, :meth:`_solve_kernel_batch`: the
+S2/S3/S4 sweeps fused into one pass over the circuit's precompiled
+:class:`~repro.timing.kernels.SweepPlan`, on ``(n, K)`` column-stacked
+iterates — one column per multiplier set, so one scenario is a batch of
+width one.  All coupling terms come from one
+:meth:`CouplingSet.node_terms_batch` traversal, every intermediate
+lives in the engine's pooled :class:`~repro.timing.kernels.Workspace`,
+and a steady-state pass performs **no array allocation** (guarded by
+tracemalloc in ``tests/timing/test_kernels.py``).  The original
+engine-method-per-sweep spelling is a test oracle
+(``tests/oracles/lrs.py``); the property tests pin the pass to it to
+1e-12 relative across delay modes, coupling orders, and scalar /
+per-net γ.
 
 Generalizations beyond the paper, both documented in DESIGN.md §2:
 
 * coupling Taylor order k > 2: the coupling sums are evaluated at the
-  current iterate via :meth:`CouplingSet.node_terms` (exactly the
+  current iterate via :meth:`CouplingSet.node_terms_batch` (exactly the
   paper's constants when k = 2);
 * ``CouplingDelayMode.PROPAGATED``: the denominator gains the
   ``R_i·Σ ∂c_ij/∂x_i`` term that full propagation induces.
@@ -57,7 +55,6 @@ from repro.timing import kernels
 from repro.timing.elmore import CouplingDelayMode
 from repro.timing.metrics import total_area, total_capacitance
 from repro.utils.errors import ConvergenceError, ValidationError
-from repro.utils.units import OHM_FF_TO_PS
 
 
 @dataclasses.dataclass(frozen=True)
@@ -77,7 +74,7 @@ class LagrangianSubproblemSolver:
     ----------
     engine:
         :class:`~repro.timing.elmore.ElmoreEngine` (supplies circuit,
-        coupling set, delay mode, and sweep backend).
+        coupling set, delay mode, and the scratch pool).
     tolerance:
         Fixed-point stop: max relative size change per pass.
     max_passes:
@@ -96,32 +93,26 @@ class LagrangianSubproblemSolver:
 
         ``x0`` seeds the fixed point (paper S1 starts from ``L``; any
         start converges to the same unique optimum — warm starts from the
-        previous outer iteration just get there in fewer passes).
+        previous outer iteration just get there in fewer passes).  A
+        batch of width one: ``solve_batch([multipliers], [x0])[0]``.
         """
-        if self.engine.backend == "kernel":
-            return self._solve_kernel(multipliers, x0)
-        return self._solve_reference(multipliers, x0)
+        return self.solve_batch([multipliers], [x0])[0]
 
-    def solve_batch(self, multipliers, x0s=None, batch=None):
+    def solve_batch(self, multipliers, x0s=None):
         """Solve K subproblems over one circuit in lockstep.
 
         ``multipliers`` is a sequence of K :class:`MultiplierState`\\ s
         (typically one per scenario sharing this engine's circuit and
         coupling set) and ``x0s`` optional per-column warm starts.
-        Returns one :class:`LRSResult` per input, each **bit-identical**
-        to ``solve(multipliers[k], x0s[k])``: the batched fused pass
-        (:meth:`_solve_kernel_batch`) performs per column exactly the
-        scalar pass's operations — CSR matvec becomes matmat, every
-        elementwise update runs on ``(n, K)`` matrices — and a column is
-        frozen (copied out, removed from the working set) the moment its
-        own fixed-point criterion fires, so later passes never touch it.
-
-        ``batch`` is an optional
-        :class:`~repro.timing.kernels.BatchWorkspace` reused across
-        calls (the lockstep optimizer threads one through all outer
-        iterations).  Falls back to per-column :meth:`solve` for K = 1,
-        the reference backend, or multipliers mixing scalar and per-net
-        ``gamma`` forms.
+        Returns one :class:`LRSResult` per input, each equal to solving
+        that column alone: the fused pass (:meth:`_solve_kernel_batch`)
+        performs per column exactly one column's operations — CSR
+        matvec becomes matmat, every elementwise update runs on
+        ``(n, K)`` matrices — and a column is frozen (copied out,
+        removed from the working set) the moment its own fixed-point
+        criterion fires, so later passes never touch it.  The
+        multipliers must agree on the form of ``gamma``: all scalar (the
+        paper) or all per-net arrays (the distributed extension).
         """
         multipliers = list(multipliers)
         if x0s is None:
@@ -129,112 +120,37 @@ class LagrangianSubproblemSolver:
         x0s = list(x0s)
         if len(x0s) != len(multipliers):
             raise ValidationError("x0s must align with multipliers")
-        per_net = [np.ndim(m.gamma) > 0 for m in multipliers]
-        if (len(multipliers) <= 1 or self.engine.backend != "kernel"
-                or (any(per_net) and not all(per_net))):
-            return [self.solve(m, x0) for m, x0 in zip(multipliers, x0s)]
-        return self._solve_kernel_batch(multipliers, x0s, batch,
-                                        per_net=all(per_net))
+        if not multipliers:
+            return []
+        per_net = {np.ndim(m.gamma) > 0 for m in multipliers}
+        if len(per_net) > 1:
+            raise ValidationError(
+                "solve_batch multipliers mix scalar and per-net gamma")
+        return self._solve_kernel_batch(multipliers, x0s,
+                                        per_net=per_net.pop())
 
-    # -- fused kernel path --------------------------------------------------------
+    # -- the fused pass -----------------------------------------------------------
 
-    def _solve_kernel(self, multipliers, x0):
-        """S2+S3+S4 fused into one workspace-backed pass per iteration.
+    def _solve_kernel_batch(self, multipliers, x0s, per_net=False):
+        """S2+S3+S4 fused into one pass over ``(n, K)`` column-stacked
+        iterates.
 
-        Per pass: one :meth:`CouplingSet.node_terms` traversal (cap/slope
-        sums and, under PROPAGATED, per-node coupling caps), one reverse
-        capacitance sweep, one forward λ-weighted resistance sweep, and
-        the elementwise ``opt_i`` update — all into preallocated buffers.
-        The iterate ping-pongs between the workspace's two size vectors,
-        so the returned ``x`` is copied out once at the end.
+        Per pass: one :meth:`CouplingSet.node_terms_batch` traversal
+        (cap/slope sums and, under PROPAGATED, per-node coupling caps),
+        one reverse capacitance sweep, one forward λ-weighted resistance
+        sweep, and the elementwise ``opt_i`` update — all into the
+        engine pool's buffers.  The iterate ping-pongs between the
+        workspace's two size matrices.  When a column converges it is
+        copied out and the survivors are compacted into the pooled
+        buffers of the smaller width (fresh contiguous matrices, so the
+        raw multi-vector CSR kernel keeps its layout).  Steady-state
+        passes at a constant width allocate nothing beyond a few
+        per-column scalars.
         """
         engine = self.engine
         cc = engine.compiled
         plan = cc.sweep_plan()
-        ws = engine.workspace()
-        coupling = engine.coupling
-        lam_node = multipliers.node_multipliers()
-        beta, gamma = multipliers.beta, multipliers.gamma
-        propagated = engine.mode is CouplingDelayMode.PROPAGATED
-        coupled_delay = engine.mode is not CouplingDelayMode.NONE
-        sizable = cc.is_sizable
-        numer_lam_r = lam_node * plan.r_hat_eff
-        alpha_beta = cc.alpha + beta * cc.c_hat
-
-        x, x_new = ws.x_a, ws.x_b
-        if x0 is None:
-            np.copyto(x, cc.lower)
-        else:
-            np.copyto(x, np.asarray(x0, dtype=float))
-        np.maximum(x, cc.lower, out=x)
-        np.clip(x, cc.lower, cc.upper, out=x)
-        x[plan.nonsizable_idx] = 0.0
-
-        max_rel = np.inf
-        passes = 0
-        with np.errstate(invalid="ignore", divide="ignore"):
-            while passes < self.max_passes and max_rel > self.tolerance:
-                passes += 1
-                terms = coupling.node_terms(x, gamma, node_caps=propagated)
-                # S2: self caps + stage-closure capacitance accumulation.
-                kernels.s2_source_terms(plan, cc, x, terms.node_caps,
-                                        propagated, ws.cself,
-                                        ws.source_terms, ws.t1)
-                kernels.child_sum_sweep(plan, ws.source_terms, ws.child_sum, ws)
-                # S3: r = r̂/x on sizables (drivers are preset in the
-                # workspace); λ-weighted stage-closure accumulation.
-                np.divide(plan.r_hat_eff, x, out=ws.r_eff, where=sizable)
-                np.multiply(lam_node, ws.r_eff, out=ws.t2)
-                kernels.upstream_sweep(plan, ws.t2, ws.upstream, ws)
-                # S4: closed-form opt_i, clipped into the box.
-                np.add(ws.child_sum, plan.half_fringe_wire, out=ws.k_cap)
-                if coupled_delay:
-                    np.multiply(terms.cap_sum, plan.wire_mask_f, out=ws.t1)
-                    np.add(ws.k_cap, ws.t1, out=ws.k_cap)
-                np.multiply(ws.upstream, cc.c_hat, out=ws.denom)
-                np.add(ws.denom, alpha_beta, out=ws.denom)
-                np.add(ws.denom, terms.gamma_slopes, out=ws.denom)
-                if propagated:
-                    np.multiply(ws.upstream, terms.dx_sum, out=ws.t1)
-                    np.add(ws.denom, ws.t1, out=ws.denom)
-                # Non-sizable entries of ``opt`` keep stale (finite,
-                # non-negative) values; the clip + explicit zeroing of
-                # x_new below makes them irrelevant.  A non-positive
-                # numerator clamps to 0 and so clips to L_i.
-                np.multiply(numer_lam_r, ws.k_cap, out=ws.t1)
-                np.maximum(ws.t1, 0.0, out=ws.t1)
-                np.divide(ws.t1, ws.denom, out=ws.opt, where=sizable)
-                np.sqrt(ws.opt, out=ws.opt)
-                np.clip(ws.opt, cc.lower, cc.upper, out=x_new)
-                x_new[plan.nonsizable_idx] = 0.0
-                # Fixed-point progress: max relative size change.
-                np.subtract(x_new, x, out=ws.t1)
-                np.abs(ws.t1, out=ws.t1)
-                np.divide(ws.t1, x, out=ws.t1, where=sizable)
-                if len(plan.sizable_idx):
-                    np.take(ws.t1, plan.sizable_idx, out=ws.szbuf)
-                    max_rel = float(ws.szbuf.max())
-                else:
-                    max_rel = 0.0
-                x, x_new = x_new, x
-        return self._finish(x.copy(), passes, max_rel)
-
-    # -- batched kernel path ------------------------------------------------------
-
-    def _solve_kernel_batch(self, multipliers, x0s, batch, per_net=False):
-        """The fused pass over ``(n, K)`` column-stacked iterates.
-
-        Column k replays :meth:`_solve_kernel`'s arithmetic exactly;
-        when a column converges it is copied out and the survivors are
-        compacted into the pooled buffers of the smaller width (fresh
-        contiguous matrices, so the raw multi-vector CSR kernel keeps
-        its layout).  Steady-state passes at a constant width allocate
-        nothing beyond a few per-column scalars.
-        """
-        engine = self.engine
-        cc = engine.compiled
-        plan = cc.sweep_plan()
-        bws = batch if batch is not None else kernels.BatchWorkspace(plan)
+        bws = engine.pool
         coupling = engine.coupling
         propagated = engine.mode is CouplingDelayMode.PROPAGATED
         coupled_delay = engine.mode is not CouplingDelayMode.NONE
@@ -309,10 +225,12 @@ class LagrangianSubproblemSolver:
                 np.less_equal(ws.colmax, self.tolerance, out=ws.colmask)
                 if not ws.colmask.any():
                     continue
-                # Freeze converged columns at this pass's iterate...
+                # Freeze converged columns at this pass's iterate (a
+                # real copy: at width one the column is a view into the
+                # pool, which the next solve overwrites)...
                 for wk in np.flatnonzero(ws.colmask):
                     k = order[wk]
-                    out_x[k] = np.ascontiguousarray(x[:, wk])
+                    out_x[k] = x[:, wk].copy()
                     out_passes[k] = passes
                     out_maxrel[k] = float(ws.colmax[wk])
                 keep = np.flatnonzero(~ws.colmask)
@@ -335,63 +253,13 @@ class LagrangianSubproblemSolver:
                 ws = new_ws
                 x, x_new = ws.x_a, ws.x_b
                 lam, numer, ab = ws.lam, ws.numer, ws.alpha_beta
-        # Columns that never converged stop at the pass budget, exactly
-        # like the scalar loop.
+        # Columns that never converged stop at the pass budget.
         for wk, k in enumerate(order):
-            out_x[k] = np.ascontiguousarray(x[:, wk])
+            out_x[k] = x[:, wk].copy()
             out_passes[k] = passes
             out_maxrel[k] = float(ws.colmax[wk]) if passes else np.inf
         return [self._finish(out_x[k], out_passes[k], out_maxrel[k])
                 for k in range(total)]
-
-    # -- reference path -----------------------------------------------------------
-
-    def _solve_reference(self, multipliers, x0):
-        """The original spelling: one engine sweep call per step."""
-        engine = self.engine
-        cc = engine.compiled
-        coupling = engine.coupling
-        lam_node = multipliers.node_multipliers()
-        beta, gamma = multipliers.beta, multipliers.gamma
-
-        x = cc.lower.copy() if x0 is None else np.asarray(x0, dtype=float).copy()
-        x = cc.clip_sizes(np.where(cc.is_sizable, np.maximum(x, cc.lower), 0.0))
-
-        sizable = cc.is_sizable
-        wires = cc.is_wire
-        r_hat_eff = cc.r_hat * OHM_FF_TO_PS
-        numer_lam_r = lam_node * r_hat_eff
-
-        max_rel = np.inf
-        passes = 0
-        while passes < self.max_passes and max_rel > self.tolerance:
-            passes += 1
-            caps = engine.capacitances(x)                       # S2
-            upstream = engine.weighted_upstream_resistance(x, lam_node)  # S3
-            cap_sum, dx_sum = coupling.node_sums(x)
-            # γ may be the paper's scalar or, in the distributed-bound
-            # extension, a per-net array (read at each pair's owner).
-            gamma_slopes = coupling.slope_sums(x, gamma)
-            if engine.mode is CouplingDelayMode.NONE:
-                k_cap = caps["child_sum"] + np.where(wires, 0.5 * cc.fringe, 0.0)
-                cpl_np = np.zeros_like(dx_sum)
-            else:
-                k_cap = caps["child_sum"] + np.where(
-                    wires, 0.5 * cc.fringe + cap_sum, 0.0)
-                cpl_np = dx_sum
-            denom = cc.alpha + (beta + upstream) * cc.c_hat + gamma_slopes
-            if engine.mode is CouplingDelayMode.PROPAGATED:
-                denom = denom + upstream * cpl_np
-            opt = np.zeros_like(x)
-            np.divide(np.maximum(numer_lam_r * k_cap, 0.0), denom, out=opt,
-                      where=sizable)
-            np.sqrt(opt, out=opt)                               # S4
-            x_new = cc.clip_sizes(np.where(sizable, opt, 0.0))
-            with np.errstate(invalid="ignore"):
-                rel = np.abs(x_new - x) / np.where(sizable, x, 1.0)
-            max_rel = float(np.max(rel[sizable], initial=0.0))
-            x = x_new
-        return self._finish(x, passes, max_rel)
 
     def _finish(self, x, passes, max_rel):
         converged = max_rel <= self.tolerance

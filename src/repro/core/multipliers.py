@@ -47,20 +47,16 @@ class MultiplierState:
         self.gamma = gamma_arr.copy() if gamma_arr.ndim else float(gamma)
 
     @classmethod
-    def initial(cls, compiled, beta=1e-3, gamma=1e-3, sink_weight=1.0,
-                backend="kernel"):
+    def initial(cls, compiled, beta=1e-3, gamma=1e-3, sink_weight=1.0):
         """The paper's A1: an arbitrary point satisfying Theorem 3.
 
         Every sink in-edge starts at ``sink_weight``; one projection sweep
         then propagates consistent flows to every edge upstream.
-        ``backend`` selects the projection implementation so a
-        reference-backend solver run stays on the legacy code path
-        throughout (OGWS threads its engine's backend here).
         """
         lam = np.zeros(compiled.num_edges)
         lam[compiled.sink_in_edges] = sink_weight
         state = cls(compiled, lam, beta=beta, gamma=gamma)
-        state.project(backend=backend)
+        state.project()
         return state
 
     # -- aggregates ---------------------------------------------------------------
@@ -87,7 +83,7 @@ class MultiplierState:
 
     # -- projection ---------------------------------------------------------------
 
-    def project(self, backend="kernel"):
+    def project(self):
         """Restore Theorem 3 exactly (one reverse-topological sweep).
 
         Processing nodes from the deepest level upward, each node's
@@ -98,44 +94,12 @@ class MultiplierState:
 
         Runs over the circuit's precompiled condensed cascade
         (:func:`repro.timing.kernels.project_sweep`); the per-level
-        reference spelling is kept as :meth:`_project_reference`
-        (``backend="reference"`` selects it, mirroring the engine's
-        sweep-backend flag) and pinned equivalent by the kernel tests.
+        spelling is a test oracle (``tests/oracles/multipliers.py``),
+        pinned equivalent by the kernel tests.
         """
-        if backend == "reference":
-            return self._project_reference()
         from repro.timing.kernels import project_sweep
 
         project_sweep(self.compiled.sweep_plan(), self.lam_edge)
-        return self
-
-    def _project_reference(self):
-        """Original unbuffered per-level sweep (golden reference)."""
-        cc = self.compiled
-        lam = self.lam_edge
-        # Each edge belongs to exactly one src-level and one dst-level
-        # group, so accumulating group by group keeps the whole sweep at
-        # O(#edges).  An edge's λ is final once its dst node has been
-        # processed, and every out-edge of a level-ℓ node points to a
-        # deeper level — so its outflow below is computed from final
-        # values.
-        outflow = np.zeros(cc.num_nodes)
-        inflow = np.zeros(cc.num_nodes)
-        for level in range(cc.num_levels - 2, 0, -1):
-            eids_out = cc.edges_by_src_level[level]
-            if len(eids_out):
-                np.add.at(outflow, cc.edge_src[eids_out], lam[eids_out])
-            eids = cc.edges_by_dst_level[level]
-            if not len(eids):
-                continue
-            dst = cc.edge_dst[eids]
-            np.add.at(inflow, dst, lam[eids])
-            safe_in = np.where(inflow[dst] > 0.0, inflow[dst], 1.0)
-            lam[eids] *= np.where(inflow[dst] > 0.0, outflow[dst] / safe_in, 0.0)
-            # Dead in-edges under live out-flow: split out-flow equally.
-            dead = (inflow[dst] <= 0.0) & (outflow[dst] > 0.0)
-            if np.any(dead):
-                lam[eids[dead]] = (outflow[dst] / cc.in_degree[dst])[dead]
         return self
 
     # -- lockstep column stacking ---------------------------------------------------

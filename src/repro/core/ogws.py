@@ -20,15 +20,21 @@ Feasibility: intermediate LRS iterates generally violate constraints
 *feasible* iterate (within ``feasibility_tolerance``) and reports it;
 the final iterate is reported (flagged infeasible) if none was found.
 
-The loop body is decomposed into :meth:`OGWSOptimizer.start` /
-:meth:`~OGWSOptimizer.step` / :meth:`~OGWSOptimizer.finish` so that
-:func:`run_lockstep` can advance K optimizers sharing one engine in
-lockstep — one *batched* LRS solve, delay/arrival sweep, and Theorem 3
-projection per outer iteration, everything else per column.  A lockstep
-run is bit-identical per scenario to running each optimizer alone
-(see :mod:`repro.core.session`, which builds scenario batches on top).
+There is one loop, :func:`run_lockstep`: it advances K optimizers
+sharing one engine in lockstep — one *batched* LRS solve, delay/arrival
+sweep, A4 step and Theorem 3 projection per outer iteration, everything
+else per column — and :meth:`OGWSOptimizer.run` is a lockstep batch of
+width one.  The per-column body is decomposed into
+:meth:`~OGWSOptimizer.start` (A1), :meth:`~OGWSOptimizer.step_eval`
+(between A3 and A4), :meth:`~OGWSOptimizer.step_record` (after A5, the
+A7 stop rule) and :meth:`~OGWSOptimizer.finish`, every solve's one exit,
+which refuses to let a non-finite size, multiplier or metric leave the
+solver.  A lockstep run is bit-identical per scenario to running each
+optimizer alone (see :mod:`repro.core.session`, which builds scenario
+batches on top).
 """
 
+import dataclasses
 import time
 
 import numpy as np
@@ -38,9 +44,8 @@ from repro.core.multipliers import MultiplierState
 from repro.core.problem import SizingProblem
 from repro.core.result import IterationRecord, SizingResult
 from repro.core.subgradient import MultiplicativeUpdate, SubgradientUpdate
-from repro.timing.elmore import CouplingDelayMode
 from repro.timing.metrics import EvalContext, evaluate_metrics
-from repro.utils.errors import ValidationError
+from repro.utils.errors import ConvergenceError, ValidationError
 from repro.utils.memory import MemoryLedger
 from repro.utils.units import FF_PER_PF
 
@@ -138,14 +143,12 @@ class OGWSOptimizer:
     # -- main loop ------------------------------------------------------------------
 
     def run(self, multipliers=None):
-        """Execute Fig. 9 and return a :class:`SizingResult`."""
-        state = self.start(multipliers)
-        while not state.done:
-            x0 = state.x if (self.warm_start_lrs and state.x is not None) \
-                else None
-            lrs_result = self.lrs.solve(state.mult, x0=x0)     # A2 + A3
-            self.step(state, lrs_result)
-        return self.finish(state)
+        """Execute Fig. 9 and return a :class:`SizingResult`.
+
+        ``multipliers`` optionally replaces the A1 start.  One run is a
+        lockstep batch of width one.
+        """
+        return run_lockstep([self], [multipliers])[0]
 
     def start(self, multipliers=None):
         """A1: initial metrics and a flow-conserving multiplier start."""
@@ -155,55 +158,27 @@ class OGWSOptimizer:
             if self._initial_metrics is not None \
             else evaluate_metrics(self.engine, self.x_init)
         state.mult = multipliers.copy() if multipliers is not None else \
-            MultiplierState.initial(self.engine.compiled,
-                                    backend=self.engine.backend)
+            MultiplierState.initial(self.engine.compiled)
         state.done = self.max_iterations < 1
         return state
 
-    def step(self, state, lrs_result, context=None, project=True):
-        """One Fig. 9 iteration body after the LRS solve (A3 done).
-
-        ``context`` optionally supplies a pre-seeded
-        :class:`~repro.timing.metrics.EvalContext` at ``lrs_result.x``
-        (the lockstep driver injects batched delay/arrival columns);
-        ``project=False`` defers the A5 projection to the caller.
-        Decomposed into :meth:`step_eval` (everything before A4), the
-        A4/A5 multiplier step here, and :meth:`step_record` — the
-        lockstep driver calls the two halves directly, with one batched
-        A4 and one batched projection for all columns in between.
-        Returns ``True`` once the run is finished.
-        """
-        context = self.step_eval(state, lrs_result, context=context)
-        metrics = context.metrics
-        step = self.update.apply(                              # A4
-            state.mult, state.iteration, context.arrival, context.delays,
-            self.problem, power_cap=metrics.total_cap_ff,
-            noise=metrics.noise_pf * FF_PER_PF,
-            engine=self.engine, x=lrs_result.x,
-        )
-        if project:
-            state.mult.project(backend=self.engine.backend)    # A5
-        return self.step_record(state, lrs_result, step)
-
-    def step_eval(self, state, lrs_result, context=None):
+    def step_eval(self, state, lrs_result, context):
         """Fig. 9 iteration body between A3 and A4: evaluate the iterate.
 
-        Advances the iteration counter, evaluates the point (dual bound,
-        A7 gap quantity, feasibility with primal repair), and leaves the
+        ``context`` is the :class:`~repro.timing.metrics.EvalContext` at
+        ``lrs_result.x``, seeded by the lockstep driver with its batched
+        delay/arrival columns and metrics inputs: the Table 1 metrics,
+        the dual value and A4 all share it, so no full-circuit quantity
+        is computed twice at this point.  Advances the iteration
+        counter, evaluates the point (dual bound, A7 gap quantity,
+        feasibility with primal repair), and leaves the
         ``(context, dual, feasible)`` handoff on ``state.evaluated`` for
-        :meth:`step_record`.  Returns the point's ``EvalContext`` so the
-        caller can run A4 from its arrival/delay columns.
+        :meth:`step_record`.
         """
-        engine = self.engine
         problem = self.problem
         state.iteration += 1
         x = lrs_result.x
         state.x = x
-        # One evaluation context per iterate: the arrival sweep, the
-        # Table 1 metrics, and the dual value below all share it, so
-        # no full-circuit quantity is computed twice at this point.
-        if context is None:
-            context = EvalContext(engine, x)
         metrics = context.metrics
         dual = self.lrs.lagrangian_value(x, state.mult, problem,
                                          context=context)
@@ -229,7 +204,6 @@ class OGWSOptimizer:
                 state.best_feasible_area = repaired_metrics.area_um2
                 state.best_feasible_x = repaired
         state.evaluated = (context, dual, feasible)
-        return context
 
     def step_record(self, state, lrs_result, step):
         """Fig. 9 iteration tail after A4/A5: history and the A7 stop rule.
@@ -262,10 +236,25 @@ class OGWSOptimizer:
         return state.done
 
     def finish(self, state):
-        """Assemble the :class:`SizingResult` for a completed run."""
+        """Assemble the :class:`SizingResult` for a completed run.
+
+        Every solve leaves through here, so this is where the
+        finite-or-fail contract holds: non-finite sizes, multipliers or
+        final metrics raise :class:`ConvergenceError` instead of leaving
+        the solver.
+        """
         feasible_found = state.best_feasible_x is not None
         final_x = state.best_feasible_x if feasible_found else state.x
         final_metrics = evaluate_metrics(self.engine, final_x)
+        mult = state.mult
+        for what, values in (
+                ("sizes", (final_x,)),
+                ("multipliers", (mult.lam_edge, mult.beta, mult.gamma)),
+                ("metrics", dataclasses.astuple(final_metrics))):
+            if not all(np.isfinite(v).all() for v in values):
+                raise ConvergenceError(
+                    f"OGWS reached non-finite {what} after "
+                    f"{state.iteration} iterations")
         runtime = time.perf_counter() - state.started
         # With no feasible iterate the dual bound certifies nothing about
         # the reported point; flag that with an infinite gap.
@@ -388,19 +377,14 @@ class OGWSOptimizer:
         deliberately an *accounting* of required arrays (like the paper's
         C implementation report), not the Python interpreter footprint.
         """
+        engine = self.engine
         ledger = MemoryLedger()
-        ledger.register("compiled", self.engine.compiled.nbytes)
-        ledger.register("coupling", self.engine.coupling.nbytes)
-        workspace = getattr(self.engine, "_workspace", None)
-        if workspace is not None:
-            # Kernel backend: the preallocated sweep workspace plus the
-            # precompiled level segments are the solver's working set.
-            ledger.register("workspace", workspace.nbytes)
-            ledger.register("sweep_plan", workspace.plan.nbytes)
-        else:
-            n = self.engine.compiled.num_nodes
-            # Reference sweeps keep ~12 double arrays of node length alive.
-            ledger.register("work_arrays", 12 * n * 8)
+        ledger.register("compiled", engine.compiled.nbytes)
+        ledger.register("coupling", engine.coupling.nbytes)
+        # The pooled sweep workspaces plus the precompiled sweep plan are
+        # the solver's working set.
+        ledger.register("workspace", engine.pool.nbytes)
+        ledger.register("sweep_plan", engine.compiled.sweep_plan().nbytes)
         if multipliers is not None:
             ledger.register("multipliers", multipliers.nbytes)
         return ledger.total_bytes
@@ -409,40 +393,10 @@ class OGWSOptimizer:
 # -- lockstep multi-scenario driver ---------------------------------------------
 
 
-def _batched_delays_arrival(engine, x_cols, bws):
-    """Elmore delays and arrival times for ``(n, K)`` column-stacked sizes.
-
-    Mirrors ``ElmoreEngine._delays_kernel`` + ``arrival_times`` exactly
-    per column (same kernel calls on matrix buffers), so the columns are
-    bit-identical to the scalar sweeps at the same sizes.
-    """
-    from repro.timing import kernels
-
-    cc = engine.compiled
-    plan = cc.sweep_plan()
-    ws = bws.buffers(x_cols.shape[1])
-    c = plan.cols()
-    propagated = engine.mode is CouplingDelayMode.PROPAGATED
-    cpl = None if engine.mode is CouplingDelayMode.NONE else \
-        engine.coupling.node_coupling_caps(x_cols)
-    kernels.s2_source_terms(plan, cc, x_cols, cpl, propagated, ws.cself,
-                            ws.source_terms, ws.t1)
-    kernels.child_sum_sweep(plan, ws.source_terms, ws.child_sum, ws)
-    np.multiply(ws.cself, 0.5, out=ws.t1)
-    if cpl is not None:
-        np.add(ws.t1, cpl, out=ws.t1)
-    np.multiply(ws.t1, c.wire_mask_f, out=ws.t1)
-    np.add(ws.t1, ws.child_sum, out=ws.t1)
-    np.divide(c.r_hat_eff, x_cols, out=ws.r_eff, where=c.is_sizable)
-    delays = ws.r_eff * ws.t1
-    arrival = np.empty_like(delays)
-    kernels.arrival_sweep(plan, delays, arrival, ws)
-    return delays, arrival
-
-
-def run_lockstep(optimizers, batch=None):
+def run_lockstep(optimizers, multipliers=None):
     """Advance K OGWS runs sharing one engine in lockstep.
 
+    This is the one OGWS loop; a single run is a batch of width one.
     Each outer iteration performs **one batched LRS solve** for every
     still-running optimizer (CSR matvec → matmat over scenario columns,
     per-column convergence freezing — see
@@ -452,21 +406,28 @@ def run_lockstep(optimizers, batch=None):
     ``EvalContext``\\ s, one **batched A4** per group of columns whose
     update rules share a :meth:`~repro.core.subgradient.
     MultiplicativeUpdate.batch_key` (single edge-terms pass and
-    broadcast multiplier arithmetic; unknown rules fall back to scalar
-    ``apply``), and one batched Theorem 3 projection.  No Python loop
-    over nodes, edges, or (on the batched paths) scenarios remains in
-    the iteration.  Optimizers retire from the batch as their own stop
-    criteria fire.  Results are bit-identical to ``[opt.run() for opt
-    in optimizers]`` — the batched kernels replay the scalar arithmetic
-    per column exactly.
+    broadcast multiplier arithmetic; singletons and unknown rules take
+    their own ``apply``), and one batched Theorem 3 projection.  No
+    Python loop over nodes, edges, or (on the batched paths) scenarios
+    remains in the iteration.  Optimizers retire from the batch as their
+    own stop criteria fire.  Results are bit-identical per column to a
+    batch of one — the batched kernels replay one column's arithmetic
+    exactly.
 
-    ``batch`` optionally supplies a reusable
-    :class:`~repro.timing.kernels.BatchWorkspace`.  Falls back to
-    sequential runs for a single optimizer or a non-kernel backend.
+    ``multipliers`` optionally supplies per-optimizer A1 starts (a
+    sequence aligned with ``optimizers``; ``None`` entries take each
+    optimizer's own :meth:`~OGWSOptimizer.start`).  A
+    :class:`ConvergenceError` from an optimizer's
+    :meth:`~OGWSOptimizer.finish` carries that optimizer's position in
+    ``optimizers`` as its ``column`` attribute.
     """
     optimizers = list(optimizers)
     if not optimizers:
         return []
+    multipliers = [None] * len(optimizers) if multipliers is None \
+        else list(multipliers)
+    if len(multipliers) != len(optimizers):
+        raise ValidationError("multipliers must align with optimizers")
     engine = optimizers[0].engine
     solver = optimizers[0].lrs
     compatible = all(
@@ -478,22 +439,20 @@ def run_lockstep(optimizers, batch=None):
     if not compatible:
         raise ValidationError(
             "lockstep optimizers must share one engine and LRS settings")
-    if len(optimizers) == 1 or engine.backend != "kernel":
-        return [opt.run() for opt in optimizers]
     from repro.timing import kernels
 
     plan = engine.compiled.sweep_plan()
-    bws = batch if batch is not None else kernels.BatchWorkspace(plan)
-    states = [opt.start() for opt in optimizers]
+    states = [opt.start(mult) for opt, mult in zip(optimizers, multipliers)]
     live = [k for k in range(len(optimizers)) if not states[k].done]
     while live:
         mults = [states[k].mult for k in live]
         x0s = [states[k].x
                if (optimizers[k].warm_start_lrs and states[k].x is not None)
                else None for k in live]
-        results = solver.solve_batch(mults, x0s, batch=bws)
+        results = solver.solve_batch(mults, x0s)
         x_cols = np.column_stack([r.x for r in results])
-        delays, arrival = _batched_delays_arrival(engine, x_cols, bws)
+        delays = engine.delays(x_cols)
+        arrival = engine.arrival_times(delays)
         # Metrics tail, batched: every column's coupling total in one
         # pair sweep; area and power-capacitance stay per-column dot
         # products over the contiguous scenario vector — the exact
@@ -512,7 +471,7 @@ def run_lockstep(optimizers, batch=None):
             optimizers[k].step_eval(states[k], results[j], context=context)
         # A4: one batched update per group of columns running literally
         # the same multiplier arithmetic; singletons and unknown rules
-        # take the scalar path.
+        # take their own apply.
         steps = [None] * len(live)
         groups = {}
         for j, k in enumerate(live):
@@ -548,4 +507,11 @@ def run_lockstep(optimizers, batch=None):
         for j, k in enumerate(live):
             optimizers[k].step_record(states[k], results[j], steps[j])
         live = [k for k in live if not states[k].done]
-    return [opt.finish(state) for opt, state in zip(optimizers, states)]
+    sizings = []
+    for column, (opt, state) in enumerate(zip(optimizers, states)):
+        try:
+            sizings.append(opt.finish(state))
+        except ConvergenceError as error:
+            error.column = column
+            raise
+    return sizings

@@ -16,14 +16,17 @@ coupling order × delay mode × simulation workload) but differ in bounds
 or solver options advance through :func:`repro.core.ogws.run_lockstep`
 in lockstep — one batched LRS solve, delay/arrival sweep, and Theorem 3
 projection per outer iteration, with per-column convergence masking.
-The batched kernels replay the scalar arithmetic bit-for-bit per column
-(see :mod:`repro.timing.kernels`), so ``SolverSession.solve`` returns
-:class:`~repro.runtime.records.RunRecord`\\ s **byte-identical** to K
-independent one-scenario solves — the property the batch-equivalence
-tests pin.  This is the only solve path: every scenario, at every
-circuit size, runs ``SolverSession.solve → ScenarioBatch →
-run_lockstep`` (a group of one is a lockstep batch of width one), and
-:meth:`ScenarioBatch.run` is the only place a record is built.
+The batched kernels replay one column's arithmetic bit-for-bit per
+column (see :mod:`repro.timing.kernels`), so ``SolverSession.solve``
+returns :class:`~repro.runtime.records.RunRecord`\\ s **byte-identical**
+to K independent one-scenario solves — the property the
+batch-equivalence tests pin.  This is the only solve path: every
+scenario, at every circuit size, runs ``SolverSession.solve →
+ScenarioBatch → run_lockstep`` (a group of one is a lockstep batch of
+width one), and :meth:`ScenarioBatch.run` is the only place a record is
+built.  Every engine a session builds draws its scratch from the
+session's one :class:`~repro.timing.kernels.BatchWorkspace`, whose
+width-1 buffers also serve the engines' single-point sweeps.
 
 :class:`SessionPool` keeps sessions *warm across work units*: a small
 LRU of sessions keyed by the :class:`~repro.runtime.config.CircuitRef`
@@ -63,9 +66,10 @@ from repro.geometry.layout import ChannelLayout
 from repro.noise.crosstalk import CouplingSet
 from repro.noise.miller import MillerMode
 from repro.noise.similarity import SimilarityAnalyzer
+from repro.timing import kernels
 from repro.timing.elmore import CouplingDelayMode, ElmoreEngine
 from repro.timing.metrics import evaluate_metrics
-from repro.utils.errors import ValidationError
+from repro.utils.errors import ConvergenceError, ValidationError
 
 
 class SolverSession:
@@ -97,7 +101,7 @@ class SolverSession:
         self._couplings = {}
         self._engines = {}
         self._initials = {}      # engine key -> (x_init, CircuitMetrics)
-        self._batch_ws = None
+        self._pool = None        # the engines' shared BatchWorkspace
 
     @classmethod
     def for_ref(cls, ref):
@@ -185,15 +189,14 @@ class SolverSession:
 
     def engine(self, ordering, n_patterns, seed, miller_mode, coupling_order,
                delay_mode, pitch=None):
-        """Memoized :class:`ElmoreEngine` (kernel backend) for one config."""
+        """Memoized :class:`ElmoreEngine` for one config."""
         delay_mode = CouplingDelayMode(delay_mode)
         named = isinstance(ordering, str)
         key = (ordering, int(n_patterns), seed, MillerMode(miller_mode).value,
                int(coupling_order), delay_mode.value, pitch) if named else None
         if named and key in self._engines:
             return self._engines[key]
-        value = ElmoreEngine(
-            self.compiled,
+        value = self._new_engine(
             self.coupling(ordering, n_patterns, seed, miller_mode,
                           coupling_order, pitch),
             delay_mode)
@@ -216,14 +219,12 @@ class SolverSession:
             self._initials[key] = value
         return value
 
-    def batch_workspace(self):
-        """The session's pooled batched kernel workspace (lazily built)."""
-        if self._batch_ws is None:
-            from repro.timing import kernels
-
-            self._batch_ws = kernels.BatchWorkspace(
-                self.compiled.sweep_plan())
-        return self._batch_ws
+    def _new_engine(self, coupling, delay_mode):
+        """An engine drawing scratch from the session's one pool."""
+        if self._pool is None:
+            self._pool = kernels.BatchWorkspace(self.compiled.sweep_plan())
+        return ElmoreEngine(self.compiled, coupling, delay_mode,
+                            pool=self._pool)
 
     # -- the K = 1 path (NoiseAwareSizingFlow) -----------------------------------
 
@@ -247,7 +248,7 @@ class SolverSession:
             coupling = CouplingSet.from_layout(ordered, analyzer,
                                                flow.miller_mode,
                                                order=flow.coupling_order)
-            engine = ElmoreEngine(self.compiled, coupling, flow.delay_mode)
+            engine = self._new_engine(coupling, flow.delay_mode)
         else:
             ordering = flow.ordering_name if flow.ordering_name is not None \
                 else flow.ordering
@@ -366,8 +367,10 @@ class ScenarioBatch:
 
         Every chunk of up to :attr:`LOCKSTEP_WIDTH` scenarios advances in
         lockstep through :func:`~repro.core.ogws.run_lockstep` (a chunk
-        of one is a plain single run), so the records are byte-identical
-        to independent one-scenario solves.
+        of one is a batch of width one), so the records are
+        byte-identical to independent one-scenario solves.  A solve that
+        reaches a non-finite value raises :class:`ConvergenceError`
+        naming its scenario.
         """
         from repro.runtime.records import RunRecord
 
@@ -396,11 +399,18 @@ class ScenarioBatch:
                 max_iterations=config.max_iterations,
                 tolerance=config.tolerance, update=config.update))
 
-        width = max(2, int(self.LOCKSTEP_WIDTH))
+        width = int(self.LOCKSTEP_WIDTH)
         sizings = []
         for lo in range(0, len(optimizers), width):
-            sizings.extend(run_lockstep(optimizers[lo:lo + width],
-                                        batch=session.batch_workspace()))
+            try:
+                sizings.extend(run_lockstep(optimizers[lo:lo + width]))
+            except ConvergenceError as error:
+                if not hasattr(error, "column"):
+                    raise
+                scenario = self.scenarios[lo + error.column]
+                raise ConvergenceError(
+                    f"scenario {scenario.label!r} "
+                    f"({scenario.content_hash()[:12]}): {error}") from error
 
         fingerprint = session.fingerprint()
         records = []

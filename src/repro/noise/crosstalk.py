@@ -5,7 +5,8 @@
 weights (from switching similarity) into NumPy arrays, and evaluates:
 
 * the crosstalk metric/constraint ``X(x) = Σ w_ij · c_ij(x)`` (Eq. 1),
-* the per-node sums needed by Theorem 5's ``opt_i``:
+* the per-node sums needed by Theorem 5's ``opt_i``
+  (:meth:`CouplingSet.node_terms_batch`):
   ``Σ_{j∈N(i)} c_ij(x) − x_i·∂c_ij/∂x_i`` (numerator) and
   ``Σ_{j∈N(i)} ∂c_ij/∂x_i`` (denominator).
 
@@ -25,14 +26,13 @@ import collections
 
 import numpy as np
 
-from repro.noise.coupling import taylor_derivative_factor
 from repro.noise.miller import MillerMode, miller_weight
 from repro.utils.errors import GeometryError
 
 #: Pairs whose value rows :meth:`CouplingSet.from_layout` compares at once.
 _PAIR_BLOCK = 4096
 
-#: Fused per-node coupling terms (see :meth:`CouplingSet.node_terms`).
+#: Fused per-node coupling terms (see :meth:`CouplingSet.node_terms_batch`).
 #: ``node_caps`` is ``None`` unless requested.
 CouplingTerms = collections.namedtuple(
     "CouplingTerms", ("cap_sum", "dx_sum", "gamma_slopes", "node_caps"))
@@ -159,65 +159,30 @@ class CouplingSet:
         caps = self.pair_caps_exact(x) if exact else self.pair_caps(x)
         return float(np.sum(caps))
 
-    def node_sums(self, x):
-        """Per-node coupling sums for Theorem 5.
-
-        Returns ``(cap_sum, dx_sum)``, each of length ``num_nodes``:
-
-        * ``cap_sum[i] = Σ_{j∈N(i)} (c_ij(x) − x_i·∂c_ij/∂x_i)`` — the
-          coupling contribution to the ``opt_i`` numerator (for k = 2:
-          ``Σ (~c_ij + ĉ_ij·x_j)``),
-        * ``dx_sum[i] = Σ_{j∈N(i)} ∂c_ij/∂x_i`` — the coupling slope in
-          the denominator (for k = 2: ``Σ ĉ_ij``).
-        """
-        cap_sum = np.zeros(self.num_nodes)
-        dx_sum = np.zeros(self.num_nodes)
-        if self.num_pairs == 0:
-            return cap_sum, dx_sum
-        u = self.size_ratio(x)
-        caps = self.pair_caps(x)
-        slopes = self.chat * taylor_derivative_factor(u, self.order)
-        both_caps = np.concatenate([caps, caps])
-        both_slopes = np.concatenate([slopes, slopes])
-        cap_sum = np.bincount(self._endpoints, weights=both_caps,
-                              minlength=self.num_nodes).astype(float)
-        dx_sum = np.bincount(self._endpoints, weights=both_slopes,
-                             minlength=self.num_nodes).astype(float)
-        cap_sum -= x * dx_sum
-        return cap_sum, dx_sum
-
-    # -- fused evaluation (solver hot path) ----------------------------------------
+    # -- solver hot path: K scenario columns in lockstep ----------------------------
 
     def _ensure_scratch(self):
-        p, n = self.num_pairs, self.num_nodes
+        """Width-independent scratch: the static endpoint-scatter operator
+        (row i lists the pairs touching node i, in stable endpoint order)
+        and, for k = 2, the frozen per-node slope sums (memoized)."""
         if self._scratch is None:
-            import types
-
             from repro.timing import kernels
 
-            # Endpoint scatter as a static unit CSR operator: row i lists
-            # the pairs touching node i (in stable endpoint order).
-            self._scratch = {
+            p, n = self.num_pairs, self.num_nodes
+            s = self._scratch = {
                 "op": kernels.CSROp.from_arrays(
                     self._endpoints, np.arange(2 * p) % p, n),
-                "ws": types.SimpleNamespace(cbuf=np.zeros(2 * p),
-                                            sbuf=np.zeros(n)),
-                "u": np.zeros(p), "term": np.zeros(p), "tmp": np.zeros(p),
-                "caps": np.zeros(p), "slopes": np.zeros(p), "pw": np.zeros(p),
-                "cap_sum": np.zeros(n), "dx_sum": np.zeros(n),
-                "gamma_slopes": np.zeros(n), "node_caps": np.zeros(n),
-                "node_tmp": np.zeros(n),
             }
             if self.order == 2:
                 # Paper default k = 2: ∂c_ij/∂x_i = ĉ_ij is constant, so
                 # the per-node slope sums never change — scatter once.
-                s = self._scratch
-                kernels.csr_matvec(s["op"], self.chat, s["dx_sum"], s["ws"])
-                s["dx_static"] = s["dx_sum"].copy()
-                # Returned to every order-2 node_terms caller: freeze it
-                # so accidental in-place mutation fails loudly instead of
-                # corrupting all subsequent solves.
-                s["dx_static"].setflags(write=False)
+                dx_static = np.zeros(n)
+                kernels.csr_matvec(s["op"], self.chat, dx_static)
+                # Returned to every order-2 node_terms_batch caller:
+                # freeze it so accidental in-place mutation fails loudly
+                # instead of corrupting all subsequent solves.
+                dx_static.setflags(write=False)
+                s["dx_static"] = dx_static
         return self._scratch
 
     def _endpoint_scatter(self, pair_values, out, s):
@@ -226,84 +191,13 @@ class CouplingSet:
 
         kernels.csr_matvec(s["op"], pair_values, out, s["ws"])
 
-    def node_terms(self, x, gamma, node_caps=False):
-        """All Theorem 5 coupling terms in one traversal.
-
-        Returns a :class:`CouplingTerms` with ``cap_sum`` and ``dx_sum``
-        exactly as :meth:`node_sums` and ``gamma_slopes`` exactly as
-        :meth:`slope_sums` — but the size ratio, the Taylor factors of
-        both series, and the endpoint scatter are each evaluated once
-        instead of once per method (and with a scalar ``gamma`` the
-        slopes are just ``gamma · dx_sum``, no third scatter).  With
-        ``node_caps=True`` the per-node total coupling capacitance
-        (:meth:`node_coupling_caps`, needed by the ``PROPAGATED`` delay
-        mode) rides along for free.
-
-        All returned arrays live in an internal scratch reused by the
-        next call — consume them before calling again (the fused LRS
-        pass does; allocate via the individual methods otherwise).
-        """
-        gamma = np.asarray(gamma, dtype=float)
-        per_net = gamma.ndim > 0
-        if self.num_pairs == 0:
-            zeros = np.zeros((4, self.num_nodes))
-            return CouplingTerms(zeros[0], zeros[1], zeros[2],
-                                 zeros[3] if node_caps else None)
-        s = self._ensure_scratch()
-        u, term, tmp = s["u"], s["term"], s["tmp"]
-        caps, slopes = s["caps"], s["slopes"]
-        np.take(x, self.pair_i, out=u)
-        np.take(x, self.pair_j, out=tmp)
-        np.add(u, tmp, out=u)
-        np.divide(u, self._two_distance, out=u)
-        if self.order == 2:
-            # k = 2 closed form: c = ~c·(1 + u), constant slopes ĉ.
-            np.multiply(u, self.ctilde, out=caps)
-            np.add(caps, self.ctilde, out=caps)
-            slopes = self.chat
-        else:
-            # Joint Taylor evaluation: caps ← Σ_{n<k} uⁿ, slopes ← Σ n·uⁿ⁻¹.
-            caps.fill(1.0)
-            slopes.fill(0.0)
-            term.fill(1.0)
-            for n in range(1, self.order):
-                np.multiply(term, float(n), out=tmp)
-                np.add(slopes, tmp, out=slopes)
-                np.multiply(term, u, out=term)
-                np.add(caps, term, out=caps)
-            np.multiply(caps, self.ctilde, out=caps)
-            np.multiply(slopes, self.chat, out=slopes)
-
-        cap_sum, dx_sum, gs = s["cap_sum"], s["dx_sum"], s["gamma_slopes"]
-        self._endpoint_scatter(caps, cap_sum, s)
-        if self.order == 2:
-            dx_sum = s["dx_static"]
-        else:
-            self._endpoint_scatter(slopes, dx_sum, s)
-        out_caps = None
-        if node_caps:
-            out_caps = s["node_caps"]
-            np.copyto(out_caps, cap_sum)
-        if per_net:
-            pw = s["pw"]
-            np.take(gamma, self.owner, out=pw)
-            np.multiply(pw, slopes, out=pw)
-            self._endpoint_scatter(pw, gs, s)
-        else:
-            np.multiply(dx_sum, float(gamma), out=gs)
-        np.multiply(x, dx_sum, out=s["node_tmp"])
-        np.subtract(cap_sum, s["node_tmp"], out=cap_sum)
-        return CouplingTerms(cap_sum, dx_sum, gs, out_caps)
-
-    # -- batched evaluation (K scenarios in lockstep) -------------------------------
-
     def _ensure_batch_scratch(self, k):
         """Width-``k`` scratch for the column-stacked paths (memoized).
 
         Shares the static endpoint-scatter operator (and, for k = 2, the
-        frozen slope sums) with the scalar scratch; the ``(p, 1)``
-        column views of the pair constants broadcast against ``(p, k)``
-        iterates without per-call view creation.
+        frozen slope sums) across widths; the ``(p, 1)`` column views of
+        the pair constants broadcast against ``(p, k)`` iterates without
+        per-call view creation.
         """
         base = self._ensure_scratch()
         cache = self.__dict__.setdefault("_batch_scratch", {})
@@ -339,15 +233,28 @@ class CouplingSet:
         return s
 
     def node_terms_batch(self, x, gamma, node_caps=False):
-        """:meth:`node_terms` over column-stacked ``(n, K)`` iterates.
+        """All Theorem 5 coupling terms in one traversal, for column-stacked
+        ``(n, K)`` iterates (K = 1 is one scenario).
+
+        Returns a :class:`CouplingTerms` of ``(n, K)`` arrays:
+
+        * ``cap_sum[i] = Σ_{j∈N(i)} (c_ij(x) − x_i·∂c_ij/∂x_i)`` — the
+          coupling contribution to the ``opt_i`` numerator (for k = 2:
+          ``Σ (~c_ij + ĉ_ij·x_j)``),
+        * ``dx_sum[i] = Σ_{j∈N(i)} ∂c_ij/∂x_i`` — the coupling slope in
+          the denominator (for k = 2: ``Σ ĉ_ij``),
+        * ``gamma_slopes[i] = Σ_{j∈N(i)} γ_owner(i,j) · ∂c_ij/∂x_i``,
+        * with ``node_caps=True``, the per-node total coupling
+          capacitance (:meth:`node_coupling_caps`, needed by the
+          ``PROPAGATED`` delay mode) riding along for free.
 
         ``gamma`` is a ``(K,)`` vector of per-scenario scalar multipliers
         or an ``(n, K)`` matrix of per-net multipliers (one column per
-        scenario).  Every column of the returned arrays is bit-identical
-        to :meth:`node_terms` at that column — same elementwise
-        operations, same per-node accumulation order through the shared
-        endpoint-scatter operator.  Returned arrays live in width-keyed
-        scratch reused by the next batched call.
+        scenario; entry read at each pair's owner).  The size ratio, the
+        Taylor factors of both series and the endpoint scatter are each
+        evaluated once, and every column is independent of the others.
+        Returned arrays live in width-keyed scratch reused by the next
+        batched call — consume them before calling again.
         """
         k = x.shape[1]
         gamma = np.asarray(gamma, dtype=float)
@@ -485,26 +392,6 @@ class CouplingSet:
             out = np.bincount(self.owner, weights=self.pair_caps(x),
                               minlength=self.num_nodes).astype(float)
         return out
-
-    def slope_sums(self, x, gamma):
-        """Per-node γ-weighted coupling slopes for Theorem 5's denominator.
-
-        ``Σ_{j∈N(i)} γ_owner(i,j) · ∂c_ij/∂x_i``, where ``gamma`` is the
-        scalar crosstalk multiplier (paper) or a per-node array (the
-        distributed-bound extension; entry read at each pair's owner).
-        With a scalar this equals ``gamma · node_sums(x)[1]`` exactly.
-        """
-        if self.num_pairs == 0:
-            return np.zeros(self.num_nodes)
-        u = self.size_ratio(x)
-        slopes = self.chat * taylor_derivative_factor(u, self.order)
-        gamma = np.asarray(gamma, dtype=float)
-        pair_gamma = gamma[self.owner] if gamma.ndim else np.full(
-            self.num_pairs, float(gamma))
-        weighted = pair_gamma * slopes
-        return np.bincount(self._endpoints,
-                           weights=np.concatenate([weighted, weighted]),
-                           minlength=self.num_nodes).astype(float)
 
     @property
     def nbytes(self):

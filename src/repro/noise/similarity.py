@@ -91,19 +91,14 @@ class SimilarityAnalyzer:
         stage"; see DESIGN.md §3).
     n_patterns, seed:
         Used only when ``patterns`` is not supplied.
-    backend:
-        Simulation backend (``"plan"`` default or ``"reference"``), see
-        :func:`~repro.simulate.levelized.simulate_levelized`.
     """
 
-    def __init__(self, circuit, patterns=None, n_patterns=256, seed=0,
-                 backend="plan"):
+    def __init__(self, circuit, patterns=None, n_patterns=256, seed=0):
         self.circuit = circuit
         if patterns is None:
             patterns = random_patterns(circuit.num_drivers, n_patterns, seed=seed)
         self.patterns = np.asarray(patterns, dtype=bool)
-        self._values = simulate_levelized(circuit, self.patterns,
-                                          backend=backend)
+        self._values = simulate_levelized(circuit, self.patterns)
         self._keys = {}
         self.cache_hits = 0
         self.cache_misses = 0

@@ -16,10 +16,13 @@ reporting code unchanged.
 
 import dataclasses
 import json
+import math
+
+import numpy as np
 
 from repro.io import metrics_from_dict, metrics_to_dict
 from repro.runtime.config import Scenario
-from repro.utils.errors import ReproError
+from repro.utils.errors import ReproError, ValidationError
 
 #: Bumped to 2 when solver diagnostics (``repair_evals``) joined the
 #: canonical payload, and to 3 when ``FlowConfig`` lost its two
@@ -44,7 +47,7 @@ class RunRecord:
     sizes: tuple                # final component sizes (um)
     #: Deterministic solver diagnostics (e.g. ``repair_evals``, the
     #: primal-repair bisection's candidate evaluations) — part of the
-    #: canonical form, so batch and scalar runs must agree on them.
+    #: canonical form, so batched and one-scenario runs must agree on them.
     diagnostics: dict = dataclasses.field(default_factory=dict)
     runtime_s: float = 0.0      # telemetry — excluded from canonical form
     memory_bytes: int = 0       # telemetry — excluded from canonical form
@@ -53,6 +56,18 @@ class RunRecord:
     #: circuit.  Deterministic but kept out of the canonical form: it is
     #: cache bookkeeping (verified at put/read-back), not an outcome.
     fingerprint: str = ""
+
+    def __post_init__(self):
+        # No non-finite value leaves the solver; a +inf duality gap is
+        # the one legal infinity (it flags "no feasible point").
+        for name in ("initial_metrics", "metrics"):
+            values = metrics_to_dict(getattr(self, name)).values()
+            if not all(math.isfinite(v) for v in values):
+                raise ValidationError(f"RunRecord {name} must be finite")
+        if not np.isfinite(np.asarray(self.sizes, dtype=float)).all():
+            raise ValidationError("RunRecord sizes must be finite")
+        if math.isnan(self.duality_gap):
+            raise ValidationError("RunRecord duality_gap must not be NaN")
 
     @property
     def improvements(self):

@@ -7,9 +7,8 @@ from the logic simulation stage".  This package provides that stage:
 * :mod:`~repro.simulate.patterns` — seeded/exhaustive test patterns,
 * :func:`~repro.simulate.levelized.simulate_levelized` — vectorized
   zero-delay simulation (one steady value per node per pattern), the
-  default input to similarity analysis, with a precompiled
-  :class:`~repro.simulate.plan.SimPlan` backend (default) and the
-  per-node ``"reference"`` loop it is pinned against,
+  default input to similarity analysis, run through the precompiled
+  :class:`~repro.simulate.plan.SimPlan`,
 * :class:`~repro.simulate.events.EventDrivenSimulator` — unit-delay
   event-driven simulation producing real time-domain waveforms (captures
   glitches; used for the timed similarity variant and demos),
@@ -18,14 +17,13 @@ from the logic simulation stage".  This package provides that stage:
 """
 
 from repro.simulate.events import EventDrivenSimulator
-from repro.simulate.levelized import SIM_BACKENDS, simulate_levelized
+from repro.simulate.levelized import simulate_levelized
 from repro.simulate.logic import SUPPORTED_FUNCTIONS, evaluate_function
 from repro.simulate.patterns import exhaustive_patterns, random_patterns, toggle_patterns
 from repro.simulate.plan import SimPlan
 from repro.simulate.waveforms import Waveform
 
 __all__ = [
-    "SIM_BACKENDS",
     "SUPPORTED_FUNCTIONS",
     "SimPlan",
     "evaluate_function",

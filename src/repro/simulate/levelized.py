@@ -1,34 +1,23 @@
 """Zero-delay levelized logic simulation.
 
 Computes the steady-state value of every node for every pattern in one
-topological pass.  Two backends are provided (mirroring
-:class:`~repro.timing.elmore.ElmoreEngine`'s ``backend`` switch):
-
-* ``"plan"`` (default) — the precompiled :class:`~repro.simulate.plan.
-  SimPlan`: gates grouped by level × function × fan-in, one vectorized
-  gather + ``evaluate_function`` call per group, wires filled by a
-  single fancy-indexed copy.  Python-level work scales with the number
-  of *groups*, not nodes.
-* ``"reference"`` — the direct per-node loop, kept forever as the
-  executable specification; the plan backend's output is pinned to it
-  by exact boolean equality (``tests/simulate/test_plan.py``).
+topological pass, through the circuit's precompiled
+:class:`~repro.simulate.plan.SimPlan`: gates grouped by level × function
+× fan-in, one vectorized gather + ``evaluate_function`` call per group,
+wires filled by a single fancy-indexed copy.  Python-level work scales
+with the number of *groups*, not nodes.  The direct per-node loop is the
+executable specification and lives on as a test oracle
+(``tests/oracles/simulate.py``); the plan's output is pinned to it by
+exact boolean equality (``tests/simulate/test_plan.py``).
 
 The result feeds :func:`repro.noise.similarity.similarity_from_values`,
 the default (cycle-accurate) form of the paper's switching similarity.
 """
 
-import numpy as np
-
-from repro.circuit.components import NodeKind
-from repro.simulate.logic import evaluate_function
 from repro.simulate.plan import validate_patterns
-from repro.utils.errors import SimulationError
-
-#: Accepted ``backend`` values for :func:`simulate_levelized`.
-SIM_BACKENDS = ("plan", "reference")
 
 
-def simulate_levelized(circuit, patterns, backend="plan"):
+def simulate_levelized(circuit, patterns):
     """Simulate ``circuit`` under ``patterns``.
 
     Parameters
@@ -38,9 +27,6 @@ def simulate_levelized(circuit, patterns, backend="plan"):
     patterns:
         Boolean array ``(n_patterns, n_drivers)``; column ``d`` drives the
         primary input with node index ``d + 1``.
-    backend:
-        ``"plan"`` (compiled, default) or ``"reference"`` (per-node
-        loop).  Both return identical values.
 
     Returns
     -------
@@ -49,25 +35,4 @@ def simulate_levelized(circuit, patterns, backend="plan"):
         are ``False``; a wire's row equals its parent's row.
     """
     patterns = validate_patterns(circuit, patterns)
-    if backend == "plan":
-        return circuit.sim_plan().simulate(patterns)
-    if backend == "reference":
-        return _simulate_reference(circuit, patterns)
-    raise SimulationError(
-        f"unknown simulation backend {backend!r}; choose from {SIM_BACKENDS}")
-
-
-def _simulate_reference(circuit, patterns):
-    """The per-node topological loop — the plan backend's specification."""
-    n_patterns = patterns.shape[0]
-    values = np.zeros((circuit.num_nodes, n_patterns), dtype=bool)
-    for node in circuit.nodes:
-        if node.kind is NodeKind.DRIVER:
-            values[node.index] = patterns[:, node.index - 1]
-        elif node.kind is NodeKind.WIRE:
-            parent = circuit.inputs(node.index)[0]
-            values[node.index] = values[parent]
-        elif node.kind is NodeKind.GATE:
-            stack = values[list(circuit.inputs(node.index))]
-            values[node.index] = evaluate_function(node.function, stack)
-    return values
+    return circuit.sim_plan().simulate(patterns)

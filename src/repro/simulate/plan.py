@@ -1,10 +1,10 @@
 """Precompiled vectorized simulation plan (the cold-path tentpole).
 
-:func:`~repro.simulate.levelized.simulate_levelized` with the reference
-backend walks ``circuit.nodes`` in Python — one iteration per node, so a
-cold similarity setup on c7552 spends most of its time in interpreter
-overhead rather than boolean arithmetic.  :class:`SimPlan` compiles that
-walk once per circuit into a handful of array programs:
+The direct levelized loop walks ``circuit.nodes`` in Python — one
+iteration per node, so a cold similarity setup on c7552 spent most of
+its time in interpreter overhead rather than boolean arithmetic.
+:class:`SimPlan` compiles that walk once per circuit into a handful of
+array programs:
 
 * **wire-root redirection** — every wire's value equals its first
   non-wire ancestor's (driver or gate), so wires never need to be
@@ -27,8 +27,8 @@ the reference levelized loop produces — boolean functions are exact, the
 redirection preserves wire semantics (a wire's row equals its parent's
 row, transitively its root's), and source/sink rows stay ``False``.
 ``tests/simulate/test_plan.py`` pins ``np.array_equal`` equality against
-``simulate_levelized(..., backend="reference")`` over random generator
-circuits, exhaustive small circuits, and the ISCAS85 netlists.
+that loop (the oracle in ``tests/oracles/simulate.py``) over random
+generator circuits, exhaustive small circuits, and the ISCAS85 netlists.
 
 Plans are memoized on the circuit via :meth:`Circuit.sim_plan`
 (mirroring ``CompiledCircuit.sweep_plan()``), so repeated analyses of
@@ -155,7 +155,7 @@ class SimPlan:
 
 
 def validate_patterns(circuit, patterns):
-    """Shared pattern validation for both simulation backends."""
+    """Pattern shape/dtype validation for :func:`simulate_levelized`."""
     patterns = np.asarray(patterns, dtype=bool)
     if patterns.ndim != 2:
         raise SimulationError("patterns must be a 2-D (n_patterns, n_inputs) array")

@@ -3,8 +3,6 @@
 * :class:`~repro.timing.elmore.ElmoreEngine` — vectorized stage-limited
   Elmore delay sweeps over a :class:`CompiledCircuit` (the workhorse of
   the sizing engine),
-* :class:`~repro.timing.reference.ElmoreReference` — a slow, obviously
-  correct per-node implementation used to certify the vectorized engine,
 * :mod:`~repro.timing.sta` — arrival/required times, slack, critical path,
 * :mod:`~repro.timing.metrics` — the Table 1 quantities (noise, delay,
   power, area) bundled per sizing solution.
@@ -14,13 +12,11 @@ from repro.timing.activity import ActivityPowerReport, activity_power, toggle_ra
 from repro.timing.elmore import CouplingDelayMode, ElmoreEngine
 from repro.timing.kernels import SweepPlan, Workspace
 from repro.timing.metrics import CircuitMetrics, EvalContext, evaluate_metrics
-from repro.timing.reference import ElmoreReference
 from repro.timing.sta import TimingReport, static_timing_analysis
 
 __all__ = [
     "CouplingDelayMode",
     "ElmoreEngine",
-    "ElmoreReference",
     "SweepPlan",
     "Workspace",
     "EvalContext",

@@ -18,29 +18,21 @@ Coupling capacitance enters the delay model according to
   stage, like ordinary wire capacitance (ablation; the sizing engine
   compensates with the extra ``R_i``-weighted slope term).
 
-Backends
---------
-Two interchangeable sweep implementations sit behind the ``backend``
-flag:
+Sweeps
+------
+Every sweep runs on the precompiled kernels of
+:mod:`repro.timing.kernels`: the stage-limited capacitance and
+upstream-resistance recurrences are unrolled into static sparse closures
+evaluated by one CSR product each (no level loop), and the max-plus
+arrival sweep runs over presorted per-level edge segments.  This is what
+makes the "linear runtime per iteration" claim fast in absolute terms.
+Scratch comes from the engine's :attr:`ElmoreEngine.pool`; the per-level
+``np.add.at`` / ``np.maximum.at`` spelling survives as a test oracle
+(``tests/oracles/elmore.py``), pinned equivalent to ≤ 1e-12 relative.
 
-* ``"kernel"`` (default): precompiled sweeps from
-  :mod:`repro.timing.kernels` — the stage-limited capacitance and
-  upstream-resistance recurrences are unrolled into static sparse
-  closures evaluated by one ``take`` + ``add.reduceat`` each (no level
-  loop), and the max-plus arrival sweep runs over presorted per-level
-  edge segments, all with scratch from a reusable
-  :class:`~repro.timing.kernels.Workspace`.  This is what makes the
-  "linear runtime per iteration" claim fast in absolute terms (see
-  ``BENCH_perf.json`` for the measured kernel-vs-reference speedups).
-* ``"reference"``: the original unbuffered ``np.add.at`` /
-  ``np.maximum.at`` level loops, kept as the golden reference the
-  equivalence property tests compare against (≤ 1e-12 relative).
-
-Each backend is fully deterministic (fixed summation order), so the
+The sweeps are deterministic (fixed summation order), which the
 BatchRunner contract — parallel record streams byte-identical to serial
-— holds as long as every process runs the same backend (the default
-everywhere is ``kernel``).  The backends differ from each other only by
-floating-point reassociation, within the 1e-12 equivalence bound.
+— relies on.
 """
 
 import enum
@@ -51,9 +43,6 @@ from repro.noise.crosstalk import CouplingSet
 from repro.timing import kernels
 from repro.utils.errors import ValidationError
 from repro.utils.units import OHM_FF_TO_PS
-
-#: Accepted values for ``ElmoreEngine(backend=...)``.
-BACKENDS = ("kernel", "reference")
 
 
 class CouplingDelayMode(enum.Enum):
@@ -76,35 +65,38 @@ class ElmoreEngine:
         defaults to no coupling.
     mode:
         A :class:`CouplingDelayMode` (paper default ``OWN``).
-    backend:
-        ``"kernel"`` (default, precompiled segmented sweeps) or
-        ``"reference"`` (naive scatter loops); see the module docstring.
+    pool:
+        The :class:`~repro.timing.kernels.BatchWorkspace` to draw scratch
+        from.  A :class:`~repro.core.session.SolverSession` hands every
+        engine it builds its one pool; by default the engine makes its
+        own on first use.
     """
 
     def __init__(self, compiled, coupling=None, mode=CouplingDelayMode.OWN,
-                 backend="kernel"):
+                 pool=None):
         self.compiled = compiled
         self.coupling = coupling if coupling is not None else CouplingSet.empty(
             compiled.num_nodes)
         if self.coupling.num_nodes != compiled.num_nodes:
             raise ValidationError("coupling set does not match the circuit")
         self.mode = CouplingDelayMode(mode)
-        if backend not in BACKENDS:
-            raise ValidationError(
-                f"unknown backend {backend!r}; choose from {BACKENDS}")
-        self.backend = backend
-        self._workspace = None
+        self._pool = pool
+
+    @property
+    def pool(self):
+        """Width-keyed scratch for the batched sweeps and LRS passes.
+
+        Single-threaded by contract, like every workspace in it.
+        """
+        if self._pool is None:
+            self._pool = kernels.BatchWorkspace(self.compiled.sweep_plan())
+        return self._pool
 
     def workspace(self):
-        """The engine's lazily-built :class:`~repro.timing.kernels.Workspace`.
-
-        Shared scratch for the kernel sweeps and the fused LRS pass;
-        single-threaded by contract (each engine — and hence each
-        worker process — owns exactly one).
+        """1-D scratch for single-point sweeps: views of the pool's
+        width-1 buffers (see :meth:`~repro.timing.kernels.Workspace.vectors`).
         """
-        if self._workspace is None:
-            self._workspace = kernels.Workspace(self.compiled.sweep_plan())
-        return self._workspace
+        return self.pool.buffers(1).vectors()
 
     # -- capacitance sweeps -------------------------------------------------------
 
@@ -129,8 +121,6 @@ class ElmoreEngine:
             The paper's ``C_i``:  ``child_sum`` for gates/drivers;
             ``cself/2 + cpl + child_sum`` for wires.
         """
-        if self.backend == "reference":
-            return self._capacitances_reference(x)
         cc = self.compiled
         plan = cc.sweep_plan()
         ws = self.workspace()
@@ -161,43 +151,6 @@ class ElmoreEngine:
             "downstream": downstream,
         }
 
-    def _capacitances_reference(self, x):
-        """Reference backend: unbuffered per-level ``np.add.at`` scatters."""
-        cc = self.compiled
-        cself = cc.self_capacitance(x)
-        if self.mode is CouplingDelayMode.NONE:
-            cpl = np.zeros(cc.num_nodes)
-        else:
-            cpl = self.coupling.node_coupling_caps(x)
-        child_sum = cc.load_cap.copy()
-        load = np.zeros(cc.num_nodes)
-        wire_load_extra = cpl if self.mode is CouplingDelayMode.PROPAGATED else 0.0
-        for level in range(cc.num_levels - 1, -1, -1):
-            eids = cc.edges_by_src_level[level]
-            if len(eids):
-                np.add.at(child_sum, cc.edge_src[eids], load[cc.edge_dst[eids]])
-            nodes = cc.nodes_by_level[level]
-            if not len(nodes):
-                continue
-            wires = nodes[cc.is_wire[nodes]]
-            gates = nodes[cc.is_gate[nodes]]
-            if len(wires):
-                load[wires] = cself[wires] + child_sum[wires]
-                if self.mode is CouplingDelayMode.PROPAGATED:
-                    load[wires] += np.asarray(wire_load_extra)[wires]
-            if len(gates):
-                load[gates] = cself[gates]
-        downstream = child_sum.copy()
-        wmask = cc.is_wire
-        downstream[wmask] += 0.5 * cself[wmask] + cpl[wmask]
-        return {
-            "cself": cself,
-            "cpl": cpl,
-            "child_sum": child_sum,
-            "load": load,
-            "downstream": downstream,
-        }
-
     # -- delay --------------------------------------------------------------------
 
     def effective_resistance(self, x):
@@ -207,25 +160,23 @@ class ElmoreEngine:
     def delays(self, x, caps=None):
         """Per-node Elmore delay ``D_i`` (ps).  Source/sink are zero.
 
-        With the kernel backend and no precomputed ``caps``, the
-        component dict is skipped entirely: the downstream capacitance
-        is assembled in workspace buffers and only the delay vector is
-        allocated.
+        Without precomputed ``caps`` the component dict is skipped
+        entirely: the downstream capacitance is assembled in workspace
+        buffers and only the delay vector is allocated.  ``x`` may be
+        ``(n,)`` or column-stacked ``(n, K)`` sizes, one scenario per
+        column; each column is bit-identical to the 1-D sweep.
         """
-        if caps is None and self.backend == "kernel":
-            return self._delays_kernel(x)
-        caps = caps if caps is not None else self.capacitances(x)
-        return self.effective_resistance(x) * caps["downstream"]
-
-    def _delays_kernel(self, x):
+        if caps is not None:
+            return self.effective_resistance(x) * caps["downstream"]
         cc = self.compiled
         plan = cc.sweep_plan()
-        ws = self.workspace()
+        ws = self._scratch(x)
+        batched = x.ndim == 2
+        c = plan.cols() if batched else plan
+        sizable = c.is_sizable if batched else cc.is_sizable
         propagated = self.mode is CouplingDelayMode.PROPAGATED
-        if self.mode is CouplingDelayMode.NONE:
-            cpl = None
-        else:
-            cpl = self.coupling.node_coupling_caps(x)
+        cpl = None if self.mode is CouplingDelayMode.NONE else \
+            self.coupling.node_coupling_caps(x)
         kernels.s2_source_terms(plan, cc, x, cpl, propagated, ws.cself,
                                 ws.source_terms, ws.t1)
         kernels.child_sum_sweep(plan, ws.source_terms, ws.child_sum, ws)
@@ -233,9 +184,9 @@ class ElmoreEngine:
         np.multiply(ws.cself, 0.5, out=ws.t1)
         if cpl is not None:
             np.add(ws.t1, cpl, out=ws.t1)
-        np.multiply(ws.t1, plan.wire_mask_f, out=ws.t1)
+        np.multiply(ws.t1, c.wire_mask_f, out=ws.t1)
         np.add(ws.t1, ws.child_sum, out=ws.t1)
-        np.divide(plan.r_hat_eff, x, out=ws.r_eff, where=cc.is_sizable)
+        np.divide(c.r_hat_eff, x, out=ws.r_eff, where=sizable)
         return ws.r_eff * ws.t1
 
     def arrival_times(self, delays):
@@ -243,30 +194,18 @@ class ElmoreEngine:
 
         ``a_i = max_{j ∈ input(i)} a_j + D_i`` with ``a_source = 0``; the
         sink's value is the circuit delay (max over primary outputs).
+        Accepts ``(n,)`` or column-stacked ``(n, K)`` delays.
         """
-        cc = self.compiled
-        if self.backend == "reference":
-            return self._arrival_times_reference(delays)
-        arrival = np.empty(cc.num_nodes)
-        kernels.arrival_sweep(cc.sweep_plan(), delays, arrival,
-                              self.workspace())
+        arrival = np.empty(delays.shape)
+        kernels.arrival_sweep(self.compiled.sweep_plan(), delays, arrival,
+                              self._scratch(delays))
         return arrival
 
-    def _arrival_times_reference(self, delays):
-        cc = self.compiled
-        arrival = np.zeros(cc.num_nodes)
-        incoming = np.full(cc.num_nodes, -np.inf)
-        incoming[cc.source] = 0.0
-        for level in range(1, cc.num_levels):
-            eids = cc.edges_by_dst_level[level]
-            if len(eids):
-                np.maximum.at(incoming, cc.edge_dst[eids], arrival[cc.edge_src[eids]])
-            nodes = cc.nodes_by_level[level]
-            if len(nodes):
-                # The sink has zero delay, so this also sets the circuit
-                # delay at arrival[sink].
-                arrival[nodes] = incoming[nodes] + delays[nodes]
-        return arrival
+    def _scratch(self, x):
+        """The workspace matching ``x``'s shape: the pooled width-K
+        buffers for ``(n, K)``, their width-1 views for ``(n,)``."""
+        return self.pool.buffers(x.shape[1]) if x.ndim == 2 \
+            else self.workspace()
 
     def circuit_delay(self, x):
         """Max primary-output arrival time (ps) — Table 1's "Delay"."""
@@ -284,25 +223,7 @@ class ElmoreEngine:
         """
         cc = self.compiled
         r_eff = self.effective_resistance(x)
-        if self.backend == "reference":
-            return self._upstream_reference(r_eff, lam_node)
         upstream = np.empty(cc.num_nodes)
         kernels.upstream_sweep(cc.sweep_plan(), lam_node * r_eff, upstream,
                                self.workspace())
-        return upstream
-
-    def _upstream_reference(self, r_eff, lam_node):
-        cc = self.compiled
-        acc = np.zeros(cc.num_nodes)
-        upstream = np.zeros(cc.num_nodes)
-        for level in range(cc.num_levels):
-            eids = cc.edges_by_dst_level[level]
-            if len(eids):
-                np.add.at(upstream, cc.edge_dst[eids], acc[cc.edge_src[eids]])
-            nodes = cc.nodes_by_level[level]
-            if not len(nodes):
-                continue
-            own = lam_node[nodes] * r_eff[nodes]
-            starts = cc.is_gate[nodes] | cc.is_driver[nodes]
-            acc[nodes] = np.where(starts, own, own + upstream[nodes])
         return upstream

@@ -58,16 +58,20 @@ the same order per column, elementwise ufuncs are per-element, and
 ``reduceat`` accumulates each segment sequentially per column.  That
 exactness is what lets the batched multi-scenario solver
 (:mod:`repro.core.session`) promise records byte-identical to serial
-single-scenario runs.  Batched scratch comes from
-``Workspace(plan, width=K)``; :class:`BatchWorkspace` pools those by
-width so the lockstep solver reuses buffers as scenario batches shrink.
+single-scenario runs.  A single column goes through SciPy's
+single-vector ``csr_matvec`` on 1-D views (same additions, same order,
+faster than the multi-vector kernel at K = 1).  Batched scratch comes
+from ``Workspace(plan, width=K)``; :class:`BatchWorkspace` pools those
+by width so the lockstep solver reuses buffers as scenario batches
+shrink, and its width-1 buffers double, as 1-D views, as the scratch of
+the engine's single-point sweeps.
 
-The kernels are exact replacements for the reference sweeps in
-:class:`~repro.timing.elmore.ElmoreEngine` (``backend="reference"``);
-equivalence property tests pin agreement to 1e-12 relative across delay
-modes, coupling orders, and scalar / per-net γ.  Plans are read-only,
+The per-level ``np.add.at`` / ``np.maximum.at`` spelling these kernels
+replace lives on as a test oracle (``tests/oracles/``); equivalence
+property tests pin agreement to 1e-12 relative across delay modes,
+coupling orders, and scalar / per-net γ.  Plans are read-only,
 workspaces single-threaded; obtain them via ``compiled.sweep_plan()``
-and ``ElmoreEngine.workspace()``.
+and ``ElmoreEngine.pool``.
 """
 
 import numpy as np
@@ -136,12 +140,17 @@ def csr_matvec(op, x, y, ws=None):
     ``x`` may be ``(n,)`` or a C-contiguous column-stacked ``(n, K)``
     matrix; the multi-vector case goes through SciPy's ``csr_matvecs``
     (one index traversal for all K columns) and is bit-identical per
-    column to the single-vector kernel.
+    column to the single-vector kernel.  One column is one vector: it
+    runs the single-vector kernel on 1-D views of ``x`` and ``y``.
     """
     y.fill(0.0)
     if not op.nnz:
         return y
     if x.ndim == 2:
+        if x.shape[1] == 1 and _HAVE_RAW_MATVEC and y.flags.c_contiguous:
+            _st.csr_matvec(op.n_rows, len(x), op.indptr, op.indices, op.data,
+                           x.reshape(-1), y.reshape(-1))
+            return y
         if _HAVE_RAW_MATVECS:
             _st.csr_matvecs(op.n_rows, len(x), x.shape[1], op.indptr,
                             op.indices, op.data, x, y)
@@ -513,13 +522,16 @@ class Workspace:
     — one column per scenario — and the workspace additionally carries
     the batched solver's per-solve constants (``lam``, ``numer``,
     ``alpha_beta``) and per-column reduction scratch (``colmax``,
-    ``colmask``).
+    ``colmask``).  A width-1 workspace lends its buffers to 1-D sweeps
+    through :meth:`vectors`.
     """
 
     NODE_BUFFERS = (
         "cself", "child_sum", "source_terms", "r_eff", "chain",
         "upstream", "k_cap", "denom", "opt", "x_a", "x_b", "t1", "t2",
     )
+    SCRATCH_BUFFERS = ("ebuf", "cbuf", "sbuf", "szbuf", "wbuf", "wbuf2",
+                       "arrc", "delays_c", "chain_e")
 
     def __init__(self, plan, width=None):
         n = plan.num_nodes
@@ -557,12 +569,26 @@ class Workspace:
         self.r_eff[plan.driver_nodes] = preset if self.width is None \
             else preset[:, None]
 
+    def vectors(self):
+        """This width-1 workspace as 1-D views of the same buffers.
+
+        The engine's single-point sweeps (initial metrics, primal repair,
+        the final evaluation) run on these views, so one set of width-1
+        scratch serves them and the width-1 LRS pass.  Memoized.
+        """
+        flat = self.__dict__.get("_vectors")
+        if flat is None:
+            flat = object.__new__(Workspace)
+            flat.plan, flat.width = self.plan, None
+            for name in self.NODE_BUFFERS + self.SCRATCH_BUFFERS:
+                setattr(flat, name, getattr(self, name).reshape(-1))
+            self._vectors = flat
+        return flat
+
     @property
     def nbytes(self):
         total = 0
-        names = self.NODE_BUFFERS + ("ebuf", "cbuf", "sbuf", "szbuf",
-                                     "wbuf", "wbuf2", "arrc",
-                                     "delays_c", "chain_e")
+        names = self.NODE_BUFFERS + self.SCRATCH_BUFFERS
         if self.width is not None:
             names = names + ("lam", "numer", "alpha_beta", "colmax",
                              "colmask")
@@ -671,8 +697,8 @@ def arrival_sweep(plan, delays, arrival, ws):
     chain hops from one gather; the level recursion then runs over
     non-wire nodes only (``a_g = max over gate inputs of (a_anchor +
     chain) + D_g``) with contiguous per-level slices, and wire arrivals
-    are reconstructed by a flat gather at the end.  Matches
-    ``ElmoreEngine.arrival_times`` to floating-point reassociation.
+    are reconstructed by a flat gather at the end.  Matches the
+    per-level max-plus recurrence to floating-point reassociation.
     ``delays`` may be ``(n,)`` or column-stacked ``(n, K)`` (``arrival``
     and ``ws`` shaped to match); each column's max-plus recursion is
     bit-identical to the single-vector sweep.
@@ -711,7 +737,8 @@ def arrival_sweep(plan, delays, arrival, ws):
 def project_sweep(plan, lam):
     """Theorem 3 flow renormalization over the condensed cascade.
 
-    Equivalent to ``MultiplierState._project_reference``: a wire's
+    Equivalent to the per-level reference projection (a test oracle
+    in ``tests/oracles/``): a wire's
     single in-edge always renormalizes to exactly its subtree's boundary
     out-flow (``λ'·out/in`` with one in-edge, and the dead-edge rule,
     both collapse to ``out``), so only boundary-edge multipliers evolve

@@ -8,8 +8,10 @@ paper's reporting units (noise pF, delay ps, power mW, area µm²), and
 quantity an OGWS outer iteration needs at one sizing point (capacitance
 sweep, delays, arrival times, coupling totals, the Table 1 metrics) is
 computed at most once and reused by the metrics, the Lagrangian value,
-and the multiplier update — previously each consumer re-ran the full
-circuit sweeps independently, evaluating the same point four times.
+and the multiplier update.  The lockstep driver seeds each column's
+context from its batched sweeps; single-point evaluations (the initial
+metrics, primal-repair candidates, the final point) fill it lazily from
+the engine's 1-D sweeps.
 """
 
 import dataclasses
@@ -122,8 +124,8 @@ class EvalContext:
         """Per-node Elmore delays (ps).
 
         Reuses :attr:`caps` only if it was already materialized — the
-        kernel backend otherwise computes delays directly in workspace
-        buffers without assembling the component dict.
+        engine otherwise computes delays directly in workspace buffers
+        without assembling the component dict.
         """
         if "caps" in self.__dict__:
             return self.engine.delays(self.x, caps=self.caps)
@@ -150,24 +152,19 @@ class EvalContext:
         return self.engine.coupling.net_caps(self.x)
 
     # The two totals below intentionally carry a second, dot-product
-    # spelling of total_area/total_capacitance for the kernel backend
-    # (a measurable share of the OGWS outer loop); equality with the
-    # canonical definitions is pinned to 1e-12 by
+    # spelling of total_area/total_capacitance (a measurable share of
+    # the OGWS outer loop); equality with the canonical definitions is
+    # pinned to 1e-12 by
     # tests/timing/test_kernels.py::test_evalcontext_totals_match_metric_functions.
     @functools.cached_property
     def area_um2(self):
-        if getattr(self.engine, "backend", "reference") == "kernel":
-            plan = self.engine.compiled.sweep_plan()
-            return float(np.dot(plan.alpha_sizable, self.x))
-        return total_area(self.engine.compiled, self.x)
+        plan = self.engine.compiled.sweep_plan()
+        return float(np.dot(plan.alpha_sizable, self.x))
 
     @functools.cached_property
     def total_cap_ff(self):
-        if getattr(self.engine, "backend", "reference") == "kernel":
-            plan = self.engine.compiled.sweep_plan()
-            return float(np.dot(plan.c_hat_sizable, self.x)
-                         + plan.fringe_total)
-        return total_capacitance(self.engine.compiled, self.x)
+        plan = self.engine.compiled.sweep_plan()
+        return float(np.dot(plan.c_hat_sizable, self.x) + plan.fringe_total)
 
     @functools.cached_property
     def metrics(self):

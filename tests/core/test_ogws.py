@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from repro.core import MultiplierState, OGWSOptimizer, SizingProblem
+from repro.core.subgradient import MultiplicativeUpdate
 from repro.timing import ElmoreEngine, evaluate_metrics
-from repro.utils.errors import ValidationError
+from repro.utils.errors import ConvergenceError, ValidationError
 from repro.utils.units import FF_PER_PF
 
 
@@ -126,3 +127,18 @@ class TestReporting:
     def test_tolerance_validated(self, engine, problem):
         with pytest.raises(ValidationError):
             OGWSOptimizer(engine, problem, tolerance=0.0)
+
+
+class TestFiniteOrFail:
+    def test_non_finite_multipliers_never_leave_the_solver(self, engine,
+                                                          problem):
+        class PoisonBeta(MultiplicativeUpdate):
+            def apply(self, multipliers, *args, **kwargs):
+                step = super().apply(multipliers, *args, **kwargs)
+                multipliers.beta = float("inf")
+                return step
+
+        optimizer = OGWSOptimizer(engine, problem, update=PoisonBeta(),
+                                  max_iterations=1)
+        with pytest.raises(ConvergenceError, match="multipliers"):
+            optimizer.run()

@@ -16,9 +16,10 @@ from hypothesis import strategies as st
 from repro.core import OGWSOptimizer, SizingProblem, SolverSession
 from repro.core.ogws import run_lockstep
 from repro.core.session import ScenarioBatch
-from repro.runtime import CircuitRef, FlowConfig, SweepSpec
+from repro.core.subgradient import MultiplicativeUpdate
+from repro.runtime import CircuitRef, FlowConfig, Scenario, SweepSpec
 from repro.timing.metrics import evaluate_metrics
-from repro.utils.errors import ValidationError
+from repro.utils.errors import ConvergenceError, ValidationError
 
 
 REF = CircuitRef.random(20, 5, 3, seed=0, target_depth=7)
@@ -153,6 +154,41 @@ class TestBatchEquivalence:
         assert ([r.canonical_json() for r in batched]
                 == [r.canonical_json() for r in scalar])
 
+    def test_retiring_column_matches_solo_solve(self):
+        """Regression: an infeasible column retiring at its own
+        max_iterations while two others keep iterating (the engine key
+        ignores max_iterations, so they share a batch) reported sizes
+        from a pooled width-1 buffer that later LRS solves overwrote."""
+        ref = CircuitRef.iscas85("c880")
+        base = FlowConfig(n_patterns=64)
+        scenarios = [Scenario(ref, base.replace(
+            delay_slack=slack, noise_fraction=noise, max_iterations=budget))
+            for slack, noise, budget in ((0.5, 0.01, 3), (1.2, 0.2, 40),
+                                         (1.05, 0.08, 40))]
+        together = SolverSession.for_ref(ref).solve(scenarios)
+        alone = SolverSession.for_ref(ref)
+        assert not together[0].feasible
+        for scenario, record in zip(scenarios, together):
+            [solo] = alone.solve([scenario])
+            assert record.canonical_json() == solo.canonical_json()
+
+    def test_non_finite_solve_names_its_scenario(self, monkeypatch):
+        """Finite-or-fail: a column whose multipliers turn NaN fails at
+        OGWS's one exit, and the batch names that column's scenario."""
+        apply_batch = MultiplicativeUpdate.apply_batch
+
+        def poisoned(self, multipliers, *args):
+            steps = apply_batch(self, multipliers, *args)
+            multipliers[-1].gamma = float("nan")
+            return steps
+
+        monkeypatch.setattr(MultiplicativeUpdate, "apply_batch", poisoned)
+        scenarios = _spec(noise_fractions=(0.1, 0.2), base=FlowConfig(
+            n_patterns=32, max_iterations=1)).scenarios()
+        with pytest.raises(ConvergenceError,
+                           match=scenarios[1].content_hash()[:12]):
+            SolverSession.for_ref(REF).solve(scenarios)
+
     def test_flow_order_wires_override_is_honored(self):
         """Regression: run() routes through the session but a subclass's
         order_wires override must still drive stage 1."""
@@ -225,6 +261,7 @@ class TestLockstep:
             assert a.metrics == b.metrics
 
     def test_lockstep_single_optimizer_falls_back(self, session):
+        """run() is a lockstep batch of width one."""
         engine = self._engine(session)
         x_init = session.compiled.default_sizes(np.inf)
         problem = SizingProblem.from_initial(engine, x_init)

@@ -6,8 +6,11 @@ import pytest
 from repro.geometry import ChannelLayout, CouplingPair
 from repro.noise import CouplingSet, MillerMode, SimilarityAnalyzer
 from repro.noise.coupling import coupling_capacitance_taylor
+from repro.noise.crosstalk import CouplingTerms
 from repro.noise.miller import miller_weight
 from repro.utils.errors import GeometryError
+
+from oracles.lrs import node_sums, slope_sums
 
 
 def two_pair_set(order=2, weights=(1.0, 1.0)):
@@ -16,6 +19,15 @@ def two_pair_set(order=2, weights=(1.0, 1.0)):
         CouplingPair(i=2, j=3, overlap=80.0, distance=2.0, unit_fringe=0.5),
     ]
     return CouplingSet(5, pairs, weights=np.array(weights), order=order)
+
+
+def node_terms(cs, x, gamma, node_caps=False):
+    """``node_terms_batch`` at width one, as fresh 1-D arrays."""
+    gamma = np.asarray(gamma, dtype=float)
+    terms = cs.node_terms_batch(x[:, None], gamma[..., None] if gamma.ndim
+                                else gamma[None], node_caps=node_caps)
+    return CouplingTerms(*(None if a is None else a[:, 0].copy()
+                           for a in terms))
 
 
 class TestEvaluation:
@@ -52,8 +64,8 @@ class TestEvaluation:
     def test_empty_set(self):
         cs = CouplingSet.empty(10)
         assert cs.total(np.ones(10)) == 0.0
-        cap_sum, dx_sum = cs.node_sums(np.ones(10))
-        assert not cap_sum.any() and not dx_sum.any()
+        terms = node_terms(cs, np.ones(10), 0.0)
+        assert not terms.cap_sum.any() and not terms.dx_sum.any()
 
 
 class TestNodeSums:
@@ -61,7 +73,7 @@ class TestNodeSums:
         """For k=2: cap_sum_i = Σ(~c + ĉ·x_j), dx_sum_i = Σ ĉ."""
         cs = two_pair_set(order=2)
         x = np.array([0.0, 1.5, 0.7, 2.0, 0.0])
-        cap_sum, dx_sum = cs.node_sums(x)
+        cap_sum, dx_sum, _, _ = node_terms(cs, x, 0.0)
         # Node 1 touches pair 0 only.
         assert dx_sum[1] == pytest.approx(cs.chat[0])
         assert cap_sum[1] == pytest.approx(cs.ctilde[0] + cs.chat[0] * x[2])
@@ -74,7 +86,7 @@ class TestNodeSums:
         for order in (2, 3, 4):
             cs = two_pair_set(order=order)
             x = np.array([0.0, 1.2, 0.9, 1.7, 0.0])
-            _, dx_sum = cs.node_sums(x)
+            dx_sum = node_terms(cs, x, 0.0).dx_sum
             h = 1e-7
             for node in (1, 2, 3):
                 xp, xm = x.copy(), x.copy()
@@ -87,7 +99,7 @@ class TestNodeSums:
         for order in (2, 3):
             cs = two_pair_set(order=order)
             x = np.array([0.0, 1.2, 0.9, 1.7, 0.0])
-            cap_sum, dx_sum = cs.node_sums(x)
+            cap_sum, dx_sum, _, _ = node_terms(cs, x, 0.0)
             caps_by_node = cs.node_coupling_caps(x)
             np.testing.assert_allclose(cap_sum, caps_by_node - x * dx_sum)
 
@@ -173,7 +185,8 @@ class TestValidation:
 
 
 class TestNodeTerms:
-    """Fused node_terms vs the individual node_sums / slope_sums paths."""
+    """Fused node_terms_batch at width one vs the separate node_sums /
+    slope_sums oracles."""
 
     def _random_sizes(self, cs, seed=0):
         rng = np.random.default_rng(seed)
@@ -186,14 +199,14 @@ class TestNodeTerms:
         cs = two_pair_set(order=order)
         x = self._random_sizes(cs)
         gamma = 0.37
-        terms = cs.node_terms(x, gamma)
-        cap_sum, dx_sum = cs.node_sums(x)
+        terms = node_terms(cs, x, gamma)
+        cap_sum, dx_sum = node_sums(cs, x)
         np.testing.assert_allclose(terms.cap_sum, cap_sum,
                                    rtol=1e-12, atol=1e-15)
         np.testing.assert_allclose(terms.dx_sum, dx_sum,
                                    rtol=1e-12, atol=1e-15)
         np.testing.assert_allclose(terms.gamma_slopes,
-                                   cs.slope_sums(x, gamma),
+                                   slope_sums(cs, x, gamma),
                                    rtol=1e-12, atol=1e-15)
         assert terms.node_caps is None
 
@@ -202,15 +215,15 @@ class TestNodeTerms:
         cs = two_pair_set(order=order)
         x = self._random_sizes(cs, seed=3)
         gamma = np.linspace(0.01, 0.4, cs.num_nodes)
-        terms = cs.node_terms(x, gamma)
+        terms = node_terms(cs, x, gamma)
         np.testing.assert_allclose(terms.gamma_slopes,
-                                   cs.slope_sums(x, gamma),
+                                   slope_sums(cs, x, gamma),
                                    rtol=1e-12, atol=1e-15)
 
     def test_node_caps_ride_along(self):
         cs = two_pair_set()
         x = self._random_sizes(cs, seed=5)
-        terms = cs.node_terms(x, 0.1, node_caps=True)
+        terms = node_terms(cs, x, 0.1, node_caps=True)
         np.testing.assert_allclose(terms.node_caps,
                                    cs.node_coupling_caps(x),
                                    rtol=1e-12, atol=1e-15)
@@ -220,8 +233,8 @@ class TestNodeTerms:
         cs = two_pair_set(order=3)
         for seed in range(4):
             x = self._random_sizes(cs, seed=seed)
-            terms = cs.node_terms(x, 0.2)
-            cap_sum, dx_sum = cs.node_sums(x)
+            terms = node_terms(cs, x, 0.2)
+            cap_sum, dx_sum = node_sums(cs, x)
             np.testing.assert_allclose(terms.cap_sum, cap_sum,
                                        rtol=1e-12, atol=1e-15)
             np.testing.assert_allclose(terms.dx_sum, dx_sum,
@@ -229,7 +242,7 @@ class TestNodeTerms:
 
     def test_empty_set_returns_zeros(self):
         cs = CouplingSet.empty(6)
-        terms = cs.node_terms(np.ones(6), 0.5, node_caps=True)
+        terms = node_terms(cs, np.ones(6), 0.5, node_caps=True)
         assert not terms.cap_sum.any() and not terms.dx_sum.any()
         assert not terms.gamma_slopes.any() and not terms.node_caps.any()
 

@@ -1,5 +1,9 @@
 """Reference implementations that the product code is pinned against.
 
-Each module here keeps a straightforward (slow) spelling of a structure
-the library now builds another way; tests compare the two exactly.
+Each module here keeps a straightforward (slow) spelling of something
+the library now computes another way: the list-built sweep plan, the
+per-level Elmore sweeps, the per-sweep LRS and its coupling sums, the
+per-level flow projection and the per-node simulator.  Tests compare
+the two exactly, or to a tolerance fixed in the test where the
+summation order differs.
 """

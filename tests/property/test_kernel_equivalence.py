@@ -1,9 +1,9 @@
-"""Property-based kernel-vs-reference backend equivalence.
+"""Property-based kernel-vs-oracle equivalence.
 
 Randomized circuit topologies, size vectors, delay modes, coupling
 Taylor orders, and scalar / per-net γ: the precompiled kernel sweeps and
-the fused LRS pass must agree with the reference backend to 1e-12
-relative everywhere.
+the fused LRS pass must agree with the level-sweep oracles in
+``tests/oracles/`` to 1e-12 relative everywhere.
 """
 
 import numpy as np
@@ -15,6 +15,10 @@ from repro.core import LagrangianSubproblemSolver, MultiplierState
 from repro.geometry import ChannelLayout
 from repro.noise import CouplingSet, MillerMode, SimilarityAnalyzer
 from repro.timing import CouplingDelayMode, ElmoreEngine
+
+from oracles.elmore import LevelSweepEngine
+from oracles.lrs import solve_reference
+from oracles.multipliers import project_reference
 
 
 @st.composite
@@ -49,29 +53,30 @@ def solver_case(draw):
 @given(case=solver_case())
 def test_sweeps_and_lrs_match(case):
     cc, coupling, mode, x, beta, gamma = case
-    kernel = ElmoreEngine(cc, coupling, mode, backend="kernel")
-    reference = ElmoreEngine(cc, coupling, mode, backend="reference")
+    kernel = ElmoreEngine(cc, coupling, mode)
+    reference = LevelSweepEngine(cc, coupling, mode)
 
     ck, cr = kernel.capacitances(x), reference.capacitances(x)
     for key in cr:
-        np.testing.assert_allclose(ck[key], cr[key], rtol=1e-12, atol=1e-14)
+        np.testing.assert_allclose(ck[key], cr[key], rtol=1e-12, atol=1e-14,
+                                   equal_nan=False)
     delays = reference.delays(x)
     np.testing.assert_allclose(kernel.delays(x), delays,
-                               rtol=1e-12, atol=1e-14)
+                               rtol=1e-12, atol=1e-14, equal_nan=False)
     np.testing.assert_allclose(kernel.arrival_times(delays),
                                reference.arrival_times(delays),
-                               rtol=1e-12, atol=1e-12)
+                               rtol=1e-12, atol=1e-12, equal_nan=False)
 
     mult = MultiplierState.initial(cc, beta=beta, gamma=gamma)
     lam = mult.node_multipliers()
     np.testing.assert_allclose(
         kernel.weighted_upstream_resistance(x, lam),
         reference.weighted_upstream_resistance(x, lam),
-        rtol=1e-12, atol=1e-14)
+        rtol=1e-12, atol=1e-14, equal_nan=False)
 
     solver = LagrangianSubproblemSolver(kernel, max_passes=60)
     rk = solver.solve(mult, x0=x)
-    rr = LagrangianSubproblemSolver(reference, max_passes=60).solve(mult, x0=x)
+    rr = solve_reference(reference, mult, x0=x, max_passes=60)
     # S4 must never emit a non-finite size (odd coupling orders can make
     # its numerator negative), and NaN must never count as agreement.
     assert np.isfinite(rk.x).all() and np.isfinite(rr.x).all()
@@ -94,6 +99,7 @@ def test_projection_matches_reference(case):
     lam = rng.uniform(0.0, 2.0, cc.num_edges)
     lam[rng.random(cc.num_edges) < 0.25] = 0.0
     a = MultiplierState(cc, lam.copy()).project()
-    b = MultiplierState(cc, lam.copy()).project(backend="reference")
-    np.testing.assert_allclose(a.lam_edge, b.lam_edge, rtol=1e-10, atol=1e-12)
+    b = project_reference(MultiplierState(cc, lam.copy()))
+    np.testing.assert_allclose(a.lam_edge, b.lam_edge, rtol=1e-10, atol=1e-12,
+                               equal_nan=False)
     assert abs(a.conservation_residual() - b.conservation_residual()) < 1e-9

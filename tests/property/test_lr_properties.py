@@ -62,7 +62,8 @@ def test_lrs_unique_optimum_from_any_start(cc, sink):
     from_low = solver.solve(mult).x
     from_high = solver.solve(mult, x0=cc.default_sizes(np.inf)).x
     mask = cc.is_sizable
-    np.testing.assert_allclose(from_low[mask], from_high[mask], rtol=1e-4)
+    np.testing.assert_allclose(from_low[mask], from_high[mask], rtol=1e-4,
+                               equal_nan=False)
 
 
 @settings(max_examples=15, deadline=None)

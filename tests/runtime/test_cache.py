@@ -86,6 +86,24 @@ def test_record_from_dict_rejects_junk():
         RunRecord.from_dict({"kind": "run_record", "schema": 2})
 
 
+def test_record_rejects_non_finite_values(record):
+    """No non-finite size or metric leaves the solver inside a record; an
+    infinite duality gap stays legal (it flags "no feasible point")."""
+    import dataclasses
+    import math
+
+    from repro.utils.errors import ValidationError
+
+    nan, inf = math.nan, math.inf
+    bad_sizes = (nan,) + record.sizes[1:]
+    bad_metrics = dataclasses.replace(record.metrics, delay_ps=inf)
+    for change in ({"sizes": bad_sizes}, {"metrics": bad_metrics},
+                   {"initial_metrics": bad_metrics}, {"duality_gap": nan}):
+        with pytest.raises(ValidationError):
+            dataclasses.replace(record, **change)
+    assert dataclasses.replace(record, duality_gap=inf).duality_gap == inf
+
+
 def test_runner_overwrites_corrupt_entry(tmp_path, scenario):
     cache = ResultCache(tmp_path)
     runner = BatchRunner(cache=cache)

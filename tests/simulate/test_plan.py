@@ -23,10 +23,12 @@ from repro.simulate import (
 from repro.simulate.plan import SimPlan
 from repro.utils.errors import SimulationError
 
+from oracles.simulate import simulate_reference
+
 
 def _assert_backends_equal(circuit, patterns):
-    plan = simulate_levelized(circuit, patterns, backend="plan")
-    ref = simulate_levelized(circuit, patterns, backend="reference")
+    plan = simulate_levelized(circuit, patterns)
+    ref = simulate_reference(circuit, patterns)
     assert plan.dtype == ref.dtype == np.bool_
     assert np.array_equal(plan, ref)
 
@@ -100,16 +102,14 @@ class TestPlanStructure:
 
 
 class TestBackendDispatch:
-    def test_unknown_backend_rejected(self, small_circuit):
-        pats = random_patterns(small_circuit.num_drivers, 4, seed=6)
-        with pytest.raises(SimulationError):
-            simulate_levelized(small_circuit, pats, backend="turbo")
+    """The entry point, the plan and the per-node oracle agree on input
+    handling."""
 
     def test_pattern_validation_shared(self, small_circuit):
         bad = np.zeros((4, small_circuit.num_drivers + 1), dtype=bool)
-        for backend in ("plan", "reference"):
+        for simulate in (simulate_levelized, simulate_reference):
             with pytest.raises(SimulationError):
-                simulate_levelized(small_circuit, bad, backend=backend)
+                simulate(small_circuit, bad)
 
     def test_direct_plan_use_matches_entry_point(self, small_circuit):
         pats = random_patterns(small_circuit.num_drivers, 16, seed=7)

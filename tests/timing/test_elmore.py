@@ -6,8 +6,10 @@ import pytest
 from repro.circuit import CircuitBuilder, random_circuit
 from repro.geometry import ChannelLayout
 from repro.noise import CouplingSet, MillerMode, SimilarityAnalyzer
-from repro.timing import CouplingDelayMode, ElmoreEngine, ElmoreReference
+from repro.timing import CouplingDelayMode, ElmoreEngine
 from repro.utils.units import OHM_FF_TO_PS
+
+from oracles.elmore import ElmoreReference
 
 
 @pytest.fixture(scope="module")

@@ -1,8 +1,8 @@
-"""Kernel sweep layer: plan structure, backend equivalence, allocation.
+"""Kernel sweep layer: plan structure, oracle equivalence, allocation.
 
 The precompiled :class:`SweepPlan` / :class:`Workspace` kernels must be
-drop-in replacements for the reference backend's unbuffered level
-sweeps, and a steady-state fused LRS pass must not allocate.
+drop-in replacements for the unbuffered level sweeps kept as oracles in
+``tests/oracles/``, and a steady-state fused LRS pass must not allocate.
 """
 
 import tracemalloc
@@ -17,6 +17,10 @@ from repro.noise import CouplingSet, MillerMode
 from repro.timing import CouplingDelayMode, ElmoreEngine
 from repro.utils.errors import ValidationError
 
+from oracles.elmore import LevelSweepEngine
+from oracles.lrs import solve_reference
+from oracles.multipliers import project_reference
+
 
 @pytest.fixture(scope="module")
 def setup():
@@ -29,14 +33,8 @@ def setup():
 
 
 def _engines(compiled, coupling, mode=CouplingDelayMode.OWN):
-    return (ElmoreEngine(compiled, coupling, mode, backend="kernel"),
-            ElmoreEngine(compiled, coupling, mode, backend="reference"))
-
-
-def test_backend_flag_validated(setup):
-    compiled, coupling = setup
-    with pytest.raises(ValidationError):
-        ElmoreEngine(compiled, coupling, backend="turbo")
+    return (ElmoreEngine(compiled, coupling, mode),
+            LevelSweepEngine(compiled, coupling, mode))
 
 
 def test_plan_structure(setup):
@@ -87,7 +85,7 @@ def test_lrs_solve_matches_reference_backend(setup, mode):
     kernel, reference = _engines(compiled, coupling, mode)
     mult = MultiplierState.initial(compiled, beta=1e-3, gamma=1e-3)
     rk = LagrangianSubproblemSolver(kernel).solve(mult)
-    rr = LagrangianSubproblemSolver(reference).solve(mult)
+    rr = solve_reference(reference, mult)
     assert rk.passes == rr.passes
     assert rk.converged and rr.converged
     np.testing.assert_allclose(rk.x, rr.x, rtol=1e-12, atol=1e-15)
@@ -102,7 +100,7 @@ def test_project_matches_reference(setup):
     kernel = MultiplierState(compiled, lam.copy())
     reference = MultiplierState(compiled, lam.copy())
     kernel.project()
-    reference.project(backend="reference")
+    project_reference(reference)
     np.testing.assert_allclose(kernel.lam_edge, reference.lam_edge,
                                rtol=1e-10, atol=1e-12)
     assert kernel.conservation_residual() < 1e-9
@@ -115,7 +113,7 @@ def test_project_on_random_circuits():
         lam = rng.uniform(0.0, 1.5, compiled.num_edges)
         lam[rng.random(compiled.num_edges) < 0.3] = 0.0
         a = MultiplierState(compiled, lam.copy()).project()
-        b = MultiplierState(compiled, lam.copy()).project(backend="reference")
+        b = project_reference(MultiplierState(compiled, lam.copy()))
         np.testing.assert_allclose(a.lam_edge, b.lam_edge,
                                    rtol=1e-10, atol=1e-12)
 
@@ -160,15 +158,15 @@ def test_steady_state_lrs_pass_allocates_nothing(setup):
 
 
 def test_reference_backend_allocates_more_for_contrast(setup):
-    """Sanity check that the guard above measures something real."""
+    """Sanity check that the guard above measures something real: the
+    per-sweep oracle spelling allocates well past its budget."""
     compiled, coupling = setup
-    engine = ElmoreEngine(compiled, coupling, backend="reference")
+    engine = LevelSweepEngine(compiled, coupling)
     mult = MultiplierState.initial(compiled, beta=1e-3, gamma=1e-3)
     x0 = compiled.default_sizes(1.0)
-    solver = LagrangianSubproblemSolver(engine, max_passes=5, tolerance=0.0)
-    solver.solve(mult, x0=x0)
+    solve_reference(engine, mult, x0=x0, tolerance=0.0, max_passes=5)
     tracemalloc.start()
-    solver.solve(mult, x0=x0)
+    solve_reference(engine, mult, x0=x0, tolerance=0.0, max_passes=5)
     _, peak = tracemalloc.get_traced_memory()
     tracemalloc.stop()
     assert peak > 8 * compiled.num_nodes * 8 + 5 * 16 * 1024
@@ -219,15 +217,16 @@ def test_full_stack_without_scipy_kernel(setup, monkeypatch):
     """End-to-end LRS + sweeps on the fallback backend path."""
     from repro.timing import kernels
 
-    # csr_matvec checks _HAVE_RAW_MATVEC at call time, so the patch
+    # csr_matvec checks _HAVE_RAW_MATVEC(S) at call time, so the patch
     # applies even to scratch/workspaces built earlier.
     monkeypatch.setattr(kernels, "_HAVE_RAW_MATVEC", False)
+    monkeypatch.setattr(kernels, "_HAVE_RAW_MATVECS", False)
     compiled, coupling = setup
     _, reference = _engines(compiled, coupling)
     engine_fallback = ElmoreEngine(compiled, coupling)
     mult = MultiplierState.initial(compiled, beta=1e-3, gamma=1e-3)
     rk = LagrangianSubproblemSolver(engine_fallback).solve(mult)
-    rr = LagrangianSubproblemSolver(reference).solve(mult)
+    rr = solve_reference(reference, mult)
     np.testing.assert_allclose(rk.x, rr.x, rtol=1e-12, atol=1e-15)
     delays = reference.delays(compiled.default_sizes(1.0))
     np.testing.assert_allclose(
@@ -349,15 +348,16 @@ class TestBatchedKernels:
             np.testing.assert_array_equal(got.x, want.x)
 
     def test_solve_batch_mixed_gamma_forms_fall_back(self, setup):
+        """One batch runs one γ form: a batch mixing scalar and per-net
+        columns is rejected."""
         compiled, coupling = setup
         engine = ElmoreEngine(compiled, coupling)
         solver = LagrangianSubproblemSolver(engine)
         scalar_g = MultiplierState.initial(compiled, beta=1e-3, gamma=1e-3)
         per_net = MultiplierState.initial(compiled, beta=1e-3, gamma=0.0)
         per_net.gamma = np.full(compiled.num_nodes, 1e-3)
-        batch = solver.solve_batch([scalar_g, per_net])
-        np.testing.assert_array_equal(batch[0].x, solver.solve(scalar_g).x)
-        np.testing.assert_array_equal(batch[1].x, solver.solve(per_net).x)
+        with pytest.raises(ValidationError):
+            solver.solve_batch([scalar_g, per_net])
 
     def test_solve_batch_warm_starts(self, setup):
         compiled, coupling = setup
@@ -397,6 +397,29 @@ class TestBatchedKernels:
             np.testing.assert_array_equal(got.x, want.x)
         assert [r.converged for r in batch] == [False, True]
 
+    def test_solve_batch_results_do_not_alias_the_pool(self, setup):
+        """Regression: a column finishing in the width-1 buffers must be
+        copied out, or the next solve on the pool overwrites it."""
+        compiled, coupling = setup
+        engine = ElmoreEngine(compiled, coupling)
+        solver = LagrangianSubproblemSolver(engine)
+        mults = [MultiplierState.initial(compiled, beta=1e-3, gamma=1e-3),
+                 MultiplierState.initial(compiled, beta=3e-1, gamma=2e-1)]
+        # Column 1 starts at its own fixed point and converges first, so
+        # column 0 finishes alone at width one.
+        x0s = [None, solver.solve(mults[1]).x]
+        results = solver.solve_batch(mults, x0s)
+        assert results[1].passes < results[0].passes
+        kept = [r.x.copy() for r in results]
+        for width in (1, 2):
+            ws = engine.pool.buffers(width)
+            for r in results:
+                assert not np.shares_memory(r.x, ws.x_a)
+                assert not np.shares_memory(r.x, ws.x_b)
+        solver.solve(mults[0])
+        for r, x in zip(results, kept):
+            np.testing.assert_array_equal(r.x, x)
+
     def test_batch_workspace_pooled_by_width(self, setup):
         from repro.timing import kernels
 
@@ -426,11 +449,8 @@ class TestBatchedKernels:
     def test_steady_state_batched_pass_allocates_nothing(self, setup):
         """tracemalloc guard, batched edition: warm (n, K) passes at a
         constant width run entirely in the pooled workspace."""
-        from repro.timing import kernels
-
         compiled, coupling = setup
         engine = ElmoreEngine(compiled, coupling)
-        bws = kernels.BatchWorkspace(compiled.sweep_plan())
         mults = [MultiplierState.initial(compiled, beta=1e-3, gamma=1e-3)
                  for _ in range(4)]
         x0 = compiled.default_sizes(1.0)
@@ -439,10 +459,10 @@ class TestBatchedKernels:
         # so every pass after warmup is steady-state.
         solver = LagrangianSubproblemSolver(engine, max_passes=5,
                                             tolerance=0.0)
-        solver.solve_batch(mults, x0s, batch=bws)  # warm pools + scratch
+        solver.solve_batch(mults, x0s)  # warm pools + scratch
 
         tracemalloc.start()
-        solver.solve_batch(mults, x0s, batch=bws)
+        solver.solve_batch(mults, x0s)
         _, peak = tracemalloc.get_traced_memory()
         tracemalloc.stop()
         # Per-solve constants (K lam_node vectors + the final x copies)
@@ -520,10 +540,8 @@ def test_evalcontext_totals_match_metric_functions(setup):
     mask = compiled.is_sizable
     x[mask] = np.clip(rng.uniform(0.5, 3.0, int(mask.sum())),
                       compiled.lower[mask], compiled.upper[mask])
-    for backend in ("kernel", "reference"):
-        context = EvalContext(ElmoreEngine(compiled, coupling,
-                                           backend=backend), x)
-        assert context.area_um2 == pytest.approx(
-            total_area(compiled, x), rel=1e-12)
-        assert context.total_cap_ff == pytest.approx(
-            total_capacitance(compiled, x), rel=1e-12)
+    context = EvalContext(ElmoreEngine(compiled, coupling), x)
+    assert context.area_um2 == pytest.approx(
+        total_area(compiled, x), rel=1e-12)
+    assert context.total_cap_ff == pytest.approx(
+        total_capacitance(compiled, x), rel=1e-12)

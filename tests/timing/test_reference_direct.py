@@ -11,8 +11,10 @@ import pytest
 from repro.circuit import CircuitBuilder
 from repro.geometry import CouplingPair
 from repro.noise import CouplingSet
-from repro.timing import CouplingDelayMode, ElmoreReference
+from repro.timing import CouplingDelayMode
 from repro.utils.units import OHM_FF_TO_PS
+
+from oracles.elmore import ElmoreReference
 
 
 @pytest.fixture(scope="module")
