@@ -242,21 +242,23 @@ def bench_cold_breakdown(name, patterns, repeats):
     """Per-stage cold setup times (the similarity → ordering cold path).
 
     Rebuilds the circuit every repeat so all memoized artifacts
-    (``compile()``, ``sim_plan()``, analyzer keys) start cold; netlist
-    parsing and layout construction stay outside the clock.  Stages:
+    (``compile()``, ``sim_plan()``) start cold; netlist parsing and
+    layout construction stay outside the clock.  Stages:
 
     * ``analyzer`` — SimPlan compilation + levelized simulation
       (analyzer construction end to end),
-    * ``keys`` — int16 sort keys for every channel (one f32 ±1 matmul
-      per channel, reduced to integer keys),
+    * ``keys`` — each channel's int16 sort keys, built one channel at a
+      time (one f32 ±1 matmul per channel, reduced to integer keys),
     * ``ordering`` — WOSS over every channel via the keys fast path,
-    * ``cost`` — before/after path-dissimilarity totals from the cached
-      keys,
+    * ``cost`` — before/after path-dissimilarity totals from the
+      disagreement counts of adjacent rows,
     * ``apply`` — layout reordering,
 
     plus ``cold_total_ms``: one uninstrumented end-to-end
     ``order_channel_wires`` run (fresh circuit again), the number the
-    PR 6 ≥3× acceptance gate checks.
+    PR 6 ≥3× acceptance gate checks.  ``keys`` and ``ordering`` are
+    summed channel by channel, each channel's keys dropped once it is
+    ordered, as the flow does.
     """
     from repro.core.flow import order_channel_wires, resolve_ordering
     from repro.geometry.layout import ChannelLayout
@@ -271,10 +273,16 @@ def bench_cold_breakdown(name, patterns, repeats):
         analyzer = SimilarityAnalyzer(circuit, n_patterns=patterns, seed=0)
         t1 = time.perf_counter()
         channels = [ch for ch in layout.channels if len(ch) >= 2]
-        keys_list = analyzer.sort_keys_many([ch.wires for ch in channels])
-        t2 = time.perf_counter()
-        orders = {ch.label: ordering(None, ch.label, keys)
-                  for ch, keys in zip(channels, keys_list)}
+        orders = {}
+        keys_s = ordering_s = 0.0
+        for ch in channels:
+            t_keys = time.perf_counter()
+            keys = analyzer.sort_keys(ch.wires)
+            t_order = time.perf_counter()
+            orders[ch.label] = ordering(None, ch.label, keys)
+            keys_s += t_order - t_keys
+            ordering_s += time.perf_counter() - t_order
+            del keys
         t3 = time.perf_counter()
         for ch in channels:
             analyzer.path_dissimilarity(ch.wires)
@@ -282,8 +290,8 @@ def bench_cold_breakdown(name, patterns, repeats):
         t4 = time.perf_counter()
         layout.apply_ordering(orders)
         t5 = time.perf_counter()
-        for key, dt in (("analyzer", t1 - t0), ("keys", t2 - t1),
-                        ("ordering", t3 - t2), ("cost", t4 - t3),
+        for key, dt in (("analyzer", t1 - t0), ("keys", keys_s),
+                        ("ordering", ordering_s), ("cost", t4 - t3),
                         ("apply", t5 - t4)):
             best[key] = min(best.get(key, np.inf), dt)
     total = np.inf

@@ -25,7 +25,6 @@ import numpy as np
 
 from repro.noise.miller import MillerMode
 from repro.noise.ordering import (
-    _path_cost,
     greedy_both_ends,
     random_ordering,
     woss_ordering,
@@ -70,42 +69,44 @@ def order_channel_wires(analyzer, layout, ordering):
     Returns ``(ordered_layout, cost_before, cost_after)`` where the
     costs are the summed ``1 − similarity`` over adjacent pairs.
 
-    The adjacent-pair costs are one fancy-indexed sum per channel — no
-    per-wire Python work.  Ordering callables that declare
-    ``accepts_sort_keys`` (WOSS) receive the analyzer's integer distance
-    keys via :meth:`SimilarityAnalyzer.sort_keys_many`, trading the
-    per-step argmin loop for one sorted prefix walk per channel; on that
-    path neither the float weight matrix nor the float64 similarity
-    matrix is ever materialized (the keys determine the order, and
-    :meth:`SimilarityAnalyzer.path_dissimilarity` sums the costs from
-    gathered keys — bitwise-identical, since the elementwise ``1 − s``
-    commutes with the gather).  Channels without keys (other orderings,
-    or too many patterns for ``int16``) ask
-    :meth:`SimilarityAnalyzer.matrix` for one channel at a time, so at
-    most one float64 similarity matrix and its weights are alive at
-    once.
+    Stage 1 streams: each channel's similarity is built, used to order
+    the channel and dropped before the next channel's, so at most one
+    channel's width × width array is alive at a time and nothing of it
+    outlives the call.  Ordering callables that declare
+    ``accepts_sort_keys`` (WOSS) receive the channel's integer distance
+    keys from :meth:`SimilarityAnalyzer.sort_keys` instead of float
+    weights, trading the per-step argmin loop for one sorted prefix
+    walk; the others (or WOSS above 16383 patterns, where no keys exist)
+    get the channel's float64 weights ``1 − similarity``.  Every
+    ordering's costs come from one place,
+    :meth:`SimilarityAnalyzer.path_dissimilarity`, which counts the
+    disagreements of adjacent rows — O(width · P) per channel and
+    bit-identical to summing the weights over the same pairs.
     """
-    channels = [ch for ch in layout.channels if len(ch) >= 2]
     keyed = getattr(ordering, "accepts_sort_keys", False)
-    keys_list = (analyzer.sort_keys_many([ch.wires for ch in channels])
-                 if keyed else [None] * len(channels))
     orders = {}
     cost_before = 0.0
     cost_after = 0.0
-    for channel, keys in zip(channels, keys_list):
-        if keys is not None:
-            order = ordering(None, channel.label, keys)
-            cost_before += analyzer.path_dissimilarity(channel.wires)
-            cost_after += analyzer.path_dissimilarity(channel.wires, order)
-        else:
-            weights = 1.0 - analyzer.matrix(channel.wires)
-            np.fill_diagonal(weights, 0.0)
-            order = (ordering(weights, channel.label, None) if keyed
-                     else ordering(weights, channel.label))
-            cost_before += _path_cost(list(range(len(channel))), weights)
-            cost_after += _path_cost(order, weights)
+    for channel in layout.channels:
+        if len(channel) < 2:
+            continue
+        order = _order_channel(analyzer, channel, ordering, keyed)
+        cost_before += analyzer.path_dissimilarity(channel.wires)
+        cost_after += analyzer.path_dissimilarity(channel.wires, order)
         orders[channel.label] = order
     return layout.apply_ordering(orders), cost_before, cost_after
+
+
+def _order_channel(analyzer, channel, ordering, keyed):
+    """One channel's order; its keys or weights die with this frame."""
+    keys = analyzer.sort_keys(channel.wires) if keyed else None
+    if keys is not None:
+        return ordering(None, channel.label, keys)
+    weights = 1.0 - analyzer.matrix(channel.wires)
+    np.fill_diagonal(weights, 0.0)
+    if keyed:
+        return ordering(weights, channel.label, None)
+    return ordering(weights, channel.label)
 
 
 @dataclasses.dataclass

@@ -158,6 +158,8 @@ class SolverSession:
         ``ordering`` is a name from
         :data:`~repro.core.flow.ORDERING_NAMES` (memoized) or a callable
         (computed fresh — callables have no stable identity to key on).
+        Only the result is kept: each ordering builds its channels'
+        similarity afresh, one channel at a time.
         """
         named = isinstance(ordering, str)
         key = (ordering, int(n_patterns), seed, pitch) if named else None

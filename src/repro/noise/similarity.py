@@ -11,8 +11,8 @@ Two forms are provided:
 * **time-domain**: exact integration of event-driven waveforms, capturing
   glitches, via :meth:`Waveform.product_integral`.
 
-:class:`SimilarityAnalyzer` wraps simulation + caching so the ordering
-stage can ask for per-channel similarity matrices cheaply.
+:class:`SimilarityAnalyzer` runs the simulation once and serves the
+ordering stage one channel's similarity at a time.
 """
 
 import numpy as np
@@ -65,30 +65,30 @@ def similarity_from_waveforms(waveforms):
 class SimilarityAnalyzer:
     """Runs logic simulation once and serves per-channel similarity.
 
-    Each distinct channel (an index tuple) costs one ``±1`` Gram product,
-    computed on first request and reduced at once to the only thing
-    cached: the channel's integer distance keys ``2d = P − Σ±1`` (twice
-    the pairwise Hamming distance over ``P`` patterns) — ``int16`` while
-    ``P ≤ 16383``, ``int32`` above.  Every accessor reads through that
-    one integer matrix: :meth:`sort_keys` / :meth:`sort_keys_many` return
-    it (``int16`` only), while :meth:`matrix` / :meth:`matrices`,
-    :meth:`path_dissimilarity` and :meth:`pair` rebuild similarity from
-    ``P − keys`` — exactly the Gram's integers, so the float64 results
-    are bit-identical to a float64 ``±1`` product.  Nothing float is
-    kept: a float64 matrix lives only as long as its caller holds it
-    (returned arrays are read-only).  ``cache_hits``/``cache_misses``
-    count channel lookups through the public accessors, hit ⇔ the
-    channel's integer matrix is already cached (pinned by
-    ``tests/noise/test_similarity.py``).
+    The analyzer keeps only the ``patterns`` and the boolean ``values``
+    they simulate to; nothing is cached per channel, so its state is
+    O(nodes · P) however the wires are grouped.  Every accessor works on
+    one channel (an index sequence) at a time:
+
+    * :meth:`matrix` and :meth:`sort_keys` build the channel's ``±1``
+      Gram fresh — an f32 matmul whose entries are exact integers — and
+      reduce it to similarity ``Σ±1 / P`` (float64) or to the integer
+      distance keys ``2d = P − Σ±1`` (``int16``); both are read-only and
+      bit-identical to a float64 ``±1`` computation.
+    * :meth:`path_dissimilarity` and :meth:`pair` need only adjacent
+      pairs: over ``P`` patterns with ``h`` disagreements the ``±1``
+      products sum to the integer ``P − 2h``, so ``(P − 2h) / P`` from
+      the rows' disagreement counts is the same float, in O(width · P)
+      with no width × width array.
 
     Parameters
     ----------
     circuit:
         The circuit to analyze.
     patterns:
-        Boolean pattern matrix; defaults to ``n_patterns`` seeded random
-        vectors (the paper takes patterns "from the logic simulation
-        stage"; see DESIGN.md §3).
+        Boolean pattern matrix, one row per pattern (at least one);
+        defaults to ``n_patterns`` seeded random vectors (the paper takes
+        patterns "from the logic simulation stage"; see DESIGN.md §3).
     n_patterns, seed:
         Used only when ``patterns`` is not supplied.
     """
@@ -98,148 +98,89 @@ class SimilarityAnalyzer:
         if patterns is None:
             patterns = random_patterns(circuit.num_drivers, n_patterns, seed=seed)
         self.patterns = np.asarray(patterns, dtype=bool)
+        if len(self.patterns) == 0:
+            raise SimulationError("similarity needs at least one pattern")
         self._values = simulate_levelized(circuit, self.patterns)
-        self._keys = {}
-        self.cache_hits = 0
-        self.cache_misses = 0
 
     @property
     def values(self):
         """Node-by-pattern boolean matrix from the levelized simulation."""
         return self._values
 
-    def matrix(self, indices):
-        """Similarity matrix over the node ``indices`` (a channel, usually).
-
-        Built from the channel's cached integer keys on every call; the
-        returned array is read-only.
-        """
-        return self.matrices([indices])[0]
-
-    def _lookup(self, index_groups):
-        """Normalize groups to tuples, counting cache hits/misses.
-
-        A group counts as a *hit* when its integer matrix — the expensive
-        part — is already cached, regardless of which accessor computed
-        it first.
-        """
-        if self._values.shape[1] == 0:
-            raise SimulationError("values must be (nodes, patterns) with >= 1 pattern")
-        groups = [g if type(g) is tuple else tuple(int(i) for i in g)
-                  for g in index_groups]
-        for g in groups:
-            if g in self._keys:
-                self.cache_hits += 1
-            else:
-                self.cache_misses += 1
-        return groups
-
-    def _ensure_keys(self, groups):
-        """Compute and cache the missing groups' keys, one channel at a time.
+    def _gram(self, indices):
+        """The rows' exact ``±1`` Gram ``Σ±1``, one channel's worth.
 
         The product of ``±1`` rows is a sum of ``±1`` terms bounded by
         ``P``, so every partial sum is an exactly representable integer
         even in float32 — the single-precision matmul (about twice the
         dgemm throughput) is exact as long as ``P`` stays below 2**23.
-        The keys ``2d = P − Σ±1`` (twice the Hamming distance — halving
-        would only cost another full pass) reach ``2P``: ``int16`` holds
-        them up to ``P = 16383``.  Only one channel's float rows and
-        Gram are alive at a time.
         """
         n_patterns = self._values.shape[1]
-        gram_dtype = np.float32 if n_patterns <= 2 ** 23 else np.float64
-        key_dtype = np.int16 if n_patterns <= 16383 else np.int32
-        for g in groups:
-            if not g or g in self._keys:
-                continue
-            # bool → ±1 via a widening cast plus two in-place passes
-            # (np.where with scalar branches is ~3× slower here).
-            rows = self._values[np.array(g, dtype=np.int64)].astype(gram_dtype)
-            rows *= 2.0
-            rows -= 1.0
-            gram = rows @ rows.T
-            np.subtract(n_patterns, gram, out=gram)
-            keys = gram.astype(key_dtype)
-            keys.setflags(write=False)
-            self._keys[g] = keys
+        dtype = np.float32 if n_patterns <= 2 ** 23 else np.float64
+        # bool → ±1 via a widening cast plus two in-place passes
+        # (np.where with scalar branches is ~3× slower here).
+        rows = self._values[np.asarray(indices, dtype=np.int64)].astype(dtype)
+        rows *= 2.0
+        rows -= 1.0
+        return rows @ rows.T
 
-    def _gram(self, keys):
-        """The exact ``±1`` Gram ``P − keys`` as float64."""
-        return np.subtract(self._values.shape[1], keys, dtype=np.float64)
+    def matrix(self, indices):
+        """Similarity matrix over the node ``indices`` (a channel, usually).
 
-    def matrices(self, index_groups):
-        """Similarity matrices for many channels, one per input group.
-
-        Missing channels' keys are computed first (see
-        :meth:`_ensure_keys`); each float64 matrix is then built fresh
-        from its channel's keys (read-only, not cached — callers that
-        need one channel at a time should ask one at a time).
+        Built fresh on every call; the returned array is read-only.
         """
-        groups = self._lookup(index_groups)
-        self._ensure_keys(groups)
-        n_patterns = self._values.shape[1]
-        out = []
-        for g in groups:
-            if not g:
-                out.append(similarity_from_values(self._values, g))
-                continue
-            matrix = self._gram(self._keys[g])
-            matrix /= n_patterns
-            np.fill_diagonal(matrix, 1.0)
-            matrix.setflags(write=False)
-            out.append(matrix)
-        return out
+        matrix = self._gram(indices).astype(np.float64)
+        matrix /= self._values.shape[1]
+        np.fill_diagonal(matrix, 1.0)
+        matrix.setflags(write=False)
+        return matrix
 
-    def sort_keys_many(self, index_groups):
-        """Integer ordering keys for many channels in one pass.
+    def sort_keys(self, indices):
+        """Integer ordering keys for one channel, built fresh (read-only).
 
-        Returns the channels' cached read-only ``int16`` distance
-        matrices (twice the pairwise Hamming distance) without
-        materializing their float64 similarity: the key ``2d[a, b]`` is
+        The ``int16`` distance matrix ``2d = P − Σ±1`` (twice the pairwise
+        Hamming distance; halving would only cost another full pass) is
         an exact monotone image of the ordering weight
         ``1 − similarity = 2d/P`` — within any row (and globally), keys
         compare and tie exactly as the weights do.
         :func:`~repro.noise.ordering.woss_ordering` uses them to replace
-        its per-step masked argmin with one sorted prefix walk.
-        ``None`` entries mark unavailable groups (empty channel, or more
-        than 16383 patterns — keys reach ``2P``, beyond ``int16``).
+        its per-step masked argmin with one sorted prefix walk.  Returns
+        ``None`` above 16383 patterns, where keys (up to ``2P``) leave
+        ``int16``.
         """
-        groups = self._lookup(index_groups)
-        self._ensure_keys(groups)
-        return [k if k is not None and k.dtype == np.int16 else None
-                for k in map(self._keys.get, groups)]
+        n_patterns = self._values.shape[1]
+        if n_patterns > 16383:
+            return None
+        gram = self._gram(indices)
+        np.subtract(n_patterns, gram, out=gram)
+        keys = gram.astype(np.int16)
+        keys.setflags(write=False)
+        return keys
 
-    def sort_keys(self, indices):
-        """Ordering keys for one channel — see :meth:`sort_keys_many`."""
-        return self.sort_keys_many([indices])[0]
+    def _adjacent_similarity(self, indices):
+        """Similarity of each adjacent pair of rows ``indices``, as
+        ``(P − 2h) / P`` from their disagreement counts ``h``."""
+        rows = self._values[np.asarray(indices, dtype=np.int64)]
+        differ = np.count_nonzero(rows[:-1] != rows[1:], axis=1)
+        n_patterns = self._values.shape[1]
+        return (n_patterns - 2 * differ) / n_patterns
 
     def path_dissimilarity(self, indices, order=None):
         """Σ ``1 − similarity`` over adjacent pairs — one channel's
         stage-1 ordering cost.
 
         ``order`` is a position permutation (default: the given track
-        order).  Computed by gathering the cached keys, without
-        materializing the channel's float64 matrix; bitwise-equal to
-        summing ``1 − matrix(indices)`` over the same pairs, since the
-        elementwise ``1 − s`` commutes with the gather.
+        order).  Bitwise-equal to summing ``1 − matrix(indices)`` over
+        the same pairs, without building the matrix.
         """
-        g = indices if type(indices) is tuple else tuple(
-            int(i) for i in indices)
-        if len(g) < 2:
-            return 0.0
-        self._ensure_keys([g])
-        keys = self._keys[g]
-        if order is None:
-            s = self._gram(np.diagonal(keys, 1))
-        else:
-            idx = np.asarray(order, dtype=np.int64)
-            s = self._gram(keys[idx[:-1], idx[1:]])
-        s /= self._values.shape[1]
-        return float(np.sum(1.0 - s))
+        indices = np.asarray(indices, dtype=np.int64)
+        if order is not None:
+            indices = indices[np.asarray(order, dtype=np.int64)]
+        return float(np.sum(1.0 - self._adjacent_similarity(indices)))
 
     def pair(self, i, j):
-        """Similarity between node indices ``i`` and ``j`` (cached)."""
-        return float(self.matrix([i, j])[0, 1])
+        """Similarity between node indices ``i`` and ``j``."""
+        return float(self._adjacent_similarity([i, j])[0])
 
     def toggle_rate(self, index):
         """Fraction of consecutive cycles on which node ``index`` changes."""

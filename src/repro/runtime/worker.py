@@ -433,19 +433,24 @@ class Worker:
     # -- serve-mode discovery ---------------------------------------------------
 
     def _discover(self):
-        """Adopt submitted queues that appeared under the serve dirs."""
+        """Adopt submitted queues that appeared under the serve dirs.
+
+        Adopted children are skipped by name before any filesystem
+        check, so each pass costs one listing per serve dir plus checks
+        on new entries only, however many sweeps a long-lived server
+        has adopted.  New queues are adopted in sorted (priority) order.
+        """
         for directory in self.serve_dirs:
-            candidates = []
             if (directory / "sweep.json").exists():
-                candidates.append(directory)
+                candidates = [directory]
             else:
                 try:
-                    children = sorted(p for p in directory.iterdir()
-                                      if p.is_dir())
+                    candidates = sorted(c for c in directory.iterdir()
+                                        if str(c) not in self._known
+                                        and c.is_dir()
+                                        and (c / "sweep.json").exists())
                 except OSError:
-                    children = []
-                candidates.extend(c for c in children
-                                  if (c / "sweep.json").exists())
+                    candidates = []
             for root in candidates:
                 key = str(root)
                 if key not in self._known:

@@ -83,6 +83,13 @@ class TestAnalyzer:
         b = SimilarityAnalyzer(small_circuit, n_patterns=32, seed=3)
         np.testing.assert_array_equal(a.patterns, b.patterns)
 
+    def test_zero_patterns_rejected(self, small_circuit):
+        """Zero patterns would make every similarity 0/0 = NaN, and NaN
+        Miller weights would silently drop every coupling pair."""
+        empty = np.zeros((0, small_circuit.num_drivers), dtype=bool)
+        with pytest.raises(SimulationError):
+            SimilarityAnalyzer(small_circuit, patterns=empty)
+
     def test_toggle_rate(self, small_circuit):
         ana = SimilarityAnalyzer(small_circuit, n_patterns=128, seed=0)
         rate = ana.toggle_rate(1)  # a driver
@@ -92,56 +99,38 @@ class TestAnalyzer:
 
 
 class TestAnalyzerCache:
-    """The memoization contract: hit ⇔ a channel's integer keys are cached."""
+    """No per-channel cache: every accessor builds its channel fresh."""
 
     def _channels(self, circuit, k=3, size=4):
         wires = [w.index for w in circuit.wires()]
         return [tuple(wires[i * size:(i + 1) * size]) for i in range(k)]
 
-    def test_matrix_repeat_is_a_hit(self, small_circuit):
+    def test_matrix_repeat_is_equal(self, small_circuit):
         ana = SimilarityAnalyzer(small_circuit, n_patterns=64, seed=0)
         idx = self._channels(small_circuit, k=1)[0]
         first = ana.matrix(idx)
-        assert (ana.cache_hits, ana.cache_misses) == (0, 1)
         second = ana.matrix(idx)
-        assert (ana.cache_hits, ana.cache_misses) == (1, 1)
-        # Rebuilt from the cached integer keys: equal, not the same object.
+        # Built fresh each call: equal, not the same object.
+        assert second is not first
         np.testing.assert_array_equal(second, first)
 
-    def test_pair_reads_through_the_cache(self, small_circuit):
-        """Regression: ``pair`` previously recomputed a fresh 2×2 matrix
-        on every call while the docstring claimed caching."""
+    def test_pair_matches_matrix(self, small_circuit):
         ana = SimilarityAnalyzer(small_circuit, n_patterns=64, seed=0)
         i, j = [w.index for w in small_circuit.wires()[:2]]
-        ana.pair(i, j)
-        assert (ana.cache_hits, ana.cache_misses) == (0, 1)
-        ana.pair(i, j)
-        assert (ana.cache_hits, ana.cache_misses) == (1, 1)
+        assert ana.pair(i, j) == ana.matrix([i, j])[0, 1] == ana.pair(j, i)
 
-    def test_accessors_share_one_gram(self, small_circuit):
-        """sort_keys then matrix costs one key computation, not two."""
+    def test_accessors_keep_no_channel_state(self, small_circuit):
+        """Stage-1 state is O(nodes · P): after every accessor has run,
+        the analyzer still holds only its patterns and values."""
         ana = SimilarityAnalyzer(small_circuit, n_patterns=64, seed=0)
-        idx = self._channels(small_circuit, k=1)[0]
-        ana.sort_keys(idx)
-        assert (ana.cache_hits, ana.cache_misses) == (0, 1)
-        ana.matrix(idx)
-        ana.path_dissimilarity(idx)
-        assert (ana.cache_hits, ana.cache_misses) == (1, 1)
-
-    def test_batched_matrices_equal_single_calls(self, small_circuit):
-        groups = self._channels(small_circuit)
-        a = SimilarityAnalyzer(small_circuit, n_patterns=64, seed=0)
-        b = SimilarityAnalyzer(small_circuit, n_patterns=64, seed=0)
-        batched = a.matrices(groups)
-        single = [b.matrix(g) for g in groups]
-        for m_batch, m_single in zip(batched, single):
-            np.testing.assert_array_equal(m_batch, m_single)
-        assert a.cache_misses == len(groups)
-        # Second batched call: all hits, equal matrices.
-        again = a.matrices(groups)
-        assert a.cache_hits == len(groups)
-        for x, y in zip(again, batched):
-            np.testing.assert_array_equal(x, y)
+        before = dict(vars(ana))
+        for idx in self._channels(small_circuit):
+            ana.matrix(idx)
+            ana.sort_keys(idx)
+            ana.path_dissimilarity(idx)
+            ana.pair(idx[0], idx[1])
+        assert vars(ana).keys() == before.keys()
+        assert all(vars(ana)[k] is v for k, v in before.items())
 
     def test_returned_arrays_read_only(self, small_circuit):
         ana = SimilarityAnalyzer(small_circuit, n_patterns=64, seed=0)
@@ -188,10 +177,10 @@ class TestAnalyzerCache:
 
     @pytest.mark.parametrize("n_patterns", [1, 48, 64, 100, 257, 16384])
     def test_f32_gram_bitwise_equals_f64(self, small_circuit, n_patterns):
-        """The keys hold the ±1 Gram's exact integers (int16, or int32
-        above 16383 patterns), so the similarity rebuilt from them must
-        carry the same bits as a float64 ±1 computation — for
-        ``matrix`` and for ``path_dissimilarity``."""
+        """The f32 ``±1`` Gram and the disagreement counts hold exact
+        integers, so ``matrix``, ``path_dissimilarity`` and ``pair``
+        carry the same bits as a float64 ±1 computation, and the
+        ``int16`` keys exist exactly up to 16383 patterns."""
         pats = np.random.default_rng(n_patterns).random(
             (n_patterns, small_circuit.num_drivers)) < 0.5
         ana = SimilarityAnalyzer(small_circuit, patterns=pats)
@@ -206,6 +195,7 @@ class TestAnalyzerCache:
             float(np.sum(1.0 - exact[pairs]))
         assert ana.path_dissimilarity(idx) == \
             float(np.sum(1.0 - np.diagonal(exact, 1)))
+        assert ana.pair(idx[4], idx[1]) == exact[4, 1]
         keys = ana.sort_keys(idx)
         assert (keys is None) == (n_patterns > 16383)
 

@@ -239,6 +239,40 @@ class TestWarmWorkers:
         # The second queue's identical circuit reused the warm session.
         assert worker.sessions.hits >= 1
 
+    def test_serve_discovery_skips_adopted_sweeps(self, tmp_path, sweep,
+                                                  monkeypatch):
+        """Re-discovery makes no filesystem check on an adopted sweep,
+        and still adopts new ones in sorted (priority) order."""
+        import pathlib
+
+        base = tmp_path / "srv"
+        base.mkdir()
+        scenario = sweep.scenarios()[:1]
+        for name in ("05-b", "00-a", "09-c"):
+            SweepQueue(base / name).submit(scenario)
+        worker = Worker(serve_dirs=[base], lease_s=30.0, poll_s=0.01)
+        worker._discover()
+        assert [q.root.name for q in worker.queues] == ["00-a", "05-b", "09-c"]
+        for name in ("07-e", "01-d"):
+            SweepQueue(base / name).submit(scenario)
+
+        checked = []
+        for method in ("is_dir", "exists"):
+            original = getattr(pathlib.Path, method)
+
+            def spy(path, *args, _original=original, **kwargs):
+                checked.append(path)
+                return _original(path, *args, **kwargs)
+
+            monkeypatch.setattr(pathlib.Path, method, spy)
+        worker._discover()
+        adopted = {base / name for name in ("00-a", "05-b", "09-c")}
+        assert [p for p in checked
+                if p in adopted or p.parent in adopted] == []
+        assert checked      # the new sweeps were checked
+        assert [q.root.name for q in worker.queues] == \
+            ["00-a", "05-b", "09-c", "01-d", "07-e"]
+
     def test_serve_worker_idle_timeout_and_prestop(self, tmp_path):
         base = tmp_path / "srv"
         base.mkdir()
