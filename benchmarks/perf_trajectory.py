@@ -2,9 +2,7 @@
 
 Measures, per circuit:
 
-* end-to-end OGWS wall clock on the one solve path (``ogws_kernel_s``,
-  the field :meth:`repro.runtime.queue.CostModel.from_bench_file`
-  calibrates shard costs from),
+* end-to-end OGWS wall clock on the one solve path (``ogws_kernel_s``),
 * one isolated S2+S3+S4 LRS pass (``lrs_pass_kernel_ms``),
 * with ``--batch-scenarios K`` (default 8): a K-scenario sweep sharing
   the circuit, solved as K independent one-scenario sessions (the
@@ -320,7 +318,7 @@ def bench_circuit(name, patterns, repeats):
     ogws_s, result = time_ogws(engine, outcome.problem, repeats)
     pass_s = time_lrs_pass(engine, mult, x0, repeats)
     # Field names keep the "kernel" tag of the older two-backend entries
-    # so the trajectory (and CostModel.from_bench_file) reads one series.
+    # so the trajectory reads as one series.
     return {"name": name, "nodes": compiled.num_nodes,
             "edges": compiled.num_edges, "levels": compiled.num_levels,
             "ogws_kernel_s": round(ogws_s, 6),

@@ -152,10 +152,10 @@ def build_parser():
                           help="how each circuit's scenario group splits "
                                "into shards: 'count' caps scenarios per "
                                "shard (--shard-size); 'cost' packs shards "
-                               "to an estimated-solve-cost budget "
-                               "(--cost-budget), so one large-circuit "
-                               "shard doesn't straggle behind many small "
-                               "ones (default: count)")
+                               "to the estimated solve cost of the most "
+                               "expensive single scenario, so one "
+                               "large-circuit shard doesn't straggle "
+                               "behind many small ones (default: count)")
     q_submit.add_argument("--shard-size", type=int, default=None, metavar="N",
                           help="max scenarios per shard — the count-mode "
                                "splitter (default: one shard per circuit "
@@ -163,18 +163,6 @@ def build_parser():
                                "share one circuit's sweep).  In "
                                "--shard-mode cost it is an extra cap on "
                                "top of the cost budget")
-    q_submit.add_argument("--cost-budget", type=float, default=None,
-                          metavar="C",
-                          help="cost mode: max estimated cost per shard "
-                               "(default: the single most expensive "
-                               "scenario's cost, so the largest circuit "
-                               "shards alone while cheap circuits pack "
-                               "many scenarios per shard)")
-    q_submit.add_argument("--cost-bench", default=None, metavar="PATH",
-                          help="calibrate the cost model from a "
-                               "BENCH_perf.json trajectory (cost mode; "
-                               "default: uncalibrated circuit-size "
-                               "estimates)")
     q_submit.add_argument("--label", default="",
                           help="free-form tag recorded in the manifest")
     q_submit.add_argument("--lease-ttl", type=float, default=None,
@@ -420,7 +408,7 @@ def cmd_sweep(args, out):
 
 def cmd_queue(args, out):
     from repro.analysis.live import watch_queue
-    from repro.runtime.queue import CostModel, SweepQueue
+    from repro.runtime.queue import SweepQueue
     from repro.runtime.worker import run_workers
 
     if args.queue_command == "work" and \
@@ -435,21 +423,16 @@ def cmd_queue(args, out):
             "STOP file)")
     queue = SweepQueue(args.queue_dir) if args.queue_dir else None
     if args.queue_command == "submit":
-        cost_model = (CostModel.from_bench_file(args.cost_bench)
-                      if args.cost_bench else None)
         shards = queue.submit(_spec_from_args(args),
                               shard_size=args.shard_size, label=args.label,
                               shard_mode=args.shard_mode,
-                              cost_model=cost_model,
-                              cost_budget=args.cost_budget,
                               lease_ttl=args.lease_ttl,
                               lease_grace=args.lease_grace)
         scenarios = sum(len(s) for s in shards)
         out.write(f"submitted {scenarios} scenarios as {len(shards)} "
                   f"shards ({args.shard_mode} mode) to {queue.root}\n")
         for shard in shards:
-            # General format: estimates are component counts uncalibrated
-            # (~1e2..1e4) but measured *seconds* when --cost-bench is on.
+            # Estimates are component counts (gates + wires).
             out.write(f"  {shard.shard_id}: {len(shard)} scenarios, "
                       f"est cost {shard.est_cost:.4g}\n")
         out.write("drain with: repro queue work --queue-dir "

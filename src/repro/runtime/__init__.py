@@ -34,9 +34,7 @@ runs into data so sweeps scale:
   stream (:func:`tail_events` follows it live), and
   :meth:`SweepQueue.gather` reassembles records in scenario order —
   byte-identical to a serial run, no matter how many workers or hosts
-  took part.  :class:`QueueExecutor` adapts the service to the
-  executor protocol so a :class:`BatchRunner` can run on the queue
-  transparently.
+  took part.
 
 Quickstart (library)::
 
@@ -81,7 +79,7 @@ Quickstart (sharded queue service) — terminal 1 submits and watches::
     repro queue watch --queue-dir /shared/q      # live table as records land
 
 (``--shard-mode cost`` packs shards by estimated solve cost — see
-:class:`~repro.runtime.queue.CostModel` — so large circuits don't
+:func:`~repro.runtime.queue.make_shards` — so large circuits don't
 straggle behind piles of small ones; the default packs by count.)
 
 terminal 2 (and any number of others, on any host sharing the
@@ -103,14 +101,6 @@ afterwards, anywhere::
     repro queue gather --queue-dir /shared/q     # records in scenario order,
                                                  # byte-identical to serial
     repro queue merge --queue-dir /shared/q /other/host/q   # cross-host union
-
-The same service, as a library — a throwaway queue under an ordinary
-:class:`BatchRunner`::
-
-    from repro.runtime import BatchRunner, QueueExecutor
-
-    runner = BatchRunner(executor_factory=lambda: QueueExecutor(workers=4))
-    records = runner.run(spec)       # byte-identical to jobs=1
 
 Quickstart (HTTP service) — the same queue substrate behind a
 multi-tenant API (:mod:`~repro.runtime.api`): terminal 1 serves the
@@ -145,7 +135,6 @@ from repro.runtime.faults import (
     PoisonError,
 )
 from repro.runtime.queue import (
-    CostModel,
     PartialSweepError,
     QueueStatus,
     Shard,
@@ -163,7 +152,6 @@ from repro.runtime.runner import (
     run_scenario_group,
 )
 from repro.runtime.worker import (
-    QueueExecutor,
     Worker,
     run_workers,
     serve_queues,
@@ -182,7 +170,6 @@ __all__ = [
     "SweepStats",
     "SerialExecutor",
     "MultiprocessExecutor",
-    "QueueExecutor",
     "resolve_jobs",
     "run_scenario",
     "run_scenario_group",
@@ -200,7 +187,6 @@ __all__ = [
     "Shard",
     "QueueStatus",
     "make_shards",
-    "CostModel",
     "PartialSweepError",
     "FaultPlan",
     "FaultInjector",

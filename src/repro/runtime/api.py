@@ -275,7 +275,7 @@ class SweepService:
         if not isinstance(payload, dict):
             raise ApiError(400, "submission body must be a JSON object")
         known = {"spec", "tenant", "label", "shard_size", "shard_mode",
-                 "cost_budget", "lease_ttl", "lease_grace"}
+                 "lease_ttl", "lease_grace"}
         unknown = sorted(set(payload) - known)
         if unknown:
             raise ApiError(
@@ -291,7 +291,6 @@ class SweepService:
         options = {
             "shard_size": payload.get("shard_size"),
             "shard_mode": str(payload.get("shard_mode", "count")),
-            "cost_budget": payload.get("cost_budget"),
             "lease_ttl": payload.get("lease_ttl"),
             "lease_grace": payload.get("lease_grace"),
         }
@@ -333,7 +332,6 @@ class SweepService:
                 spec, shard_size=options["shard_size"],
                 label=f"{tenant.name}:{label}" if label else tenant.name,
                 shard_mode=options["shard_mode"],
-                cost_budget=options["cost_budget"],
                 lease_ttl=options["lease_ttl"],
                 lease_grace=options["lease_grace"])
         except ValidationError as error:

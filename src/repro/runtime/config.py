@@ -22,6 +22,7 @@ byte-stable across processes, which is what the result cache keys on.
 import dataclasses
 import hashlib
 import json
+import math
 import pathlib
 
 from repro.core.flow import ORDERING_NAMES
@@ -40,6 +41,32 @@ def _canonical_json(data):
 
 def _content_hash(data):
     return hashlib.sha256(_canonical_json(data).encode()).hexdigest()
+
+
+def _integral(name, value):
+    """``int(value)``, or :class:`ValidationError` for junk and non-integral
+    numbers (``2.0`` passes, ``2.5``, NaN and infinity do not)."""
+    try:
+        number = int(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ValidationError(
+            f"{name} must be an integer, got {value!r}") from None
+    if not isinstance(value, str) and number != value:
+        raise ValidationError(f"{name} must be an integer, got {value!r}")
+    return number
+
+
+def _finite(name, value):
+    """``float(value)``, or :class:`ValidationError` for junk, NaN and
+    infinity."""
+    try:
+        number = float(value)
+    except (TypeError, ValueError):
+        raise ValidationError(
+            f"{name} must be a number, got {value!r}") from None
+    if not math.isfinite(number):
+        raise ValidationError(f"{name} must be finite, got {value!r}")
+    return number
 
 
 #: Nodes (or edges) encoded per hash update by :func:`circuit_fingerprint`.
@@ -260,17 +287,24 @@ class FlowConfig:
             raise ValidationError(
                 f"unknown ordering {self.ordering!r}; "
                 f"choose from {sorted(ORDERING_NAMES)}")
-        MillerMode(self.miller_mode)          # raises ValueError on junk
-        CouplingDelayMode(self.delay_mode)
+        for field, mode in (("miller_mode", MillerMode),
+                            ("delay_mode", CouplingDelayMode)):
+            try:
+                mode(getattr(self, field))
+            except ValueError:
+                raise ValidationError(
+                    f"unknown {field} {getattr(self, field)!r}; choose "
+                    f"from {[m.value for m in mode]}") from None
         if self.update not in _UPDATE_NAMES:
             raise ValidationError(
                 f"unknown update {self.update!r}; choose from {_UPDATE_NAMES}")
         for field in ("coupling_order", "n_patterns", "max_iterations"):
-            if int(getattr(self, field)) < 1:
+            if _integral(f"FlowConfig.{field}", getattr(self, field)) < 1:
                 raise ValidationError(f"FlowConfig.{field} must be >= 1")
+        _integral("FlowConfig.seed", self.seed)
         for field in ("delay_slack", "noise_fraction", "power_fraction",
                       "tolerance"):
-            if float(getattr(self, field)) <= 0:
+            if _finite(f"FlowConfig.{field}", getattr(self, field)) <= 0:
                 raise ValidationError(f"FlowConfig.{field} must be positive")
 
     def replace(self, **changes):
@@ -483,7 +517,10 @@ class SweepSpec:
             raise ValidationError("'base' must be a FlowConfig object/dict")
         kwargs = {"circuits": tuple(circuits), "base": base}
         for field, cast in (("orderings", str), ("miller_modes", str),
-                            ("delay_modes", str), ("coupling_orders", int),
+                            ("delay_modes", str),
+                            ("coupling_orders",
+                             lambda v: _integral("SweepSpec.coupling_orders",
+                                                 v)),
                             ("delay_slacks", float),
                             ("noise_fractions", float),
                             ("power_fractions", float)):

@@ -8,11 +8,10 @@ completions (``record_done``, carrying a trimmed
 :class:`~repro.runtime.records.RunRecord` payload so a watcher can
 render live tables without touching the results store), per-shard solve
 timings (``shard_timing``, carrying the circuit label, scenario counts,
-the submitter's ``est_cost`` and the measured ``elapsed_s`` — the
-feedback signal :meth:`repro.runtime.queue.CostModel.from_events`
-calibrates cost-mode sharding from, and what ``repro queue status``
-renders as estimated-vs-actual), worker lifecycle (``worker_started`` /
-``worker_done``), and liveness (``heartbeat``).  :func:`tail_events` is the consumer side: an
+the submitter's ``est_cost`` and the measured ``elapsed_s`` — what
+``repro queue status`` renders as estimated-vs-actual), worker
+lifecycle (``worker_started`` / ``worker_done``), and liveness
+(``heartbeat``).  :func:`tail_events` is the consumer side: an
 incremental reader that survives torn trailing lines and can *follow*
 the file as writers append, which is what ``repro queue watch`` and
 :func:`repro.analysis.live.watch_queue` sit on.

@@ -3,8 +3,8 @@
 :func:`run_scenario` is the pure unit of work (scenario in, record out);
 :class:`BatchRunner` expands a :class:`~repro.runtime.config.SweepSpec`,
 answers what it can from a :class:`~repro.runtime.cache.ResultCache`, and
-executes the rest with a pluggable executor — :class:`SerialExecutor` or
-:class:`MultiprocessExecutor` (``multiprocessing.Pool``).  Records stream
+executes the rest with the executor ``jobs`` picks — :class:`SerialExecutor`
+or :class:`MultiprocessExecutor` (``multiprocessing.Pool``).  Records stream
 back in scenario order regardless of executor, and the per-scenario seed
 is derived from scenario content (see :attr:`Scenario.seed`), so parallel
 and serial runs of the same spec produce byte-identical records.
@@ -21,9 +21,9 @@ seeds do not depend on the grouping, and records are byte-identical to
 independent one-scenario solves (pinned by the batch-equivalence
 tests).  :func:`run_scenario` is the one-scenario group.
 
-**Warm sessions.**  On the in-process path (``jobs=1``, no custom
-executor) the runner keeps a :class:`~repro.core.session.SessionPool`
-for its lifetime and passes it to :func:`run_scenario_group`, so
+**Warm sessions.**  On the in-process path (``jobs=1``) the runner
+keeps a :class:`~repro.core.session.SessionPool` for its lifetime and
+passes it to :func:`run_scenario_group`, so
 repeated ``run`` calls — and repeated circuits within one sweep — reuse
 warm :class:`~repro.core.session.SolverSession` artifacts instead of
 rebuilding them per group.  Queue workers hold their own pool (see
@@ -210,29 +210,16 @@ class BatchRunner:
         scenarios by circuit and solves each group through one
         compile-once :class:`~repro.core.session.SolverSession`
         (lockstep batching inside).
-    executor_factory:
-        Optional zero-argument callable returning a fresh executor
-        (``map``/``close``/``abort``) per sweep, overriding the default
-        ``jobs``-based choice — the seam distributed backends plug into
-        (e.g. ``lambda: QueueExecutor(workers=4)`` runs the sweep on a
-        durable work queue; see :mod:`repro.runtime.worker`).
     """
 
-    def __init__(self, jobs=1, cache=None, run=run_scenario,
-                 executor_factory=None):
+    def __init__(self, jobs=1, cache=None, run=run_scenario):
         self.jobs = resolve_jobs(jobs)
         if run is not run_scenario and self.jobs > 1:
             raise ValidationError("a custom run function requires jobs=1")
         self.cache = cache
         self._run = run
-        self.executor_factory = executor_factory
         self.stats = SweepStats()
         self._sessions = None
-
-    def _new_executor(self):
-        if self.executor_factory is not None:
-            return self.executor_factory()
-        return make_executor(self.jobs)
 
     def _cache_put(self, scenario, record):
         """Persist one record, tolerating cache-store I/O failure.
@@ -288,7 +275,7 @@ class BatchRunner:
             return
 
         # A fully warm cache must not pay pool spin-up for zero work.
-        executor = self._new_executor() if missing else SerialExecutor()
+        executor = make_executor(self.jobs) if missing else SerialExecutor()
         completed = False
         try:
             fresh = iter(executor.map(self._run, [s for _, s in missing]))
@@ -353,12 +340,12 @@ class BatchRunner:
                 locate[index] = (gpos, offset)
 
         work = run_scenario_group
-        if self.jobs == 1 and self.executor_factory is None:
+        if self.jobs == 1:
             # In-process execution: hand the groups the runner's warm
             # session pool (never crosses a process boundary).
             work = functools.partial(run_scenario_group,
                                      pool=self.session_pool())
-        executor = self._new_executor()
+        executor = make_executor(self.jobs)
         completed = False
         try:
             fresh = iter(executor.map(

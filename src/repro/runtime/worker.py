@@ -19,10 +19,9 @@ Three amortizations make workers *warm* instead of per-sweep throwaways:
   or across queues — skip the circuit build, compilation, similarity
   analysis, layout, and ordering entirely.  Records stay byte-identical
   to a cold rebuild (session artifacts are deterministic).
-* **Per-shard timing feedback.**  Every completed shard appends a
-  ``shard_timing`` event (estimated vs measured cost), which
-  :meth:`repro.runtime.queue.CostModel.from_events` feeds back into
-  cost-adaptive sharding of the next submission.
+* **Per-shard timing.**  Every completed shard appends a
+  ``shard_timing`` event (the submitter's cost estimate next to the
+  measured solve seconds), which ``repro queue status`` reports.
 
 Concurrency and atomicity contract
 ----------------------------------
@@ -75,11 +74,7 @@ claimable work, or (with ``max_shards``) after enough completions.
 
 :func:`work_queue` / :func:`serve_queues` / :func:`run_workers` are the
 process entry points (``repro queue work --jobs N`` spawns one process
-per worker; ``--serve DIR...`` starts them long-lived), and
-:class:`QueueExecutor` adapts the whole service to the batch runner's
-``map`` / ``close`` / ``abort`` executor protocol — so
-``BatchRunner(executor_factory=...)`` runs an ordinary sweep on the
-durable queue transparently, records byte-identical to serial.
+per worker; ``--serve DIR...`` starts them long-lived).
 """
 
 import multiprocessing
@@ -87,25 +82,14 @@ import os
 import pathlib
 import random
 import secrets
-import shutil
-import tempfile
 import threading
 import time
 
 from repro.runtime.faults import FaultyEventLog, backoff_s, make_injector
-from repro.runtime.queue import SweepQueue, _circuit_size_estimate
-from repro.runtime.runner import (
-    resolve_jobs,
-    run_scenario,
-    run_scenario_group,
-)
+from repro.runtime.queue import SweepQueue
+from repro.runtime.runner import resolve_jobs, run_scenario_group
 from repro.utils.errors import ReproError, ValidationError
 from repro.utils.rng import stable_seed
-
-#: Default lease duration (seconds).  Generous: heartbeats refresh it
-#: every :attr:`Worker.heartbeat_s` regardless of how long a shard
-#: solves, so expiry only ever means the claimant stopped running.
-DEFAULT_LEASE_S = 60.0
 
 #: Default capacity of a worker's warm :class:`SessionPool`.
 DEFAULT_SESSIONS = 4
@@ -206,7 +190,8 @@ class Worker:
         the shard.  Must comfortably exceed ``heartbeat_s`` (not the
         solve time — heartbeats run in a thread).  Default ``None``:
         each queue's manifest lease policy applies (``submit
-        --lease-ttl``), falling back to :data:`DEFAULT_LEASE_S`.
+        --lease-ttl``), falling back to
+        :data:`~repro.runtime.queue.DEFAULT_LEASE_TTL_S`.
     heartbeat_s:
         Lease refresh interval; defaults to a quarter of the effective
         lease TTL.
@@ -639,12 +624,6 @@ class Worker:
                           scenarios=len(shard), computed=len(missing),
                           cached=len(shard) - len(missing),
                           est_cost=float(shard.est_cost),
-                          # Per-scenario component estimate: lets
-                          # CostModel.from_events fit a seconds-per-
-                          # component scale for circuits of any kind,
-                          # not just Table 1 names.
-                          size_est=float(_circuit_size_estimate(
-                              shard.scenarios[0].circuit)),
                           elapsed_s=round(elapsed, 6))
         self.computed += len(missing)
         self.cache_hits += len(shard) - len(missing)
@@ -822,123 +801,3 @@ def run_workers(root, jobs, serve=False, restart_budget=0, **worker_kwargs):
     if failures:
         raise ReproError(f"queue worker processes failed: {failures}")
     return jobs
-
-
-class QueueExecutor:
-    """The executor protocol (``map``/``close``/``abort``) on a queue.
-
-    ``map`` submits each work item as one shard to a throwaway
-    :class:`SweepQueue`, spawns worker processes to drain it, and yields
-    per-item results in submission order as their shards complete — so
-    a :class:`~repro.runtime.runner.BatchRunner` constructed with
-    ``executor_factory=lambda: QueueExecutor(workers=4)`` runs its sweep
-    on the durable queue transparently, byte-identical records and all.
-    Unlike the in-memory executors the work units must be the module's
-    own (:func:`run_scenario` / :func:`run_scenario_group`) — queue
-    workers re-derive the work from the shard ticket, not from a pickled
-    callable.
-
-    With the default ``root=None`` each ``map`` cycle creates (and on
-    ``close``/``abort`` removes) a temporary queue directory; pass an
-    explicit ``root`` to keep the queue — results, events, tickets —
-    inspectable afterwards (such a root is single-use, like any
-    submitted queue).
-    """
-
-    def __init__(self, root=None, workers=2, lease_s=DEFAULT_LEASE_S,
-                 poll_s=0.05):
-        self.workers = resolve_jobs(workers)
-        self.lease_s = float(lease_s)
-        self.poll_s = float(poll_s)
-        self._given_root = None if root is None else pathlib.Path(root)
-        self._root = None
-        self._owns_root = False
-        self._queue = None
-        self._processes = []
-
-    def map(self, fn, items):
-        """Submit ``items`` as shards and stream their results in order."""
-        if self._queue is not None:
-            raise ValidationError(
-                "QueueExecutor.map called while a previous map is still "
-                "open; call close() or abort() first")
-        if fn is run_scenario:
-            groups = [[item] for item in items]
-            single = True
-        elif fn is run_scenario_group:
-            groups = [list(item) for item in items]
-            single = False
-        else:
-            raise ValidationError(
-                "QueueExecutor only runs run_scenario / run_scenario_group "
-                "work units (queue workers re-derive work from shard "
-                "tickets, not pickled callables)")
-        if not groups:
-            return iter(())
-        if self._given_root is not None:
-            self._root = self._given_root
-            self._owns_root = False
-        else:
-            self._root = pathlib.Path(tempfile.mkdtemp(prefix="repro-queue-"))
-            self._owns_root = True
-        self._queue = SweepQueue(self._root)
-        shards = self._queue.submit_shards(groups, label="queue-executor")
-        self._processes = [
-            multiprocessing.Process(
-                target=work_queue, args=(str(self._root),),
-                kwargs={"lease_s": self.lease_s, "poll_s": self.poll_s},
-                name=f"repro-queue-executor-{index}")
-            for index in range(min(self.workers, len(shards)))
-        ]
-        for process in self._processes:
-            process.start()
-        return self._stream(shards, groups, single)
-
-    def _stream(self, shards, groups, single):
-        cache = self._queue.cache()
-        for shard, group in zip(shards, groups):
-            ticket = self._queue.done_dir / f"{shard.shard_id}.json"
-            while not ticket.exists():
-                if not any(p.is_alive() for p in self._processes):
-                    # A worker may have completed this very shard (and
-                    # exited on the drained queue) between the exists()
-                    # probe and the liveness check — look again before
-                    # declaring the drain failed.
-                    if ticket.exists():
-                        break
-                    raise ReproError(
-                        f"queue workers exited before shard "
-                        f"{shard.shard_id} completed (see "
-                        f"{self._queue.events_path})")
-                time.sleep(self.poll_s)
-            records = []
-            for scenario in group:
-                record = cache.peek(scenario)
-                if record is None:
-                    raise ReproError(
-                        f"shard {shard.shard_id} is done but scenario "
-                        f"{scenario.label} has no record")
-                records.append(record)
-            yield records[0] if single else records
-
-    def _teardown(self):
-        self._processes = []
-        self._queue = None
-        if self._owns_root and self._root is not None:
-            shutil.rmtree(self._root, ignore_errors=True)
-        self._root = None
-        self._owns_root = False
-
-    def close(self):
-        """Wait for the workers to finish draining, then clean up."""
-        for process in self._processes:
-            process.join()
-        self._teardown()
-
-    def abort(self):
-        """Kill the workers without waiting for the queue to drain."""
-        for process in self._processes:
-            if process.is_alive():
-                process.terminate()
-            process.join()
-        self._teardown()

@@ -135,14 +135,24 @@ def test_submit_is_idempotent_across_spellings(tmp_path):
 
 def test_submit_rejections_are_400(tmp_path):
     service = SweepService(tmp_path / "svc")
+    spec = _spec().canonical_dict()
     for bad in (
         ["not", "an", "object"],
         {},                                         # no spec
-        {"spec": _spec().canonical_dict(), "burst": 1},  # unknown field
+        {"spec": spec, "burst": 1},                 # unknown field
+        {"spec": spec, "cost_budget": 1.0},         # removed field
         {"spec": {"circuits": [], "nonsense": 1}},  # unknown spec key
         {"spec": {"circuits": []}},                 # empty sweep
-        {"spec": dict(_spec().canonical_dict(),     # removed config key
-                      base={"partitions": 2})},
+        {"spec": dict(spec, base={"partitions": 2})},   # removed config key
+        {"spec": dict(spec, miller_modes=["junk"])},
+        {"spec": dict(spec, delay_modes=["junk"])},
+        {"spec": dict(spec, base={"miller_mode": "junk"})},
+        {"spec": dict(spec, base={"delay_mode": "junk"})},
+        {"spec": dict(spec, base={"n_patterns": "many"})},
+        {"spec": spec, "shard_size": "abc"},
+        {"spec": spec, "shard_size": [1]},
+        {"spec": spec, "lease_ttl": "x"},
+        {"spec": spec, "lease_grace": "soon"},
     ):
         with pytest.raises(ApiError) as err:
             service.submit(bad)
@@ -407,6 +417,17 @@ def test_http_quota_rejection(tmp_path):
         assert body["active"] == 1 and body["retry_hint"]
     finally:
         handle.stop()
+
+
+def test_http_malformed_submission_is_a_400_body(served):
+    """Junk inside a valid-shaped spec answers 400 JSON; it used to
+    escape the handler and drop the connection."""
+    _, handle = served
+    body = _payload()
+    body["spec"]["delay_modes"] = ["junk"]
+    status, error = _json(handle, "POST", "/v1/sweeps", body)
+    assert status == 400 and error["status"] == 400
+    assert "junk" in error["error"]
 
 
 def test_dashboard_renders_from_events_only(served, drained):

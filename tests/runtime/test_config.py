@@ -144,8 +144,34 @@ class TestFlowConfig:
         {"tolerance": -1.0},
     ])
     def test_invalid_fields_rejected(self, bad):
-        with pytest.raises((ValidationError, ValueError)):
+        with pytest.raises(ValidationError):
             FlowConfig(**bad)
+
+    @pytest.mark.parametrize("bad", [
+        {"delay_slack": float("nan")},
+        {"noise_fraction": float("inf")},
+        {"power_fraction": float("nan")},
+        {"tolerance": float("nan")},
+        {"coupling_order": 2.5},
+        {"n_patterns": 64.5},
+        {"n_patterns": "many"},
+        {"max_iterations": 2.5},
+        {"max_iterations": float("inf")},
+        {"seed": 0.5},
+        {"seed": float("nan")},
+        {"miller_mode": ["junk"]},
+    ])
+    def test_non_finite_and_non_integral_rejected(self, bad):
+        """NaN passed ``<= 0`` checks and ``int()`` truncated 2.5 to 2;
+        both now fail up front instead of burning a solve."""
+        with pytest.raises(ValidationError):
+            FlowConfig(**bad)
+
+    def test_integral_floats_keep_their_canonical_bytes(self):
+        assert FlowConfig(n_patterns=64.0, max_iterations=100.0,
+                          coupling_order=2.0, seed=3.0).canonical_json() == \
+            FlowConfig(n_patterns=64, max_iterations=100,
+                       seed=3).canonical_json()
 
     def test_canonical_json_sorted_and_stable(self):
         a = FlowConfig(n_patterns=64).canonical_json()
@@ -280,6 +306,9 @@ class TestSweepSpecWire:
             lambda d: d.update(surprise=1),
             lambda d: d.update(orderings="woss"),
             lambda d: d.update(orderings=["no-such-ordering"]),
+            lambda d: d.update(miller_modes=["junk"]),
+            lambda d: d.update(coupling_orders=[2.5]),
+            lambda d: d.update(delay_slacks=["NaN"]),
             lambda d: d.update(base={"bogus_knob": 3}),
         ):
             data = json.loads(json.dumps(good))

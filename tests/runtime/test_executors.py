@@ -3,9 +3,8 @@
 The batch runner only asks three things of an executor — ``map`` streams
 results in submission order, ``close`` is safe to call repeatedly, and
 ``abort`` tears down promptly after a partial drain — so those three
-contracts are pinned here for every backend: in-process
-:class:`SerialExecutor`, pool-based :class:`MultiprocessExecutor`, and
-the durable-queue :class:`QueueExecutor`.
+contracts are pinned here for both backends: in-process
+:class:`SerialExecutor` and pool-based :class:`MultiprocessExecutor`.
 """
 
 import pytest
@@ -14,22 +13,19 @@ from repro.runtime import (
     CircuitRef,
     FlowConfig,
     MultiprocessExecutor,
-    QueueExecutor,
     Scenario,
     SerialExecutor,
     run_scenario,
 )
 from repro.utils.errors import ValidationError
 
-EXECUTOR_KINDS = ("serial", "multiprocess", "queue")
+EXECUTOR_KINDS = ("serial", "multiprocess")
 
 
 def _make_executor(kind):
     if kind == "serial":
         return SerialExecutor()
-    if kind == "multiprocess":
-        return MultiprocessExecutor(2)
-    return QueueExecutor(workers=2, lease_s=30.0)
+    return MultiprocessExecutor(2)
 
 
 @pytest.fixture(scope="module")
@@ -91,17 +87,6 @@ def test_multiprocess_map_reentry_raises_instead_of_leaking(scenarios):
     results = list(executor.map(run_scenario, scenarios[:1]))
     executor.close()
     assert len(results) == 1
-
-
-def test_queue_executor_map_reentry_raises(scenarios):
-    executor = QueueExecutor(workers=2, lease_s=30.0)
-    stream = iter(executor.map(run_scenario, scenarios[:2]))
-    try:
-        with pytest.raises(ValidationError, match="previous map"):
-            executor.map(run_scenario, scenarios[:1])
-        next(stream)
-    finally:
-        executor.abort()
 
 
 def test_multiprocess_rejects_single_job():

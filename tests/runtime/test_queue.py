@@ -159,14 +159,28 @@ def test_negative_lease_rejected(tmp_path, sweep):
         queue.reclaim_expired(lease_s=-1)
 
 
-def test_submit_shards_explicit_groups(tmp_path, sweep):
-    scenarios = sweep.scenarios()
+@pytest.mark.parametrize("bad", [
+    {"lease_ttl": float("inf")},
+    {"lease_ttl": float("nan")},
+    {"lease_ttl": "x"},
+    {"lease_ttl": 0},
+    {"lease_grace": float("inf")},
+    {"lease_grace": float("nan")},
+    {"lease_grace": "soon"},
+    {"lease_grace": -1},
+    {"shard_size": "abc"},
+    {"shard_size": [1]},
+    {"shard_size": 2.5},
+    {"shard_size": 0},
+])
+def test_submit_rejects_bad_sharding_and_lease_values(tmp_path, sweep, bad):
+    """An infinite TTL would never let a crashed worker's shard be
+    reclaimed, and NaN is not valid JSON in ``sweep.json``; junk used to
+    escape as a bare ValueError or TypeError."""
     queue = SweepQueue(tmp_path / "q")
-    shards = queue.submit_shards([scenarios[:1], scenarios[1:2]])
-    assert [shard.indexes for shard in shards] == [(0,), (1,)]
-    assert len(queue.scenarios()) == 2
     with pytest.raises(ValidationError):
-        SweepQueue(tmp_path / "q2").submit_shards([[]])
+        queue.submit(sweep, **bad)
+    assert not queue.exists() and not queue.pending_dir.exists()
 
 
 def test_gather_incomplete_raises_and_partial_returns(tmp_path, sweep):
@@ -178,7 +192,7 @@ def test_gather_incomplete_raises_and_partial_returns(tmp_path, sweep):
 
 
 class TestCostSharding:
-    """Cost-mode shards: budget respected, order unchanged, calibration."""
+    """Cost-mode shards: budget respected, order unchanged, no builds."""
 
     @staticmethod
     def mixed_scenarios():
@@ -195,11 +209,10 @@ class TestCostSharding:
         return spec.scenarios()
 
     def test_no_shard_exceeds_budget(self):
-        from repro.runtime.queue import CostModel
+        from repro.runtime.queue import _circuit_size_estimate
 
         scenarios = self.mixed_scenarios()
-        model = CostModel()
-        budget = max(model.scenario_cost(s) for s in scenarios)
+        budget = max(_circuit_size_estimate(s.circuit) for s in scenarios)
         shards = make_shards(scenarios, mode="cost")
         for shard in shards:
             assert shard.est_cost <= budget + 1e-9 or len(shard) == 1
@@ -223,20 +236,54 @@ class TestCostSharding:
                 list(range(shard.indexes[0], shard.indexes[-1] + 1))
             assert len({s.circuit for s in shard.scenarios}) == 1
 
-    def test_explicit_budget_and_shard_size_cap(self):
-        scenarios = self.mixed_scenarios()
-        loose = make_shards(scenarios, mode="cost", cost_budget=1e12)
-        assert len(loose) == 3      # one shard per circuit group
-        capped = make_shards(scenarios, mode="cost", cost_budget=1e12,
-                             shard_size=1)
-        assert all(len(shard) == 1 for shard in capped)
+    def test_cost_mode_plan_pinned(self):
+        """The heavy circuit's scenarios shard alone at 2 × 60 components
+        each; each cheap circuit packs its three into one shard."""
+        plan = [(shard.shard_id, shard.indexes, shard.est_cost)
+                for shard in make_shards(self.mixed_scenarios(), mode="cost")]
+        assert plan == [("0000-rand60", (0,), 120.0),
+                        ("0001-rand60", (1,), 120.0),
+                        ("0002-rand60", (2,), 120.0),
+                        ("0003-rand10", (3, 4, 5), 60.0),
+                        ("0004-rand12", (6, 7, 8), 72.0)]
+        # A shard exactly at the budget is full, not over it.
+        heavy, half = (CircuitRef.random(60, 8, 4, seed=0),
+                       CircuitRef.random(30, 8, 4, seed=0))
+        scenarios = [Scenario(ref, FlowConfig(noise_fraction=f))
+                     for ref in (heavy, half) for f in (0.1, 0.12, 0.14)]
+        assert [shard.indexes for shard in
+                make_shards(scenarios, mode="cost")] == \
+            [(0,), (1,), (2,), (3, 4), (5,)]
 
-    def test_mode_and_budget_validation(self):
+    def test_shard_size_caps_cost_mode(self):
         scenarios = self.mixed_scenarios()
-        with pytest.raises(ValidationError):
-            make_shards(scenarios, mode="weight")
-        with pytest.raises(ValidationError):
-            make_shards(scenarios, mode="cost", cost_budget=0)
+        capped = make_shards(scenarios, mode="cost", shard_size=2)
+        assert [len(shard) for shard in capped] == [1, 1, 1, 2, 1, 2, 1]
+        single = make_shards(scenarios, mode="cost", shard_size=1)
+        assert all(len(shard) == 1 for shard in single)
+
+    def test_mode_validation(self):
+        with pytest.raises(ValidationError, match="shard mode"):
+            make_shards(self.mixed_scenarios(), mode="weight")
+
+    def test_size_estimate_never_builds_a_circuit(self, monkeypatch):
+        """Packing reads spec totals, generator params or netlist lines,
+        once per circuit group — never a built circuit."""
+        from repro.runtime import queue as queue_module
+
+        monkeypatch.setattr(
+            CircuitRef, "build",
+            lambda self: pytest.fail("the size estimate built a circuit"))
+        calls = []
+        estimate = queue_module._circuit_size_estimate
+        monkeypatch.setattr(queue_module, "_circuit_size_estimate",
+                            lambda ref: calls.append(ref) or estimate(ref))
+        big = CircuitRef.random(5000, 64, 64, seed=1)
+        scenarios = [Scenario(big, FlowConfig(noise_fraction=f))
+                     for f in (0.1, 0.12)] + self.mixed_scenarios()
+        shards = make_shards(scenarios, mode="cost")
+        assert shards[0].est_cost == 2.0 * 5000
+        assert len(calls) == 4      # one per circuit group
 
     def test_count_mode_still_annotates_cost(self, sweep):
         shards = make_shards(sweep.scenarios(), shard_size=2)
@@ -259,87 +306,6 @@ class TestCostSharding:
         assert [row["shard"] for row in report] == queue.shard_ids()
         assert all(row["state"] == "pending" and row["est_cost"] > 0
                    and row["actual_s"] is None for row in report)
-
-
-class TestCostModelCalibration:
-    def test_from_bench_file(self, tmp_path, sweep):
-        from repro.runtime.config import CircuitRef as Ref
-        from repro.runtime.queue import CostModel
-
-        bench = tmp_path / "BENCH_perf.json"
-        bench.write_text(json.dumps({
-            "kind": "perf_trajectory",
-            "entries": [{"circuits": [
-                {"name": "c432", "ogws_kernel_s": 0.010},
-                {"name": "c880", "ogws_kernel_s": 0.025},
-            ]}],
-        }))
-        model = CostModel.from_bench_file(bench)
-        spec = SweepSpec(circuits=(Ref.iscas85("c432"), Ref.iscas85("c880")),
-                         base=FlowConfig(n_patterns=32))
-        costs = [model.scenario_cost(s) for s in spec.scenarios()]
-        assert costs == [0.010, 0.025]      # measured seconds verbatim
-        # Uncovered circuits scale their size estimate into seconds.
-        other = sweep.scenarios()[0]
-        assert 0 < model.scenario_cost(other) < 1.0
-        with pytest.raises(ReproError):
-            CostModel.from_bench_file(tmp_path / "missing.json")
-
-    def test_from_events_uses_shard_timings(self):
-        from repro.runtime.queue import CostModel
-
-        events = [
-            {"kind": "shard_timing", "circuit": "c432", "computed": 2,
-             "elapsed_s": 0.2},
-            {"kind": "shard_timing", "circuit": "c432", "computed": 1,
-             "elapsed_s": 0.3},
-            {"kind": "shard_timing", "circuit": "c880", "computed": 0,
-             "elapsed_s": 0.5},      # all cache hits: no signal
-            {"kind": "heartbeat"},
-        ]
-        model = CostModel.from_events(events)
-        assert model.weights["c432"] == pytest.approx(0.2)   # mean(0.1, 0.3)
-        assert "c880" not in model.weights
-
-    def test_from_events_fits_scale_for_non_iscas_circuits(self, sweep):
-        """size_est in the events fits seconds-per-component, so measured
-        seconds and scaled size estimates stay in one unit even when no
-        circuit is a Table 1 name (the straggler-regression guard)."""
-        from repro.runtime.queue import CostModel, _circuit_size_estimate
-
-        events = [
-            {"kind": "shard_timing", "circuit": "rand60", "computed": 2,
-             "elapsed_s": 0.4, "size_est": 100.0},     # 0.002 s/component
-            {"kind": "shard_timing", "circuit": "rand60", "computed": 1,
-             "elapsed_s": 0.2, "size_est": 100.0},
-        ]
-        model = CostModel.from_events(events)
-        assert model.scale == pytest.approx(0.002)
-        # An unmeasured circuit's estimate lands in *seconds* now:
-        # comparable to the measured weight, not 1000× larger.
-        scenario = sweep.scenarios()[0]
-        expected = _circuit_size_estimate(scenario.circuit) * 0.002
-        assert model.scenario_cost(scenario) == pytest.approx(expected)
-        assert model.scenario_cost(scenario) < 1.0
-
-    def test_cost_model_never_builds_random_refs(self, monkeypatch):
-        from repro.runtime.queue import CostModel
-
-        monkeypatch.setattr(
-            CircuitRef, "build",
-            lambda self: pytest.fail("CostModel built a circuit"))
-        cost = CostModel().scenario_cost(
-            Scenario(CircuitRef.random(5000, 64, 64, seed=1), FlowConfig()))
-        assert cost == pytest.approx(2.0 * 5000)
-
-    def test_worker_shard_timing_carries_size_est(self, tmp_path, sweep):
-        from repro.runtime import Worker
-
-        queue = SweepQueue(tmp_path / "q")
-        queue.submit(sweep)
-        Worker(queue, worker_id="w", lease_s=30.0).run()
-        timings = queue.shard_timings().values()
-        assert timings and all(t["size_est"] > 0 for t in timings)
 
 
 class TestRobustness:

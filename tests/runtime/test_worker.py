@@ -1,4 +1,4 @@
-"""Workers and the queue executor: drains, stealing, serial byte-identity."""
+"""Queue workers: drains, stealing, serial byte-identity."""
 
 import io
 import multiprocessing
@@ -11,11 +11,9 @@ from repro.runtime import (
     BatchRunner,
     CircuitRef,
     FlowConfig,
-    QueueExecutor,
     SweepQueue,
     SweepSpec,
     Worker,
-    run_scenario,
     work_queue,
 )
 from repro.utils.errors import ValidationError
@@ -132,37 +130,6 @@ def test_worker_validation(tmp_path):
         Worker(tmp_path, lease_s=0)
     with pytest.raises(ValidationError):
         Worker(tmp_path, max_shards=0)
-
-
-def test_queue_executor_under_batch_runner_matches_serial(sweep,
-                                                          serial_json):
-    runner = BatchRunner(
-        executor_factory=lambda: QueueExecutor(workers=2, lease_s=30.0))
-    records = runner.run(sweep)
-    assert [r.canonical_json() for r in records] == serial_json
-    assert runner.stats.computed == len(sweep)
-
-
-def test_queue_executor_keeps_explicit_root_inspectable(tmp_path, sweep,
-                                                        serial_json):
-    root = tmp_path / "qx"
-    executor = QueueExecutor(root=root, workers=2, lease_s=30.0)
-    runner = BatchRunner(executor_factory=lambda: executor)
-    scenarios = sweep.scenarios()[:2]
-    records = runner.run(scenarios)
-    assert [r.canonical_json() for r in records] == serial_json[:2]
-    # The grouped queue drain also equals independent one-scenario solves.
-    assert [r.canonical_json() for r in records] == \
-        [run_scenario(s).canonical_json() for s in scenarios]
-    queue = SweepQueue(root)            # still on disk for post-mortems
-    assert queue.status().drained
-    assert any(e["kind"] == "record_done" for e in queue.events())
-
-
-def test_queue_executor_rejects_foreign_work_functions(sweep):
-    executor = QueueExecutor(workers=2)
-    with pytest.raises(ValidationError, match="run_scenario"):
-        executor.map(len, sweep.scenarios())
 
 
 def test_watch_queue_streams_and_renders_from_events(tmp_path, sweep,
@@ -289,7 +256,7 @@ class TestWarmWorkers:
             self, tmp_path, sweep, serial_json):
         """Kill/steal still reclaims when shards were packed by cost."""
         queue = SweepQueue(tmp_path / "q")
-        queue.submit(sweep, shard_mode="cost", cost_budget=1.0)  # 1 per shard
+        queue.submit(sweep, shard_mode="cost", shard_size=1)   # 1 per shard
         doomed = queue.claim("doomed")      # killed worker, no heartbeat
         assert doomed is not None
         survivor = Worker(queue, worker_id="survivor", lease_s=0.05,
@@ -313,11 +280,6 @@ class TestWarmWorkers:
         report = queue.shard_report()
         assert all(row["state"] == "done" and row["actual_s"] > 0
                    for row in report)
-        # The timing events calibrate a cost model for the next sweep.
-        from repro.runtime import CostModel
-
-        model = CostModel.from_events(queue.events())
-        assert model.weights    # at least one circuit measured
 
     def test_worker_serve_validation(self, tmp_path):
         with pytest.raises(ValidationError):

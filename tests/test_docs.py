@@ -80,6 +80,6 @@ def test_cli_reference_covers_every_parser_verb():
 
 def test_cli_reference_documents_shard_mode_and_serve():
     text = (ROOT / "docs" / "cli.md").read_text()
-    for needle in ("--shard-mode", "--cost-budget", "--cost-bench",
-                   "--serve", "--max-idle", "--sessions"):
+    for needle in ("--shard-mode", "--shard-size", "--serve", "--max-idle",
+                   "--sessions"):
         assert needle in text, f"docs/cli.md lost {needle!r}"
