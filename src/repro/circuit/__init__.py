@@ -6,8 +6,10 @@ wires — (s+1..n+s, topologically indexed), and an artificial sink
 (n+s+1).  This package provides:
 
 * :class:`~repro.circuit.components.Node` /
-  :class:`~repro.circuit.components.NodeKind` — node records,
+  :class:`~repro.circuit.components.NodeKind` — node records (views of a
+  circuit's columns, and the builder's input),
 * :class:`~repro.circuit.circuit.Circuit` — the finished, validated graph,
+  stored as NumPy columns (:meth:`~repro.circuit.circuit.Circuit.from_columns`),
 * :class:`~repro.circuit.builder.CircuitBuilder` — incremental construction
   with automatic wire insertion,
 * :class:`~repro.circuit.compiled.CompiledCircuit` — CSR/NumPy form used by

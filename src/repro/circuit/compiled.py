@@ -1,11 +1,12 @@
 """Array (CSR) form of a circuit for the vectorized engines.
 
-:class:`CompiledCircuit` flattens a validated
-:class:`~repro.circuit.circuit.Circuit` into NumPy arrays:
+:class:`CompiledCircuit` is the engines' view of a validated
+:class:`~repro.circuit.circuit.Circuit`:
 
-* per-node model parameters (``r_hat``, ``c_hat``, ``fringe``, ``alpha``,
-  bounds, output loads) and kind masks,
-* the edge list plus CSR adjacency in both directions,
+* the circuit's read-only per-node columns (``r_hat``, ``c_hat``,
+  ``fringe``, ``alpha``, bounds, output loads, ``kind``), referenced,
+  not copied, plus kind masks,
+* the edge arrays and the circuit's CSR adjacency in both directions,
 * a longest-path level schedule with per-level node and edge groups, which
   is what lets the timing/sizing sweeps run as a short sequence of NumPy
   segment operations instead of per-node Python loops.
@@ -30,7 +31,6 @@ class CompiledCircuit:
     """
 
     def __init__(self, circuit):
-        nodes = circuit.nodes
         n_nodes = circuit.num_nodes
         self.circuit = circuit
         self.name = circuit.name
@@ -41,28 +41,27 @@ class CompiledCircuit:
         self.source = 0
         self.sink = n_nodes - 1
 
-        self.kind = np.array([int(n.kind) for n in nodes], dtype=np.int8)
+        self.kind = circuit.kind
         self.is_gate = self.kind == int(NodeKind.GATE)
         self.is_wire = self.kind == int(NodeKind.WIRE)
         self.is_driver = self.kind == int(NodeKind.DRIVER)
         self.is_sizable = self.is_gate | self.is_wire
 
-        self.r_hat = np.array([n.r_hat for n in nodes])
-        self.c_hat = np.array([n.c_hat for n in nodes])
-        self.fringe = np.array([n.fringe for n in nodes])
-        self.alpha = np.array([n.alpha for n in nodes])
-        self.lower = np.array([n.lower for n in nodes])
-        self.upper = np.array([n.upper for n in nodes])
-        self.load_cap = np.array([n.load_cap for n in nodes])
-        self.length = np.array([n.length for n in nodes])
+        self.r_hat = circuit.r_hat
+        self.c_hat = circuit.c_hat
+        self.fringe = circuit.fringe
+        self.alpha = circuit.alpha
+        self.lower = circuit.lower
+        self.upper = circuit.upper
+        self.load_cap = circuit.load_cap
+        self.length = circuit.length
 
-        edges = np.array(circuit.edges, dtype=np.int64).reshape(-1, 2)
-        self.num_edges = len(edges)
-        self.edge_src = np.ascontiguousarray(edges[:, 0])
-        self.edge_dst = np.ascontiguousarray(edges[:, 1])
+        self.num_edges = circuit.num_edges
+        self.edge_src = circuit.edge_src
+        self.edge_dst = circuit.edge_dst
 
-        self.in_ptr, self.in_edges = _csr(self.edge_dst, n_nodes)
-        self.out_ptr, self.out_edges = _csr(self.edge_src, n_nodes)
+        self.in_ptr, self.in_edges, self.out_ptr, self.out_edges = \
+            circuit.adjacency()
         self.in_degree = np.diff(self.in_ptr)
         self.out_degree = np.diff(self.out_ptr)
 
@@ -71,11 +70,8 @@ class CompiledCircuit:
         wire_idx = np.flatnonzero(self.is_wire)
         self.wire_parent[wire_idx] = self.edge_src[self.in_edges[self.in_ptr[wire_idx]]]
 
-        # Longest-path levels: edges always go to strictly higher levels.
-        level = np.zeros(n_nodes, dtype=np.int64)
-        for src, dst in zip(self.edge_src, self.edge_dst):  # index order == topo order
-            if level[src] + 1 > level[dst]:
-                level[dst] = level[src] + 1
+        level = _longest_path_levels(self.in_degree, self.out_ptr,
+                                     self.out_edges, self.edge_dst)
         level[self.sink] = int(level.max()) + 1  # keep the sink strictly last
         self.level = level
         self.num_levels = int(level.max()) + 1
@@ -165,13 +161,34 @@ class CompiledCircuit:
         )
 
 
-def _csr(keys, n_bins):
-    """Group array positions by ``keys``: returns (ptr, order) CSR pair."""
-    order = np.argsort(keys, kind="stable").astype(np.int64)
-    counts = np.bincount(keys, minlength=n_bins)
-    ptr = np.zeros(n_bins + 1, dtype=np.int64)
-    np.cumsum(counts, out=ptr[1:])
-    return ptr, order
+def _longest_path_levels(in_degree, out_ptr, out_edges, edge_dst):
+    """Longest-path level of every node (0 for nodes without inputs).
+
+    Frontier-batched Kahn: a node joins the frontier once its last input
+    has been visited, and frontier ``k`` is exactly the set of nodes whose
+    longest path from an input-free node has ``k`` edges — the fixed point
+    of ``level[v] = max(level[v], level[u] + 1)`` over every edge.  One
+    round per level, each a handful of array operations.
+    """
+    remaining = np.array(in_degree, dtype=np.int64)
+    level = np.zeros(remaining.size, dtype=np.int64)
+    frontier = np.flatnonzero(remaining == 0)
+    depth = 0
+    while frontier.size:
+        level[frontier] = depth
+        starts = out_ptr[frontier]
+        counts = out_ptr[frontier + 1] - starts
+        total = int(counts.sum())
+        if not total:
+            break
+        # Positions of every frontier node's out-edges, concatenated.
+        shift = np.repeat(starts - (np.cumsum(counts) - counts), counts)
+        targets = edge_dst[out_edges[np.arange(total) + shift]]
+        targets, hits = np.unique(targets, return_counts=True)
+        remaining[targets] -= hits
+        frontier = targets[remaining[targets] == 0]
+        depth += 1
+    return level
 
 
 def _group(ids, group_keys, n_groups):

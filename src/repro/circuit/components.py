@@ -3,6 +3,9 @@
 Each vertex of the circuit graph is a :class:`Node`.  A node sits at the
 *output* of a component (Sec. 2.1 of the paper): drivers, gates, and wires
 are components; the source and sink are artificial bookkeeping vertices.
+A :class:`~repro.circuit.circuit.Circuit` stores its nodes as NumPy
+columns; a ``Node`` is the one-record view of a row (and what
+:class:`~repro.circuit.builder.CircuitBuilder` hands it).
 
 The RC model parameters stored per node follow Fig. 3 of the paper:
 

@@ -17,8 +17,8 @@ Construction invariants (all checked by ``Circuit.validate``):
 
 import numpy as np
 
-from repro.circuit.circuit import Circuit
-from repro.circuit.components import Node, NodeKind
+from repro.circuit.circuit import PARAM_COLUMNS, Circuit, _csr
+from repro.circuit.components import NodeKind
 from repro.tech import Technology
 from repro.utils.errors import CircuitError
 from repro.utils.rng import derive_rng, make_rng
@@ -30,6 +30,18 @@ _FUNCTIONS_2 = ("nand", "nor", "and", "or", "xor")
 _FUNCTIONS_N = ("nand", "nor", "and", "or")
 
 _MAX_FANIN = 4
+
+#: Every gate function, and each fan-in class's table as codes into it
+#: (rows: 1-input, 2-input, wider; padded past each table's size).
+_FUNCTION_TABLE = ("", *_FUNCTIONS_1, *_FUNCTIONS_2)
+_TABLE_SIZES = np.array([len(_FUNCTIONS_1), len(_FUNCTIONS_2),
+                         len(_FUNCTIONS_N)])
+_TABLE_CODES = np.array([
+    [_FUNCTION_TABLE.index(f) for f in table] + [0] * (5 - len(table))
+    for table in (_FUNCTIONS_1, _FUNCTIONS_2, _FUNCTIONS_N)], dtype=np.int32)
+
+#: Input slots per redundancy count in :func:`_fix_coverage`.
+_COVERAGE_BLOCK = 512
 
 
 def random_circuit(n_gates, n_inputs, n_outputs, seed=0, tech=None,
@@ -78,15 +90,17 @@ def random_circuit(n_gates, n_inputs, n_outputs, seed=0, tech=None,
                                   derive_rng(rng, "fanin"))
             sources = _draw_sources(fanins, n_inputs, depth_tau,
                                     derive_rng(rng, "topology"))
-            po_gates = _fix_coverage(sources, fanins, n_gates, n_inputs, n_outputs,
-                                     derive_rng(rng, "coverage"))
+            src_flat, po_gates = _fix_coverage(
+                sources, fanins, n_gates, n_inputs, n_outputs,
+                derive_rng(rng, "coverage"))
         except CircuitError as error:
             last_error = error
             continue
-        return _emit(sources, po_gates, n_inputs, tech, wire_length_range,
+        return _emit(src_flat, fanins, po_gates, n_inputs, tech,
+                     wire_length_range,
                      derive_rng(rng, "geometry"),
                      derive_rng(rng, "functions"),
-                     name or f"random{n_gates}g", seed)
+                     name or f"random{n_gates}g")
     raise CircuitError(f"random_circuit failed for seed {seed!r}: {last_error}")
 
 
@@ -156,14 +170,18 @@ def _fix_coverage(sources, fanins, n_gates, n_inputs, n_outputs, rng):
     bounds pathological displacement chains (the caller retries on a
     derived seed).
 
-    The input slots live in one flat array (``(gate, position)``
-    lexicographic order, the same order the old per-item list
-    comprehensions enumerated), so each worklist item is a constant
-    number of vectorized passes over the tail instead of building
-    O(total-fan-in) Python tuples — the difference between quadratic
-    minutes and sub-second at 50k gates.  Candidate-pool sizes and
-    ordering match the list spelling exactly, so the ``rng`` draw
-    sequence (and therefore the emitted circuit) is unchanged.
+    Returns ``(src_flat, po_gates)``: every gate's sources in one flat
+    array in ``(gate, position)`` order, and the PO gate indices.
+
+    The k-th candidate slot is found without scanning the tail.  A work
+    item runs only while its source has no uses, so no slot holds it and
+    every later slot is a candidate.  Redundancy (the slot's source is
+    used more than once) lives in a per-slot mask with per-block counts,
+    and it only ever flips True → False: the rewired-in source goes from
+    0 uses to 1, and a displaced source left with one use clears its
+    last slot.  Candidate counts and order match the whole-tail scan
+    exactly (``tests/oracles/circuit.py``), so the ``rng`` draws and the
+    emitted circuit are unchanged.
     """
     n_sources = n_inputs + n_gates
     offsets = np.zeros(n_gates + 1, dtype=np.int64)
@@ -174,9 +192,24 @@ def _fix_coverage(sources, fanins, n_gates, n_inputs, n_outputs, rng):
         dtype=np.int64, count=total)
     use_count = np.bincount(src_flat, minlength=n_sources)
 
-    po_gates = list(range(n_gates - n_outputs, n_gates))
+    po_gates = np.arange(n_gates - n_outputs, n_gates, dtype=np.int64)
     is_po_source = np.zeros(n_sources, dtype=bool)
     is_po_source[n_inputs + n_gates - n_outputs:] = True
+
+    block = _COVERAGE_BLOCK
+    redundant = use_count[src_flat] > 1
+    block_red = np.add.reduceat(redundant.astype(np.int64),
+                                np.arange(0, total, block)) \
+        if total else np.zeros(0, dtype=np.int64)
+    # Slots by source, to find a displaced source's one remaining slot;
+    # ``added`` holds the slots rewired to a source since.
+    slot_ptr, slot_order = _csr(src_flat, n_sources)
+    added = {}
+
+    def clear(slot):
+        if redundant[slot]:
+            redundant[slot] = False
+            block_red[slot // block] -= 1
 
     work = [s for s in range(n_sources)
             if use_count[s] == 0 and not is_po_source[s]]
@@ -193,105 +226,112 @@ def _fix_coverage(sources, fanins, n_gates, n_inputs, n_outputs, rng):
             continue
         first_gate = 0 if s < n_inputs else s - n_inputs + 1
         start = int(offsets[first_gate])
-        tail = src_flat[start:total]
-        valid = tail != s
-        n_slots = int(np.count_nonzero(valid))
-        if n_slots == 0:
+        if start == total:
             raise CircuitError(
                 "cannot rewire unused sources: no input slots after them"
             )
-        redundant = valid & (use_count[tail] > 1)
-        n_red = int(np.count_nonzero(redundant))
-        pool = redundant if n_red else valid
-        pick = int(rng.integers(0, n_red if n_red else n_slots))
-        j = start + int(np.flatnonzero(pool)[pick])
+        b0 = start // block
+        head = redundant[start:(b0 + 1) * block]
+        n_head = int(np.count_nonzero(head))
+        later = block_red[b0 + 1:]
+        n_red = n_head + int(later.sum())
+        if n_red:
+            pick = int(rng.integers(0, n_red))
+            if pick < n_head:
+                j = start + int(np.flatnonzero(head)[pick])
+            else:
+                pick -= n_head
+                seen = np.cumsum(later)
+                b = int(np.searchsorted(seen, pick, side="right"))
+                pick -= int(seen[b - 1]) if b else 0
+                lo = (b0 + 1 + b) * block
+                j = lo + int(np.flatnonzero(redundant[lo:lo + block])[pick])
+        else:
+            j = start + int(rng.integers(0, total - start))
         displaced = int(src_flat[j])
+        clear(j)
         use_count[displaced] -= 1
         src_flat[j] = s
         use_count[s] += 1
-        if use_count[displaced] == 0 and not is_po_source[displaced]:
+        added.setdefault(s, []).append(j)
+        if use_count[displaced] == 1:
+            slots = [*slot_order[slot_ptr[displaced]:slot_ptr[displaced + 1]]
+                     .tolist(), *added.get(displaced, ())]
+            clear(next(k for k in slots if src_flat[k] == displaced))
+        elif use_count[displaced] == 0 and not is_po_source[displaced]:
             work.append(displaced)
-    # Write the rewired slots back into the caller's per-gate lists.
-    flat = src_flat.tolist()
-    for k in range(n_gates):
-        lo, hi = int(offsets[k]), int(offsets[k + 1])
-        sources[k][:] = flat[lo:hi]
-    return po_gates
+    return src_flat, po_gates
 
 
-def _emit(sources, po_gates, n_inputs, tech, wire_length_range, geo_rng, fn_rng,
-          name, seed):
-    """Assemble the :class:`Circuit` for a drawn topology.
+def _emit(src_flat, fanins, po_gates, n_inputs, tech, wire_length_range,
+          geo_rng, fn_rng, name):
+    """Write the :class:`Circuit` columns for a drawn topology.
 
-    Reproduces the :class:`CircuitBuilder` construction node-for-node
-    (same names, indices, parameters, and edge order) without the
-    builder's per-record bookkeeping: nodes and edges are emitted
-    directly into the lists :class:`Circuit` consumes, which is what
-    lets a 50k-gate netlist materialize in seconds.  The per-gate RNG
-    calls keep the builder path's exact order and arguments — the
-    byte-identity contract pinned by the generator equivalence tests.
+    The node order is the builder's record order: source, drivers
+    ``pi{d}``, then per gate ``k`` its input wires ``g{k}.in{p}`` and the
+    gate ``g{k}`` itself, then the PO wires ``g{g}.out`` and the sink.
+    Every gate's function comes from one bounded draw over the per-gate
+    table sizes, and every wire length from one uniform draw, slots
+    first and PO wires last: the same streams, value for value, as one
+    scalar draw per gate and per wire — the equality the oracle tests
+    (``tests/oracles/circuit.py``) pin column by column.
     """
     lo, hi = wire_length_range
     if not 0 < lo <= hi:
         raise CircuitError("wire_length_range must satisfy 0 < lo <= hi")
     tech = tech or Technology.dac99()
-    n_gates = len(sources)
-    min_size, max_size = tech.min_size, tech.max_size
-    wru, wcu, wfc = (tech.wire_unit_resistance, tech.wire_unit_capacitance,
-                     tech.wire_fringe_capacitance)
+    fanins = np.asarray(fanins, dtype=np.int64)
+    n_gates, n_slots, n_po = fanins.size, int(fanins.sum()), len(po_gates)
 
-    nodes = [Node(index=0, kind=NodeKind.SOURCE, name="@source")]
-    edges = []
-    for d in range(n_inputs):
-        nodes.append(Node(index=d + 1, kind=NodeKind.DRIVER, name=f"pi{d}",
-                          r_hat=tech.driver_resistance))
-        edges.append((0, d + 1))
+    table = np.minimum(fanins, 3) - 1      # 1-input, 2-input, wider
+    picks = fn_rng.integers(0, _TABLE_SIZES[table])
+    lengths = geo_rng.uniform(lo, hi, size=n_slots + n_po)
 
-    # Gate k's input wires occupy indices base..base+fanin-1 and the gate
-    # itself base+fanin, exactly the builder's record order (wires are
-    # recorded by add_gate immediately before their gate).
-    gate_index = np.empty(n_gates, dtype=np.int64)
-    idx = n_inputs + 1
-    for k, chosen in enumerate(sources):
-        fanin = len(chosen)
-        if fanin == 1:
-            fn = _FUNCTIONS_1[int(fn_rng.integers(0, len(_FUNCTIONS_1)))]
-        elif fanin == 2:
-            fn = _FUNCTIONS_2[int(fn_rng.integers(0, len(_FUNCTIONS_2)))]
-        else:
-            fn = _FUNCTIONS_N[int(fn_rng.integers(0, len(_FUNCTIONS_N)))]
-        lengths = geo_rng.uniform(lo, hi, size=fanin).tolist()
-        gname = f"g{k}"
-        gidx = idx + fanin
-        for pos, s in enumerate(chosen):
-            length = lengths[pos]
-            widx = idx + pos
-            nodes.append(Node(
-                index=widx, kind=NodeKind.WIRE, name=f"{gname}.in{pos}",
-                r_hat=wru * length, c_hat=wcu * length, fringe=wfc * length,
-                alpha=length, length=length, lower=min_size, upper=max_size))
-            parent = s + 1 if s < n_inputs else int(gate_index[s - n_inputs])
-            edges.append((parent, widx))
-            edges.append((widx, gidx))
-        nodes.append(Node(
-            index=gidx, kind=NodeKind.GATE, name=gname, function=fn,
-            r_hat=tech.gate_unit_resistance, c_hat=tech.gate_unit_capacitance,
-            alpha=tech.gate_area_per_size, lower=min_size, upper=max_size))
-        gate_index[k] = gidx
-        idx = gidx + 1
+    # Gate k sits right after its fanin input wires.
+    gate_index = n_inputs + np.cumsum(fanins + 1)
+    slot_gate = np.repeat(np.arange(n_gates), fanins)
+    slot_wire = np.arange(n_slots) + n_inputs + 1 + slot_gate
+    first_po = n_inputs + 1 + n_slots + n_gates
+    po_wire = np.arange(first_po, first_po + n_po)
+    sink = first_po + n_po
+    wires = np.concatenate([slot_wire, po_wire])
 
-    sink = idx + len(po_gates)
-    for g in po_gates:
-        length = float(geo_rng.uniform(lo, hi))
-        gidx = int(gate_index[g])
-        nodes.append(Node(
-            index=idx, kind=NodeKind.WIRE, name=f"g{g}.out",
-            r_hat=wru * length, c_hat=wcu * length, fringe=wfc * length,
-            alpha=length, length=length, lower=min_size, upper=max_size,
-            load_cap=tech.load_capacitance))
-        edges.append((gidx, idx))
-        edges.append((idx, sink))
-        idx += 1
-    nodes.append(Node(index=sink, kind=NodeKind.SINK, name="@sink"))
-    edges.sort()
-    return Circuit(nodes, edges, tech, name=name)
+    n_nodes = sink + 1
+    kind = np.zeros(n_nodes, dtype=np.int8)
+    kind[1:n_inputs + 1] = NodeKind.DRIVER
+    kind[gate_index] = NodeKind.GATE
+    kind[wires] = NodeKind.WIRE
+    kind[sink] = NodeKind.SINK
+    columns = {field: np.zeros(n_nodes) for field in PARAM_COLUMNS}
+    columns["length"][wires] = lengths
+    columns["r_hat"][1:n_inputs + 1] = tech.driver_resistance
+    columns["r_hat"][gate_index] = tech.gate_unit_resistance
+    columns["r_hat"][wires] = tech.wire_unit_resistance * lengths
+    columns["c_hat"][gate_index] = tech.gate_unit_capacitance
+    columns["c_hat"][wires] = tech.wire_unit_capacitance * lengths
+    columns["fringe"][wires] = tech.wire_fringe_capacitance * lengths
+    columns["alpha"][gate_index] = tech.gate_area_per_size
+    columns["alpha"][wires] = lengths
+    for nodes in (gate_index, wires):
+        columns["lower"][nodes] = tech.min_size
+        columns["upper"][nodes] = tech.max_size
+    columns["load_cap"][po_wire] = tech.load_capacitance
+    code = np.zeros(n_nodes, dtype=np.int32)
+    code[gate_index] = _TABLE_CODES[table, picks]
+
+    names = ["@source", *(f"pi{d}" for d in range(n_inputs))]
+    for k, fanin in enumerate(fanins.tolist()):
+        names.extend(f"g{k}.in{p}" for p in range(fanin))
+        names.append(f"g{k}")
+    names.extend(f"g{g}.out" for g in po_gates.tolist())
+    names.append("@sink")
+
+    parent = np.where(src_flat < n_inputs, src_flat + 1,
+                      gate_index[np.maximum(src_flat - n_inputs, 0)])
+    drivers = np.arange(1, n_inputs + 1)
+    edge_src = np.concatenate([np.zeros(n_inputs, dtype=np.int64), parent,
+                               slot_wire, gate_index[po_gates], po_wire])
+    edge_dst = np.concatenate([drivers, slot_wire, gate_index[slot_gate],
+                               po_wire, np.full(n_po, sink)])
+    return Circuit.from_columns(kind, names, _FUNCTION_TABLE, code, edge_src,
+                                edge_dst, tech, name=name, **columns)

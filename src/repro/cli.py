@@ -35,7 +35,7 @@ import time
 import numpy as np
 
 from repro.analysis.report import format_paper_table1, format_sweep, format_table1
-from repro.circuit import ISCAS85_SPECS, iscas85_circuit, load_bench
+from repro.circuit import ISCAS85_SPECS, iscas85_circuit
 from repro.core import NoiseAwareSizingFlow, check_kkt
 from repro.core.flow import ORDERING_NAMES
 from repro.geometry import ChannelLayout
@@ -99,7 +99,8 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     info = sub.add_parser("info", help="describe a circuit")
-    info.add_argument("circuit", help="Table 1 name (c432) or .bench path")
+    info.add_argument("circuit",
+                      help="Table 1 name (c432), .bench path, or random:N")
 
     size = sub.add_parser("size", help="run the two-stage sizing flow")
     size.add_argument("circuit",
@@ -306,34 +307,23 @@ def build_parser():
     return parser
 
 
-def _load_circuit(spec):
-    if spec in ISCAS85_SPECS:
-        return iscas85_circuit(spec)
-    path = pathlib.Path(spec)
-    if path.exists():
-        return load_bench(path)
-    raise ReproError(
-        f"unknown circuit {spec!r}: not a Table 1 name "
-        f"({', '.join(sorted(ISCAS85_SPECS))}) and no such file")
-
-
 def cmd_info(args, out):
-    circuit = _load_circuit(args.circuit)
+    circuit = CircuitRef.from_spec(args.circuit).build()
     compiled = circuit.compile()
     layout = ChannelLayout.from_levels(circuit)
     engine = ElmoreEngine(compiled)
     metrics = evaluate_metrics(engine, compiled.default_sizes(np.inf))
-    lengths = [w.length for w in circuit.wires()]
+    lengths = compiled.length[compiled.wire_indices]
     rows = [
         ["gates", circuit.num_gates],
         ["wires", circuit.num_wires],
         ["primary inputs", circuit.num_drivers],
-        ["primary outputs", len(circuit.primary_output_wires())],
-        ["edges", len(circuit.edges)],
+        ["primary outputs", len(compiled.sink_in_edges)],
+        ["edges", circuit.num_edges],
         ["topological levels", compiled.num_levels],
         ["routing channels", len(layout.channels)],
         ["largest channel", max((len(c) for c in layout.channels), default=0)],
-        ["wire length (um, mean)", float(np.mean(lengths)) if lengths else 0.0],
+        ["wire length (um, mean)", float(np.mean(lengths)) if lengths.size else 0.0],
         ["delay at x=U (ps, no coupling)", metrics.delay_ps],
         ["area at x=U (um2)", metrics.area_um2],
     ]

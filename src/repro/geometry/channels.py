@@ -10,6 +10,8 @@ be supplied to :class:`~repro.geometry.layout.ChannelLayout` directly.
 
 import dataclasses
 
+import numpy as np
+
 from repro.utils.errors import GeometryError
 
 
@@ -42,14 +44,20 @@ class Channel:
 def wires_by_level(circuit):
     """Partition all wires of ``circuit`` into per-level channels.
 
-    Returns a list of :class:`Channel` (ascending level).  Levels with a
-    single wire still form a channel (it simply has no neighbors).
+    Returns a list of :class:`Channel` (ascending level, each channel's
+    wires in ascending index order) from one stable sort of the wire
+    indices by level.  Levels with a single wire still form a channel
+    (it simply has no neighbors).
     """
     compiled = circuit.compile()
-    groups = {}
-    for idx in compiled.wire_indices:
-        groups.setdefault(int(compiled.level[idx]), []).append(int(idx))
+    wires = compiled.wire_indices
+    levels = compiled.level[wires]
+    order = np.argsort(levels, kind="stable")
+    wires, levels = wires[order], levels[order]
+    starts = np.flatnonzero(np.diff(levels, prepend=-1))
+    bounds = np.append(starts, wires.size).tolist()
+    members = wires.tolist()
     return [
-        Channel(label=f"level{lvl}", wires=tuple(sorted(groups[lvl])))
-        for lvl in sorted(groups)
+        Channel(label=f"level{levels[a]}", wires=tuple(members[a:b]))
+        for a, b in zip(bounds[:-1], bounds[1:])
     ]

@@ -1,8 +1,10 @@
 """Track assignment and coupling-pair extraction.
 
 After the ordering stage decides which wires sit on adjacent tracks,
-:class:`ChannelLayout` produces one :class:`CouplingPair` per adjacent
-track pair, carrying the geometry of the paper's Eq. 2:
+:class:`ChannelLayout` produces the adjacent track pairs as arrays
+(:meth:`ChannelLayout.pair_arrays`, what the coupling set is built from;
+:meth:`ChannelLayout.coupling_pairs` views them as one
+:class:`CouplingPair` each), carrying the geometry of the paper's Eq. 2:
 
     c_ij = (f̂_ij · l_ij / d_ij) · 1 / (1 − (x_i + x_j) / (2·d_ij))
 
@@ -89,6 +91,11 @@ class ChannelLayout:
                     seen.add(idx)
                     if not (0 <= idx < wire_mask.size and wire_mask[idx]):
                         raise GeometryError(f"channel member {idx} is not a wire")
+        self._members = members
+        self._channel_of = np.repeat(
+            np.arange(len(self.channels)),
+            np.fromiter((len(c) for c in self.channels), dtype=np.int64,
+                        count=len(self.channels)))
 
     @classmethod
     def from_levels(cls, circuit, pitch=None):
@@ -110,23 +117,31 @@ class ChannelLayout:
             new_channels.append(channel if order is None else channel.reordered(order))
         return ChannelLayout(self.circuit, new_channels, pitch=self.pitch)
 
+    def pair_arrays(self):
+        """Adjacent track pairs of every channel as ``(i, j, overlap)`` arrays.
+
+        Pairs run channel by channel in track order; ``i < j`` are node
+        indices and ``overlap`` the shorter wire's length (parallel-run
+        model), read from the circuit's ``length`` column.
+        """
+        members, channel_of = self._members, self._channel_of
+        adjacent = channel_of[1:] == channel_of[:-1]
+        a, b = members[:-1][adjacent], members[1:][adjacent]
+        i, j = np.minimum(a, b), np.maximum(a, b)
+        length = self.circuit.length
+        return i, j, np.minimum(length[i], length[j])
+
     def coupling_pairs(self):
         """One :class:`CouplingPair` per adjacent track pair, all channels.
 
-        Overlap length is the shorter wire's length (parallel-run model);
-        the unit fringing capacitance comes from the technology.
+        A record view of :meth:`pair_arrays`; the unit fringing
+        capacitance comes from the technology.
         """
-        tech = self.circuit.tech
-        pairs = []
-        for channel in self.channels:
-            for a, b in zip(channel.wires, channel.wires[1:]):
-                i, j = (a, b) if a < b else (b, a)
-                overlap = min(self.circuit.node(i).length, self.circuit.node(j).length)
-                pairs.append(CouplingPair(
-                    i=i, j=j, overlap=overlap, distance=self.pitch,
-                    unit_fringe=tech.coupling_unit_capacitance,
-                ))
-        return pairs
+        fringe = self.circuit.tech.coupling_unit_capacitance
+        return [CouplingPair(i=i, j=j, overlap=overlap, distance=self.pitch,
+                             unit_fringe=fringe)
+                for i, j, overlap in zip(*(a.tolist()
+                                           for a in self.pair_arrays()))]
 
     def max_size_utilization(self, x):
         """Largest ``(x_i + x_j) / (2·d_ij)`` over all adjacent pairs.
@@ -135,10 +150,11 @@ class ChannelLayout:
         this ratio to stay below 1; values near 1 mean the two wires
         physically touch.  Callers use this to sanity-check bounds.
         """
-        worst = 0.0
-        for pair in self.coupling_pairs():
-            worst = max(worst, (x[pair.i] + x[pair.j]) / (2.0 * pair.distance))
-        return worst
+        i, j, _ = self.pair_arrays()
+        if not i.size:
+            return 0.0
+        x = np.asarray(x)
+        return max(0.0, float(np.max((x[i] + x[j]) / (2.0 * self.pitch))))
 
     def __repr__(self):
         total = sum(len(c) for c in self.channels)

@@ -46,7 +46,8 @@ class CouplingSet:
     num_nodes:
         Size of the node index space (pair endpoints must be below this).
     pairs:
-        Iterable of :class:`~repro.geometry.layout.CouplingPair`.
+        Iterable of :class:`~repro.geometry.layout.CouplingPair`
+        (:meth:`from_arrays` takes the same geometry as arrays).
     weights:
         Per-pair Miller weights (same length as ``pairs``); defaults to
         all ones (physical coupling only).
@@ -56,31 +57,64 @@ class CouplingSet:
 
     def __init__(self, num_nodes, pairs, weights=None, order=2):
         pairs = list(pairs)
+        self._setup(num_nodes,
+                    np.array([p.i for p in pairs], dtype=np.int64),
+                    np.array([p.j for p in pairs], dtype=np.int64),
+                    *(np.array([getattr(p, field) for p in pairs], dtype=float)
+                      for field in ("overlap", "distance", "unit_fringe")),
+                    weights, order)
+
+    @classmethod
+    def from_arrays(cls, num_nodes, pair_i, pair_j, overlap, distance,
+                    unit_fringe, weights=None, order=2):
+        """A set straight from per-pair geometry arrays (no pair records).
+
+        ``pair_i < pair_j`` are node indices; ``overlap``, ``distance``
+        and ``unit_fringe`` (scalar or per pair) must be positive.
+        """
+        pair_i = np.asarray(pair_i, dtype=np.int64)
+        pair_j = np.asarray(pair_j, dtype=np.int64)
+        geometry = [np.asarray(a, dtype=float)
+                    for a in (overlap, distance, unit_fringe)]
+        if np.any(pair_i >= pair_j):
+            raise GeometryError(
+                "coupling pairs need i < j (dominating-index order)")
+        if any(np.any(a <= 0) for a in geometry):
+            raise GeometryError("overlap, distance, unit_fringe must be positive")
+        self = cls.__new__(cls)
+        self._setup(num_nodes, pair_i, pair_j, *geometry, weights, order)
+        return self
+
+    def _setup(self, num_nodes, pair_i, pair_j, overlap, distance,
+               unit_fringe, weights, order):
         if order < 2:
             raise GeometryError("coupling Taylor order must be >= 2")
         if weights is None:
-            weights = np.ones(len(pairs))
+            weights = np.ones(len(pair_i))
         weights = np.asarray(weights, dtype=float)
-        if weights.shape != (len(pairs),):
+        if weights.shape != (len(pair_i),):
             raise GeometryError("weights must align one-to-one with pairs")
         if np.any(weights < 0):
             raise GeometryError("Miller weights must be non-negative")
 
         keep = weights > 0.0
-        pairs = [p for p, k in zip(pairs, keep) if k]
         weights = weights[keep]
+        distance = np.broadcast_to(distance, keep.shape)[keep]
+        # ~c = f̂·l/d and ĉ = ~c/(2d), in CouplingPair's operation order.
+        ctilde = np.broadcast_to(unit_fringe, keep.shape)[keep] \
+            * overlap[keep] / distance
 
         self.num_nodes = int(num_nodes)
         self.order = int(order)
-        self.pair_i = np.array([p.i for p in pairs], dtype=np.int64)
-        self.pair_j = np.array([p.j for p in pairs], dtype=np.int64)
-        if len(pairs) and (self.pair_i.max(initial=0) >= num_nodes
-                           or self.pair_j.max(initial=0) >= num_nodes):
+        self.pair_i = pair_i[keep]
+        self.pair_j = pair_j[keep]
+        if len(self.pair_i) and (self.pair_i.max(initial=0) >= num_nodes
+                                 or self.pair_j.max(initial=0) >= num_nodes):
             raise GeometryError("pair endpoint outside the node index space")
-        self.distance = np.array([p.distance for p in pairs])
+        self.distance = distance
         self.weight = weights
-        self.ctilde = weights * np.array([p.ctilde for p in pairs])
-        self.chat = weights * np.array([p.chat for p in pairs])
+        self.ctilde = weights * ctilde
+        self.chat = weights * (ctilde / (2.0 * distance))
         self._endpoints = np.concatenate([self.pair_i, self.pair_j])
         self._two_distance = 2.0 * self.distance
         self._scratch = None
@@ -98,13 +132,14 @@ class CouplingSet:
 
         ``analyzer`` (a :class:`~repro.noise.similarity.SimilarityAnalyzer`)
         is required for the similarity-dependent modes and ignored by
-        ``WORST``/``PHYSICAL``.
+        ``WORST``/``PHYSICAL``.  The pairs stay arrays end to end
+        (:meth:`~repro.geometry.layout.ChannelLayout.pair_arrays`).
         """
-        pairs = layout.coupling_pairs()
-        num_nodes = layout.circuit.num_nodes
+        i_idx, j_idx, overlap = layout.pair_arrays()
+        n_pairs = len(i_idx)
         mode = MillerMode(mode)
         if mode in (MillerMode.WORST, MillerMode.PHYSICAL):
-            similarity = np.zeros(len(pairs))  # unused by these modes
+            similarity = np.zeros(n_pairs)  # unused by these modes
         else:
             if analyzer is None:
                 raise GeometryError(f"MillerMode.{mode.name} needs a SimilarityAnalyzer")
@@ -113,17 +148,19 @@ class CouplingSet:
             # their mean — counted from the boolean values directly, a
             # block of pairs at a time.
             values = analyzer.values
-            i_idx = np.array([p.i for p in pairs], dtype=np.int64)
-            j_idx = np.array([p.j for p in pairs], dtype=np.int64)
-            differ = np.empty(len(pairs), dtype=np.int64)
-            for lo in range(0, len(pairs), _PAIR_BLOCK):
+            differ = np.empty(n_pairs, dtype=np.int64)
+            for lo in range(0, n_pairs, _PAIR_BLOCK):
                 hi = lo + _PAIR_BLOCK
                 differ[lo:hi] = np.count_nonzero(
                     values[i_idx[lo:hi]] != values[j_idx[lo:hi]], axis=1)
             n_patterns = values.shape[1]
             similarity = (n_patterns - 2 * differ) / n_patterns
-        weights = miller_weight(similarity, mode) if len(pairs) else np.zeros(0)
-        return cls(num_nodes, pairs, weights=np.atleast_1d(weights), order=order)
+        weights = miller_weight(similarity, mode) if n_pairs else np.zeros(0)
+        return cls.from_arrays(
+            layout.circuit.num_nodes, i_idx, j_idx, overlap,
+            np.full(n_pairs, layout.pitch),
+            layout.circuit.tech.coupling_unit_capacitance,
+            weights=np.atleast_1d(weights), order=order)
 
     # -- evaluation ---------------------------------------------------------------
 

@@ -25,6 +25,8 @@ import json
 import math
 import pathlib
 
+import numpy as np
+
 from repro.core.flow import ORDERING_NAMES
 from repro.noise.miller import MillerMode
 from repro.timing.elmore import CouplingDelayMode
@@ -69,45 +71,57 @@ def _finite(name, value):
     return number
 
 
-#: Nodes (or edges) encoded per hash update by :func:`circuit_fingerprint`.
-FINGERPRINT_CHUNK = 4096
+def _utf8_column(strings):
+    """Length-prefixed UTF-8: a little-endian u4 byte-length column, then
+    the concatenated bytes."""
+    lengths = np.fromiter((len(text.encode()) for text in strings),
+                          dtype="<u4", count=len(strings))
+    return lengths, "".join(strings).encode()
 
 
 def circuit_fingerprint(circuit):
-    """SHA-256 over a *built* circuit's canonical form.
+    """SHA-256 over a *built* circuit's canonical column bytes.
 
     Shared by :meth:`CircuitRef.fingerprint` and the sweep workers (which
     fingerprint the circuit they already constructed, so cache writes in
     the parent never have to build one).
 
-    Equal to ``_content_hash(circuit_to_dict(circuit))``, but streamed:
-    the same canonical JSON bytes reach the hash in pieces of
-    :data:`FINGERPRINT_CHUNK` nodes or edges, so a large netlist never
-    holds all its node dicts or the whole JSON text at once.
+    The digest covers, in order: the header JSON of
+    :func:`repro.io.circuit_header` (schema, kind, name, technology);
+    every column of :class:`~repro.circuit.circuit.Circuit` under its
+    name with an explicit little-endian dtype (``kind`` as ``i1``, the
+    float parameters as ``f8``); the node names and each node's function
+    name as length-prefixed UTF-8; and the sorted ``edge_src`` /
+    ``edge_dst`` arrays as ``i8``.  Each part is framed by its label and
+    byte count and hashed as it is produced, so the same circuit hashes
+    equal whether it was built from columns, from a ``Node`` list, or
+    read back by :mod:`repro.io`.
     """
-    from repro.io import circuit_header, node_to_dict
+    from repro.circuit.circuit import PARAM_COLUMNS
+    from repro.io import circuit_header
 
-    header = circuit_header(circuit)
-    lists = {"nodes": (circuit.nodes, node_to_dict),
-             "edges": (circuit.edges, list)}
-    step = FINGERPRINT_CHUNK
     digest = hashlib.sha256()
-    opener = "{"
-    for key in sorted([*header, *lists]):  # sort_keys order
-        digest.update(f"{opener}{_canonical_json(key)}:".encode())
-        opener = ","
-        if key in header:
-            digest.update(_canonical_json(header[key]).encode())
-            continue
-        items, encode = lists[key]
-        digest.update(b"[")
-        for start in range(0, len(items), step):
-            chunk = [encode(item) for item in items[start:start + step]]
-            # Drop the chunk's own brackets; join chunks with a comma.
-            digest.update(("," if start else "").encode()
-                          + _canonical_json(chunk)[1:-1].encode())
-        digest.update(b"]")
-    digest.update(b"}")
+
+    def part(label, *chunks):
+        views = [memoryview(chunk) for chunk in chunks]
+        digest.update(f"{label}:{sum(v.nbytes for v in views)}:".encode())
+        for view in views:
+            digest.update(view)
+
+    def column(name, dtype):
+        part(f"{name}:{dtype}",
+             np.ascontiguousarray(getattr(circuit, name), dtype=dtype))
+
+    part("header", _canonical_json(circuit_header(circuit)).encode())
+    column("kind", "<i1")
+    for field in PARAM_COLUMNS:
+        column(field, "<f8")
+    part("names:utf8", *_utf8_column(circuit.names))
+    functions = circuit.functions
+    part("functions:utf8", *_utf8_column(
+        [functions[c] for c in circuit.function_code.tolist()]))
+    column("edge_src", "<i8")
+    column("edge_dst", "<i8")
     return digest.hexdigest()
 
 

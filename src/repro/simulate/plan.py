@@ -1,6 +1,6 @@
 """Precompiled vectorized simulation plan (the cold-path tentpole).
 
-The direct levelized loop walks ``circuit.nodes`` in Python — one
+The direct levelized loop walks the nodes in Python — one
 iteration per node, so a cold similarity setup on c7552 spent most of
 its time in interpreter overhead rather than boolean arithmetic.
 :class:`SimPlan` compiles that walk once per circuit into a handful of
@@ -85,22 +85,18 @@ class SimPlan:
         # longest-path level is a valid schedule key: a gate's redirected
         # input roots lie upstream of it, so their levels are strictly
         # smaller and sorting groups by level keeps every input row
-        # final before its group runs.  The only per-gate Python left is
-        # one attribute read to intern each gate's logic function.
+        # final before its group runs.  Functions are numbered in order
+        # of first appearance among the gates.
         gates = cc.gate_indices
         groups = []
         if gates.size:
-            func_ids = {}
-            func_list = []
-            func_id = np.empty(gates.size, dtype=np.int64)
-            nodes = circuit.nodes
-            for k, i in enumerate(gates.tolist()):
-                f = nodes[i].function
-                fid = func_ids.get(f)
-                if fid is None:
-                    fid = func_ids[f] = len(func_list)
-                    func_list.append(f)
-                func_id[k] = fid
+            codes = circuit.function_code[gates]
+            used, first = np.unique(codes, return_index=True)
+            by_first = np.argsort(first, kind="stable")
+            func_list = [circuit.functions[c] for c in used[by_first].tolist()]
+            rank = np.empty(used.size, dtype=np.int64)
+            rank[by_first] = np.arange(used.size)
+            func_id = rank[np.searchsorted(used, codes)]
             fanin = cc.in_degree[gates]
             glevel = cc.level[gates]
             # Stable group-major order; boundaries where any key changes.

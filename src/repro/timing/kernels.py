@@ -76,7 +76,7 @@ and ``ElmoreEngine.pool``.
 
 import numpy as np
 
-from repro.circuit.compiled import _csr
+from repro.circuit.circuit import _csr
 
 try:  # SciPy's C kernels accumulate into a caller-provided output array.
     from scipy.sparse import _sparsetools as _st

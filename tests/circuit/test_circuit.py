@@ -1,10 +1,15 @@
 """Circuit graph invariants and the paper's traversal definitions."""
 
+import re
+
 import pytest
 
 from repro.circuit import Circuit, CircuitBuilder
+from repro.circuit.circuit import PARAM_COLUMNS
 from repro.circuit.components import Node, NodeKind
-from repro.utils.errors import ValidationError
+from repro.io import circuit_from_dict, circuit_to_dict
+from repro.tech import Technology
+from repro.utils.errors import CircuitError, ValidationError
 
 
 class TestStructure:
@@ -165,3 +170,117 @@ class TestValidationErrors:
         for node in small_circuit.components():
             assert node.lower <= x[node.index] <= node.upper
         assert x[0] == 0.0
+
+
+# -- one broken circuit per documented invariant, through both constructors ----
+
+#: A valid two-driver, one-gate circuit as (kind, name, params) rows.
+_WIRE = dict(r_hat=1.0, c_hat=1.0, fringe=0.5, alpha=10.0, lower=0.1,
+             upper=10.0, length=10.0)
+_GATE = dict(r_hat=100.0, c_hat=1.0, alpha=2.0, lower=0.1, upper=10.0,
+             function="nand")
+_ROWS = [
+    (NodeKind.SOURCE, "@source", {}),
+    (NodeKind.DRIVER, "d0", dict(r_hat=100.0)),
+    (NodeKind.DRIVER, "d1", dict(r_hat=100.0)),
+    (NodeKind.WIRE, "w0", _WIRE),
+    (NodeKind.WIRE, "w1", _WIRE),
+    (NodeKind.GATE, "g", _GATE),
+    (NodeKind.WIRE, "po", dict(_WIRE, load_cap=5.0)),
+    (NodeKind.SINK, "@sink", {}),
+]
+_EDGES = [(0, 1), (0, 2), (1, 3), (2, 4), (3, 5), (4, 5), (5, 6), (6, 7)]
+
+
+def _insert_before_sink(rows, edges, new_rows, new_edges):
+    """Insert ``new_rows`` just before the sink; ``new_edges`` name the
+    k-th new node as ``-1 - k`` and the (moved) sink as ``"sink"``."""
+    sink, added = len(rows) - 1, len(new_rows)
+    rows = rows[:sink] + new_rows + rows[sink:]
+    edges = [(u, v + added * (v == sink)) for u, v in edges]
+    edges += [tuple(sink + added if x == "sink" else sink - 1 - x if x < 0
+                    else x for x in edge) for edge in new_edges]
+    return rows, edges
+
+
+def _broken_cases():
+    rows, edges = list(_ROWS), list(_EDGES)
+    yield "node 0 must be the source", \
+        [(NodeKind.DRIVER, "@source", dict(r_hat=1.0))] + rows[1:], edges
+    yield "last node must be the sink", \
+        rows[:-1] + [(NodeKind.WIRE, "@sink", _WIRE)], edges
+    yield "sink node 'stray' at index 7", *_insert_before_sink(
+        rows, edges, [(NodeKind.SINK, "stray", {})], [(6, -1)])
+    yield "source node 'stray' at index 7", *_insert_before_sink(
+        rows, edges, [(NodeKind.SOURCE, "stray", {})], [(6, -1)])
+    yield "indices 1..2 must be drivers", \
+        [rows[0], rows[1], rows[3], rows[2]] + rows[4:], \
+        [(0, 1), (0, 3), (1, 2), (3, 4), (2, 5), (4, 5), (5, 6), (6, 7)]
+    yield "violates topological indexing", rows, edges[:-1] + [(7, 6)]
+    yield "source must feed exactly the drivers", rows, edges + [(0, 3)]
+    yield "sink is fed by non-wire node 'g'", rows, edges + [(5, 7)]
+    yield "primary-output wire 'po' has no load", \
+        rows[:6] + [(NodeKind.WIRE, "po", _WIRE)] + rows[7:], edges
+    yield "wire 'w1' must have exactly one input", rows, edges + [(1, 4)]
+    yield "gate 'h' has no inputs", *_insert_before_sink(
+        rows, edges, [(NodeKind.GATE, "h", _GATE),
+                      (NodeKind.WIRE, "h.out", dict(_WIRE, load_cap=5.0))],
+        [(-1, -2), (-2, "sink")])
+    yield "gate 'g' input 'd0' is not a wire", rows, edges + [(1, 5)]
+    yield "driver 'd1' must be fed by the source only", rows, edges + [(1, 2)]
+    yield "component 'dangle' has no fanout", *_insert_before_sink(
+        rows, edges, [(NodeKind.WIRE, "dangle", _WIRE)], [(1, -1)])
+    yield "duplicate node name 'w0'", \
+        rows[:4] + [(NodeKind.WIRE, "w0", _WIRE)] + rows[5:], edges
+
+
+def _adapter(rows, edges):
+    nodes = [Node(index=i, kind=kind, name=name, **params)
+             for i, (kind, name, params) in enumerate(rows)]
+    return Circuit(nodes, edges, Technology.dac99())
+
+
+def _columns(rows, edges):
+    functions = sorted({params.get("function", "") for _, _, params in rows})
+    params = {field: [p.get(field, 0.0) for _, _, p in rows]
+              for field in PARAM_COLUMNS}
+    src, dst = zip(*edges)
+    return Circuit.from_columns(
+        [int(kind) for kind, _, _ in rows], [name for _, name, _ in rows],
+        functions, [functions.index(p.get("function", "")) for _, _, p in rows],
+        src, dst, Technology.dac99(), **params)
+
+
+@pytest.mark.parametrize("build", [_adapter, _columns],
+                         ids=["nodes", "columns"])
+class TestDocumentedInvariants:
+    def test_base_circuit_is_valid(self, build):
+        circuit = build(_ROWS, _EDGES)
+        assert circuit.num_gates == 1 and circuit.num_wires == 3
+
+    @pytest.mark.parametrize("message, rows, edges", list(_broken_cases()),
+                             ids=[case[0] for case in _broken_cases()])
+    def test_broken_circuit_rejected(self, build, message, rows, edges):
+        with pytest.raises(ValidationError, match=re.escape(message)):
+            build(rows, edges)
+
+    def test_node_parameters_checked(self, build):
+        rows = _ROWS[:3] + [(NodeKind.WIRE, "w0", dict(_WIRE, length=0.0))] \
+            + _ROWS[4:]
+        with pytest.raises(CircuitError, match="wire 'w0' needs a positive length"):
+            build(rows, _EDGES)
+
+
+def test_interior_sink_rejected_from_outside_input(c17):
+    """A c17 document with an extra SINK-kind leaf on a primary-output
+    wire used to load and run; it is now rejected on load."""
+    data = circuit_to_dict(c17)
+    sink = len(data["nodes"]) - 1
+    po_wire = next(u for u, v in data["edges"] if v == sink)
+    stray = dict(data["nodes"][sink], index=sink, name="stray")
+    data["nodes"][sink]["index"] = sink + 1
+    data["nodes"].insert(sink, stray)
+    data["edges"] = [[u, v + (v == sink)] for u, v in data["edges"]]
+    data["edges"].append([po_wire, sink])
+    with pytest.raises(ValidationError, match="sink node 'stray'"):
+        circuit_from_dict(data)

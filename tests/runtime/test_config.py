@@ -1,13 +1,18 @@
 """Declarative scenario specs: validation, canonical form, expansion."""
 
+import copy
 import dataclasses
 import json
 
+import numpy as np
 import pytest
 
-from repro.circuit import iscas85_circuit, load_bench, random_circuit
+from repro.circuit import Circuit, iscas85_circuit, load_bench
+from repro.circuit.circuit import PARAM_COLUMNS
+from repro.circuit.components import NodeKind
 from repro.circuit.parser import builtin_bench_path
-from repro.io import circuit_to_dict
+from repro.io import circuit_from_dict, circuit_to_dict
+from repro.tech import Technology
 from repro.runtime import CircuitRef, FlowConfig, Scenario, SweepSpec
 from repro.runtime import config as runtime_config
 from repro.utils.errors import ValidationError
@@ -87,43 +92,86 @@ class TestCircuitRef:
         assert rebuilt.build().num_gates == 12
 
 
-def _boundary_chunks(count):
-    """Chunk sizes that put ``count`` items exactly on, and one past, a
-    chunk boundary (at least two chunks where the count allows)."""
-    on = [k for k in range(2, count // 2 + 1) if count % k == 0]
-    past = [k for k in range(2, count // 2 + 1) if count % k == 1]
-    return [on[-1] if on else count, past[-1] if past else count - 1]
+def _rebuilt(circuit, how):
+    """``circuit`` rebuilt through one of the three constructors."""
+    if how == "columns":
+        return Circuit.from_columns(
+            circuit.kind, circuit.names, circuit.functions,
+            circuit.function_code, circuit.edge_src, circuit.edge_dst,
+            circuit.tech, name=circuit.name,
+            **{f: getattr(circuit, f) for f in PARAM_COLUMNS})
+    if how == "nodes":
+        return Circuit(circuit.nodes, circuit.edges, circuit.tech,
+                       name=circuit.name)
+    return circuit_from_dict(json.loads(json.dumps(circuit_to_dict(circuit))))
+
+
+def _with(circuit, **changes):
+    """A shallow copy with attributes replaced (bypasses validation: the
+    fingerprint reads the store, whatever it holds)."""
+    variant = copy.copy(circuit)
+    for name, value in changes.items():
+        setattr(variant, name, value)
+    return variant
+
+
+def _bumped(column, index):
+    column = column.copy()
+    column[index] += 1
+    return column
+
+
+def _one_change(circuit, part):
+    """``circuit`` with exactly one stored value of ``part`` changed."""
+    g = int(np.flatnonzero(circuit.kind == NodeKind.GATE)[0])
+    if part in PARAM_COLUMNS or part in ("kind", "edge_src", "edge_dst"):
+        return _with(circuit, **{part: _bumped(getattr(circuit, part), g)})
+    if part == "name":
+        names = list(circuit.names)
+        names[g] += "x"
+        return _with(circuit, names=tuple(names))
+    if part == "function":
+        functions = list(circuit.functions)
+        code = circuit.function_code[g]
+        functions[code] = functions[code] + "x"
+        return _with(circuit, functions=tuple(functions))
+    if part == "circuit name":
+        return _with(circuit, name=circuit.name + "x")
+    value = getattr(circuit.tech, part)
+    return _with(circuit, tech=dataclasses.replace(circuit.tech,
+                                                   **{part: value * 2 + 1}))
 
 
 class TestStreamedFingerprint:
-    """The streamed digest is the digest of the whole canonical JSON."""
-
-    @staticmethod
-    def _whole(circuit):
-        return runtime_config._content_hash(circuit_to_dict(circuit))
+    """SHA-256 over the header JSON and the canonical column bytes, each
+    part hashed as it is produced."""
 
     def test_c17_digest_pinned(self):
         c17 = load_bench(builtin_bench_path("c17"))
-        digest = runtime_config.circuit_fingerprint(c17)
-        assert digest == self._whole(c17)
-        assert digest == ("8b412ec34c283c8f3b6173af34817ad9"
-                          "30475f2a14084a14db6dbeb36b06f215")
+        assert runtime_config.circuit_fingerprint(c17) == (
+            "5992e0d3232846540c56d0cb6b6180d3"
+            "1353d0bec1d3ea23606cc6ed09545332")
 
-    @pytest.mark.parametrize("name", ["c432", "c7552"])
+    @pytest.mark.parametrize("name", ["c17", "c432", "c7552"])
     def test_iscas_circuits(self, name):
-        """c7552's 9865 nodes span three default-size chunks."""
-        circuit = iscas85_circuit(name)
-        assert runtime_config.circuit_fingerprint(circuit) == \
-            self._whole(circuit)
+        """Column constructor, Node-list adapter and io round trip hash
+        the same circuit to the same digest (c17 is parsed, the others
+        generated)."""
+        circuit = load_bench(builtin_bench_path("c17")) if name == "c17" \
+            else iscas85_circuit(name)
+        digest = runtime_config.circuit_fingerprint(circuit)
+        for how in ("columns", "nodes", "io"):
+            rebuilt = _rebuilt(circuit, how)
+            assert runtime_config.circuit_fingerprint(rebuilt) == digest, how
 
-    @pytest.mark.parametrize("seed", [0, 1])
-    def test_chunk_boundaries(self, monkeypatch, seed):
-        circuit = random_circuit(40 + seed, 6, 4, seed=seed)
-        whole = self._whole(circuit)
-        counts = (len(circuit.nodes), len(circuit.edges))
-        for chunk in [k for count in counts for k in _boundary_chunks(count)]:
-            monkeypatch.setattr(runtime_config, "FINGERPRINT_CHUNK", chunk)
-            assert runtime_config.circuit_fingerprint(circuit) == whole, chunk
+    @pytest.mark.parametrize("part", [
+        "kind", *PARAM_COLUMNS, "name", "function", "edge_src", "edge_dst",
+        "circuit name",
+        *(f.name for f in dataclasses.fields(Technology))])
+    def test_any_change_moves_digest(self, c17, part):
+        digest = runtime_config.circuit_fingerprint(c17)
+        changed = _one_change(c17, part)
+        assert runtime_config.circuit_fingerprint(changed) != digest
 
 
 class TestFlowConfig:

@@ -34,6 +34,11 @@ class TestInfoCommand:
         assert code == 0
         assert "c17" in text
 
+    def test_random_spec(self):
+        code, text = run_cli("info", "random:2000")
+        assert code == 0
+        assert "rand2000" in text and "2000" in text
+
     def test_unknown_circuit(self):
         code, text = run_cli("info", "c9999")
         assert code == 2
