@@ -10,9 +10,12 @@ Runs go through the scenario layer (:mod:`repro.runtime`): one
 the resulting :class:`RunRecord`\\ s feeding the shape checks and the
 report directly.
 
-Shape expectations (absolute values differ by construction — DESIGN.md §3):
-noise ends ≈10× below initial (binding X_B), area and power collapse,
-delay moves only a few percent, iteration counts stay small.
+Shape expectations (absolute values differ by construction: the ISCAS85
+netlists are statistical clones on a synthetic layout): noise ends ≈10×
+below initial, area and power collapse, delay moves only a few percent,
+iteration counts stay small.  The noise bound X_B = 0.1 × initial does
+not bind here: final noise is 0.0833 × initial on all ten circuits, and
+only the delay bound binds, where in the paper X_B binds on most rows.
 """
 
 import pytest

@@ -245,9 +245,10 @@ def bench_cold_breakdown(name, patterns, repeats):
 
     * ``analyzer`` — SimPlan compilation + levelized simulation
       (analyzer construction end to end),
-    * ``keys`` — each channel's int16 sort keys, built one channel at a
-      time (one f32 ±1 matmul per channel, reduced to integer keys),
-    * ``ordering`` — WOSS over every channel via the keys fast path,
+    * ``keys`` — each channel's classes of equal rows and the int16 sort
+      keys between them, built one channel at a time (one f32 ±1 matmul
+      per channel, reduced to integer keys),
+    * ``ordering`` — WOSS over every channel's classes,
     * ``cost`` — before/after path-dissimilarity totals from the
       disagreement counts of adjacent rows,
     * ``apply`` — layout reordering,
@@ -275,9 +276,10 @@ def bench_cold_breakdown(name, patterns, repeats):
         keys_s = ordering_s = 0.0
         for ch in channels:
             t_keys = time.perf_counter()
-            keys = analyzer.sort_keys(ch.wires)
+            classes, representatives = analyzer.classes(ch.wires)
+            keys = analyzer.sort_keys(representatives)
             t_order = time.perf_counter()
-            orders[ch.label] = ordering(None, ch.label, keys)
+            orders[ch.label] = ordering.class_ordering(classes, keys)
             keys_s += t_order - t_keys
             ordering_s += time.perf_counter() - t_order
             del keys

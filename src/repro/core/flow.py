@@ -27,6 +27,7 @@ from repro.noise.miller import MillerMode
 from repro.noise.ordering import (
     greedy_both_ends,
     random_ordering,
+    woss_class_ordering,
     woss_ordering,
 )
 from repro.timing.elmore import CouplingDelayMode
@@ -46,10 +47,10 @@ def resolve_ordering(name, seed=0):
     cross-process.
     """
     if name == "woss":
-        def woss(weights, label, sort_keys=None):
-            return woss_ordering(weights, sort_keys=sort_keys)
+        def woss(weights, label):
+            return woss_ordering(weights)
 
-        woss.accepts_sort_keys = True
+        woss.class_ordering = woss_class_ordering
         return woss
     if name == "greedy2":
         return lambda weights, label: greedy_both_ends(weights)
@@ -69,43 +70,48 @@ def order_channel_wires(analyzer, layout, ordering):
     Returns ``(ordered_layout, cost_before, cost_after)`` where the
     costs are the summed ``1 − similarity`` over adjacent pairs.
 
-    Stage 1 streams: each channel's similarity is built, used to order
-    the channel and dropped before the next channel's, so at most one
-    channel's width × width array is alive at a time and nothing of it
-    outlives the call.  Ordering callables that declare
-    ``accepts_sort_keys`` (WOSS) receive the channel's integer distance
-    keys from :meth:`SimilarityAnalyzer.sort_keys` instead of float
-    weights, trading the per-step argmin loop for one sorted prefix
-    walk; the others (or WOSS above 16383 patterns, where no keys exist)
-    get the channel's float64 weights ``1 − similarity``.  Every
-    ordering's costs come from one place,
+    Stage 1 streams: each channel's keys or similarity are built, used
+    to order the channel and dropped before the next channel's, so at
+    most one channel's square array is alive at a time and nothing of
+    it outlives the call.  An ordering that offers ``class_ordering``
+    (WOSS, from :func:`resolve_ordering`) orders the channel's *classes*
+    — its wires grouped by equal simulated rows
+    (:meth:`SimilarityAnalyzer.classes`) — from the integer distance
+    keys between one representative per class
+    (:meth:`SimilarityAnalyzer.sort_keys`), which gives exactly the
+    per-wire WOSS order (:func:`~repro.noise.ordering.woss_class_ordering`
+    states why) from a ``classes × classes`` array instead of a
+    ``width × width`` one.  The others, caller-supplied callables among
+    them (or WOSS above 16383 patterns, where no keys exist), get the
+    channel's float64 weights ``1 − similarity``.  Every ordering's
+    costs come from one place,
     :meth:`SimilarityAnalyzer.path_dissimilarity`, which counts the
     disagreements of adjacent rows — O(width · P) per channel and
     bit-identical to summing the weights over the same pairs.
     """
-    keyed = getattr(ordering, "accepts_sort_keys", False)
     orders = {}
     cost_before = 0.0
     cost_after = 0.0
     for channel in layout.channels:
         if len(channel) < 2:
             continue
-        order = _order_channel(analyzer, channel, ordering, keyed)
+        order = _order_channel(analyzer, channel, ordering)
         cost_before += analyzer.path_dissimilarity(channel.wires)
         cost_after += analyzer.path_dissimilarity(channel.wires, order)
         orders[channel.label] = order
     return layout.apply_ordering(orders), cost_before, cost_after
 
 
-def _order_channel(analyzer, channel, ordering, keyed):
+def _order_channel(analyzer, channel, ordering):
     """One channel's order; its keys or weights die with this frame."""
-    keys = analyzer.sort_keys(channel.wires) if keyed else None
-    if keys is not None:
-        return ordering(None, channel.label, keys)
+    class_ordering = getattr(ordering, "class_ordering", None)
+    if class_ordering is not None:
+        classes, representatives = analyzer.classes(channel.wires)
+        keys = analyzer.sort_keys(representatives)
+        if keys is not None:
+            return class_ordering(classes, keys)
     weights = 1.0 - analyzer.matrix(channel.wires)
     np.fill_diagonal(weights, 0.0)
-    if keyed:
-        return ordering(weights, channel.label, None)
     return ordering(weights, channel.label)
 
 
@@ -191,13 +197,11 @@ class NoiseAwareSizingFlow:
                 f"unknown ordering {name!r}; "
                 f"choose from {sorted(ORDERING_NAMES)}")
 
-        def ordering(weights, label, sort_keys=None):
-            resolved = resolve_ordering(name, seed=self.seed)
-            if getattr(resolved, "accepts_sort_keys", False):
-                return resolved(weights, label, sort_keys)
-            return resolved(weights, label)
+        def ordering(weights, label):
+            return resolve_ordering(name, seed=self.seed)(weights, label)
 
-        ordering.accepts_sort_keys = name == "woss"
+        if name == "woss":
+            ordering.class_ordering = woss_class_ordering
         return ordering
 
     # -- stages ---------------------------------------------------------------------

@@ -81,7 +81,7 @@ class ChannelLayout:
         ok = (members.size == 0
               or (members.min() >= 0 and members.max() < wire_mask.size
                   and bool(wire_mask[members].all())
-                  and np.unique(members).size == members.size))
+                  and np.count_nonzero(np.bincount(members)) == members.size))
         if not ok:
             seen = set()
             for channel in self.channels:

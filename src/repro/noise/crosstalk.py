@@ -29,9 +29,6 @@ import numpy as np
 from repro.noise.miller import MillerMode, miller_weight
 from repro.utils.errors import GeometryError
 
-#: Pairs whose value rows :meth:`CouplingSet.from_layout` compares at once.
-_PAIR_BLOCK = 4096
-
 #: Fused per-node coupling terms (see :meth:`CouplingSet.node_terms_batch`).
 #: ``node_caps`` is ``None`` unless requested.
 CouplingTerms = collections.namedtuple(
@@ -145,16 +142,8 @@ class CouplingSet:
                 raise GeometryError(f"MillerMode.{mode.name} needs a SimilarityAnalyzer")
             # Over P patterns with h disagreements the ±1 products sum
             # to the integer P − 2h, so (P − 2h) / P is bit-identical to
-            # their mean — counted from the boolean values directly, a
-            # block of pairs at a time.
-            values = analyzer.values
-            differ = np.empty(n_pairs, dtype=np.int64)
-            for lo in range(0, n_pairs, _PAIR_BLOCK):
-                hi = lo + _PAIR_BLOCK
-                differ[lo:hi] = np.count_nonzero(
-                    values[i_idx[lo:hi]] != values[j_idx[lo:hi]], axis=1)
-            n_patterns = values.shape[1]
-            similarity = (n_patterns - 2 * differ) / n_patterns
+            # their mean — counted from the analyzer's distinct rows.
+            similarity = analyzer.pair_similarity(i_idx, j_idx)
         weights = miller_weight(similarity, mode) if n_pairs else np.zeros(0)
         return cls.from_arrays(
             layout.circuit.num_nodes, i_idx, j_idx, overlap,

@@ -12,7 +12,9 @@ improvement, a both-ends greedy extension, and random orderings.
 
 All functions take a symmetric weight matrix over channel *positions* and
 return a permutation of positions (apply it to the channel via
-:meth:`Channel.reordered`).
+:meth:`Channel.reordered`); :func:`woss_class_ordering` takes the
+channel's classes of equal rows and the integer keys between them
+instead, and returns the same WOSS permutation.
 """
 
 import itertools
@@ -21,6 +23,9 @@ import numpy as np
 
 from repro.utils.errors import GeometryError
 from repro.utils.rng import make_rng
+
+#: What a visited column reads in the keyed walk: above every 16-bit key.
+_BLOCKED = 0x10000
 
 
 def _check_weights(weights):
@@ -56,110 +61,33 @@ def woss_ordering(weights, sort_keys=None):
     A2: repeatedly extend from the current *tail* ``w_{k-1}`` along its
     minimum-weight edge to an unvisited node.
 
-    O(n²) overall.  Returns a position permutation.
+    Ties go to the lowest index, in A1 (lowest row, then lowest column)
+    and in A2.  O(n²) overall.  Returns a position permutation.
 
-    ``sort_keys`` optionally accelerates both steps without changing the
-    result: an integer matrix whose entries order (and tie) exactly as
-    ``weights`` does off the diagonal, globally as well as within each
-    row — e.g. the scaled Hamming-distance keys ``2d`` from
-    :meth:`SimilarityAnalyzer.sort_keys`, since the weight ``1 − s =
-    2d/P`` is strictly increasing in the integer distance ``d``.  With
-    keys the per-step A2 masked argmin (lowest index among unvisited
-    minima) becomes one stable argsort of the keys — stable sort breaks
-    ties by index, radix-fast for ``int16`` — plus a pointer walk that
-    skips visited entries; the A1 start edge falls out of the same
-    argsort (each row's first non-diagonal sorted entry).  The keys
-    fully determine the result, so ``weights`` may then be ``None`` —
-    the flow's fast path never materializes the float weight matrix at
-    all.  The caller asserts the keys' monotone-equivalence contract
-    *and* the weights' symmetry: the keys path checks shapes only,
-    skipping :func:`_check_weights`'s O(n²) symmetry test (the flow
-    builds both from one symmetric similarity matrix).  Equality with
-    the reference loop is pinned by ``tests/noise/test_ordering.py``.
+    ``sort_keys`` optionally replaces the float weights without changing
+    the result: an integer matrix, entries in ``[0, 0xFFFF]``, whose
+    entries order (and tie) exactly as ``weights`` does off the
+    diagonal, globally as well as within each row — e.g. the scaled
+    Hamming-distance keys ``2d`` from :meth:`SimilarityAnalyzer.sort_keys`,
+    since the weight ``1 − s = 2d/P`` is strictly increasing in the
+    integer distance ``d``.  With keys, each A2 step is one integer
+    masked argmin over the tail's row (visited columns masked to a value
+    above every key), and A1 scans the rows a block at a time; no float
+    copy or sorted copy of the matrix is made.  The keys fully
+    determine the result, so ``weights`` may then be ``None``.  The
+    caller asserts the keys' monotone-equivalence contract *and* the
+    weights' symmetry: the keys path checks shapes and range only,
+    skipping :func:`_check_weights`'s O(n²) symmetry test.  Equality
+    with the float loop below is pinned by ``tests/noise/test_ordering.py``.
+    Stage 1 runs the keyed walk over classes of equal rows instead
+    (:func:`woss_class_ordering`), with the same result.
     """
     if sort_keys is not None:
-        sort_keys = np.asarray(sort_keys)
-        if sort_keys.ndim != 2 or sort_keys.shape[0] != sort_keys.shape[1] \
-                or sort_keys.shape[0] == 0:
-            raise GeometryError("sort_keys must be a non-empty square matrix")
-        if weights is not None:
-            weights = np.asarray(weights, dtype=float)
-            if sort_keys.shape != weights.shape:
-                raise GeometryError("sort_keys must match the weights shape")
-        n = sort_keys.shape[0]
-        if n == 1:
-            return [0]
-        if not np.issubdtype(sort_keys.dtype, np.integer):
-            raise GeometryError("sort_keys must be an integer matrix")
-        if n > 0xFFFF:
-            raise GeometryError("sort_keys path limited to 65535 wires")
-        unsigned = np.issubdtype(sort_keys.dtype, np.unsignedinteger)
-        bad = False
-        if sort_keys.itemsize > 2:
-            bad = sort_keys.max() > 0xFFFF or (
-                not unsigned and sort_keys.min() < 0)
-        elif not unsigned:
-            bad = sort_keys.min() < 0
-        if bad:
-            raise GeometryError(
-                "sort_keys entries must fit 16 unsigned bits")
-        # Combined key ``key·2¹⁶ | column`` makes the stable (key, index)
-        # order a plain value order with no ties, so a *partial* sort is
-        # exact: partition the 64 smallest per row, sort only those.
-        # The walk rarely looks past the first few unvisited entries; a
-        # row that does exhaust its prefix (ties run deep) falls back to
-        # sorting that one full row on demand.
-        comb = sort_keys.astype(np.uint32)
-        comb <<= 16
-        comb |= np.arange(n, dtype=np.uint32)[None, :]
-        m = min(n, 64)
-        pref = comb if m == n else np.partition(comb, m - 1, axis=1)[:, :m]
-        pref = np.sort(pref, axis=1)
-        # A1 from the same prefix: each row's best off-diagonal partner
-        # is its first sorted entry that is not the row itself (position
-        # 0 or 1), and the flat argmin's row-major tie-break — lowest
-        # row, then lowest column — is exactly "first row achieving the
-        # global minimum, stable-lowest column within it".
-        arange = np.arange(n)
-        c0 = (pref[:, 0] & np.uint32(0xFFFF)).astype(np.int64)
-        cand = np.where(c0 == arange, pref[:, 1], pref[:, 0])
-        w1 = int(np.argmin(cand >> np.uint32(16)))
-        w2 = int(cand[w1] & 0xFFFF)
-        order = [w1, w2]
-        # The walk only needs column indices, so strip the key half once
-        # over the narrow prefix (n×m, not n×n).  Rows are walked only
-        # when their node is the tail, so the diagonal entry (the
-        # already-visited node itself) never needs masking.  Chunks are
-        # converted to Python ints at once — per-element NumPy scalar
-        # indexing costs ~10× a list access, and tie-heavy similarity
-        # rows make tens of skips per step common.
-        prefj = (pref & np.uint32(0xFFFF)).astype(np.int32)
-        visited = bytearray(n)
-        visited[w1] = visited[w2] = 1
-        tail = w2
-        for _ in range(n - 2):
-            row = prefj[tail]
-            p = 0
-            nxt = -1
-            while nxt < 0:
-                chunk = row[p:p + 48].tolist()
-                if not chunk:
-                    # Prefix exhausted — its first m entries were all
-                    # visited.  Sort the full row once and resume just
-                    # past the already-scanned prefix.
-                    row = (np.sort(comb[tail]) & np.uint32(0xFFFF)) \
-                        .astype(np.int32)
-                    p = m
-                    chunk = row[p:p + 48].tolist()
-                for j in chunk:
-                    if not visited[j]:
-                        nxt = j
-                        break
-                p += 48
-            tail = nxt
-            visited[tail] = 1
-            order.append(tail)
-        return order
+        sort_keys = _check_sort_keys(sort_keys)
+        if weights is not None and \
+                sort_keys.shape != np.asarray(weights, dtype=float).shape:
+            raise GeometryError("sort_keys must match the weights shape")
+        return _woss_walk(sort_keys)
     weights = _check_weights(weights)
     n = weights.shape[0]
     if n == 1:
@@ -176,6 +104,104 @@ def woss_ordering(weights, sort_keys=None):
         row = np.where(visited, np.inf, masked[tail])
         order.append(int(np.argmin(row)))
         visited[order[-1]] = True
+    return order
+
+
+def woss_class_ordering(classes, class_keys):
+    """WOSS over a channel whose wires fall into classes of equal rows.
+
+    ``classes`` gives each position's class, numbered by first
+    appearance (position 0 is in class 0, and each new class takes the
+    next number); ``class_keys`` is the ``u × u`` integer key matrix
+    between the classes (one representative row each), with the
+    :func:`woss_ordering` key contract and a nonzero key between any two
+    classes.  Returns the position permutation, equal to
+    ``woss_ordering(None, sort_keys=class_keys[classes][:, classes])``.
+
+    Why the collapse is exact: positions of one class have key 0 to
+    each other and equal keys to every other position.  Under WOSS's
+    rule — smallest key, then lowest index — a class, once entered, is
+    finished in index order before the walk leaves it (its members are
+    the only key-0 candidates), and the walk enters every class at its
+    first position.  Among classes tied on key, the one with the lowest
+    first position wins, which is the lowest class number.  A1 picks
+    the first two positions of the first class with two or more
+    members; when every class is a single position, ``class_keys`` is
+    the per-position key matrix itself.  So the per-position walk is
+    the walk over classes, starting at that class with A1 skipped (or
+    with A1 when there is none), each class expanded in index order.
+    The Gram and the walk shrink from ``width`` to ``u`` rows.
+    """
+    classes = np.asarray(classes)
+    if classes.ndim != 1 or classes.size == 0 or \
+            classes.dtype.kind not in "iu":
+        raise GeometryError("classes must be a non-empty integer vector")
+    seen = np.maximum.accumulate(classes)
+    if classes[0] != 0 or classes.min() < 0 or np.any(np.diff(seen) > 1):
+        raise GeometryError("classes must be numbered by first appearance")
+    class_keys = _check_sort_keys(class_keys)
+    n_classes = int(seen[-1]) + 1
+    if class_keys.shape[0] != n_classes:
+        raise GeometryError(
+            f"class_keys must be {n_classes} × {n_classes}, one row per class")
+    multi = np.flatnonzero(np.bincount(classes) >= 2)
+    walk = _woss_walk(class_keys, int(multi[0]) if multi.size else None)
+    rank = np.empty(n_classes, dtype=np.int64)
+    rank[walk] = np.arange(n_classes)
+    return np.argsort(rank[classes], kind="stable").tolist()
+
+
+def _check_sort_keys(sort_keys):
+    """Validated WOSS keys: a non-empty square integer matrix whose
+    entries fit 16 unsigned bits (wider types come back as ``int32``)."""
+    sort_keys = np.asarray(sort_keys)
+    if sort_keys.ndim != 2 or sort_keys.shape[0] != sort_keys.shape[1] \
+            or sort_keys.shape[0] == 0:
+        raise GeometryError("sort_keys must be a non-empty square matrix")
+    if sort_keys.dtype.kind not in "iu":
+        raise GeometryError("sort_keys must be an integer matrix")
+    if (sort_keys.dtype.kind == "i" and sort_keys.min() < 0) or \
+            (sort_keys.itemsize > 2 and sort_keys.max() > 0xFFFF):
+        raise GeometryError("sort_keys entries must fit 16 unsigned bits")
+    return sort_keys if sort_keys.itemsize <= 2 else \
+        sort_keys.astype(np.int32, copy=False)
+
+
+def _woss_walk(keys, start=None):
+    """WOSS on validated keys: A1 (or the walk ``[start]``), then A2."""
+    n = keys.shape[0]
+    if n == 1:
+        return [0]
+    if start is None:
+        # A1: the lowest row holding the smallest off-diagonal key, then
+        # the lowest column holding it in that row — the float loop's
+        # row-major argmin.  Rows are widened a block at a time, so no
+        # second n × n array is held.
+        row_min = np.empty(n, dtype=np.int32)
+        for lo in range(0, n, 256):
+            block = keys[lo:lo + 256].astype(np.int32)
+            diagonal = np.arange(len(block))
+            block[diagonal, lo + diagonal] = _BLOCKED
+            row_min[lo:lo + len(block)] = block.min(axis=1)
+        w1 = int(row_min.argmin())
+        row = keys[w1].astype(np.int32)
+        row[w1] = _BLOCKED
+        order = [w1, int(row.argmin())]
+    else:
+        order = [start]
+    # A2: one masked argmin per step over the tail's keys — visited
+    # columns read _BLOCKED, above every key, and argmin returns the
+    # first minimum, so ties go to the lowest index.  O(n) per step in
+    # C, with no sorted copy of the keys.
+    blocked = np.zeros(n, dtype=np.int32)
+    blocked[order] = _BLOCKED
+    masked = np.empty(n, dtype=np.int32)
+    tail = order[-1]
+    for _ in range(n - len(order)):
+        np.maximum(keys[tail], blocked, out=masked)
+        tail = int(masked.argmin())
+        blocked[tail] = _BLOCKED
+        order.append(tail)
     return order
 
 

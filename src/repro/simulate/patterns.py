@@ -3,7 +3,8 @@
 Patterns are boolean arrays of shape ``(n_patterns, n_inputs)``; row ``p``
 is the primary-input vector applied during cycle ``p``.  The paper takes
 patterns "from the logic simulation stage"; with no testbench available we
-use seeded random vectors by default (see DESIGN.md §3).
+use seeded random vectors by default (see "Model choices: seeded
+patterns" in ``docs/architecture.md``).
 """
 
 import numpy as np

@@ -7,10 +7,10 @@ its time in interpreter overhead rather than boolean arithmetic.
 array programs:
 
 * **wire-root redirection** — every wire's value equals its first
-  non-wire ancestor's (driver or gate), so wires never need to be
-  visited in evaluation order; gate inputs gather directly from the
-  redirected roots and all wire rows are filled at the end by one
-  fancy-indexed copy;
+  non-wire ancestor's (driver or gate), so only the non-wire *root*
+  rows are simulated (:meth:`SimPlan.simulate_roots`); gate inputs
+  gather directly from root rows, and :meth:`SimPlan.simulate` expands
+  the result to every node with one gather through ``node_root``;
 * **gate grouping** — gates are grouped by ``(level, function, fanin)``
   using the compiled circuit's longest-path levels; each group is
   evaluated for *all patterns at once* as a single gather
@@ -46,15 +46,20 @@ class SimPlan:
 
     Attributes
     ----------
+    roots:
+        The non-wire node indices (source, drivers, gates, sinks) in
+        ascending order — the rows :meth:`simulate_roots` computes.  The
+        source and the drivers are nodes ``0 … num_drivers``, so they
+        are also root rows ``0 … num_drivers``.
+    node_root:
+        ``(num_nodes,)`` root row of every node: a wire's first non-wire
+        ancestor, a non-wire itself.
     groups:
         Tuple of ``(function, in_idx, out_idx)`` entries in evaluation
         order; ``in_idx`` is an ``(fanin, group_size)`` int array of
-        redirected input rows and ``out_idx`` the ``(group_size,)``
-        output rows.  Groups are ordered by level, so every input row is
+        input root rows and ``out_idx`` the ``(group_size,)`` output
+        root rows.  Groups are ordered by level, so every input row is
         final before its group runs.
-    wire_rows / wire_roots:
-        Wire node indices and their redirected roots — applied as one
-        fancy-indexed row copy after all gate groups.
     """
 
     def __init__(self, circuit):
@@ -78,8 +83,12 @@ class SimPlan:
                 if np.array_equal(rr, r):
                     break
                 root[wires] = rr
-        self.wire_rows = wires
-        self.wire_roots = np.ascontiguousarray(root[wires])
+        non_wire = np.ones(n, dtype=bool)
+        non_wire[wires] = False
+        self.roots = np.flatnonzero(non_wire)
+        root_row = np.empty(n, dtype=np.int64)
+        root_row[self.roots] = np.arange(self.roots.size)
+        self.node_root = root_row[root]
 
         # Gate grouping by (level, function, fanin).  The compiled
         # longest-path level is a valid schedule key: a gate's redirected
@@ -107,16 +116,17 @@ class SimPlan:
                 (np.diff(glevel) != 0) | (np.diff(func_id) != 0)
                 | (np.diff(fanin) != 0)) + 1
             bounds = np.concatenate(([0], change, [gates.size]))
-            # Redirected root of every in-edge's source, in CSR order —
-            # per group the (fanin, size) input matrix is one gather.
-            edge_root = root[cc.edge_src[cc.in_edges]]
+            # Root row of every in-edge's source, in CSR order — per
+            # group the (fanin, size) input matrix is one gather.
+            edge_root = self.node_root[cc.edge_src[cc.in_edges]]
             for a, b in zip(bounds[:-1].tolist(), bounds[1:].tolist()):
-                out_idx = np.ascontiguousarray(gsort[a:b])
+                out_nodes = gsort[a:b]
                 f = int(fanin[a])
-                pos = cc.in_ptr[out_idx][None, :] + \
+                pos = cc.in_ptr[out_nodes][None, :] + \
                     np.arange(f, dtype=np.int64)[:, None]
                 in_idx = np.ascontiguousarray(edge_root[pos])
-                groups.append((func_list[int(func_id[a])], in_idx, out_idx))
+                groups.append((func_list[int(func_id[a])], in_idx,
+                               root_row[out_nodes]))
         self.groups = tuple(groups)
 
     @property
@@ -124,30 +134,33 @@ class SimPlan:
         """Python-level steps per simulation (levels × gate shapes)."""
         return len(self.groups)
 
-    def simulate(self, patterns):
-        """Evaluate every node under ``patterns`` (see the module contract).
+    def simulate_roots(self, patterns):
+        """The ``(len(roots), n_patterns)`` values of the non-wire nodes.
 
         ``patterns`` must already be validated boolean ``(n_patterns,
         num_drivers)`` — :func:`simulate_levelized` is the public entry.
+        Node ``k``'s row is row ``node_root[k]`` of the result.
         """
-        values = np.zeros((self.num_nodes, patterns.shape[0]), dtype=bool)
+        values = np.zeros((self.roots.size, patterns.shape[0]), dtype=bool)
         values[1:self.num_drivers + 1] = patterns.T
         for function, in_idx, out_idx in self.groups:
             values[out_idx] = evaluate_function(function, values[in_idx])
-        if self.wire_rows.size:
-            values[self.wire_rows] = values[self.wire_roots]
         return values
+
+    def simulate(self, patterns):
+        """Evaluate every node under ``patterns`` (see the module contract)."""
+        return self.simulate_roots(patterns)[self.node_root]
 
     @property
     def nbytes(self):
-        total = self.wire_rows.nbytes + self.wire_roots.nbytes
+        total = self.roots.nbytes + self.node_root.nbytes
         for _, in_idx, out_idx in self.groups:
             total += in_idx.nbytes + out_idx.nbytes
         return total
 
     def __repr__(self):
         return (f"SimPlan(nodes={self.num_nodes}, groups={self.num_groups}, "
-                f"wires={self.wire_rows.size})")
+                f"wires={self.num_nodes - self.roots.size})")
 
 
 def validate_patterns(circuit, patterns):

@@ -1,10 +1,16 @@
 """Table 1 shape reproduction on real-size suite circuits.
 
-Absolute numbers differ from the paper by construction (synthetic
-netlists and layout; see DESIGN.md §3).  What must hold is the *shape*:
-noise ends an order of magnitude below initial (the binding X_B), area
-and power collapse, delay barely moves, iteration counts stay small, and
-the duality gap reaches the paper's 1% target.
+Absolute numbers differ from the paper by construction: the ISCAS85
+netlists are statistical clones (``repro.circuit.iscas85``) on a
+synthetic layout.  What must hold is the *shape*: noise ends an order of
+magnitude below initial, area and power collapse, delay barely moves,
+iteration counts stay small, and the duality gap reaches the paper's 1%
+target.
+
+The noise bound X_B = 0.1 × initial is met with slack, not binding: with
+the default ``FlowConfig`` final noise is 0.0833 × initial on all ten
+Table 1 circuits, and only the delay bound binds.  In the paper X_B
+binds on most rows (0.0998–0.1204 × initial).
 """
 
 import pytest
@@ -39,7 +45,7 @@ def test_noise_lands_at_the_ten_percent_bound(suite_result):
     _, outcome = suite_result
     s = outcome.sizing
     ratio = s.metrics.noise_pf / s.initial_metrics.noise_pf
-    assert ratio <= 0.101  # X_B = 0.1 × initial, binding from above
+    assert ratio <= 0.101  # X_B = 0.1 × initial; met with slack, not binding
 
 
 def test_iteration_count_same_order_as_paper(suite_result):

@@ -8,6 +8,7 @@ from repro.noise import CouplingSet, MillerMode, SimilarityAnalyzer
 from repro.noise.coupling import coupling_capacitance_taylor
 from repro.noise.crosstalk import CouplingTerms
 from repro.noise.miller import miller_weight
+from repro.simulate import simulate_levelized
 from repro.utils.errors import GeometryError
 
 from oracles.lrs import node_sums, slope_sums
@@ -151,7 +152,7 @@ class TestFromLayout:
         ana = SimilarityAnalyzer(small_circuit, patterns=pats)
         layout = ChannelLayout.from_levels(small_circuit)
         pairs = layout.coupling_pairs()
-        signed = np.where(ana.values, 1.0, -1.0)
+        signed = np.where(simulate_levelized(small_circuit, pats), 1.0, -1.0)
         i = np.array([p.i for p in pairs], dtype=np.int64)
         j = np.array([p.j for p in pairs], dtype=np.int64)
         oracle = CouplingSet(

@@ -10,7 +10,11 @@ from repro.noise import (
     two_opt_improve,
     woss_ordering,
 )
-from repro.noise.ordering import brute_force_ordering, greedy_both_ends
+from repro.noise.ordering import (
+    brute_force_ordering,
+    greedy_both_ends,
+    woss_class_ordering,
+)
 from repro.utils.errors import GeometryError
 
 
@@ -190,8 +194,9 @@ class TestWossKeysPath:
             woss_ordering(keys.astype(np.float64))
 
     def test_prefix_exhaustion_fallback(self):
-        """More than 64 tied entries per row forces the full-row re-sort
-        branch; the result must still match the reference."""
+        """More than 64 tied entries per row: every step must still pick
+        the lowest unvisited index among the ties, as the reference
+        does."""
         n = 150
         keys = np.zeros((n, n), dtype=np.int16)
         np.fill_diagonal(keys, 0)
@@ -201,6 +206,13 @@ class TestWossKeysPath:
         # still chews through >64 tied candidates per step.
         keys[0, 1] = keys[1, 0] = 0
         assert woss_ordering(None, sort_keys=keys) == \
+            woss_ordering(keys.astype(np.float64))
+
+    @pytest.mark.parametrize("dtype", [np.uint8, np.uint16, np.int32,
+                                       np.uint32, np.int64, np.uint64])
+    def test_any_integer_dtype(self, dtype):
+        keys = random_keys(40, 9, max_key=6)
+        assert woss_ordering(None, sort_keys=keys.astype(dtype)) == \
             woss_ordering(keys.astype(np.float64))
 
     def test_keys_with_weights_cross_checked(self):
@@ -229,3 +241,91 @@ class TestWossKeysPath:
         with pytest.raises(GeometryError):
             woss_ordering(None,
                           sort_keys=np.full((2, 2), 70000, dtype=np.int64))
+
+
+def _distance_keys(rows):
+    """Per-wire ``2d`` keys (twice the Hamming distance) of boolean rows."""
+    rows = np.asarray(rows, dtype=np.int64)
+    differ = rows[:, None, :] != rows[None, :, :]
+    return (2 * differ.sum(axis=2)).astype(np.int16)
+
+
+def _first_appearance_classes(rows):
+    """Each row's class, numbered by first appearance, and each class's
+    first position — written independently of the analyzer's."""
+    seen = {}
+    classes = [seen.setdefault(row.tobytes(), len(seen)) for row in rows]
+    first = [classes.index(c) for c in range(len(seen))]
+    return np.array(classes), np.array(first)
+
+
+def assert_class_walk_is_woss(rows):
+    """The class walk equals keyed and float WOSS on the per-wire keys."""
+    rows = np.asarray(rows, dtype=bool)
+    keys = _distance_keys(rows)
+    classes, first = _first_appearance_classes(rows)
+    got = woss_class_ordering(classes, keys[np.ix_(first, first)])
+    assert got == woss_ordering(None, sort_keys=keys)
+    assert got == woss_ordering(keys.astype(np.float64) / rows.shape[1])
+    return got
+
+
+class TestWossClassOrdering:
+    """Ordering classes of equal rows gives WOSS's per-wire order."""
+
+    def test_every_row_equal(self):
+        rows = np.tile(np.array([1, 0, 1, 1, 0], dtype=bool), (9, 1))
+        assert assert_class_walk_is_woss(rows) == list(range(9))
+
+    def test_no_two_rows_equal(self):
+        rng = np.random.default_rng(1)
+        rows = np.unique(rng.random((40, 64)) < 0.5, axis=0)
+        rows = rows[rng.permutation(len(rows))]
+        assert len(rows) == 40
+        assert_class_walk_is_woss(rows)
+
+    def test_first_duplicated_wire_not_at_position_zero(self):
+        """Two duplicated classes, B and C, neither starting at 0: the
+        walk starts at B's first two wires, where A1 would."""
+        rng = np.random.default_rng(2)
+        a, b, c, d, e = rng.random((5, 32)) < 0.5
+        order = assert_class_walk_is_woss([a, b, c, b, d, c, e])
+        assert order[:2] == [1, 3]
+
+    def test_classes_interleaved_by_index(self):
+        rng = np.random.default_rng(3)
+        a, b, c = rng.random((3, 24)) < 0.5
+        rows = [a, b, a, b, c, a, c, b, c, a]
+        order = assert_class_walk_is_woss(rows)
+        # Every class is walked as one run.
+        classes, _ = _first_appearance_classes(np.asarray(rows))
+        runs = classes[order]
+        assert np.count_nonzero(np.diff(runs)) == 2
+
+    def test_all_zero_and_all_one_rows(self):
+        rng = np.random.default_rng(4)
+        zeros, ones = np.zeros(16, bool), np.ones(16, bool)
+        x, y = rng.random((2, 16)) < 0.5
+        assert_class_walk_is_woss([x, zeros, ones, zeros, y, ones, ones])
+        assert_class_walk_is_woss([zeros, ones])
+        assert_class_walk_is_woss([ones, zeros, zeros])
+
+    def test_deep_ties_over_more_than_64_classes(self):
+        """130 one-hot rows are all at one distance, so every step ties
+        with every unvisited class and the lowest index must win, deep
+        into the walk; the duplicates make it start from a class."""
+        rows = np.eye(130, dtype=bool)
+        rows = np.concatenate([rows, rows[[5, 70, 129, 5]]])
+        order = assert_class_walk_is_woss(rows)
+        assert order[:4] == [5, 130, 133, 0]
+
+    def test_single_wire_and_validation(self):
+        assert woss_class_ordering([0], np.zeros((1, 1), np.int16)) == [0]
+        keys = np.array([[0, 2], [2, 0]], dtype=np.int16)
+        for bad in ([1, 0], [0, 2, 1], [], [[0, 1]], [0.0, 1.0], [0, -1]):
+            with pytest.raises(GeometryError):
+                woss_class_ordering(bad, keys)
+        with pytest.raises(GeometryError):
+            woss_class_ordering([0, 1, 2], keys)
+        with pytest.raises(GeometryError):
+            woss_class_ordering([0, 1], keys.astype(float))

@@ -121,10 +121,11 @@ class TestAnalyzerCache:
 
     def test_accessors_keep_no_channel_state(self, small_circuit):
         """Stage-1 state is O(nodes · P): after every accessor has run,
-        the analyzer still holds only its patterns and values."""
+        the analyzer still holds only its distinct rows and row index."""
         ana = SimilarityAnalyzer(small_circuit, n_patterns=64, seed=0)
         before = dict(vars(ana))
         for idx in self._channels(small_circuit):
+            ana.classes(idx)
             ana.matrix(idx)
             ana.sort_keys(idx)
             ana.path_dissimilarity(idx)
@@ -144,7 +145,7 @@ class TestAnalyzerCache:
         idx = self._channels(small_circuit, k=1)[0]
         keys = ana.sort_keys(idx)
         assert keys.dtype == np.int16
-        rows = ana.values[np.asarray(idx)]
+        rows = simulate_levelized(small_circuit, ana.patterns)[np.asarray(idx)]
         for a in range(len(idx)):
             for b in range(len(idx)):
                 d = int(np.sum(rows[a] != rows[b]))
@@ -185,7 +186,8 @@ class TestAnalyzerCache:
             (n_patterns, small_circuit.num_drivers)) < 0.5
         ana = SimilarityAnalyzer(small_circuit, patterns=pats)
         idx = self._channels(small_circuit, k=1, size=6)[0]
-        signed = np.where(ana.values[np.asarray(idx)], 1.0, -1.0)
+        signed = np.where(
+            simulate_levelized(small_circuit, pats)[np.asarray(idx)], 1.0, -1.0)
         exact = signed @ signed.T / signed.shape[1]
         np.fill_diagonal(exact, 1.0)
         np.testing.assert_array_equal(ana.matrix(idx), exact)

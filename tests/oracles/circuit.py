@@ -26,6 +26,7 @@ from repro.circuit.generators import (
 from repro.geometry.channels import Channel
 from repro.geometry.layout import CouplingPair
 from repro.noise.miller import MillerMode, miller_weight
+from repro.simulate import simulate_levelized
 from repro.tech import Technology
 from repro.utils.errors import CircuitError
 from repro.utils.rng import derive_rng, make_rng
@@ -304,7 +305,7 @@ def reference_coupling(layout, analyzer=None, mode=MillerMode.SIMILARITY,
     if mode in (MillerMode.WORST, MillerMode.PHYSICAL):
         similarity = np.zeros(len(pairs))
     else:
-        values = analyzer.values
+        values = simulate_levelized(layout.circuit, analyzer.patterns)
         n_patterns = values.shape[1]
         similarity = np.array([
             (n_patterns - 2 * np.count_nonzero(values[p.i] != values[p.j]))

@@ -10,7 +10,7 @@ from repro.noise import (
     two_opt_improve,
     woss_ordering,
 )
-from repro.noise.ordering import greedy_both_ends
+from repro.noise.ordering import greedy_both_ends, woss_class_ordering
 
 
 @st.composite
@@ -72,3 +72,32 @@ def test_relabeling_invariance(w):
     c1 = ordering_cost(exact_ordering(w), w)
     c2 = ordering_cost(exact_ordering(w2), w2)
     assert abs(c1 - c2) < 1e-9
+
+
+@st.composite
+def rows_with_duplicates(draw):
+    """A boolean channel whose rows repeat: ``n`` positions drawn with
+    replacement from a few base rows (which may coincide too)."""
+    n_patterns = draw(st.integers(1, 12))
+    n_base = draw(st.integers(1, 8))
+    base = np.array(draw(st.lists(
+        st.booleans(), min_size=n_base * n_patterns,
+        max_size=n_base * n_patterns))).reshape(n_base, n_patterns)
+    picks = draw(st.lists(st.integers(0, n_base - 1), min_size=1,
+                          max_size=40))
+    return base[picks]
+
+
+@settings(max_examples=200, deadline=None)
+@given(rows=rows_with_duplicates())
+def test_class_walk_equals_woss(rows):
+    """Ordering the classes of equal rows gives the per-wire WOSS order,
+    keyed or from float weights."""
+    keys = 2 * (rows[:, None, :] != rows[None, :, :]).sum(axis=2)
+    keys = keys.astype(np.int16)
+    seen = {}
+    classes = np.array([seen.setdefault(r.tobytes(), len(seen)) for r in rows])
+    first = np.array([list(classes).index(c) for c in range(len(seen))])
+    got = woss_class_ordering(classes, keys[np.ix_(first, first)])
+    assert got == woss_ordering(None, sort_keys=keys)
+    assert got == woss_ordering(keys / rows.shape[1])

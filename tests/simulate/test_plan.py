@@ -74,15 +74,19 @@ class TestPlanStructure:
 
     def test_wire_roots_are_non_wires(self, small_circuit):
         plan = small_circuit.sim_plan()
-        kinds = [small_circuit.nodes[int(r)].kind for r in plan.wire_roots]
+        # The simulated rows are exactly the non-wire nodes.
+        non_wires = [n.index for n in small_circuit.nodes
+                     if n.kind is not NodeKind.WIRE]
+        assert plan.roots.tolist() == non_wires
+        # Every node reads a non-wire root; a non-wire reads itself.
+        root_nodes = plan.roots[plan.node_root]
+        kinds = [small_circuit.nodes[int(r)].kind for r in root_nodes]
         assert all(k is not NodeKind.WIRE for k in kinds)
-        # Every wire row is covered by the redirection copy.
-        wires = {w.index for w in small_circuit.wires()}
-        assert set(plan.wire_rows.tolist()) == wires
+        np.testing.assert_array_equal(root_nodes[plan.roots], plan.roots)
 
     def test_groups_cover_gates_once(self, small_circuit):
         plan = small_circuit.sim_plan()
-        out = np.concatenate([g[2] for g in plan.groups])
+        out = plan.roots[np.concatenate([g[2] for g in plan.groups])]
         gates = {g.index for g in small_circuit.gates()}
         assert sorted(out.tolist()) == sorted(gates)
 
