@@ -36,9 +36,18 @@ class Channel:
     def reordered(self, order):
         """Return a copy with tracks permuted by ``order`` (a permutation
         of positions into ``wires``)."""
-        if sorted(order) != list(range(len(self.wires))):
+        order = np.asarray(order)
+        count = len(self.wires)
+        if order.shape != (count,) or count and not (
+                order.dtype.kind in "iu" and order.min() >= 0
+                and order.max() < count
+                and np.bincount(order.astype(np.int64)).max() == 1):
             raise GeometryError(f"invalid track permutation for channel {self.label!r}")
-        return Channel(self.label, tuple(self.wires[k] for k in order))
+        # An object array gathers the channel's own int objects: an int64
+        # gather would allocate a fresh int per wire (3 MB at 50k gates).
+        wires = np.asarray(self.wires, dtype=object)
+        return Channel(self.label,
+                       tuple(wires[order.astype(np.int64)].tolist()))
 
 
 def wires_by_level(circuit):

@@ -14,6 +14,7 @@ this channel model), ``d_ij`` the middle-to-middle track distance, and
 """
 
 import dataclasses
+import itertools
 
 import numpy as np
 
@@ -74,9 +75,11 @@ class ChannelLayout:
         # Vectorized validation (layouts are rebuilt by apply_ordering on
         # the cold path); the Python loop only reruns on failure to name
         # the offending wire.
+        sizes = np.fromiter((len(c) for c in self.channels), dtype=np.int64,
+                            count=len(self.channels))
         members = np.fromiter(
-            (idx for channel in self.channels for idx in channel.wires),
-            dtype=np.int64)
+            itertools.chain.from_iterable(c.wires for c in self.channels),
+            dtype=np.int64, count=int(sizes.sum()))
         wire_mask = circuit.wire_mask()
         ok = (members.size == 0
               or (members.min() >= 0 and members.max() < wire_mask.size
@@ -92,10 +95,7 @@ class ChannelLayout:
                     if not (0 <= idx < wire_mask.size and wire_mask[idx]):
                         raise GeometryError(f"channel member {idx} is not a wire")
         self._members = members
-        self._channel_of = np.repeat(
-            np.arange(len(self.channels)),
-            np.fromiter((len(c) for c in self.channels), dtype=np.int64,
-                        count=len(self.channels)))
+        self._channel_of = np.repeat(np.arange(len(self.channels)), sizes)
 
     @classmethod
     def from_levels(cls, circuit, pitch=None):

@@ -204,6 +204,9 @@ class SweepService:
                         else dict(tenants))
         #: sweep id -> registry meta (the parsed service.json).
         self._sweeps = {}
+        #: Sweep ids seen complete: their records are on disk for good,
+        #: so the quota never re-checks them.
+        self._complete = set()
         self._scan()
 
     # -- registry ---------------------------------------------------------------
@@ -254,17 +257,25 @@ class SweepService:
         return self.queue(sweep_id).events_path
 
     def active_count(self, tenant):
-        """The tenant's unsettled sweeps (the quota denominator)."""
+        """The tenant's unsettled sweeps (the quota denominator).
+
+        Only sweeps not yet seen complete are checked, so a call scans
+        at most the tenant's unsettled sweeps (which ``max_active``
+        bounds) plus those that finished since the last call — not every
+        sweep the tenant ever submitted.
+        """
         count = 0
-        for meta in self._sweeps.values():
-            if meta.get("tenant") != tenant:
+        for sweep_id, meta in self._sweeps.items():
+            if meta.get("tenant") != tenant or sweep_id in self._complete:
                 continue
             queue = SweepQueue(self.root / meta["dir"])
             try:
-                if not queue.status().complete:
-                    count += 1
+                if queue.status().complete:
+                    self._complete.add(sweep_id)
+                    continue
             except ReproError:
-                count += 1      # unreadable = assume still active
+                pass            # unreadable = assume still active
+            count += 1
         return count
 
     # -- submission -------------------------------------------------------------

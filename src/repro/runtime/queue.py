@@ -51,9 +51,24 @@ Directory layout::
       results/       shared ResultCache (scenario-hash keyed)
       events.jsonl   append-only event stream (see runtime.events)
 
+    <watch dir>/     a serve worker's watch directory: the queue itself,
+                     or the parent it adopts queues from
+      .wake/<token>  one empty file per serving worker, naming its
+                     Doorbell (removed when the worker exits)
+
 Every state transition is a rename of one ticket file, so a queue is
 never torn: crash at any point leaves each shard in exactly one of
 ``pending``/``claimed``/``done``/``failed``.
+
+A submission, and a ``retry_failed`` that re-arms a shard, *rings*
+(:meth:`SweepQueue.ring`): one datagram to each :class:`Doorbell`
+published under ``<root>/.wake/`` or ``<root>/../.wake/``, so an idle
+serve worker on the same host claims at once instead of at its next
+poll.  The ring is only a hint — the files stay the source of truth and
+the poll stays the fallback — so a lost submission ring costs one poll,
+never a sweep.  (A retry's ring also names the queue, so a serve worker
+that had retired it as settled scans it again; a worker that misses the
+ring keeps it retired, as before rings existed.)
 
 Failure handling (see also :mod:`repro.runtime.faults`, which injects
 the failures these paths exist for):
@@ -88,6 +103,9 @@ import json
 import os
 import pathlib
 import re
+import secrets
+import select
+import socket
 import time
 
 from repro.runtime.cache import ResultCache
@@ -112,11 +130,94 @@ DEFAULT_LEASE_TTL_S = 60.0
 #: skewed clocks opt in via ``submit --lease-grace``.
 DEFAULT_LEASE_GRACE_S = 0.0
 
+#: Directory, inside a watch directory, where serve workers publish
+#: their doorbells (skipped by name when discovering queues).
+WAKE_DIR = ".wake"
+
 _LABEL_RE = re.compile(r"[^A-Za-z0-9_.-]+")
 
 
 def _utcnow():
     return time.time()
+
+
+def _wake_address(token):
+    """The doorbell ``token``'s address in the Linux abstract namespace."""
+    return b"\0repro-wake-" + os.fsencode(token)
+
+
+class Doorbell:
+    """A serve worker's same-host wake-up: one ``AF_UNIX`` datagram socket.
+
+    The socket binds a random name in the Linux abstract namespace, so
+    there is no socket file and no path-length limit (a filesystem
+    socket's path may not exceed 107 bytes).  The name is published as
+    an empty file ``<dir>/.wake/<token>`` in each watch directory, where
+    :meth:`SweepQueue.ring` finds it.  :meth:`wait` sleeps until a ring
+    or the timeout, whichever comes first.
+
+    Where the bind fails (not Linux), or with no watch directory to
+    publish in, the doorbell stays unbound and :meth:`wait` is a plain
+    sleep.  :meth:`close` removes the published files and the socket.
+    """
+
+    def __init__(self, directories):
+        self.token = secrets.token_hex(8)
+        #: The ``.wake/`` files this doorbell published (and removes).
+        self.entries = []
+        self._sock = None
+        if not directories:
+            return
+        try:
+            sock = socket.socket(socket.AF_UNIX, socket.SOCK_DGRAM)
+        except (AttributeError, OSError):
+            return
+        try:
+            sock.bind(_wake_address(self.token))
+            sock.setblocking(False)
+        except OSError:
+            sock.close()
+            return
+        self._sock = sock
+        for directory in directories:
+            entry = pathlib.Path(directory) / WAKE_DIR / self.token
+            try:
+                entry.parent.mkdir(exist_ok=True)
+                entry.touch(exist_ok=False)
+            except OSError:
+                continue    # unwritable (or repeated) dir: the poll covers it
+            self.entries.append(entry)
+
+    def wait(self, timeout):
+        """Sleep until rung or ``timeout`` seconds pass.
+
+        Returns the set of queue directory names rung meanwhile (empty
+        on a timeout).  Every queued datagram is drained, so a burst of
+        rings costs one wake-up.
+        """
+        if self._sock is None:
+            time.sleep(timeout)
+            return set()
+        rung = set()
+        if select.select([self._sock], [], [], timeout)[0]:
+            while True:
+                try:
+                    rung.add(os.fsdecode(self._sock.recv(4096)))
+                except OSError:
+                    break       # drained (EAGAIN)
+        return rung
+
+    def close(self):
+        """Unpublish and unbind (idempotent)."""
+        for entry in self.entries:
+            try:
+                entry.unlink()
+            except OSError:
+                pass
+        self.entries = []
+        if self._sock is not None:
+            self._sock.close()
+            self._sock = None
 
 
 class PartialSweepError(ReproError):
@@ -510,6 +611,7 @@ class SweepQueue:
         self._manifest = manifest
         self.log().append("sweep_submitted", label=str(label),
                           shards=len(shards), scenarios=len(scenarios))
+        self.ring()
         return shards
 
     @staticmethod
@@ -517,6 +619,39 @@ class SweepQueue:
         tmp = path.with_name(path.name + f".tmp{os.getpid()}")
         tmp.write_text(payload)
         os.replace(tmp, path)
+
+    def ring(self):
+        """Wake the serve workers watching this queue or its parent.
+
+        Sends one non-blocking datagram, this queue's directory name, to
+        each :class:`Doorbell` published under ``<root>/.wake/`` and
+        ``<root>/../.wake/`` (a watch directory is the queue itself or
+        its parent).  A refused send (a dead worker, or one on another
+        host sharing the filesystem), a full socket and a missing
+        ``.wake/`` are ignored: those workers find the work on their next
+        poll.  No entry is ever deleted here — on a shared filesystem, a
+        name refused on this host may belong to a live worker on another.
+        """
+        tokens = []
+        for directory in (self.root, self.root.parent):
+            try:
+                tokens += os.listdir(directory / WAKE_DIR)
+            except OSError:
+                pass
+        if not tokens:
+            return
+        try:
+            sock = socket.socket(socket.AF_UNIX, socket.SOCK_DGRAM)
+        except (AttributeError, OSError):
+            return          # no AF_UNIX sockets here: workers poll
+        payload = os.fsencode(self.root.name)
+        with sock:
+            sock.setblocking(False)
+            for token in tokens:
+                try:
+                    sock.sendto(payload, _wake_address(token))
+                except OSError:
+                    pass
 
     # -- shared views -----------------------------------------------------------
 
@@ -789,7 +924,8 @@ class SweepQueue:
 
         Renames ``failed/ → pending/`` and resets each shard's attempt
         counter, so the re-run gets a full ``max_attempts`` budget
-        (``repro queue retry-failed``).
+        (``repro queue retry-failed``), then rings serve workers when
+        anything was re-armed.
         """
         rearmed = []
         for shard_id in self._ids_in(self.failed_dir):
@@ -805,6 +941,8 @@ class SweepQueue:
                 pass
             self.log(worker_id).append("shard_retry", shard=shard_id)
             rearmed.append(shard_id)
+        if rearmed:
+            self.ring()
         return rearmed
 
     def complete(self, shard, worker_id, computed=0, cached=0):

@@ -67,10 +67,15 @@ Deterministic fault injection (``faults=`` / ``--faults`` /
 ``REPRO_FAULTS``) drives all of these paths on demand — see
 :mod:`repro.runtime.faults`.
 
-Serve-mode lifecycle: a serving worker polls its watch directories for
+Serve-mode lifecycle: a serving worker scans its watch directories for
 newly submitted queues between claims and exits when a ``STOP`` file
 appears in any watch directory, when ``idle_timeout_s`` elapses without
 claimable work, or (with ``max_shards``) after enough completions.
+While idle it sleeps on a :class:`~repro.runtime.queue.Doorbell`, bound
+for the whole :meth:`Worker.run` and published under each watch
+directory's ``.wake/``: a submission or a re-armed retry on the same
+host rings it awake at once, and ``poll_s`` bounds the sleep otherwise
+(a lost ring, a submitter on another host, no abstract sockets).
 
 :func:`work_queue` / :func:`serve_queues` / :func:`run_workers` are the
 process entry points (``repro queue work --jobs N`` spawns one process
@@ -86,7 +91,7 @@ import threading
 import time
 
 from repro.runtime.faults import FaultyEventLog, backoff_s, make_injector
-from repro.runtime.queue import SweepQueue
+from repro.runtime.queue import WAKE_DIR, Doorbell, SweepQueue
 from repro.runtime.runner import resolve_jobs, run_scenario_group
 from repro.utils.errors import ReproError, ValidationError
 from repro.utils.rng import stable_seed
@@ -204,7 +209,10 @@ class Worker:
         before exiting, so its exit means every queue is settled.  When
         false it exits as soon as nothing is claimable.
     poll_s:
-        Idle-loop sleep between claim attempts.
+        The longest idle wait between claim attempts.  A serving worker
+        wakes sooner when a same-host submission or retry rings its
+        doorbell; the poll covers lost rings, submitters on other hosts
+        and platforms without abstract ``AF_UNIX`` sockets.
     queues:
         Additional queues (or paths) to drain from the same process —
         claims round-robin from the first queue with pending work, so
@@ -316,6 +324,7 @@ class Worker:
         self._announced = set()
         self._retired = set()    # settled queues: skip their dir scans
         self._tallies = {}       # queue root -> this worker's share of it
+        self._bell = Doorbell(())    # unbound (a plain sleep) outside run()
         self._idle_since = None
         self._claim_seq = 0
         #: Tallies of the last :meth:`run` (shards, computed, cache hits).
@@ -420,10 +429,11 @@ class Worker:
     def _discover(self):
         """Adopt submitted queues that appeared under the serve dirs.
 
-        Adopted children are skipped by name before any filesystem
-        check, so each pass costs one listing per serve dir plus checks
-        on new entries only, however many sweeps a long-lived server
-        has adopted.  New queues are adopted in sorted (priority) order.
+        Adopted children and the doorbells' ``.wake/`` are skipped by
+        name before any filesystem check, so each pass costs one listing
+        per serve dir plus checks on new entries only, however many
+        sweeps a long-lived server has adopted.  New queues are adopted
+        in sorted (priority) order.
         """
         for directory in self.serve_dirs:
             if (directory / "sweep.json").exists():
@@ -431,7 +441,8 @@ class Worker:
             else:
                 try:
                     candidates = sorted(c for c in directory.iterdir()
-                                        if str(c) not in self._known
+                                        if c.name != WAKE_DIR
+                                        and str(c) not in self._known
                                         and c.is_dir()
                                         and (c / "sweep.json").exists())
                 except OSError:
@@ -457,9 +468,22 @@ class Worker:
     # -- the drain loop ---------------------------------------------------------
 
     def run(self):
-        """Drain loop; returns the number of shards this worker completed."""
+        """Drain loop; returns the number of shards this worker completed.
+
+        A serving worker binds its doorbell before the first discovery,
+        so no submission can fall between a scan and the bind, and
+        releases it (socket and ``.wake/`` files) on every exit path.
+        """
         self.shards_done = self.computed = self.cache_hits = 0
         self._idle_since = None
+        self._bell = Doorbell(self.serve_dirs)
+        try:
+            self._drain()
+        finally:
+            self._bell.close()
+        return self.shards_done
+
+    def _drain(self):
         while self.max_shards is None or self.shards_done < self.max_shards:
             self._discover()
             if self._stop_requested():
@@ -492,7 +516,6 @@ class Worker:
                     key, {"shards": 0, "computed": 0, "cached": 0})
                 self._safe_append(self._event_log(queue),
                                   "worker_done", **tally)
-        return self.shards_done
 
     def _idle_continue(self):
         """Nothing claimable anywhere: steal, wait, serve, or give up.
@@ -507,7 +530,10 @@ class Worker:
         poison settles instead of being waited on forever.  Settled
         queues are retired from future scans (a queue holds one sweep
         forever, so settled is terminal too — until ``retry_failed``,
-        which is an operator action, not a drain-loop state).
+        an operator action whose ring names the queue and un-retires it
+        here).
+
+        The wait is the doorbell's: up to ``poll_s``, or until a ring.
         """
         unsettled = False
         for queue in self.queues:
@@ -537,7 +563,11 @@ class Worker:
         if self.idle_timeout_s is not None and \
                 now - self._idle_since >= self.idle_timeout_s:
             return False    # idle too long (serve mode's exit valve)
-        time.sleep(self.poll_s)
+        rung = self._bell.wait(self.poll_s)
+        if rung:
+            self._retired.difference_update(
+                str(queue.root) for queue in self.queues
+                if queue.root.name in rung)
         return True
 
     def process(self, shard, queue=None):

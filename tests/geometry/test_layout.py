@@ -83,3 +83,17 @@ class TestLayout:
         x_min = small_circuit.compile().default_sizes(0.0)
         x_max = small_circuit.compile().default_sizes(np.inf)
         assert layout.max_size_utilization(x_min) < layout.max_size_utilization(x_max)
+
+
+def test_layout_members_equal_the_per_wire_loop(small_circuit):
+    layout = ChannelLayout.from_levels(small_circuit)
+    rng = np.random.default_rng(1)
+    ordered = layout.apply_ordering({c.label: rng.permutation(len(c)).tolist()
+                                     for c in layout.channels})
+    for each in (layout, ordered):
+        members = np.fromiter((idx for channel in each.channels
+                               for idx in channel.wires), dtype=np.int64)
+        channel_of = np.concatenate(
+            [np.full(len(c), k) for k, c in enumerate(each.channels)])
+        assert np.array_equal(each._members, members)
+        assert np.array_equal(each._channel_of, channel_of)

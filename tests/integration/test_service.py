@@ -10,11 +10,17 @@ locally, extended across the wire.
 
 import http.client
 import json
+import os
+import sys
+import threading
 import time
+
+import pytest
 
 from repro.runtime import CircuitRef, FlowConfig, SweepSpec, read_events
 from repro.runtime.api import SweepService, serve_in_thread
-from repro.runtime.worker import STOP_FILE, serve_queues
+from repro.runtime.queue import WAKE_DIR
+from repro.runtime.worker import STOP_FILE, Worker, serve_queues
 
 
 def _payload(label=""):
@@ -127,3 +133,51 @@ def test_stop_file_ends_serve_worker(tmp_path):
     assert serve_queues([str(root)], worker_id="w0",
                         idle_timeout_s=30.0) == 0
     assert time.monotonic() - started < 10.0
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="the doorbell needs abstract sockets")
+def test_http_submit_rings_an_idle_serve_worker(tmp_path):
+    """A POST wakes a serve worker idling on a 30 s poll: /records
+    answers 200 within 2 s, and the doorbell's ``.wake/`` never shows up
+    as a sweep."""
+    root = tmp_path / "svc"
+    handle = serve_in_thread(root)
+    worker = Worker(serve_dirs=[root], poll_s=30.0, max_shards=1)
+    thread = threading.Thread(target=worker.run, daemon=True)
+    thread.start()
+    try:
+        deadline = time.monotonic() + 10.0
+        while not (root / WAKE_DIR).is_dir() or \
+                not os.listdir(root / WAKE_DIR):
+            assert time.monotonic() < deadline
+            time.sleep(0.005)
+        time.sleep(0.2)             # let the worker settle into its wait
+        assert os.listdir(root / WAKE_DIR) == [worker._bell.token]
+        spec = SweepSpec(
+            circuits=(CircuitRef.random(12, 4, 2, seed=0, target_depth=5),),
+            base=FlowConfig(n_patterns=32, max_iterations=50))
+        status, info = _json(handle, "POST", "/v1/sweeps",
+                             {"spec": spec.canonical_dict()})
+        assert status == 201
+        deadline = time.monotonic() + 2.0
+        while True:
+            status, _, _ = _request(
+                handle, "GET", f"/v1/sweeps/{info['sweep']}/records")
+            if status == 200 or time.monotonic() > deadline:
+                break
+            time.sleep(0.01)
+        assert status == 200
+        service = handle.server.service
+        assert [m["sweep"] for m in service.list_sweeps()] == [info["sweep"]]
+        _, _, page = _request(handle, "GET", "/dashboard")
+        assert WAKE_DIR not in page.decode()
+        thread.join(timeout=10.0)
+        assert not thread.is_alive()
+        assert [q.root.name for q in worker.queues] == \
+            [service.list_sweeps()[0]["dir"]]
+    finally:
+        (root / STOP_FILE).touch()
+        thread.join(timeout=10.0)
+        handle.stop()
+    assert os.listdir(root / WAKE_DIR) == []

@@ -183,6 +183,33 @@ def test_quota_429_and_restart_persistence(tmp_path):
     assert not again
 
 
+def test_quota_checks_each_finished_sweep_once(tmp_path, monkeypatch):
+    """Over 20 submit-and-drain cycles the quota scans each finished
+    sweep once, not every sweep the tenant ever submitted."""
+    calls = []
+    status = SweepQueue.status
+    monkeypatch.setattr(SweepQueue, "status",
+                        lambda queue: calls.append(queue.root.name)
+                        or status(queue))
+    service = SweepService(tmp_path / "svc",
+                           tenants={"acme": {"max_active": 1}})
+    names = []
+    for cycle in range(20):
+        created, info = service.submit(
+            _payload(_one_shard_spec(seed=cycle), tenant="acme"))
+        assert created         # the previous sweep finished: under quota
+        names.append(service._meta(info["sweep"])["dir"])
+        assert work_queue(str(service.queue(info["sweep"]).root)) == 1
+    assert len(calls) <= 20
+    assert len(set(calls)) == len(calls)    # no sweep checked twice
+    assert set(calls) == set(names[:-1])
+    # The quota still counts an unfinished sweep.
+    service.submit(_payload(_one_shard_spec(seed=20), tenant="acme"))
+    with pytest.raises(ApiError) as err:
+        service.submit(_payload(_one_shard_spec(seed=21), tenant="acme"))
+    assert err.value.status == 429
+
+
 def test_unknown_sweep_is_404(tmp_path):
     service = SweepService(tmp_path / "svc")
     with pytest.raises(ApiError) as err:

@@ -2,6 +2,10 @@
 
 import io
 import multiprocessing
+import os
+import socket
+import sys
+import threading
 import time
 
 import pytest
@@ -16,6 +20,7 @@ from repro.runtime import (
     Worker,
     work_queue,
 )
+from repro.runtime.queue import WAKE_DIR, Doorbell
 from repro.utils.errors import ValidationError
 
 
@@ -436,3 +441,194 @@ class TestFailureHandling:
 
         with pytest.raises(ValidationError):
             run_workers(str(tmp_path), 1, restart_budget=-1)
+
+
+linux_only = pytest.mark.skipif(not sys.platform.startswith("linux"),
+                                reason="the doorbell needs abstract sockets")
+
+
+def _tiny():
+    """One scenario, one shard: the cheapest drainable sweep."""
+    return SweepSpec(
+        circuits=(CircuitRef.random(12, 4, 2, seed=0, target_depth=5),),
+        base=FlowConfig(n_patterns=32, max_iterations=50),
+    )
+
+
+def _wake_entries(directory):
+    try:
+        return sorted(os.listdir(directory / WAKE_DIR))
+    except FileNotFoundError:
+        return []
+
+
+def _start(worker, directory):
+    """Run ``worker`` on a daemon thread; return once its doorbell shows."""
+    thread = threading.Thread(target=worker.run, daemon=True)
+    thread.start()
+    deadline = time.monotonic() + 10.0
+    while not _wake_entries(directory):
+        assert thread.is_alive() and time.monotonic() < deadline, \
+            "the serve worker never published its doorbell"
+        time.sleep(0.005)
+    return thread
+
+
+class TestDoorbell:
+    """Serve workers wake on a same-host ring; the poll stays the fallback."""
+
+    @linux_only
+    def test_serve_worker_wakes_on_submit(self, tmp_path):
+        base = tmp_path / "srv"
+        base.mkdir()
+        worker = Worker(serve_dirs=[base], lease_s=30.0, poll_s=30.0,
+                        max_shards=1)
+        thread = _start(worker, base)
+        try:
+            time.sleep(0.2)         # let the worker settle into its wait
+            SweepQueue(base / "q").submit(_tiny())
+            thread.join(timeout=2.0)
+            assert not thread.is_alive()
+        finally:
+            (base / "STOP").touch()
+            SweepQueue(base / "q").ring()
+            thread.join(timeout=10.0)
+        assert worker.shards_done == 1
+        assert SweepQueue(base / "q").status().drained
+
+    @linux_only
+    def test_serve_worker_wakes_on_retry_failed(self, tmp_path):
+        base = tmp_path / "srv"
+        base.mkdir()
+        queue = SweepQueue(base / "q")
+        queue.submit(_tiny())
+        queue.fail(queue.claim("poisoned"), "poisoned", error="boom")
+        worker = Worker(serve_dirs=[base], lease_s=30.0, poll_s=30.0,
+                        max_shards=1)
+        thread = _start(worker, base)
+        try:
+            # The worker adopts the queue, finds it settled and retires
+            # it; the retry's ring must bring it back.
+            deadline = time.monotonic() + 10.0
+            while str(queue.root) not in worker._retired:
+                assert time.monotonic() < deadline
+                time.sleep(0.005)
+            assert queue.retry_failed() == queue.shard_ids()
+            thread.join(timeout=2.0)
+            assert not thread.is_alive()
+        finally:
+            (base / "STOP").touch()
+            queue.ring()
+            thread.join(timeout=10.0)
+        assert worker.shards_done == 1 and queue.status().drained
+
+    def test_refused_bind_falls_back_to_the_poll(self, tmp_path, monkeypatch):
+        def refuse(sock, address):
+            raise OSError("bind refused")
+
+        monkeypatch.setattr(socket.socket, "bind", refuse)
+        base = tmp_path / "srv"
+        base.mkdir()
+        worker = Worker(serve_dirs=[base], lease_s=30.0, poll_s=0.01,
+                        max_shards=1)
+        thread = threading.Thread(target=worker.run, daemon=True)
+        thread.start()
+        try:
+            time.sleep(0.05)
+            SweepQueue(base / "q").submit(_tiny())
+            thread.join(timeout=30.0)
+            assert not thread.is_alive()
+        finally:
+            (base / "STOP").touch()
+            thread.join(timeout=10.0)
+        assert worker.shards_done == 1
+        assert _wake_entries(base) == []    # nothing published unbound
+
+    def test_dead_wake_entry_is_ignored_and_kept(self, tmp_path):
+        base = tmp_path / "srv"
+        (base / WAKE_DIR).mkdir(parents=True)
+        for name in ("0123456789abcdef", "not-a-doorbell"):
+            (base / WAKE_DIR / name).touch()
+        queue = SweepQueue(base / "q")
+        assert len(queue.submit(_tiny())) == 1     # rings both names
+        assert _wake_entries(base) == ["0123456789abcdef", "not-a-doorbell"]
+
+    @linux_only
+    @pytest.mark.parametrize("exit_path", ["stop", "idle", "max_shards",
+                                           "raises"])
+    def test_entries_removed_on_every_exit_path(self, tmp_path, monkeypatch,
+                                                exit_path):
+        base = tmp_path / "srv"
+        base.mkdir()
+        options = {"idle_timeout_s": 0.3} if exit_path == "idle" else {}
+        if exit_path == "max_shards":
+            options["max_shards"] = 1
+        worker = Worker(serve_dirs=[base], lease_s=30.0, poll_s=0.05,
+                        **options)
+        if exit_path == "raises":
+            seen = []
+
+            def boom():
+                seen.append(_wake_entries(base))
+                raise RuntimeError("drain loop died")
+
+            monkeypatch.setattr(worker, "_idle_continue", boom)
+            with pytest.raises(RuntimeError):
+                worker.run()
+            assert seen == [[worker._bell.token]]
+        else:
+            thread = _start(worker, base)
+            assert len(_wake_entries(base)) == 1
+            if exit_path == "stop":
+                (base / "STOP").touch()
+            elif exit_path == "max_shards":
+                SweepQueue(base / "q").submit(_tiny())
+            thread.join(timeout=30.0)
+            assert not thread.is_alive()
+        assert _wake_entries(base) == [] and worker._bell.entries == []
+
+    @linux_only
+    def test_wake_dir_is_never_adopted(self, tmp_path):
+        base = tmp_path / "srv"
+        base.mkdir()
+        # Even a queue manifest under .wake/ does not make it a queue.
+        SweepQueue(base / WAKE_DIR).submit(_tiny())
+        worker = Worker(serve_dirs=[base], lease_s=30.0, poll_s=0.01,
+                        idle_timeout_s=0.2)
+        assert worker.run() == 0
+        assert worker.queues == []
+
+    @linux_only
+    def test_idle_worker_does_not_spin(self, tmp_path, monkeypatch):
+        base = tmp_path / "srv"
+        base.mkdir()
+        worker = Worker(serve_dirs=[base], lease_s=30.0, poll_s=0.05,
+                        idle_timeout_s=1.0)
+        scans = []
+        discover = worker._discover
+        monkeypatch.setattr(worker, "_discover",
+                            lambda: scans.append(1) or discover())
+        thread = _start(worker, base)
+        thread.join(timeout=30.0)
+        assert not thread.is_alive()
+        assert 5 <= len(scans) <= 22
+
+    @linux_only
+    def test_burst_of_rings_costs_one_wake(self, tmp_path):
+        base = tmp_path / "srv"
+        base.mkdir()
+        bell = Doorbell([base])
+        try:
+            assert _wake_entries(base) == [bell.token]
+            queue = SweepQueue(base / "q")
+            for _ in range(50):         # past the socket's queue
+                queue.ring()
+            started = time.monotonic()
+            assert bell.wait(30.0) == {"q"}
+            assert time.monotonic() - started < 5.0
+            started = time.monotonic()
+            assert bell.wait(0.05) == set()     # all drained: a timeout
+            assert time.monotonic() - started >= 0.04
+        finally:
+            bell.close()
+        assert _wake_entries(base) == []
