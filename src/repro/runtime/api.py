@@ -24,7 +24,7 @@ Endpoints (see ``docs/api.md`` for wire schemas)::
     GET  /v1/sweeps               list known sweeps
     GET  /v1/sweeps/{id}          status: manifest counters + shard report
     GET  /v1/sweeps/{id}/events   Server-Sent Events off tail_events
-    GET  /v1/sweeps/{id}/records  gather() — canonical records, or 409
+    GET  /v1/sweeps/{id}/records  the stored canonical records, or 409
     POST /v1/sweeps/{id}/retry    re-arm quarantined shards
     GET  /dashboard               HTML view rendered from events alone
     GET  /healthz                 liveness probe
@@ -396,31 +396,38 @@ class SweepService:
         return body
 
     def records(self, sweep_id, partial=False):
-        """GET /v1/sweeps/{id}/records: the gathered records.
+        """The gathered records, parsed (``/records`` serves
+        :meth:`records_body`, the same records unparsed).
 
         Propagates :class:`PartialSweepError` (the HTTP tier renders it
         as a 409 with the canonical error document) unless ``partial``.
         """
         return self.queue(sweep_id).gather(partial=partial)
 
-    def records_payload(self, sweep_id, partial=False):
-        """The records endpoint's wire document.
+    def records_body(self, sweep_id, partial=False):
+        """The records endpoint's response body, as bytes.
 
-        Records are embedded as their canonical dicts and the whole
-        document is serialized with the same ``sort_keys`` + compact
-        separators as :meth:`RunRecord.canonical_json` — so each
-        embedded record is byte-identical to what a serial
+        Each record's canonical line goes in exactly as the worker
+        stored it (:meth:`SweepQueue.gather_entries`), unparsed; the
+        rest of the document is the same ``sort_keys`` + compact
+        ``json.dumps`` as :meth:`RunRecord.canonical_json`.  So the body
+        is byte-identical to dumping the document with the records as
+        canonical dicts, and each embedded record to what a serial
         :class:`~repro.runtime.runner.BatchRunner` would serialize.
+        Raises :class:`PartialSweepError` as :meth:`records` does.
         """
-        records = self.records(sweep_id, partial=partial)
-        return {
+        lines = [line for _, line in
+                 self.queue(sweep_id).gather_entries(partial=partial)]
+        head, tail = json.dumps({
             "kind": "sweep_records",
             "schema": API_SCHEMA_VERSION,
             "sweep": str(sweep_id),
-            "count": len(records),
+            "count": len(lines),
             "partial": bool(partial),
-            "records": [r.canonical_dict() for r in records],
-        }
+            "records": [],
+        }, sort_keys=True, separators=(",", ":")).split('"records":[]')
+        return b"".join((head.encode(), b'"records":[', b",".join(lines),
+                         b"]", tail.encode(), b"\n"))
 
     def retry(self, sweep_id):
         """POST /v1/sweeps/{id}/retry: re-arm quarantined shards."""
@@ -639,7 +646,8 @@ class ApiServer:
             partial = query.get("partial", "") in ("1", "true", "yes")
             await self._respond(
                 writer, 200,
-                self.service.records_payload(sweep_id, partial=partial))
+                self.service.records_body(sweep_id, partial=partial),
+                content_type="application/json")
         elif tail == "/retry" and method == "POST":
             await self._respond(writer, 200, self.service.retry(sweep_id))
         elif tail == "/events" and method == "GET":

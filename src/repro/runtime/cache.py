@@ -17,15 +17,36 @@ the realized-circuit fingerprint still travels with every entry and is
 
 Like the old fingerprint-keyed scheme, neither key covers *code*
 changes: entries persist across library versions, and results produced
-by older solver numerics are served until the cache is cleared (or the
-entry envelope's ``CACHE_SCHEMA_VERSION`` is bumped, which invalidates
-everything).  Clear sweep caches after upgrading when exact
-reproducibility across versions matters.
+by older solver numerics are served until the cache is cleared (or
+``CACHE_SCHEMA_VERSION`` is bumped).  Clear sweep caches after upgrading
+when exact reproducibility across versions matters.
 
-Entries are one JSON document per key under two-level fan-out
-directories; writes are atomic (temp file + rename) so concurrent sweeps
-sharing a cache directory never observe torn entries.  Reads touch the
-entry's mtime, giving :meth:`ResultCache.prune` an LRU eviction order.
+Entries are one file per key under two-level fan-out directories, two
+lines each (schema 3)::
+
+    {"fingerprint":…,"kind":"cache_entry",…,"schema":3,"sha256":…}
+    <RunRecord.canonical_json() of the record, byte for byte>
+
+Line 1 is the compact envelope: ``kind``, ``schema``, the
+realized-circuit ``fingerprint``, the record's telemetry (``runtime_s``
+and ``memory_bytes``, kept out of its canonical form), the record's own
+``record_schema``, and ``sha256``, a SHA-256 over the other envelope
+fields and line 2.  Line 2 is the record's canonical JSON — the bytes a
+serial run prints, ``gather`` compares and the HTTP records endpoint
+serves — encoded once, by :meth:`ResultCache.put`, and never re-encoded
+on the read path: the endpoint splices it into its response unparsed.
+A file that does not validate (wrong kind or schema, or a changed byte
+anywhere, which the checksum catches) is a miss.
+
+Bumping ``CACHE_SCHEMA_VERSION`` clears every older entry: it reads as a
+miss, and the runner recomputes and overwrites it on demand.  Schema 2
+was one indented JSON document holding the whole record; schema 3 stores
+the canonical line instead, so ``put`` encodes with the C encoder and no
+read re-formats a float.
+
+Writes are atomic (temp file + rename) so concurrent sweeps sharing a
+cache directory never observe torn entries.  Reads touch the entry's
+mtime, giving :meth:`ResultCache.prune` an LRU eviction order.
 
 Hit/miss/put counters accumulate in memory and persist on
 ``put``/``prune``/``stats()``/:meth:`flush` as **per-process shard
@@ -50,13 +71,27 @@ import pathlib
 import secrets
 import tempfile
 
-from repro.runtime.records import RunRecord
+from repro.runtime.config import _canonical_json
+from repro.runtime.records import RECORD_SCHEMA_VERSION, RunRecord
 from repro.utils.errors import ReproError
 
-#: Version of the on-disk entry envelope (bumped when the layout changes).
-CACHE_SCHEMA_VERSION = 2
+#: Version of the on-disk entry layout (bumped when the layout changes;
+#: every older entry then reads as a miss).  3: an envelope line, then
+#: the record's canonical JSON line.
+CACHE_SCHEMA_VERSION = 3
 
 _COUNTER_FIELDS = ("hits", "misses", "puts", "evictions")
+
+#: What a read treats as an unusable entry (a miss), never as a crash.
+_UNREADABLE = (OSError, TypeError, ValueError, KeyError, ReproError)
+
+
+def _checksum(envelope, line):
+    """SHA-256 over an entry's envelope (minus ``sha256``) and record line."""
+    digest = hashlib.sha256(_canonical_json(envelope).encode())
+    digest.update(b"\n")
+    digest.update(line)
+    return digest.hexdigest()
 
 
 @functools.lru_cache(maxsize=256)
@@ -139,11 +174,12 @@ class ResultCache:
             self._pending[name] += delta
 
     @staticmethod
-    def _write_json_atomic(path, payload):
+    def _write_atomic(path, payload):
+        """Write ``payload`` (bytes) to ``path``: temp file + rename."""
         path.parent.mkdir(parents=True, exist_ok=True)
         fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
         try:
-            with os.fdopen(fd, "w") as handle:
+            with os.fdopen(fd, "wb") as handle:
                 handle.write(payload)
             os.replace(tmp, path)
         except BaseException:
@@ -168,8 +204,8 @@ class ResultCache:
             self._lifetime[name] += delta
         self._pending = {name: 0 for name in _COUNTER_FIELDS}
         try:
-            self._write_json_atomic(self.shard_path,
-                                    json.dumps(self._lifetime))
+            self._write_atomic(self.shard_path,
+                               json.dumps(self._lifetime).encode())
         except OSError:
             pass
 
@@ -196,18 +232,50 @@ class ResultCache:
 
     @staticmethod
     def _read_entry(path):
-        """Parse one entry envelope: ``(entry_dict, record)``; raises on junk.
+        """Validate one entry: ``(envelope, canonical line)``; raises on junk.
 
-        The single validation path behind :meth:`get` and :meth:`peek`,
-        so the two reads can never diverge on what counts as a valid
-        entry.
+        The single validation path behind :meth:`get`, :meth:`peek` and
+        :meth:`read`, so no two reads can diverge on what counts as a
+        valid entry: exactly two lines, the envelope's kind and schemas,
+        and its checksum over the other envelope fields and line 2.  A
+        line whose checksum matches was written by :meth:`put` from a
+        validated :class:`RunRecord` (whose constructor refuses
+        non-finite values), so callers may serve its bytes unparsed.
         """
-        data = json.loads(path.read_text())
-        if not isinstance(data, dict) or data.get("kind") != "cache_entry":
+        head, line, rest = path.read_bytes().split(b"\n")
+        envelope = json.loads(head)
+        if rest or not isinstance(envelope, dict) or \
+                envelope.get("kind") != "cache_entry":
             raise ReproError("not a cache entry")
-        if data.get("schema") != CACHE_SCHEMA_VERSION:
+        if envelope.get("schema") != CACHE_SCHEMA_VERSION or \
+                envelope.get("record_schema") != RECORD_SCHEMA_VERSION:
             raise ReproError("cache entry schema mismatch")
-        return data, RunRecord.from_dict(data["record"])
+        if envelope.pop("sha256", None) != _checksum(envelope, line):
+            raise ReproError("cache entry checksum mismatch")
+        return envelope, line
+
+    @staticmethod
+    def entry_record(envelope, line):
+        """The :class:`RunRecord` of a :meth:`read` entry, with the
+        telemetry (runtime, memory, fingerprint) restored from its
+        envelope — the record exactly as the worker produced it."""
+        data = json.loads(line)
+        for name in ("runtime_s", "memory_bytes", "fingerprint"):
+            data[name] = envelope[name]
+        return RunRecord.from_dict(data)
+
+    def read(self, scenario):
+        """The stored ``(envelope, canonical line)``, or ``None``.
+
+        No side effects (no counters, no LRU touch).  The line is the
+        record's :meth:`RunRecord.canonical_json` as ``bytes``, exactly
+        as :meth:`put` wrote it: the read the queue's gather and the
+        HTTP records endpoint splice from.
+        """
+        try:
+            return self._read_entry(self.path_for(scenario))
+        except _UNREADABLE:
+            return None
 
     def get(self, scenario):
         """The cached :class:`RunRecord` (marked ``cached=True``), or ``None``.
@@ -219,12 +287,13 @@ class ResultCache:
         """
         path = self.path_for(scenario)
         try:
-            data, record = self._read_entry(path)
-        except (OSError, TypeError, ValueError, KeyError, ReproError):
+            envelope, line = self._read_entry(path)
+            record = self.entry_record(envelope, line)
+        except _UNREADABLE:
             self._bump(misses=1)
             return None
         if self.verify_fingerprints:
-            stored = data.get("fingerprint", "")
+            stored = envelope["fingerprint"]
             # Deliberately unmemoized: verification exists to catch files
             # edited on disk *during this process's lifetime*, so the
             # circuit is rebuilt and re-hashed on every verified read.
@@ -241,43 +310,40 @@ class ResultCache:
     def peek(self, scenario):
         """The stored record verbatim, or ``None`` — no side effects.
 
-        Unlike :meth:`get` this neither bumps counters, touches the
-        entry's LRU recency, nor flips the record's ``cached`` flag: it
-        is the read the queue subsystem's ``gather`` and result-merge
-        tooling use, where the record must round-trip exactly as the
+        :meth:`read`, parsed.  Unlike :meth:`get` this neither bumps
+        counters, touches the entry's LRU recency, nor flips the
+        record's ``cached`` flag: the record round-trips exactly as the
         worker produced it.
         """
         try:
-            return self._read_entry(self.path_for(scenario))[1]
-        except (OSError, TypeError, ValueError, KeyError, ReproError):
+            return self.entry_record(
+                *self._read_entry(self.path_for(scenario)))
+        except _UNREADABLE:
             return None
 
     def put(self, scenario, record):
         """Persist ``record`` atomically; returns the entry path.
 
-        The entry stores the realized-circuit fingerprint alongside the
-        record: taken from the record itself when the worker computed it
-        (the normal path — no circuit build here), else computed now.
+        The record's canonical JSON is encoded here, once, and stored as
+        line 2 verbatim.  The envelope stores the realized-circuit
+        fingerprint beside it: taken from the record itself when the
+        worker computed it (the normal path — no circuit build here),
+        else computed now.
         """
+        line = record.canonical_json().encode()
         fingerprint = record.fingerprint or _fingerprint(scenario.circuit)
-        path = self.path_for(scenario)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        entry = {
+        envelope = {
             "kind": "cache_entry",
             "schema": CACHE_SCHEMA_VERSION,
+            "record_schema": RECORD_SCHEMA_VERSION,
             "fingerprint": fingerprint,
-            "record": record.to_dict(),
+            "runtime_s": float(record.runtime_s),
+            "memory_bytes": int(record.memory_bytes),
         }
-        payload = json.dumps(entry, indent=1)
-        fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w") as handle:
-                handle.write(payload)
-            os.replace(tmp, path)
-        except BaseException:
-            if os.path.exists(tmp):
-                os.unlink(tmp)
-            raise
+        envelope["sha256"] = _checksum(envelope, line)
+        path = self.path_for(scenario)
+        self._write_atomic(
+            path, _canonical_json(envelope).encode() + b"\n" + line + b"\n")
         self._bump(puts=1)
         self.flush()
         return path
@@ -362,10 +428,10 @@ class ResultCache:
                 skipped += 1
                 continue
             try:
-                payload = source.read_text()
+                payload = source.read_bytes()
             except OSError:
                 continue    # pruned from under us mid-merge
-            self._write_json_atomic(target, payload)
+            self._write_atomic(target, payload)
             copied += 1
         return copied, skipped
 

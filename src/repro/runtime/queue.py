@@ -53,7 +53,8 @@ Directory layout::
 
     <watch dir>/     a serve worker's watch directory: the queue itself,
                      or the parent it adopts queues from
-      .wake/<token>  one empty file per serving worker, naming its
+      .wake/<host>.<hex>
+                     one empty file per serving worker, naming its
                      Doorbell (removed when the worker exits)
 
 Every state transition is a rename of one ticket file, so a queue is
@@ -68,7 +69,10 @@ poll.  The ring is only a hint — the files stay the source of truth and
 the poll stays the fallback — so a lost submission ring costs one poll,
 never a sweep.  (A retry's ring also names the queue, so a serve worker
 that had retired it as settled scans it again; a worker that misses the
-ring keeps it retired, as before rings existed.)
+ring keeps it retired, as before rings existed.)  A ring refused by one
+of this host's names marks a worker that died without unpublishing (a
+SIGKILL, a ``crash`` fault), and the ring deletes that entry; another
+host's entries are never touched.
 
 Failure handling (see also :mod:`repro.runtime.faults`, which injects
 the failures these paths exist for):
@@ -151,8 +155,10 @@ class Doorbell:
 
     The socket binds a random name in the Linux abstract namespace, so
     there is no socket file and no path-length limit (a filesystem
-    socket's path may not exceed 107 bytes).  The name is published as
-    an empty file ``<dir>/.wake/<token>`` in each watch directory, where
+    socket's path may not exceed 107 bytes).  The name, ``token`` =
+    ``<host>.<random hex>``, is published as an empty file
+    ``<dir>/.wake/<token>`` in each watch directory — after the bind,
+    and unpublished before the socket closes — where
     :meth:`SweepQueue.ring` finds it.  :meth:`wait` sleeps until a ring
     or the timeout, whichever comes first.
 
@@ -162,7 +168,7 @@ class Doorbell:
     """
 
     def __init__(self, directories):
-        self.token = secrets.token_hex(8)
+        self.token = f"{socket.gethostname()}.{secrets.token_hex(8)}"
         #: The ``.wake/`` files this doorbell published (and removes).
         self.entries = []
         self._sock = None
@@ -626,19 +632,23 @@ class SweepQueue:
         Sends one non-blocking datagram, this queue's directory name, to
         each :class:`Doorbell` published under ``<root>/.wake/`` and
         ``<root>/../.wake/`` (a watch directory is the queue itself or
-        its parent).  A refused send (a dead worker, or one on another
-        host sharing the filesystem), a full socket and a missing
-        ``.wake/`` are ignored: those workers find the work on their next
-        poll.  No entry is ever deleted here — on a shared filesystem, a
-        name refused on this host may belong to a live worker on another.
+        its parent).  A full socket, a missing ``.wake/`` and a refused
+        send to another host's name are ignored: those workers find the
+        work on their next poll.  A send refused (``ECONNREFUSED``) by
+        one of this host's names deletes that entry: a doorbell is bound
+        before it is published and unpublished before it closes, so on
+        this host that worker is dead.  Another host's entries are never
+        deleted — their names are not bound here even while they live.
         """
-        tokens = []
+        host = socket.gethostname()
+        entries = []
         for directory in (self.root, self.root.parent):
+            wake = directory / WAKE_DIR
             try:
-                tokens += os.listdir(directory / WAKE_DIR)
+                entries += [wake / name for name in os.listdir(wake)]
             except OSError:
                 pass
-        if not tokens:
+        if not entries:
             return
         try:
             sock = socket.socket(socket.AF_UNIX, socket.SOCK_DGRAM)
@@ -647,9 +657,15 @@ class SweepQueue:
         payload = os.fsencode(self.root.name)
         with sock:
             sock.setblocking(False)
-            for token in tokens:
+            for entry in entries:
                 try:
-                    sock.sendto(payload, _wake_address(token))
+                    sock.sendto(payload, _wake_address(entry.name))
+                except ConnectionRefusedError:
+                    if entry.name.rpartition(".")[0] == host:
+                        try:
+                            entry.unlink()
+                        except OSError:
+                            pass    # another ring got there first
                 except OSError:
                     pass
 
@@ -1049,6 +1065,40 @@ class SweepQueue:
             })
         return report
 
+    def gather_entries(self, partial=False):
+        """Each present record's stored ``(envelope, canonical line)``.
+
+        The one gather loop, behind :meth:`gather` and the HTTP records
+        endpoint: one walk of the manifest's scenarios in order, one
+        :meth:`ResultCache.read` each.  The lines are the records'
+        canonical JSON bytes exactly as the workers stored them,
+        unparsed.  Raises :class:`PartialSweepError` — carrying the
+        partial records, the missing labels, and any quarantined shard
+        ids — unless every record is present (``partial=True`` returns
+        what exists instead).
+        """
+        cache = self.cache()
+        entries = []
+        missing = []
+        for scenario in self.scenarios():
+            entry = cache.read(scenario)
+            if entry is None:
+                missing.append(scenario.label)
+            else:
+                entries.append(entry)
+        if missing and not partial:
+            failed = self._ids_in(self.failed_dir)
+            detail = (f"; quarantined shards: {', '.join(failed)} "
+                      f"(repro queue retry-failed re-arms them)"
+                      if failed else f" (first: {missing[0]})")
+            raise PartialSweepError(
+                f"queue {self.root} is incomplete: {len(missing)} of "
+                f"{len(entries) + len(missing)} records missing" + detail,
+                records=[ResultCache.entry_record(*entry)
+                         for entry in entries],
+                missing=missing, failed_shards=failed)
+        return entries
+
     def gather(self, partial=False):
         """Records in scenario order, straight from the results store.
 
@@ -1057,27 +1107,8 @@ class SweepQueue:
         so the result is byte-identical (canonical JSON) to a serial
         :class:`~repro.runtime.runner.BatchRunner` run of the same spec,
         no matter how many workers drained the queue, in what order, or
-        on which hosts.  Raises :class:`PartialSweepError` — carrying
-        the partial records, the missing labels, and any quarantined
-        shard ids — unless every record is present (``partial=True``
-        returns what exists instead).
+        on which hosts.  Each record carries its stored telemetry.
+        Raises :class:`PartialSweepError` as :meth:`gather_entries` does.
         """
-        cache = self.cache()
-        records = []
-        missing = []
-        for scenario in self.scenarios():
-            record = cache.peek(scenario)
-            if record is None:
-                missing.append(scenario.label)
-            else:
-                records.append(record)
-        if missing and not partial:
-            failed = self._ids_in(self.failed_dir)
-            detail = (f"; quarantined shards: {', '.join(failed)} "
-                      f"(repro queue retry-failed re-arms them)"
-                      if failed else f" (first: {missing[0]})")
-            raise PartialSweepError(
-                f"queue {self.root} is incomplete: {len(missing)} of "
-                f"{len(records) + len(missing)} records missing" + detail,
-                records=records, missing=missing, failed_shards=failed)
-        return records
+        return [ResultCache.entry_record(*entry)
+                for entry in self.gather_entries(partial=partial)]

@@ -82,6 +82,7 @@ process entry points (``repro queue work --jobs N`` spawns one process
 per worker; ``--serve DIR...`` starts them long-lived).
 """
 
+import dataclasses
 import multiprocessing
 import os
 import pathlib
@@ -123,11 +124,10 @@ def _event_record(record):
     Everything the live watcher's table needs (metrics, convergence,
     diagnostics) minus the per-component size vector, which dominates
     the payload and is only wanted by ``gather`` — which reads the
-    results store, not the event stream.
+    results store, not the event stream.  The vector is dropped before
+    the payload is built, not formatted and then discarded.
     """
-    data = record.to_dict()
-    data["sizes"] = []
-    return data
+    return dataclasses.replace(record, sizes=()).to_dict()
 
 
 class _LeaseHeartbeat(threading.Thread):

@@ -338,6 +338,83 @@ def test_http_records_byte_identical_to_serial(served, drained):
             for r in body["records"]] == serial
 
 
+# -- /records bodies against the whole-document json.dumps spelling ------------
+
+
+def _dumps_body(doc):
+    """A JSON answer as the server spelled every one before ``/records``
+    spliced stored lines: ``json.dumps`` of the whole document + ``\\n``."""
+    return (json.dumps(doc, sort_keys=True, separators=(",", ":"))
+            + "\n").encode()
+
+
+def _records_doc(sweep_id, records, partial):
+    return {"kind": "sweep_records", "schema": 1, "sweep": sweep_id,
+            "count": len(records), "partial": partial,
+            "records": [r.canonical_dict() for r in records]}
+
+
+def _flip_digit(path, key):
+    """Overwrite the first digit after ``key`` in a results entry (the
+    file stays valid JSON lines; only the checksum can tell)."""
+    data = bytearray(path.read_bytes())
+    offset = data.index(key) + len(key)
+    data[offset] = ord("9") if data[offset] != ord("9") else ord("8")
+    path.write_bytes(bytes(data))
+
+
+@pytest.fixture
+def spliced(tmp_path):
+    """A fresh, drained 4-record sweep behind a live server."""
+    service = SweepService(tmp_path / "svc")
+    _, info = service.submit(_payload())
+    queue = service.queue(info["sweep"])
+    assert work_queue(str(queue.root), worker_id="w0") == 2
+    handle = serve_in_thread(service)
+    yield handle, info["sweep"], queue
+    handle.stop()
+
+
+def test_http_records_body_is_the_dumps_spelling(spliced):
+    handle, sweep_id, queue = spliced
+    records = queue.gather()
+    path = f"/v1/sweeps/{sweep_id}/records"
+    expected = _dumps_body(_records_doc(sweep_id, records, False))
+    for _ in range(2):                      # a second GET answers the same
+        status, _, raw = _request(handle, "GET", path)
+        assert status == 200 and raw == expected
+    status, _, raw = _request(handle, "GET", path + "?partial=1")
+    assert status == 200
+    assert raw == _dumps_body(_records_doc(sweep_id, records, True))
+
+
+def test_http_incomplete_records_bodies_are_the_dumps_spelling(spliced):
+    """One record gone: the 409 body is the PartialSweepError document
+    and ``?partial=1`` lists the other three, both spelled as before."""
+    handle, sweep_id, queue = spliced
+    queue.cache().path_for(queue.scenarios()[2]).unlink()
+    with pytest.raises(PartialSweepError) as excinfo:
+        queue.gather()
+    records = queue.gather(partial=True)
+    assert len(records) == 3 == len(excinfo.value.records)
+    path = f"/v1/sweeps/{sweep_id}/records"
+    status, _, raw = _request(handle, "GET", path)
+    assert status == 409
+    assert raw == _dumps_body(dict(excinfo.value.to_dict(), status=409))
+    status, _, raw = _request(handle, "GET", path + "?partial=1")
+    assert status == 200
+    assert raw == _dumps_body(_records_doc(sweep_id, records, True))
+
+
+def test_http_flipped_record_byte_answers_409(spliced):
+    handle, sweep_id, queue = spliced
+    victim = queue.scenarios()[0]
+    _flip_digit(queue.cache().path_for(victim), b'"iterations":')
+    status, body = _json(handle, "GET", f"/v1/sweeps/{sweep_id}/records")
+    assert status == 409 and body["kind"] == "partial_sweep_error"
+    assert body["missing"] == [victim.label] and len(body["records"]) == 3
+
+
 def test_http_status_and_listing(served, drained):
     _, handle = served
     sweep_id, serial = drained

@@ -1,5 +1,6 @@
 """Content-hash result cache: round trips, invalidation, corruption."""
 
+import hashlib
 import json
 
 import pytest
@@ -13,7 +14,7 @@ from repro.runtime import (
     Scenario,
     run_scenario,
 )
-from repro.runtime.cache import scenario_key
+from repro.runtime.cache import CACHE_SCHEMA_VERSION, scenario_key
 
 
 @pytest.fixture(scope="module")
@@ -27,6 +28,35 @@ def scenario():
 @pytest.fixture(scope="module")
 def record(scenario):
     return run_scenario(scenario)
+
+
+def _compact(data):
+    return json.dumps(data, sort_keys=True, separators=(",", ":"))
+
+
+def _entry(path):
+    """An entry file's ``(envelope, record line)``: exactly two lines."""
+    head, line, rest = path.read_bytes().split(b"\n")
+    assert rest == b""
+    return json.loads(head), line
+
+
+def _seal(path, envelope, line):
+    """Write ``envelope`` + ``line`` with a matching checksum, as ``put``
+    would: SHA-256 over the compact envelope minus ``sha256``, a newline
+    and the record line."""
+    envelope = {k: v for k, v in envelope.items() if k != "sha256"}
+    envelope["sha256"] = hashlib.sha256(
+        _compact(envelope).encode() + b"\n" + line).hexdigest()
+    path.write_bytes(_compact(envelope).encode() + b"\n" + line + b"\n")
+
+
+def _flip(path, offset):
+    """Overwrite the digit at ``offset`` with another digit: the file
+    stays valid JSON lines, so only the checksum can tell."""
+    data = bytearray(path.read_bytes())
+    data[offset] = ord("1") if data[offset] != ord("1") else ord("2")
+    path.write_bytes(bytes(data))
 
 
 def test_round_trip_preserves_canonical_payload(tmp_path, scenario, record):
@@ -55,14 +85,18 @@ def test_key_tracks_config_and_circuit(scenario):
 def test_corrupt_entry_is_a_miss(tmp_path, scenario, record):
     cache = ResultCache(tmp_path)
     path = cache.put(scenario, record)
+    envelope, _ = _entry(path)
     path.write_text("{not json")
     assert cache.get(scenario) is None
     path.write_text(json.dumps({"kind": "run_record", "schema": 99}))
     assert cache.get(scenario) is None
-    # wrong-typed field inside a schema-valid document
-    broken = record.to_dict()
+    _seal(path, dict(envelope, kind="run_record", schema=99),
+          record.canonical_json().encode())
+    assert cache.get(scenario) is None
+    # wrong-typed field inside a schema-valid entry (checksum matching)
+    broken = record.canonical_dict()
     broken["sizes"] = 5
-    path.write_text(json.dumps(broken))
+    _seal(path, envelope, _compact(broken).encode())
     assert cache.get(scenario) is None
 
 
@@ -116,6 +150,77 @@ def test_runner_overwrites_corrupt_entry(tmp_path, scenario):
     assert BatchRunner(cache=cache).run([scenario])[0].cached
 
 
+class TestEntryLayout:
+    """Schema 3: a compact envelope line, then the record's canonical
+    JSON line, written once by ``put`` and read back unchanged."""
+
+    def test_second_line_is_the_canonical_json(self, tmp_path, scenario,
+                                               record):
+        cache = ResultCache(tmp_path)
+        path = cache.put(scenario, record)
+        envelope, line = _entry(path)
+        assert line == record.canonical_json().encode()
+        assert envelope["schema"] == CACHE_SCHEMA_VERSION == 3
+        assert envelope["runtime_s"] == record.runtime_s
+        assert envelope["memory_bytes"] == record.memory_bytes
+        stored, read_line = cache.read(scenario)
+        assert read_line == line
+        assert stored == {k: v for k, v in envelope.items() if k != "sha256"}
+
+    def test_reads_restore_the_telemetry(self, tmp_path, scenario, record):
+        cache = ResultCache(tmp_path)
+        cache.put(scenario, record)
+        for loaded in (cache.peek(scenario), cache.get(scenario),
+                       ResultCache.entry_record(*cache.read(scenario))):
+            assert loaded.canonical_json() == record.canonical_json()
+            assert (loaded.runtime_s, loaded.memory_bytes,
+                    loaded.fingerprint) == (record.runtime_s,
+                                            record.memory_bytes,
+                                            record.fingerprint)
+
+    def test_flipped_record_byte_is_a_miss_and_recomputed(self, tmp_path,
+                                                          scenario):
+        cache = ResultCache(tmp_path)
+        [first] = BatchRunner(cache=cache).run([scenario])
+        path = cache.path_for(scenario)
+        _, line = _entry(path)
+        start = path.read_bytes().index(b'"sizes":[') + len(b'"sizes":[')
+        _flip(path, start)
+        _, flipped = _entry(path)
+        assert flipped != line and json.loads(flipped)     # still JSON
+        assert cache.get(scenario) is None
+        assert cache.peek(scenario) is None and cache.read(scenario) is None
+        rerun = BatchRunner(cache=cache)
+        [second] = rerun.run([scenario])
+        assert rerun.stats.computed == 1
+        assert second.canonical_json() == first.canonical_json()
+        assert _entry(path)[1] == line          # overwritten, same bytes
+        assert BatchRunner(cache=cache).run([scenario])[0].cached
+
+    def test_flipped_envelope_byte_is_a_miss(self, tmp_path, scenario,
+                                             record):
+        cache = ResultCache(tmp_path)
+        path = cache.put(scenario, record)
+        _flip(path, path.read_bytes().index(b'"memory_bytes":')
+              + len(b'"memory_bytes":'))
+        assert json.loads(path.read_bytes().split(b"\n")[0])
+        assert cache.get(scenario) is None and cache.read(scenario) is None
+
+    def test_schema_2_entry_is_a_miss(self, tmp_path, scenario, record):
+        cache = ResultCache(tmp_path)
+        path = cache.path_for(scenario)
+        path.parent.mkdir(parents=True)
+        path.write_text(json.dumps({
+            "kind": "cache_entry", "schema": 2,
+            "fingerprint": record.fingerprint, "record": record.to_dict(),
+        }, indent=1))
+        assert cache.read(scenario) is None and cache.peek(scenario) is None
+        assert cache.get(scenario) is None
+        [rerun] = BatchRunner(cache=cache).run([scenario])
+        assert not rerun.cached
+        assert _entry(path)[1] == record.canonical_json().encode()
+
+
 class TestSpecHashKeys:
     """PR 2: get() is pure hashing — no circuit construction."""
 
@@ -141,7 +246,7 @@ class TestSpecHashKeys:
     def test_entry_stores_fingerprint(self, tmp_path, scenario, record):
         cache = ResultCache(tmp_path)
         path = cache.put(scenario, record)
-        entry = json.loads(path.read_text())
+        entry, _ = _entry(path)
         assert entry["kind"] == "cache_entry"
         assert entry["fingerprint"] == record.fingerprint
 
@@ -150,9 +255,9 @@ class TestSpecHashKeys:
         cache = ResultCache(tmp_path, verify_fingerprints=True)
         path = cache.put(scenario, record)
         assert cache.get(scenario) is not None
-        entry = json.loads(path.read_text())
+        entry, line = _entry(path)
         entry["fingerprint"] = "0" * 64  # circuit changed behind the spec
-        path.write_text(json.dumps(entry))
+        _seal(path, entry, line)
         assert cache.get(scenario) is None
         # Without verification the stale entry is trusted (documented).
         assert ResultCache(tmp_path).get(scenario) is not None

@@ -191,6 +191,35 @@ def test_gather_incomplete_raises_and_partial_returns(tmp_path, sweep):
     assert queue.gather(partial=True) == []
 
 
+def test_gather_reads_the_stored_canonical_lines(tmp_path, sweep):
+    """gather_entries yields each record's stored canonical line, in
+    scenario order; a flipped byte in one line makes that record missing
+    (never served altered), so gather raises PartialSweepError."""
+    from repro.runtime import PartialSweepError
+    from repro.runtime.worker import work_queue
+
+    queue = SweepQueue(tmp_path / "q")
+    queue.submit(sweep)
+    work_queue(str(queue.root), worker_id="w0")
+    records = queue.gather()
+    lines = [line for _, line in queue.gather_entries()]
+    assert lines == [r.canonical_json().encode() for r in records]
+    assert [r.scenario for r in records] == queue.scenarios()
+
+    victim = queue.scenarios()[1]
+    path = queue.cache().path_for(victim)
+    data = bytearray(path.read_bytes())
+    offset = data.index(b'"iterations":') + len(b'"iterations":')
+    data[offset] = ord("9") if data[offset] != ord("9") else ord("8")
+    path.write_bytes(bytes(data))
+    with pytest.raises(PartialSweepError) as excinfo:
+        queue.gather()
+    assert excinfo.value.missing == [victim.label]
+    assert [r.canonical_json() for r in excinfo.value.records] == \
+        [r.canonical_json() for i, r in enumerate(records) if i != 1]
+    assert len(queue.gather(partial=True)) == len(records) - 1
+
+
 class TestCostSharding:
     """Cost-mode shards: budget respected, order unchanged, no builds."""
 

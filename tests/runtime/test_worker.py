@@ -21,6 +21,7 @@ from repro.runtime import (
     work_queue,
 )
 from repro.runtime.queue import WAKE_DIR, Doorbell
+from repro.runtime.worker import serve_queues
 from repro.utils.errors import ValidationError
 
 
@@ -552,6 +553,49 @@ class TestDoorbell:
         queue = SweepQueue(base / "q")
         assert len(queue.submit(_tiny())) == 1     # rings both names
         assert _wake_entries(base) == ["0123456789abcdef", "not-a-doorbell"]
+
+    @linux_only
+    def test_ring_prunes_only_dead_entries_of_this_host(self, tmp_path):
+        """A refused same-host name is a worker killed before its
+        ``finally``: the ring deletes it.  Another host's name is refused
+        here even while its worker lives, so it stays; so does a live
+        worker's, which gets the ring."""
+        base = tmp_path / "srv"
+        base.mkdir()
+        bell = Doorbell([base])
+        try:
+            host = socket.gethostname()
+            dead = f"{host}.{'0' * 16}"
+            foreign = f"other-{host}.{'0' * 16}"
+            for name in (dead, foreign):
+                (base / WAKE_DIR / name).touch()
+            assert bell.token.rpartition(".")[0] == host
+            SweepQueue(base / "q").ring()
+            assert _wake_entries(base) == sorted([bell.token, foreign])
+            assert bell.wait(5.0) == {"q"}
+        finally:
+            bell.close()
+        assert _wake_entries(base) == [foreign]
+
+    @linux_only
+    def test_killed_serve_worker_entry_is_pruned_by_the_next_ring(
+            self, tmp_path):
+        base = tmp_path / "srv"
+        base.mkdir()
+        process = multiprocessing.Process(target=serve_queues,
+                                          args=([str(base)],), daemon=True)
+        process.start()
+        try:
+            deadline = time.monotonic() + 30.0
+            while not _wake_entries(base):
+                assert process.is_alive() and time.monotonic() < deadline
+                time.sleep(0.01)
+        finally:
+            process.kill()          # SIGKILL: no finally unpublishes
+            process.join()
+        assert len(_wake_entries(base)) == 1
+        SweepQueue(base / "q").submit(_tiny())
+        assert _wake_entries(base) == []
 
     @linux_only
     @pytest.mark.parametrize("exit_path", ["stop", "idle", "max_shards",
