@@ -19,17 +19,20 @@ Feasibility: intermediate LRS iterates generally violate constraints
 (the dual approaches from below).  The optimizer tracks the best
 *feasible* iterate (within ``feasibility_tolerance``) and reports it;
 the final iterate is reported (flagged infeasible) if none was found.
+An infeasible iterate is primal-repaired toward the best feasible point
+(:func:`repair_lockstep`, for every repairing column at once).
 
 There is one loop, :func:`run_lockstep`: it advances K optimizers
 sharing one engine in lockstep — one *batched* LRS solve, delay/arrival
-sweep, A4 step and Theorem 3 projection per outer iteration, everything
-else per column — and :meth:`OGWSOptimizer.run` is a lockstep batch of
-width one.  The per-column body is decomposed into
-:meth:`~OGWSOptimizer.start` (A1), :meth:`~OGWSOptimizer.step_eval`
-(between A3 and A4), :meth:`~OGWSOptimizer.step_record` (after A5, the
-A7 stop rule) and :meth:`~OGWSOptimizer.finish`, every solve's one exit,
-which refuses to let a non-finite size, multiplier or metric leave the
-solver.  A lockstep run is bit-identical per scenario to running each
+sweep, primal-repair bisection level, A4 step and Theorem 3 projection
+per outer iteration, everything else per column — and
+:meth:`OGWSOptimizer.run` is a lockstep batch of width one.  The
+per-column body is decomposed into :meth:`~OGWSOptimizer.start` (A1),
+:meth:`~OGWSOptimizer.step_eval` (between A3 and A4),
+:meth:`~OGWSOptimizer.step_record` (after A5, the A7 stop rule) and
+:meth:`~OGWSOptimizer.finish`, every solve's one exit, which refuses
+to let a non-finite size, multiplier or metric leave the solver.  A
+lockstep run is bit-identical per scenario to running each
 optimizer alone (see :mod:`repro.core.session`, which builds scenario
 batches on top).
 """
@@ -171,9 +174,13 @@ class OGWSOptimizer:
         the dual value and A4 all share it, so no full-circuit quantity
         is computed twice at this point.  Advances the iteration
         counter, evaluates the point (dual bound, A7 gap quantity,
-        feasibility with primal repair), and leaves the
-        ``(context, dual, feasible)`` handoff on ``state.evaluated`` for
-        :meth:`step_record`.
+        feasibility), and leaves the ``(context, dual, feasible)``
+        handoff on ``state.evaluated`` for :meth:`step_record`.
+
+        Returns the ``(iterate, feasible anchor)`` pair when a primal
+        repair is due (an infeasible iterate with a feasible point on
+        record), else ``None``; the driver repairs every such column of
+        the iteration at once (:func:`repair_lockstep`).
         """
         problem = self.problem
         state.iteration += 1
@@ -187,23 +194,13 @@ class OGWSOptimizer:
         state.paper_gap = abs(area - dual) / max(area, 1e-30)  # A7 quantity
 
         feasible = self._is_feasible(metrics, x)
+        state.evaluated = (context, dual, feasible)
         if feasible and area < state.best_feasible_area:
             state.best_feasible_area = area
             state.best_feasible_x = x.copy()
         elif not feasible and state.best_feasible_x is not None:
-            # Primal repair: the dual iterate usually rides the tight
-            # constraint from the violating side.  PP's feasible set
-            # is convex in log-sizes (posynomial constraints), so a
-            # log-space blend toward the feasible anchor crosses the
-            # boundary exactly once — bisect to the closest feasible
-            # blend and keep it if it improves the primal.
-            repaired, repaired_metrics = self._repair(
-                x, state.best_feasible_x, state=state)
-            if repaired is not None and \
-                    repaired_metrics.area_um2 < state.best_feasible_area:
-                state.best_feasible_area = repaired_metrics.area_um2
-                state.best_feasible_x = repaired
-        state.evaluated = (context, dual, feasible)
+            return x, state.best_feasible_x
+        return None
 
     def step_record(self, state, lrs_result, step):
         """Fig. 9 iteration tail after A4/A5: history and the A7 stop rule.
@@ -327,46 +324,6 @@ class OGWSOptimizer:
         return (context.total_cap_ff / problem.power_cap_bound_ff - 1.0
                 <= tol)
 
-    def _repair(self, x, x_feasible, bisections=7, state=None):
-        """Largest-t feasible log-blend between ``x_feasible`` and ``x``.
-
-        Returns ``(sizes, metrics)`` of the closest feasible point toward
-        the (infeasible) dual iterate, or ``(None, None)`` if even tiny
-        steps leave feasibility (anchor sits on the boundary).  Each
-        bisection step evaluates its candidate through a lazy
-        :class:`~repro.timing.metrics.EvalContext` — quantities a
-        violated earlier constraint makes irrelevant are never computed,
-        and full metrics materialize only for feasible candidates.
-        ``state`` (a :class:`_RunState`) accumulates the
-        ``repair_evals`` diagnostic counter.
-        """
-        engine = self.engine
-        cc = engine.compiled
-        mask = cc.is_sizable
-        log_feas = np.log(x_feasible[mask])
-        log_x = np.log(np.maximum(x[mask], 1e-300))
-
-        def candidate(t):
-            out = np.zeros(cc.num_nodes)
-            out[mask] = np.exp((1.0 - t) * log_feas + t * log_x)
-            return cc.clip_sizes(out)
-
-        best = None
-        best_metrics = None
-        lo, hi = 0.0, 1.0
-        for _ in range(bisections):
-            mid = 0.5 * (lo + hi)
-            cand = candidate(mid)
-            context = EvalContext(engine, cand)
-            if state is not None:
-                state.repair_evals += 1
-            if self._feasible_lazy(context, cand):
-                best, best_metrics = cand, context.metrics
-                lo = mid
-            else:
-                hi = mid
-        return best, best_metrics
-
     # -- memory accounting (Figure 10a) ----------------------------------------------
 
     def memory_estimate(self, multipliers=None):
@@ -403,16 +360,19 @@ def run_lockstep(optimizers, multipliers=None):
     :meth:`LagrangianSubproblemSolver.solve_batch`), one batched
     delay/arrival sweep plus one batched metrics-input sweep (coupling
     totals, total capacitance, area) seeding per-column
-    ``EvalContext``\\ s, one **batched A4** per group of columns whose
-    update rules share a :meth:`~repro.core.subgradient.
+    ``EvalContext``\\ s, the primal repair of every column that needs
+    one as one batched delay/arrival sweep per bisection level
+    (:func:`repair_lockstep`), one **batched A4** per group of columns
+    whose update rules share a :meth:`~repro.core.subgradient.
     MultiplicativeUpdate.batch_key` (single edge-terms pass and
     broadcast multiplier arithmetic; singletons and unknown rules take
     their own ``apply``), and one batched Theorem 3 projection.  No
-    Python loop over nodes, edges, or (on the batched paths) scenarios
-    remains in the iteration.  Optimizers retire from the batch as their
-    own stop criteria fire.  Results are bit-identical per column to a
-    batch of one — the batched kernels replay one column's arithmetic
-    exactly.
+    Python loop over nodes or edges remains in the iteration; what
+    loops over columns is per-column bookkeeping and each repairing
+    column's feasibility verdict.  Optimizers retire from the batch as
+    their own stop criteria fire.  Results are bit-identical per column
+    to a batch of one — the batched kernels replay one column's
+    arithmetic exactly.
 
     ``multipliers`` optionally supplies per-optimizer A1 starts (a
     sequence aligned with ``optimizers``; ``None`` entries take each
@@ -459,6 +419,7 @@ def run_lockstep(optimizers, multipliers=None):
         # spelling (and bits) of the lazy EvalContext properties.
         totals = engine.coupling.totals_batch(x_cols)
         contexts = []
+        repairs = []
         for j, k in enumerate(live):
             x = results[j].x
             context = EvalContext(engine, x).seed(
@@ -468,7 +429,19 @@ def run_lockstep(optimizers, multipliers=None):
                                    + plan.fringe_total),
                 area_um2=float(np.dot(plan.alpha_sizable, x)))
             contexts.append(context)
-            optimizers[k].step_eval(states[k], results[j], context=context)
+            due = optimizers[k].step_eval(states[k], results[j],
+                                          context=context)
+            if due is not None:
+                repairs.append((optimizers[k], states[k]) + due)
+        # Primal repair of every column that needs one, in lockstep; a
+        # repaired point replaces the anchor only if it is cheaper.
+        if repairs:
+            for (_, state, _, _), (sizes, metrics) in zip(
+                    repairs, repair_lockstep(engine, repairs)):
+                if sizes is not None and \
+                        metrics.area_um2 < state.best_feasible_area:
+                    state.best_feasible_area = metrics.area_um2
+                    state.best_feasible_x = sizes
         # A4: one batched update per group of columns running literally
         # the same multiplier arithmetic; singletons and unknown rules
         # take their own apply.
@@ -515,3 +488,66 @@ def run_lockstep(optimizers, multipliers=None):
             error.column = column
             raise
     return sizings
+
+
+#: Log-space bisection steps of one primal repair (candidates evaluated).
+REPAIR_BISECTIONS = 7
+
+
+def repair_lockstep(engine, columns):
+    """Primal repair for every lockstep column that needs one, at once.
+
+    The dual iterate usually rides the tight constraint from the
+    violating side.  PP's feasible set is convex in log-sizes
+    (posynomial constraints), so a log-space blend from a column's
+    feasible anchor toward its infeasible iterate crosses the boundary
+    exactly once; :data:`REPAIR_BISECTIONS` bisection steps find the
+    closest feasible blend.
+
+    ``columns`` holds one ``(optimizer, state, x, anchor)`` per column:
+    the optimizer (on ``engine``) whose feasibility notion applies, its
+    :class:`_RunState`, the infeasible iterate and the feasible anchor.
+    The columns' bisections are independent, so bisection level ℓ of
+    all K′ columns is one ``(K′, n)`` candidate matrix built in log
+    space, one batched delay sweep and one batched arrival sweep.  Each
+    column then takes its own verdict through
+    :meth:`OGWSOptimizer._feasible_lazy` on an ``EvalContext`` seeded
+    with its delay and arrival columns: noise and power are computed
+    only for candidates within the delay bound, full metrics only for
+    feasible ones.  The batched sweeps equal the 1-D sweeps bit for bit
+    per column, so each column's verdicts, accepted point and
+    ``repair_evals`` equal a repair of that column alone.
+
+    Returns one ``(sizes, metrics)`` pair per column: the feasible blend
+    closest to the iterate, or ``(None, None)`` if even the smallest
+    step leaves the feasible set (the anchor sits on the boundary).
+    """
+    cc = engine.compiled
+    mask = cc.is_sizable
+    width = len(columns)
+    # Log sizes, zero off the sizable nodes (clip_sizes zeroes those).
+    log_anchor = np.zeros((width, cc.num_nodes))
+    log_x = np.zeros((width, cc.num_nodes))
+    for j, (_, _, x, anchor) in enumerate(columns):
+        log_anchor[j, mask] = np.log(anchor[mask])
+        log_x[j, mask] = np.log(np.maximum(x[mask], 1e-300))
+    lo = np.zeros(width)
+    hi = np.ones(width)
+    best = [(None, None)] * width
+    for _ in range(REPAIR_BISECTIONS):
+        mid = 0.5 * (lo + hi)
+        candidates = cc.clip_sizes(np.exp((1.0 - mid)[:, None] * log_anchor
+                                          + mid[:, None] * log_x))
+        delays = engine.delays(np.ascontiguousarray(candidates.T))
+        arrival = engine.arrival_times(delays)
+        for j, (opt, state, _, _) in enumerate(columns):
+            candidate = candidates[j]
+            context = EvalContext(engine, candidate).seed(
+                delays=delays[:, j], arrival=arrival[:, j])
+            state.repair_evals += 1
+            if opt._feasible_lazy(context, candidate):
+                best[j] = (candidate.copy(), context.metrics)
+                lo[j] = mid[j]
+            else:
+                hi[j] = mid[j]
+    return best

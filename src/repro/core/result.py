@@ -49,7 +49,7 @@ class SizingResult:
     multipliers: object = None
     #: Full-circuit candidate evaluations spent inside the primal-repair
     #: bisection (each one is lazily short-circuited on the first
-    #: violated constraint; see ``OGWSOptimizer._repair``).
+    #: violated constraint; see :func:`repro.core.ogws.repair_lockstep`).
     repair_evals: int = 0
 
     @property

@@ -427,7 +427,7 @@ class ScenarioBatch:
                 ordering_cost_after=float(cost_after),
                 initial_metrics=sizing.initial_metrics,
                 metrics=sizing.metrics,
-                sizes=tuple(float(x) for x in sizing.x),
+                sizes=tuple(sizing.x.tolist()),
                 diagnostics={"repair_evals": int(sizing.repair_evals)},
                 # Telemetry (excluded from the canonical record; in a
                 # lockstep batch each column's clock spans the batch).

@@ -387,8 +387,22 @@ class Scenario:
         return _canonical_json(self.canonical_dict())
 
     def content_hash(self):
-        """Hash of the scenario spec alone (no circuit realization)."""
-        return _content_hash(self.canonical_dict())
+        """Hash of the scenario spec alone (no circuit realization).
+
+        Computed once per instance and kept outside the dataclass fields,
+        so equality, ``hash()`` and ``dataclasses.replace`` never see it;
+        pickles leave it out (:meth:`__getstate__`).
+        """
+        digest = self.__dict__.get("_content_hash")
+        if digest is None:
+            digest = _content_hash(self.canonical_dict())
+            object.__setattr__(self, "_content_hash", digest)
+        return digest
+
+    def __getstate__(self):
+        state = dict(self.__dict__)
+        state.pop("_content_hash", None)
+        return state
 
     @classmethod
     def from_dict(cls, data):

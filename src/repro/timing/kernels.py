@@ -402,6 +402,17 @@ class SweepPlan:
         self.max_cond_edges = int(np.max(np.diff(self.arr_edge_ptr),
                                          initial=0))
         self.boundary_ids = boundary
+        # The arrival sweep's level loop, unrolled once: per condensed
+        # level its edge and node bounds as Python ints plus views of
+        # its anchor positions and segment starts.
+        edge_ptr = self.arr_edge_ptr.tolist()
+        node_ptr = self.cond_node_ptr.tolist()
+        self.arr_levels = [
+            (edge_ptr[level], edge_ptr[level + 1], node_ptr[level],
+             node_ptr[level + 1],
+             self.arr_anchor_pos[edge_ptr[level]:edge_ptr[level + 1]],
+             self.arr_starts[level])
+            for level in range(1, n_clevels)]
 
     def _build_projection(self, cc):
         """The flow-projection cascade over the condensed graph.
@@ -572,9 +583,10 @@ class Workspace:
     def vectors(self):
         """This width-1 workspace as 1-D views of the same buffers.
 
-        The engine's single-point sweeps (initial metrics, primal repair,
-        the final evaluation) run on these views, so one set of width-1
-        scratch serves them and the width-1 LRS pass.  Memoized.
+        The engine's single-point sweeps (initial metrics, the final
+        evaluation) and every one-column arrival sweep run on these
+        views, so one set of width-1 scratch serves them and the
+        width-1 LRS pass.  Memoized.
         """
         flat = self.__dict__.get("_vectors")
         if flat is None:
@@ -701,36 +713,44 @@ def arrival_sweep(plan, delays, arrival, ws):
     per-level max-plus recurrence to floating-point reassociation.
     ``delays`` may be ``(n,)`` or column-stacked ``(n, K)`` (``arrival``
     and ``ws`` shaped to match); each column's max-plus recursion is
-    bit-identical to the single-vector sweep.
+    bit-identical to the single-vector sweep, and one column runs as
+    one vector (on 1-D views of the width-1 buffers).
+
+    The level loop walks the plan's precomputed ``arr_levels`` and
+    calls ``ndarray.take`` directly: a primal repair probe is a
+    width-1 sweep of a few thousand nodes, where per-level Python
+    overhead, not arithmetic, sets the cost.
     """
+    out = arrival
+    if delays.ndim == 2 and delays.shape[1] == 1 \
+            and arrival.flags.c_contiguous:
+        delays, out, ws = delays.reshape(-1), arrival.reshape(-1), \
+            ws.vectors()
     chain = csr_matvec(plan.wire_chain, delays, ws.chain, ws)
     n_cond = len(plan.cond_nodes)
     arrc = ws.arrc[:n_cond]
     arrc.fill(0.0)
     if n_cond:
-        dc = ws.delays_c[:n_cond]
-        np.take(delays, plan.cond_nodes, axis=0, out=dc)
-        chain_e = ws.chain_e[:len(plan.arr_hop)]
-        np.take(chain, plan.arr_hop, axis=0, out=chain_e)
-        node_ptr, edge_ptr = plan.cond_node_ptr, plan.arr_edge_ptr
-        for level in range(1, len(plan.arr_starts)):
-            lo, hi = edge_ptr[level], edge_ptr[level + 1]
-            g = ws.ebuf[:hi - lo]
-            np.take(arrc, plan.arr_anchor_pos[lo:hi], axis=0, out=g)
-            np.add(g, chain_e[lo:hi], out=g)
-            out = arrc[node_ptr[level]:node_ptr[level + 1]]
-            np.maximum.reduceat(g, plan.arr_starts[level], axis=0, out=out)
-            np.add(out, dc[node_ptr[level]:node_ptr[level + 1]], out=out)
-    arrival.fill(0.0)
-    arrival[plan.cond_nodes] = arrc
+        dc = delays.take(plan.cond_nodes, axis=0, out=ws.delays_c[:n_cond])
+        chain_e = chain.take(plan.arr_hop, axis=0,
+                             out=ws.chain_e[:len(plan.arr_hop)])
+        take, add, reduceat = arrc.take, np.add, np.maximum.reduceat
+        ebuf = ws.ebuf
+        for e_lo, e_hi, n_lo, n_hi, anchors, starts in plan.arr_levels:
+            g = ebuf[:e_hi - e_lo]
+            take(anchors, 0, g)
+            add(g, chain_e[e_lo:e_hi], out=g)
+            level = arrc[n_lo:n_hi]
+            reduceat(g, starts, 0, None, level)
+            add(level, dc[n_lo:n_hi], out=level)
+    out.fill(0.0)
+    out[plan.cond_nodes] = arrc
     wires = plan.wire_indices
     if len(wires):
-        t = ws.wbuf[:len(wires)]
-        t2 = ws.wbuf2[:len(wires)]
-        np.take(arrc, plan.wire_anchor_pos, axis=0, out=t)
-        np.take(chain, wires, axis=0, out=t2)
+        t = arrc.take(plan.wire_anchor_pos, axis=0, out=ws.wbuf[:len(wires)])
+        t2 = chain.take(wires, axis=0, out=ws.wbuf2[:len(wires)])
         np.add(t, t2, out=t)
-        arrival[wires] = t
+        out[wires] = t
     return arrival
 
 

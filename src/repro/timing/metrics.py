@@ -9,9 +9,10 @@ quantity an OGWS outer iteration needs at one sizing point (capacitance
 sweep, delays, arrival times, coupling totals, the Table 1 metrics) is
 computed at most once and reused by the metrics, the Lagrangian value,
 and the multiplier update.  The lockstep driver seeds each column's
-context from its batched sweeps; single-point evaluations (the initial
-metrics, primal-repair candidates, the final point) fill it lazily from
-the engine's 1-D sweeps.
+context from its batched sweeps, and the merged primal repair seeds
+each candidate's delays and arrival times from its per-level batched
+sweeps; single-point evaluations (the initial metrics, the final point)
+fill it lazily from the engine's 1-D sweeps.
 """
 
 import dataclasses

@@ -8,6 +8,7 @@ from repro.core import (
     OGWSOptimizer,
     SizingProblem,
 )
+from repro.core.ogws import repair_lockstep
 from repro.timing import ElmoreEngine
 
 
@@ -51,7 +52,7 @@ def test_single_iteration_budget(engine, problem):
 
 
 def test_repair_produces_feasible_blend(engine):
-    """_repair returns a feasible point between anchor and iterate."""
+    """repair_lockstep returns a feasible point between anchor and iterate."""
     from repro.timing.metrics import evaluate_metrics
 
     cc = engine.compiled
@@ -68,7 +69,8 @@ def test_repair_produces_feasible_blend(engine):
     assert opt._is_feasible(mid_metrics, anchor)
     x_bad = cc.default_sizes(0.0)  # min sizes: delay blows the bound
     assert not opt._is_feasible(evaluate_metrics(engine, x_bad), x_bad)
-    repaired, metrics = opt._repair(x_bad, anchor)
+    [(repaired, metrics)] = repair_lockstep(
+        engine, [(opt, opt.start(), x_bad, anchor)])
     assert repaired is not None
     assert opt._is_feasible(metrics, repaired)
     # The repair moves off the anchor toward the (cheaper) iterate.

@@ -127,6 +127,7 @@ class TestBatchEquivalence:
             seed=scenario.seed, bound_factors=config.bound_factors,
             optimizer_options=config.optimizer_options).run().sizing
         assert tuple(float(x) for x in sizing.x) == record.sizes
+        assert all(type(v) is float for v in record.sizes)
         assert sizing.metrics == record.metrics
         assert sizing.iterations == record.iterations
 

@@ -109,6 +109,14 @@ def reference_sweep_plan(compiled):
             if hi > lo else np.zeros(0, dtype=np.int64)
         plan.arr_starts.append(np.ascontiguousarray(starts))
     plan.max_cond_edges = int(np.max(np.diff(plan.arr_edge_ptr), initial=0))
+    plan.arr_levels = []
+    for level in range(1, n_clevels):
+        lo = int(plan.arr_edge_ptr[level])
+        hi = int(plan.arr_edge_ptr[level + 1])
+        plan.arr_levels.append((
+            lo, hi, int(plan.cond_node_ptr[level]),
+            int(plan.cond_node_ptr[level + 1]), plan.arr_anchor_pos[lo:hi],
+            plan.arr_starts[level]))
 
     plan.boundary_ids = boundary
     by_anchor = [[] for _ in range(n)]

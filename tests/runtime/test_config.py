@@ -3,6 +3,7 @@
 import copy
 import dataclasses
 import json
+import pickle
 
 import numpy as np
 import pytest
@@ -244,6 +245,38 @@ class TestScenario:
         scenario = Scenario(CircuitRef.iscas85("c432"), FlowConfig())
         assert scenario.label == "c432/woss/own/similarity"
         assert scenario.content_hash() == scenario.content_hash()
+
+    def test_content_hash_is_computed_once_and_invisible(self, monkeypatch):
+        calls = []
+        compute = runtime_config._content_hash
+
+        def counted(data):
+            calls.append(data)
+            return compute(data)
+
+        monkeypatch.setattr(runtime_config, "_content_hash", counted)
+        scenario = Scenario(CircuitRef.iscas85("c432"), FlowConfig())
+        fresh = Scenario(CircuitRef.iscas85("c432"), FlowConfig())
+        pickled = pickle.dumps(fresh)
+        digest = scenario.content_hash()
+        assert scenario.content_hash() == digest and len(calls) == 1
+        assert digest == compute(scenario.canonical_dict())
+        # Equality and hash() see the fields only, as before.
+        assert scenario == fresh and hash(scenario) == hash(fresh)
+        assert repr(scenario) == repr(fresh)
+        # A pickle carries no stored digest: the same bytes as a fresh
+        # instance's, and the copy recomputes its own.
+        assert pickle.dumps(scenario) == pickled
+        clone = pickle.loads(pickle.dumps(scenario))
+        assert clone == scenario and clone.content_hash() == digest
+        assert copy.copy(scenario).content_hash() == digest
+        # replace builds a new value with a hash of its own.
+        other = dataclasses.replace(
+            scenario, config=FlowConfig(noise_fraction=0.2))
+        assert other.content_hash() == compute(other.canonical_dict())
+        assert other.content_hash() != digest
+        assert dataclasses.replace(scenario).content_hash() == digest
+        assert dataclasses.asdict(scenario) == dataclasses.asdict(fresh)
 
     def test_hash_tracks_every_knob(self):
         base = Scenario(CircuitRef.iscas85("c432"), FlowConfig())

@@ -62,8 +62,8 @@ def _assert_same(new, ref, name):
         for slot in type(ref).__slots__:
             _assert_same(getattr(new, slot), getattr(ref, slot),
                          f"{name}.{slot}")
-    elif isinstance(ref, list):
-        assert isinstance(new, list) and len(new) == len(ref), name
+    elif isinstance(ref, (list, tuple)):
+        assert type(new) is type(ref) and len(new) == len(ref), name
         for k, (a, b) in enumerate(zip(new, ref)):
             _assert_same(a, b, f"{name}[{k}]")
     else:
