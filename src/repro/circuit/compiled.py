@@ -96,10 +96,9 @@ class CompiledCircuit:
     def sweep_plan(self):
         """Memoized :class:`~repro.timing.kernels.SweepPlan` for this circuit.
 
-        The plan presorts every level's edge group by scatter target so
-        the timing/sizing sweeps run as ``take``/``reduceat`` segment
-        operations instead of unbuffered ``np.add.at`` scatters.  Built
-        once on first use; like the rest of this object it is read-only.
+        Its static CSR operators replace the per-level ``np.add.at``
+        scatters of the timing/sizing sweeps.  Built once on first use;
+        like the rest of this object it is read-only.
         """
         plan = self.__dict__.get("_sweep_plan")
         if plan is None:

@@ -192,11 +192,10 @@ class LagrangianSubproblemSolver:
                 kernels.s2_source_terms(plan, cc, x, terms.node_caps,
                                         propagated, ws.cself,
                                         ws.source_terms, ws.t1)
-                kernels.child_sum_sweep(plan, ws.source_terms, ws.child_sum,
-                                        ws)
+                kernels.child_sum_sweep(plan, ws.source_terms, ws.child_sum)
                 np.divide(c.r_hat_eff, x, out=ws.r_eff, where=c.is_sizable)
                 np.multiply(lam, ws.r_eff, out=ws.t2)
-                kernels.upstream_sweep(plan, ws.t2, ws.upstream, ws)
+                kernels.upstream_sweep(plan, ws.t2, ws.upstream)
                 np.add(ws.child_sum, c.half_fringe_wire, out=ws.k_cap)
                 if coupled_delay:
                     np.multiply(terms.cap_sum, c.wire_mask_f, out=ws.t1)

@@ -46,8 +46,12 @@ class Channel:
         # An object array gathers the channel's own int objects: an int64
         # gather would allocate a fresh int per wire (3 MB at 50k gates).
         wires = np.asarray(self.wires, dtype=object)
-        return Channel(self.label,
-                       tuple(wires[order.astype(np.int64)].tolist()))
+        # Permuted distinct wires stay distinct: skip __post_init__.
+        copy = object.__new__(Channel)
+        object.__setattr__(copy, "label", self.label)
+        object.__setattr__(copy, "wires",
+                           tuple(wires[order.astype(np.int64)].tolist()))
+        return copy
 
 
 def wires_by_level(circuit):

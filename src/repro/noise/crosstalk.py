@@ -215,7 +215,7 @@ class CouplingSet:
         """``out[i] = Σ_{pairs touching i} value`` via the static operator."""
         from repro.timing import kernels
 
-        kernels.csr_matvec(s["op"], pair_values, out, s["ws"])
+        kernels.csr_matvec(s["op"], pair_values, out)
 
     def _ensure_batch_scratch(self, k):
         """Width-``k`` scratch for the column-stacked paths (memoized).
@@ -231,13 +231,9 @@ class CouplingSet:
         if s is not None:
             cache[k] = s   # refresh recency (insertion order == LRU order)
         if s is None:
-            import types
-
             p, n = self.num_pairs, self.num_nodes
             s = {
                 "op": base["op"],
-                "ws": types.SimpleNamespace(cbuf=np.zeros((2 * p, k)),
-                                            sbuf=np.zeros((n, k))),
                 "u": np.zeros((p, k)), "term": np.zeros((p, k)),
                 "tmp": np.zeros((p, k)), "caps": np.zeros((p, k)),
                 "slopes": np.zeros((p, k)), "pw": np.zeros((p, k)),

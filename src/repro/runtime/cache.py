@@ -49,7 +49,8 @@ cache directory never observe torn entries.  Reads touch the entry's
 mtime, giving :meth:`ResultCache.prune` an LRU eviction order.
 
 Hit/miss/put counters accumulate in memory and persist on
-``put``/``prune``/``stats()``/:meth:`flush` as **per-process shard
+``prune``/``stats()``/:meth:`flush` (which the runner and the queue
+worker call once per sweep or shard) as **per-process shard
 files** under ``stats.d/`` — each :class:`ResultCache` instance owns one
 shard (named by pid plus a random token) and only ever rewrites its own,
 so concurrent sweeps sharing a cache directory cannot lose each other's
@@ -166,9 +167,9 @@ class ResultCache:
     def _bump(self, **deltas):
         """Accumulate counter deltas in memory (see :meth:`flush`).
 
-        Hits buffer without touching the filesystem — a warm sweep does
-        zero counter I/O per scenario; puts, evictions, :meth:`stats`,
-        and the batch runner's end-of-sweep hook flush.
+        Hits, misses and puts buffer without touching the filesystem —
+        a sweep does zero counter I/O per scenario; evictions,
+        :meth:`stats` and the runner's and worker's end-of-work hooks flush.
         """
         for name, delta in deltas.items():
             self._pending[name] += delta
@@ -190,10 +191,11 @@ class ResultCache:
     def flush(self):
         """Persist buffered counters to this instance's shard (atomic).
 
-        Only the instance's own shard is ever rewritten, so concurrent
-        processes flushing into one cache directory never clobber each
-        other's counts.  Best-effort on I/O error: counters are
-        observability, so a transient failure writing the shard must
+        Counters persist only here, once per sweep or shard, not per
+        record.  Only the instance's own shard is ever rewritten, so
+        concurrent processes flushing into one cache directory never
+        clobber each other's counts.  Best-effort on I/O error: counters
+        are observability, so a transient failure writing the shard must
         never kill a worker mid-sweep — the folded totals stay in
         memory and the next successful flush rewrites the shard with
         the full lifetime counts, healing the gap.
@@ -328,7 +330,7 @@ class ResultCache:
         line 2 verbatim.  The envelope stores the realized-circuit
         fingerprint beside it: taken from the record itself when the
         worker computed it (the normal path — no circuit build here),
-        else computed now.
+        else computed now.  The put is counted at the next :meth:`flush`.
         """
         line = record.canonical_json().encode()
         fingerprint = record.fingerprint or _fingerprint(scenario.circuit)
@@ -345,7 +347,6 @@ class ResultCache:
         self._write_atomic(
             path, _canonical_json(envelope).encode() + b"\n" + line + b"\n")
         self._bump(puts=1)
-        self.flush()
         return path
 
     # -- maintenance ------------------------------------------------------------

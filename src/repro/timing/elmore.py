@@ -136,7 +136,7 @@ class ElmoreEngine:
         kernels.s2_source_terms(plan, cc, x, cpl, propagated, cself,
                                 source_terms, ws.t1)
         child_sum = np.empty(cc.num_nodes)
-        kernels.child_sum_sweep(plan, source_terms, child_sum, ws)
+        kernels.child_sum_sweep(plan, source_terms, child_sum)
         load = cself + plan.wire_mask_f * child_sum
         if propagated:
             load += plan.wire_mask_f * cpl
@@ -179,7 +179,7 @@ class ElmoreEngine:
             self.coupling.node_coupling_caps(x)
         kernels.s2_source_terms(plan, cc, x, cpl, propagated, ws.cself,
                                 ws.source_terms, ws.t1)
-        kernels.child_sum_sweep(plan, ws.source_terms, ws.child_sum, ws)
+        kernels.child_sum_sweep(plan, ws.source_terms, ws.child_sum)
         # downstream = child_sum + wires ∘ (cself/2 + cpl)
         np.multiply(ws.cself, 0.5, out=ws.t1)
         if cpl is not None:
@@ -224,6 +224,5 @@ class ElmoreEngine:
         cc = self.compiled
         r_eff = self.effective_resistance(x)
         upstream = np.empty(cc.num_nodes)
-        kernels.upstream_sweep(cc.sweep_plan(), lam_node * r_eff, upstream,
-                               self.workspace())
+        kernels.upstream_sweep(cc.sweep_plan(), lam_node * r_eff, upstream)
         return upstream

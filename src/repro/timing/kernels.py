@@ -39,12 +39,13 @@ flow projection rescales each level's in-edge multipliers to match the
 already-final out-flow; its per-level scatters are presorted by node so
 each level is a ``take``/``reduceat``/assign triple.
 
-Sparse products go through :func:`csr_matvec` — SciPy's raw
-``csr_matvec`` kernel accumulating into a preallocated output — with a
-pure-NumPy ``take`` + ``add.reduceat`` fallback.  :class:`Workspace`
-preallocates all scratch, so a steady-state LRS pass in
-:class:`~repro.core.lrs.LagrangianSubproblemSolver` allocates nothing
-(guarded by tracemalloc in ``tests/timing/test_kernels.py``).
+**One CSR backend**, :func:`csr_matvec`: SciPy's raw ``csr_matvec``/
+``csr_matvecs`` kernels add each row in index order, bit for bit the
+per-row oracle in ``tests/oracles/csr.py``.  Their C extension is loaded
+alone: ``scipy.sparse`` is some 290 modules that no solve uses.
+:class:`Workspace` preallocates all scratch, so a steady-state LRS pass
+in :class:`~repro.core.lrs.LagrangianSubproblemSolver` allocates
+nothing (guarded by tracemalloc in ``tests/timing/test_kernels.py``).
 
 **Batched (column-stacked) evaluation.**  Every sweep in this module is
 shape-polymorphic: passing ``(n, K)`` C-contiguous iterates — one column
@@ -74,104 +75,102 @@ workspaces single-threaded; obtain them via ``compiled.sweep_plan()``
 and ``ElmoreEngine.pool``.
 """
 
+import os
+import sys
+from importlib import machinery, util
+
 import numpy as np
 
 from repro.circuit.circuit import _csr
 
-try:  # SciPy's C kernels accumulate into a caller-provided output array.
-    from scipy.sparse import _sparsetools as _st
 
-    _HAVE_RAW_MATVEC = hasattr(_st, "csr_matvec")
-    _HAVE_RAW_MATVECS = hasattr(_st, "csr_matvecs")
-except ImportError:  # pragma: no cover - scipy is a hard dependency in CI
-    _st = None
-    _HAVE_RAW_MATVEC = False
-    _HAVE_RAW_MATVECS = False
+def _load_sparsetools():
+    """SciPy's ``_sparsetools`` without ``scipy.sparse``: an imported copy,
+    else the installed file (``find_spec`` imports nothing) registered
+    under its canonical name, where ``import scipy.sparse`` finds it."""
+    name = "scipy.sparse._sparsetools"
+    if name in sys.modules:
+        return sys.modules[name]
+    scipy = util.find_spec("scipy")
+    spec = None if scipy is None else machinery.PathFinder.find_spec(
+        name, [os.path.join(scipy.submodule_search_locations[0], "sparse")])
+    if spec is None:  # pragma: no cover
+        from scipy.sparse import _sparsetools
+
+        return _sparsetools
+    module = util.module_from_spec(spec)
+    sys.modules[name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+_st = _load_sparsetools()
 
 
 class CSROp:
     """A static unit-coefficient CSR operator ``y = A·x`` over ``n`` rows.
 
     ``indptr``/``indices`` follow the usual CSR convention; ``data`` is
-    all ones (closure coefficients are unit by construction).  ``rows``
-    and ``starts`` retain the nonempty-row view used by the pure-NumPy
-    fallback path.  Row order matters: the kernels add each row's
+    all ones (closure coefficients are unit by construction): a view of
+    the caller's read-only ``units`` vector when one is given, else a
+    vector of its own.  Row order matters: the kernels add each row's
     entries in ``indices`` order, so two operators with the same rows in
     a different order agree only to rounding.
     """
 
-    __slots__ = ("indptr", "indices", "data", "rows", "starts", "n_rows")
+    __slots__ = ("indptr", "indices", "data", "n_rows")
 
-    def __init__(self, indptr, indices):
+    def __init__(self, indptr, indices, units=None):
         self.indptr = np.asarray(indptr, dtype=np.int64)
         self.indices = np.ascontiguousarray(indices, dtype=np.int64)
         self.n_rows = len(self.indptr) - 1
-        self.data = np.ones(len(self.indices))
-        self.rows = np.flatnonzero(np.diff(self.indptr))
-        self.starts = np.ascontiguousarray(self.indptr[self.rows])
+        nnz = len(self.indices)
+        self.data = np.ones(nnz) if units is None else units[:nnz]
+        if len(self.data) != nnz:
+            raise ValueError("unit vector shorter than the operator")
 
     @classmethod
-    def from_arrays(cls, rows, cols, n_rows):
+    def from_arrays(cls, rows, cols, n_rows, units=None):
         """The operator with one entry ``cols[k]`` in row ``rows[k]``.
 
         Entries keep their given relative order within each row (one
         stable sort by row).
         """
         indptr, order = _csr(rows, n_rows)
-        return cls(indptr, np.asarray(cols)[order])
+        return cls(indptr, np.asarray(cols)[order], units)
 
     @property
     def nnz(self):
         return len(self.indices)
 
     @property
-    def nbytes(self):
-        return (self.indptr.nbytes + self.indices.nbytes + self.data.nbytes
-                + self.rows.nbytes + self.starts.nbytes)
+    def nbytes(self):  # a shared ``units`` vector is its owner's to count
+        data = self.data.nbytes if self.data.base is None else 0
+        return self.indptr.nbytes + self.indices.nbytes + data
 
 
-def csr_matvec(op, x, y, ws=None):
+def csr_matvec(op, x, y):
     """``y ← op·x`` into the preallocated ``y`` (no allocation).
 
-    Uses SciPy's raw ``csr_matvec`` kernel when available, else a
-    ``take`` + ``add.reduceat`` fallback over the nonempty rows (drawing
-    scratch from ``ws`` when provided).
-
-    ``x`` may be ``(n,)`` or a C-contiguous column-stacked ``(n, K)``
-    matrix; the multi-vector case goes through SciPy's ``csr_matvecs``
-    (one index traversal for all K columns) and is bit-identical per
-    column to the single-vector kernel.  One column is one vector: it
-    runs the single-vector kernel on 1-D views of ``x`` and ``y``.
+    ``y[i] = ((0.0 + x[j0]) + x[j1]) + …`` in index order.  ``x`` may be
+    ``(n,)`` or a C-contiguous column-stacked ``(n, K)`` matrix; the
+    multi-vector case goes through ``csr_matvecs`` (one index traversal
+    for all K columns) and is bit-identical per column to the
+    single-vector kernel.  One column is one vector: it runs the
+    single-vector kernel on 1-D views of ``x`` and ``y``.
     """
     y.fill(0.0)
     if not op.nnz:
         return y
-    if x.ndim == 2:
-        if x.shape[1] == 1 and _HAVE_RAW_MATVEC and y.flags.c_contiguous:
-            _st.csr_matvec(op.n_rows, len(x), op.indptr, op.indices, op.data,
-                           x.reshape(-1), y.reshape(-1))
-            return y
-        if _HAVE_RAW_MATVECS:
-            _st.csr_matvecs(op.n_rows, len(x), x.shape[1], op.indptr,
-                            op.indices, op.data, x, y)
-            return y
-        gathered = np.take(x, op.indices, axis=0,
-                           out=ws.cbuf[:op.nnz] if ws is not None else None)
-        sums = np.add.reduceat(gathered, op.starts, axis=0,
-                               out=ws.sbuf[:len(op.rows)] if ws is not None
-                               else None)
-        y[op.rows] = sums
-        return y
-    if _HAVE_RAW_MATVEC:
+    if x.ndim == 1:
         _st.csr_matvec(op.n_rows, len(x), op.indptr, op.indices, op.data,
                        x, y)
-        return y
-    gathered = x.take(op.indices, out=ws.cbuf[:op.nnz] if ws is not None
-                      else None)
-    sums = np.add.reduceat(gathered, op.starts,
-                           out=ws.sbuf[:len(op.rows)] if ws is not None
-                           else None)
-    y[op.rows] = sums
+    elif x.shape[1] == 1 and y.flags.c_contiguous:
+        _st.csr_matvec(op.n_rows, len(x), op.indptr, op.indices, op.data,
+                       x.reshape(-1), y.reshape(-1))
+    else:
+        _st.csr_matvecs(op.n_rows, len(x), x.shape[1], op.indptr,
+                        op.indices, op.data, x, y)
     return y
 
 
@@ -218,7 +217,7 @@ def _ranges(starts, lengths):
 
 
 def _stage_closure(grouped, row_of, far, is_wire, schedule, n):
-    """One stage closure as a :class:`CSROp`, plus its row sizes.
+    """One stage closure as ``(indptr, indices)``, plus its row sizes.
 
     Row ``i`` walks the edges ``e`` with ``row_of[e] == i`` in
     ``grouped`` order (all edges, grouped by row, edge-id order within
@@ -250,7 +249,7 @@ def _stage_closure(grouped, row_of, far, is_wire, schedule, n):
         lengths = size[far[hops]]
         indices[_ranges(slot[hops] + 1, lengths)] = \
             indices[_ranges(indptr[far[hops]], lengths)]
-    return CSROp(indptr, indices), size
+    return indptr, indices, size
 
 
 class SweepPlan:
@@ -287,9 +286,6 @@ class SweepPlan:
         self.driver_nodes = np.flatnonzero(cc.is_driver)
         self.sizable_idx = cc.component_indices
         self.nonsizable_idx = np.flatnonzero(~cc.is_sizable)
-        self.load_cap = cc.load_cap
-        self.closure_size = max(self.desc.nnz, self.anc.nnz,
-                                self.wire_chain.nnz)
 
         # Static fused-pass constants.
         self.r_hat_eff = cc.r_hat * OHM_FF_TO_PS
@@ -311,21 +307,27 @@ class SweepPlan:
         entry corresponds to exactly one traversal path of the reference
         sweeps (multiset semantics at converging gates).  ``desc`` rows
         walk out-edges (reverse level order), ``anc`` rows walk in-edges
-        (level order).
+        (level order).  All four plan operators view one read-only
+        ``units`` vector: ``desc`` and ``anc`` list the same paths from
+        either end, and the chain and projection operators split
+        ``anc``'s entries (wire rows, non-wire rows).
         """
         n, is_wire, wires = cc.num_nodes, cc.is_wire, cc.wire_indices
-        self.desc, _ = _stage_closure(
+        desc_ptr, desc_idx, _ = _stage_closure(
             cc.out_edges, cc.edge_src, cc.edge_dst, is_wire,
             cc.edges_by_src_level[::-1], n)
-        self.anc, anc_size = _stage_closure(
+        anc_ptr, anc_idx, anc_size = _stage_closure(
             cc.in_edges, cc.edge_dst, cc.edge_src, is_wire,
             cc.edges_by_dst_level, n)
-        self.desc_base = cc.load_cap.copy()
+        self.units = np.ones(len(anc_idx))
+        self.units.flags.writeable = False
+        self.desc = CSROp(desc_ptr, desc_idx, self.units)
+        self.anc = CSROp(anc_ptr, anc_idx, self.units)
+        self.desc_base = cc.load_cap
         # A wire's ancestor row is its chain of wires up to the first
         # non-wire node — its anchor, always the row's last entry — so
         # the wire's chain row is the wire itself plus that row minus
         # the anchor.
-        anc_ptr, anc_idx = self.anc.indptr, self.anc.indices
         self.anchor = np.arange(n, dtype=np.int64)
         self.anchor[wires] = anc_idx[anc_ptr[wires + 1] - 1]
         chain_size = np.zeros(n, dtype=np.int64)
@@ -336,7 +338,7 @@ class SweepPlan:
         chain_idx[chain_ptr[wires]] = wires
         chain_idx[_ranges(chain_ptr[wires] + 1, anc_size[wires] - 1)] = \
             anc_idx[_ranges(anc_ptr[wires], anc_size[wires] - 1)]
-        self.wire_chain = CSROp(chain_ptr, chain_idx)
+        self.wire_chain = CSROp(chain_ptr, chain_idx, self.units)
         self.wire_indices = wires
 
     def _build_condensed(self, cc):
@@ -438,7 +440,7 @@ class SweepPlan:
         self.proj_scatter = CSROp.from_arrays(
             np.concatenate([boundary, cc.in_edges[cc.in_ptr[walk]]]),
             np.concatenate([positions, np.repeat(positions, hops)]),
-            cc.num_edges)
+            cc.num_edges, self.units)
         del hops, walk, positions
         in_ptr, in_order = _csr(cc.edge_dst[boundary], n)
         out_ptr, out_order = _csr(self.anchor[hop], n)
@@ -496,7 +498,7 @@ class SweepPlan:
     @property
     def nbytes(self):
         total = (self.desc.nbytes + self.anc.nbytes + self.wire_chain.nbytes
-                 + self.proj_scatter.nbytes)
+                 + self.proj_scatter.nbytes + self.units.nbytes)
         for starts in self.arr_starts:
             total += starts.nbytes
         for lv in self.proj_levels:
@@ -504,7 +506,7 @@ class SweepPlan:
                       + lv.expand.nbytes + lv.in_deg.nbytes
                       + lv.out_pos.nbytes + lv.out_starts.nbytes
                       + lv.out_sel.nbytes)
-        for name in ("desc_base", "anchor", "cond_nodes", "cond_node_ptr",
+        for name in ("anchor", "cond_nodes", "cond_node_ptr",
                      "wire_anchor_pos", "arr_anchor_pos", "arr_hop",
                      "arr_edge_ptr", "boundary_ids", "gate_nodes",
                      "driver_nodes", "sizable_idx", "nonsizable_idx",
@@ -515,7 +517,7 @@ class SweepPlan:
 
     def __repr__(self):
         return (f"SweepPlan(nodes={self.num_nodes}, edges={self.num_edges}, "
-                f"levels={self.num_levels}, closure={self.closure_size}, "
+                f"levels={self.num_levels}, closure={self.desc.nnz}, "
                 f"cond_levels={len(self.arr_starts)})")
 
 
@@ -523,7 +525,7 @@ class Workspace:
     """Preallocated buffers for the kernel sweeps and the fused LRS pass.
 
     Node-length buffers double as sweep outputs inside the fused pass;
-    ``ebuf``/``cbuf``/``sbuf`` are gather and segment scratch and
+    ``ebuf`` is the arrival sweep's per-level gather scratch and
     ``szbuf`` holds the per-pass relative change restricted to sizable
     nodes.  Reusing one workspace across passes is what makes a
     steady-state LRS pass allocation-free; it is strictly
@@ -541,8 +543,8 @@ class Workspace:
         "cself", "child_sum", "source_terms", "r_eff", "chain",
         "upstream", "k_cap", "denom", "opt", "x_a", "x_b", "t1", "t2",
     )
-    SCRATCH_BUFFERS = ("ebuf", "cbuf", "sbuf", "szbuf", "wbuf", "wbuf2",
-                       "arrc", "delays_c", "chain_e")
+    SCRATCH_BUFFERS = ("ebuf", "szbuf", "wbuf", "wbuf2", "arrc", "delays_c",
+                       "chain_e")
 
     def __init__(self, plan, width=None):
         n = plan.num_nodes
@@ -557,8 +559,6 @@ class Workspace:
         for name in self.NODE_BUFFERS:
             setattr(self, name, buf(n))
         self.ebuf = buf(plan.max_cond_edges)
-        self.cbuf = buf(plan.closure_size)
-        self.sbuf = buf(n)
         self.szbuf = buf(len(plan.sizable_idx))
         self.wbuf = buf(len(plan.wire_indices))
         self.wbuf2 = buf(len(plan.wire_indices))
@@ -675,7 +675,7 @@ def s2_source_terms(plan, compiled, x, cpl, propagated, cself_out, source_out,
     return cself_out, source_out
 
 
-def child_sum_sweep(plan, source_terms, child_sum, ws):
+def child_sum_sweep(plan, source_terms, child_sum):
     """Stage-closure capacitance accumulation (kernel S2).
 
     ``child_sum[i] = load_cap[i] + Σ_{j ∈ desc(i)} source_terms[j]``
@@ -685,13 +685,13 @@ def child_sum_sweep(plan, source_terms, child_sum, ws):
     product evaluates the whole reverse sweep (matrix–matrix over the
     columns in the batched case).
     """
-    csr_matvec(plan.desc, source_terms, child_sum, ws)
+    csr_matvec(plan.desc, source_terms, child_sum)
     base = plan.cols().desc_base if child_sum.ndim == 2 else plan.desc_base
     np.add(child_sum, base, out=child_sum)
     return child_sum
 
 
-def upstream_sweep(plan, own, upstream, ws):
+def upstream_sweep(plan, own, upstream):
     """Stage-closure λ-weighted upstream resistance (kernel S3).
 
     ``upstream[i] = Σ_{j ∈ anc(i)} own[j]`` with ``own = λ ∘ r_eff``;
@@ -699,7 +699,7 @@ def upstream_sweep(plan, own, upstream, ws):
     stage-starting gates/drivers (inclusive), matching Theorem 5's
     ``R_i`` exactly.
     """
-    return csr_matvec(plan.anc, own, upstream, ws)
+    return csr_matvec(plan.anc, own, upstream)
 
 
 def arrival_sweep(plan, delays, arrival, ws):
@@ -726,7 +726,7 @@ def arrival_sweep(plan, delays, arrival, ws):
             and arrival.flags.c_contiguous:
         delays, out, ws = delays.reshape(-1), arrival.reshape(-1), \
             ws.vectors()
-    chain = csr_matvec(plan.wire_chain, delays, ws.chain, ws)
+    chain = csr_matvec(plan.wire_chain, delays, ws.chain)
     n_cond = len(plan.cond_nodes)
     arrc = ws.arrc[:n_cond]
     arrc.fill(0.0)

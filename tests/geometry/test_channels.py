@@ -49,8 +49,23 @@ def test_channel_reordered_accepts_arrays_and_keeps_int_tuples():
 
 
 def test_duplicate_wire_rejected():
-    with pytest.raises(GeometryError):
+    with pytest.raises(GeometryError, match="lists a wire twice"):
         Channel("c", (5, 5))
+    with pytest.raises(GeometryError, match="lists a wire twice"):
+        Channel("c", (1, 2, 3, 2))
+
+
+def test_reordered_copy_is_an_equal_channel():
+    """The copy skips the duplicate check (its wires are a permutation of
+    distinct ones) but is an ordinary, frozen, hashable Channel; bad
+    permutations still raise (test above)."""
+    ch = Channel("c", (10, 11, 12))
+    out = ch.reordered([1, 2, 0])
+    assert type(out) is Channel
+    assert out == Channel("c", (11, 12, 10))
+    assert hash(out) == hash(Channel("c", (11, 12, 10)))
+    with pytest.raises(AttributeError):
+        out.wires = (1,)
 
 
 def test_len():

@@ -62,7 +62,8 @@ def reference_sweep_plan(compiled):
         anc[i] = lst
     plan.desc = csr_from_lists(desc, n)
     plan.anc = csr_from_lists(anc, n)
-    plan.desc_base = cc.load_cap.copy()
+    plan.units = np.ones(plan.anc.nnz)
+    plan.desc_base = cc.load_cap
 
     anchor = np.arange(n, dtype=np.int64)
     for i in order:
@@ -165,8 +166,6 @@ def reference_sweep_plan(compiled):
     plan.driver_nodes = np.flatnonzero(cc.is_driver)
     plan.sizable_idx = cc.component_indices
     plan.nonsizable_idx = np.flatnonzero(~cc.is_sizable)
-    plan.load_cap = cc.load_cap
-    plan.closure_size = max(plan.desc.nnz, plan.anc.nnz, plan.wire_chain.nnz)
 
     plan.r_hat_eff = cc.r_hat * OHM_FF_TO_PS
     plan.half_fringe_wire = np.where(cc.is_wire, 0.5 * cc.fringe, 0.0)

@@ -268,7 +268,7 @@ class TestStatsAndPrune:
                                                record):
         cache = ResultCache(tmp_path)
         assert cache.get(scenario) is None          # miss (buffered)
-        cache.put(scenario, record)                 # put (flushes)
+        cache.put(scenario, record)                 # put (buffered)
         assert cache.get(scenario) is not None      # hit (buffered)
         cache.flush()
         stats = ResultCache(tmp_path).stats()       # fresh instance
@@ -279,11 +279,28 @@ class TestStatsAndPrune:
                                                    record):
         cache = ResultCache(tmp_path)
         cache.put(scenario, record)
+        cache.flush()
         before = cache.shard_path.stat().st_mtime_ns
         for _ in range(5):
             assert cache.get(scenario) is not None
         assert cache.shard_path.stat().st_mtime_ns == before  # no write per hit
         assert cache.stats().hits == 5                  # flushed on stats()
+
+    def test_puts_buffer_until_flush(self, tmp_path, scenario, record):
+        """A put writes its entry but no counter shard: N puts cost no
+        shard write until the worker or runner flushes once."""
+        cache = ResultCache(tmp_path)
+        others = [Scenario(scenario.circuit, scenario.config.replace(
+            noise_fraction=0.3 + k / 100)) for k in range(4)]
+        for other in [scenario] + others:
+            cache.put(other, record)
+        assert len(cache) == 5
+        assert not cache.shard_path.exists()
+        assert not list((tmp_path / "stats.d").glob("*"))
+        cache.flush()
+        assert cache.shard_path.exists()
+        assert ResultCache(tmp_path).stats().puts == 5
+        assert cache.stats().puts == 5
 
     def test_counter_shards_survive_contention(self, tmp_path, scenario,
                                                record):

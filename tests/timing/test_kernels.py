@@ -17,6 +17,7 @@ from repro.noise import CouplingSet, MillerMode
 from repro.timing import CouplingDelayMode, ElmoreEngine
 from repro.utils.errors import ValidationError
 
+from oracles.csr import csr_matvec as csr_oracle
 from oracles.elmore import LevelSweepEngine
 from oracles.lrs import solve_reference
 from oracles.multipliers import project_reference
@@ -189,49 +190,136 @@ def test_lagrangian_value_accepts_context(setup):
     assert with_ctx == pytest.approx(plain, rel=1e-12)
 
 
-def test_csr_matvec_fallback_matches_scipy_kernel(setup, monkeypatch):
-    """The pure-NumPy take/reduceat path must agree with the raw kernel.
+def _operators(compiled, coupling):
+    """Every CSR operator the solver multiplies by, with its column count."""
+    plan = compiled.sweep_plan()
+    return {
+        "desc": (plan.desc, compiled.num_nodes),
+        "anc": (plan.anc, compiled.num_nodes),
+        "wire_chain": (plan.wire_chain, compiled.num_nodes),
+        "proj_scatter": (plan.proj_scatter, len(plan.boundary_ids)),
+        "coupling_endpoints": (coupling._ensure_scratch()["op"],
+                               coupling.num_pairs),
+    }
 
-    CI always has scipy, so the fallback would otherwise ship untested.
-    """
+
+@pytest.mark.parametrize("width", [1, 3])
+@pytest.mark.parametrize("name", ["desc", "anc", "wire_chain",
+                                  "proj_scatter", "coupling_endpoints"])
+def test_csr_matvec_equals_sequential_oracle(setup, name, width):
+    """The one CSR backend adds each row in index order onto 0.0: equal
+    bit for bit to the per-row oracle, as a vector, one column or K."""
+    from repro.timing import kernels
+
+    compiled, coupling = setup
+    op, n_cols = _operators(compiled, coupling)[name]
+    assert op.nnz
+    rng = np.random.default_rng(9 + width)
+    x = rng.uniform(-2.0, 2.0, (n_cols, width))
+    x[rng.random(n_cols) < 0.1] = -0.0
+    inputs = [x] if width > 1 else [x, np.ascontiguousarray(x[:, 0])]
+    for x_in in inputs:
+        y = np.full((op.n_rows,) + x_in.shape[1:], np.nan)
+        assert kernels.csr_matvec(op, x_in, y) is y
+        expected = csr_oracle(op, x_in)
+        np.testing.assert_array_equal(y, expected)
+        np.testing.assert_array_equal(np.signbit(y), np.signbit(expected))
+
+
+def test_plan_operators_share_one_read_only_unit_vector(setup):
+    from repro.timing.kernels import CSROp
+
+    compiled, coupling = setup
+    plan = compiled.sweep_plan()
+    assert not plan.units.flags.writeable
+    assert np.all(plan.units == 1.0)
+    assert plan.desc.nnz == plan.anc.nnz == len(plan.units)
+    for name in ("desc", "anc", "wire_chain", "proj_scatter"):
+        op = getattr(plan, name)
+        assert op.data.base is plan.units and len(op.data) == op.nnz
+        assert op.nbytes == op.indptr.nbytes + op.indices.nbytes
+    # desc_base is the compiled circuit's own load_cap, not a copy.
+    assert plan.desc_base is compiled.load_cap
+    op = coupling._ensure_scratch()["op"]
+    assert op.data.base is None and op.nbytes == (
+        op.indptr.nbytes + op.indices.nbytes + op.data.nbytes)
+    with pytest.raises(ValueError, match="shorter"):
+        CSROp(plan.desc.indptr, plan.desc.indices, plan.units[:-1])
+
+
+def test_no_scratch_beyond_the_kernels_needs(setup):
+    """The raw kernels need no gather scratch: no closure-sized buffer
+    in any workspace, none in the coupling batch scratch."""
     from repro.timing import kernels
 
     compiled, coupling = setup
     plan = compiled.sweep_plan()
-    rng = np.random.default_rng(9)
-    x = rng.uniform(0.1, 2.0, compiled.num_nodes)
-
-    ws = kernels.Workspace(plan)
-    fast = np.empty(compiled.num_nodes)
-    kernels.csr_matvec(plan.desc, x, fast, ws)
-    monkeypatch.setattr(kernels, "_HAVE_RAW_MATVEC", False)
-    slow_ws = np.empty(compiled.num_nodes)
-    kernels.csr_matvec(plan.desc, x, slow_ws, ws)
-    slow_alloc = np.empty(compiled.num_nodes)
-    kernels.csr_matvec(plan.desc, x, slow_alloc, None)  # ws-less path
-    np.testing.assert_allclose(slow_ws, fast, rtol=1e-13, atol=1e-15)
-    np.testing.assert_allclose(slow_alloc, fast, rtol=1e-13, atol=1e-15)
+    for width in (None, 3):
+        names = set(vars(kernels.Workspace(plan, width=width)))
+        assert not names & {"cbuf", "sbuf"}
+    assert "ws" not in coupling._ensure_batch_scratch(3)
 
 
-def test_full_stack_without_scipy_kernel(setup, monkeypatch):
-    """End-to-end LRS + sweeps on the fallback backend path."""
-    from repro.timing import kernels
+_KERNEL_IMPORTS = """
+import sys
+import repro.cli
+import repro.runtime.worker
+from repro.timing import kernels
+print(sorted(name for name in sys.modules
+             if name == "scipy.sparse" or name.startswith("scipy.sparse.")))
+"""
 
-    # csr_matvec checks _HAVE_RAW_MATVEC(S) at call time, so the patch
-    # applies even to scratch/workspaces built earlier.
-    monkeypatch.setattr(kernels, "_HAVE_RAW_MATVEC", False)
-    monkeypatch.setattr(kernels, "_HAVE_RAW_MATVECS", False)
-    compiled, coupling = setup
-    _, reference = _engines(compiled, coupling)
-    engine_fallback = ElmoreEngine(compiled, coupling)
-    mult = MultiplierState.initial(compiled, beta=1e-3, gamma=1e-3)
-    rk = LagrangianSubproblemSolver(engine_fallback).solve(mult)
-    rr = solve_reference(reference, mult)
-    np.testing.assert_allclose(rk.x, rr.x, rtol=1e-12, atol=1e-15)
-    delays = reference.delays(compiled.default_sizes(1.0))
-    np.testing.assert_allclose(
-        engine_fallback.arrival_times(delays),
-        reference.arrival_times(delays), rtol=1e-12, atol=1e-12)
+
+def _run(code):
+    """Run ``code`` in a fresh interpreter that imports this ``repro``."""
+    import os
+    import subprocess
+    import sys
+
+    import repro
+
+    path = [os.path.dirname(os.path.dirname(repro.__file__)),
+            os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    return subprocess.run([sys.executable, "-c", code], check=True,
+                          capture_output=True, text=True, env=env).stdout
+
+
+def test_cli_and_worker_imports_leave_scipy_sparse_unloaded():
+    assert _run(_KERNEL_IMPORTS).split("\n")[0] == \
+        "['scipy.sparse._sparsetools']"
+
+
+def test_later_scipy_sparse_import_shares_the_kernels_module():
+    out = _run(_KERNEL_IMPORTS + """
+import numpy as np
+import scipy.sparse
+from scipy.sparse import _sparsetools
+assert _sparsetools is kernels._st
+assert sys.modules["scipy.sparse._sparsetools"] is kernels._st
+rng = np.random.default_rng(0)
+dense = rng.uniform(size=(40, 30)) * (rng.random((40, 30)) < 0.2)
+matrix = scipy.sparse.csr_matrix(dense)
+x = rng.uniform(size=30)
+np.testing.assert_allclose(matrix @ x, dense @ x, rtol=1e-12)
+np.testing.assert_allclose((matrix @ matrix.T).toarray(), dense @ dense.T,
+                           rtol=1e-12)
+print("ok")
+""")
+    assert out.split()[-1] == "ok"
+
+
+def test_kernels_after_scipy_sparse_reuse_its_module():
+    out = _run("""
+import sys
+import scipy.sparse
+from scipy.sparse import _sparsetools
+from repro.timing import kernels
+assert kernels._st is _sparsetools
+assert sys.modules["scipy.sparse._sparsetools"] is _sparsetools
+print("ok")
+""")
+    assert out.split()[-1] == "ok"
 
 
 def _random_sizes(compiled, rng):
@@ -253,31 +341,13 @@ class TestBatchedKernels:
         rng = np.random.default_rng(11)
         x_cols = np.ascontiguousarray(rng.uniform(0.1, 3.0,
                                                   (compiled.num_nodes, 5)))
-        ws = kernels.Workspace(plan, width=5)
         y_cols = np.empty_like(x_cols)
-        kernels.csr_matvec(plan.desc, x_cols, y_cols, ws)
-        scalar_ws = kernels.Workspace(plan)
+        kernels.csr_matvec(plan.desc, x_cols, y_cols)
         for k in range(5):
             y = np.empty(compiled.num_nodes)
             kernels.csr_matvec(plan.desc, np.ascontiguousarray(x_cols[:, k]),
-                               y, scalar_ws)
+                               y)
             np.testing.assert_array_equal(y, y_cols[:, k])
-
-    def test_csr_matmat_fallback_matches(self, setup, monkeypatch):
-        from repro.timing import kernels
-
-        compiled, _ = setup
-        plan = compiled.sweep_plan()
-        rng = np.random.default_rng(12)
-        x_cols = np.ascontiguousarray(rng.uniform(0.1, 3.0,
-                                                  (compiled.num_nodes, 3)))
-        ws = kernels.Workspace(plan, width=3)
-        fast = np.empty_like(x_cols)
-        kernels.csr_matvec(plan.anc, x_cols, fast, ws)
-        monkeypatch.setattr(kernels, "_HAVE_RAW_MATVECS", False)
-        slow = np.empty_like(x_cols)
-        kernels.csr_matvec(plan.anc, x_cols, slow, ws)
-        np.testing.assert_allclose(slow, fast, rtol=1e-13, atol=1e-15)
 
     @pytest.mark.parametrize("mode", list(CouplingDelayMode))
     def test_batched_arrival_bitwise(self, setup, mode):
