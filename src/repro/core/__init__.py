@@ -22,7 +22,7 @@ from repro.core.multipliers import MultiplierState
 from repro.core.ogws import OGWSOptimizer, run_lockstep
 from repro.core.problem import SizingProblem
 from repro.core.result import IterationRecord, SizingResult
-from repro.core.session import ScenarioBatch, SessionPool, SolverSession
+from repro.core.session import SessionPool, SolverSession
 from repro.core.subgradient import (
     ConstantStep,
     HarmonicStep,
@@ -44,7 +44,6 @@ __all__ = [
     "OGWSOptimizer",
     "run_lockstep",
     "SolverSession",
-    "ScenarioBatch",
     "SessionPool",
     "SizingResult",
     "IterationRecord",

@@ -8,15 +8,18 @@ Stage 2 — **simultaneous gate and wire sizing**: extract Miller-weighted
 coupling for the ordered layout and run OGWS to minimize area under the
 delay, crosstalk, and power bounds.
 
-:class:`NoiseAwareSizingFlow` wires the stages together; it is the
-top-level entry point the examples and the Table 1 bench use.  Since the
-SolverSession refactor it is a thin K = 1 wrapper: ``run()`` builds a
-single-use :class:`~repro.core.session.SolverSession` over its circuit
-and executes through it, so the one-circuit-one-config path and the
-batched multi-scenario path share one implementation (and stay
-bit-identical by construction).  The stage-1 helpers
-(:func:`resolve_ordering`, :func:`order_channel_wires`) live here as
-module functions for the same reason.
+:class:`NoiseAwareSizingFlow` is the top-level entry point the examples,
+the benches and ``repro size`` use: one circuit under one validated
+:class:`~repro.runtime.config.FlowConfig`, whose ``seed`` is the
+simulation seed itself (a :class:`~repro.runtime.config.Scenario`
+derives its own seed from ``FlowConfig.seed`` and the circuit).
+``run()`` solves the config through
+:meth:`~repro.core.session.SolverSession.solve_configs`, the one stage-2
+setup that every sweep scenario also runs through, so a flow and a
+scenario with the same seed land on the same sizing by construction.
+The stage-1 helpers (:func:`resolve_ordering`,
+:func:`order_channel_wires`) live here as module functions, which the
+session memoizes.
 """
 
 import dataclasses
@@ -81,10 +84,9 @@ def order_channel_wires(analyzer, layout, ordering):
     (:meth:`SimilarityAnalyzer.sort_keys`), which gives exactly the
     per-wire WOSS order (:func:`~repro.noise.ordering.woss_class_ordering`
     states why) from a ``classes × classes`` array instead of a
-    ``width × width`` one.  The others, caller-supplied callables among
-    them (or WOSS above 16383 patterns, where no keys exist), get the
-    channel's float64 weights ``1 − similarity``.  Every ordering's
-    costs come from one place,
+    ``width × width`` one.  The other orderings (and WOSS above 16383
+    patterns, where no keys exist) get the channel's float64 weights
+    ``1 − similarity``.  Every ordering's costs come from one place,
     :meth:`SimilarityAnalyzer.path_dissimilarity`, which counts the
     disagreements of adjacent rows — O(width · P) per channel and
     bit-identical to summing the weights over the same pairs.
@@ -137,15 +139,21 @@ class FlowResult:
 
 
 class NoiseAwareSizingFlow:
-    """End-to-end noise-constrained sizing.
+    """End-to-end noise-constrained sizing of one circuit.
+
+    A flow is a circuit plus one validated
+    :class:`~repro.runtime.config.FlowConfig` (:attr:`config`); the
+    constructor takes the config's twelve values in the spelling of a
+    caller holding live objects (enum modes, a bound-factor triple, an
+    options dict).
 
     Parameters
     ----------
     circuit:
         The circuit to optimize.
     ordering:
-        Stage 1 algorithm: ``"woss"`` (paper), ``"greedy2"``, ``"random"``,
-        ``"none"``, or a callable ``(weights, label) → permutation``.
+        Stage 1 algorithm, a name from :data:`ORDERING_NAMES`:
+        ``"woss"`` (paper), ``"greedy2"``, ``"random"`` or ``"none"``.
     miller_mode:
         Crosstalk weighting (paper default: similarity).
     coupling_order:
@@ -153,78 +161,70 @@ class NoiseAwareSizingFlow:
     delay_mode:
         Where coupling enters delay (paper default ``OWN``).
     n_patterns, seed:
-        Logic-simulation workload for similarity analysis.
-    problem:
-        Explicit :class:`SizingProblem`; default derives Table 1-style
-        bounds from the initial sizing via ``bound_factors``.
+        Logic-simulation workload for similarity analysis.  ``seed`` is
+        the simulation seed itself; a
+        :class:`~repro.runtime.config.Scenario` derives its seed from
+        ``FlowConfig.seed`` and the circuit instead.
     bound_factors:
         ``(delay_slack, noise_fraction, power_fraction)`` for
-        :meth:`SizingProblem.from_initial`.
-    x_init:
-        Initial sizes (default: every component at its upper bound, the
-        Table 1 "Init" point — see DESIGN.md §3).
+        :meth:`SizingProblem.from_initial`, relative to the Table 1
+        "Init" sizing (every component at its upper bound — see
+        DESIGN.md §3), which is also where OGWS starts.
     optimizer_options:
-        Extra keyword arguments forwarded to :class:`OGWSOptimizer`.
+        OGWS options: any of ``max_iterations``, ``tolerance`` and
+        ``update`` (the config's solver fields).
     """
 
     def __init__(self, circuit, ordering="woss", miller_mode=MillerMode.SIMILARITY,
                  coupling_order=2, delay_mode=CouplingDelayMode.OWN,
-                 n_patterns=256, seed=0, pitch=None, problem=None,
-                 bound_factors=(1.1, 0.1, 0.2), x_init=None,
+                 n_patterns=256, seed=0, bound_factors=(1.1, 0.1, 0.2),
                  optimizer_options=None):
-        self.circuit = circuit
-        #: The ordering's name when one was given (lets a SolverSession
-        #: memoize stage 1 across scenarios); ``None`` for callables.
-        self.ordering_name = None if callable(ordering) else str(ordering)
-        self.ordering = ordering if callable(ordering) else self._named_ordering(ordering)
-        self.miller_mode = MillerMode(miller_mode)
-        self.coupling_order = int(coupling_order)
-        self.delay_mode = CouplingDelayMode(delay_mode)
-        self.n_patterns = int(n_patterns)
-        self.seed = seed
-        self.pitch = pitch
-        self.problem = problem
-        self.bound_factors = tuple(bound_factors)
-        self.x_init = x_init
-        self.optimizer_options = dict(optimizer_options or {})
+        from repro.runtime.config import FlowConfig
 
-    def _named_ordering(self, name):
-        # Validate the name now (construction-time error), but read
-        # self.seed lazily at call time: it is assigned after the
-        # ordering resolves in __init__.
-        if name not in ORDERING_NAMES:
+        options = dict(optimizer_options or {})
+        unknown = sorted(set(options) - {"max_iterations", "tolerance",
+                                         "update"})
+        if unknown:
             raise ValidationError(
-                f"unknown ordering {name!r}; "
-                f"choose from {sorted(ORDERING_NAMES)}")
-
-        def ordering(weights, label):
-            return resolve_ordering(name, seed=self.seed)(weights, label)
-
-        if name == "woss":
-            ordering.class_ordering = woss_class_ordering
-        return ordering
-
-    # -- stages ---------------------------------------------------------------------
-
-    def order_wires(self, analyzer, layout):
-        """Stage 1: per-channel track ordering from switching similarity.
-
-        Returns ``(ordered_layout, cost_before, cost_after)`` where the
-        costs are the summed ``1 − similarity`` over adjacent pairs.
-        """
-        return order_channel_wires(analyzer, layout, self.ordering)
+                f"unknown optimizer options {unknown}; choose from "
+                "['max_iterations', 'tolerance', 'update']")
+        delay_slack, noise_fraction, power_fraction = bound_factors
+        self.circuit = circuit
+        self.config = FlowConfig(
+            ordering=ordering,
+            miller_mode=getattr(miller_mode, "value", miller_mode),
+            coupling_order=coupling_order,
+            delay_mode=getattr(delay_mode, "value", delay_mode),
+            n_patterns=n_patterns, seed=seed, delay_slack=delay_slack,
+            noise_fraction=noise_fraction, power_fraction=power_fraction,
+            **options)
 
     def run(self, session=None):
         """Execute both stages; returns a :class:`FlowResult`.
 
         ``session`` optionally reuses an existing
         :class:`~repro.core.session.SolverSession` over this circuit
-        (sharing its compiled circuit, similarity, layout, and coupling
-        artifacts); by default a fresh one is created, which reproduces
-        the historical standalone behavior exactly.
+        (sharing its compiled circuit, similarity, layout, coupling and
+        engine artifacts); by default a fresh one is created.  Either
+        way the config is solved by
+        :meth:`~repro.core.session.SolverSession.solve_configs`, the
+        setup every sweep scenario runs through.
         """
         from repro.core.session import SolverSession
 
         if session is None:
             session = SolverSession.for_circuit(self.circuit)
-        return session.run_flow(self)
+        elif session.circuit is not self.circuit:
+            raise ValidationError("flow and session bind different circuits")
+        engine, (layout, cost_before, cost_after), [sizing] = \
+            session.solve_configs([self.config], self.config.seed)
+        return FlowResult(
+            circuit=self.circuit,
+            layout=layout,
+            coupling=engine.coupling,
+            engine=engine,
+            problem=sizing.problem,
+            sizing=sizing,
+            ordering_cost_before=cost_before,
+            ordering_cost_after=cost_after,
+        )

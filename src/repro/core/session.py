@@ -10,23 +10,32 @@ owns all of those artifacts for **one** :class:`CircuitRef` (or live
 circuit) and memoizes each by the configuration knobs that actually
 determine it, so K scenarios pay the per-circuit compilation once.
 
-On top of the shared artifacts, :class:`ScenarioBatch` vectorizes the
-solve itself: scenarios that share an *engine* (ordering × Miller mode ×
-coupling order × delay mode × simulation workload) but differ in bounds
-or solver options advance through :func:`repro.core.ogws.run_lockstep`
-in lockstep — one batched LRS solve, delay/arrival sweep, and Theorem 3
-projection per outer iteration, with per-column convergence masking.
+Stage 2 has one setup, :meth:`SolverSession.solve_configs`: for
+:class:`~repro.runtime.config.FlowConfig`\\ s that share an *engine*
+(ordering × Miller mode × coupling order × delay mode × simulation
+workload) it builds one problem and one optimizer per config over the
+memoized engine, stage-1 result and initial point, and advances them
+through :func:`repro.core.ogws.run_lockstep` in chunks of at most
+:data:`LOCKSTEP_WIDTH` columns — one batched LRS solve, delay/arrival
+sweep, and Theorem 3 projection per outer iteration, with per-column
+convergence masking.  Both entry points run through it:
+
+* :meth:`SolverSession.solve` groups scenarios by engine key, solves
+  each group with its :attr:`~repro.runtime.config.Scenario.seed` (a
+  seed derived from ``FlowConfig.seed`` and the circuit), and is the
+  only place a :class:`~repro.runtime.records.RunRecord` is built;
+* :class:`~repro.core.flow.NoiseAwareSizingFlow` solves its one config
+  with ``FlowConfig.seed`` itself as the simulation seed and wraps the
+  sizing in a :class:`~repro.core.flow.FlowResult`.
+
 The batched kernels replay one column's arithmetic bit-for-bit per
 column (see :mod:`repro.timing.kernels`), so ``SolverSession.solve``
-returns :class:`~repro.runtime.records.RunRecord`\\ s **byte-identical**
-to K independent one-scenario solves — the property the
-batch-equivalence tests pin.  This is the only solve path: every
-scenario, at every circuit size, runs ``SolverSession.solve →
-ScenarioBatch → run_lockstep`` (a group of one is a lockstep batch of
-width one), and :meth:`ScenarioBatch.run` is the only place a record is
-built.  Every engine a session builds draws its scratch from the
-session's one :class:`~repro.timing.kernels.BatchWorkspace`, whose
-width-1 buffers also serve the engines' single-point sweeps.
+returns records **byte-identical** to K independent one-scenario solves
+— the property the batch-equivalence tests pin (a group of one is a
+lockstep batch of width one).  Every engine a session builds draws its
+scratch from the session's one
+:class:`~repro.timing.kernels.BatchWorkspace`, whose width-1 buffers
+also serve the engines' single-point sweeps.
 
 :class:`SessionPool` keeps sessions *warm across work units*: a small
 LRU of sessions keyed by the :class:`~repro.runtime.config.CircuitRef`
@@ -47,9 +56,8 @@ Reuse is *observationally pure*: every memoized artifact is a
 deterministic function of its key, so records produced through a warm
 session are byte-identical to a cold rebuild (pinned by test).
 
-:class:`~repro.core.flow.NoiseAwareSizingFlow` is the K = 1 wrapper over
-this module; :class:`~repro.runtime.runner.BatchRunner` is the layer
-above, splitting whole sweeps into per-circuit sessions.
+:class:`~repro.runtime.runner.BatchRunner` is the layer above, splitting
+whole sweeps into per-circuit sessions.
 """
 
 import collections
@@ -59,7 +67,7 @@ import pathlib
 
 import numpy as np
 
-from repro.core.flow import FlowResult, order_channel_wires, resolve_ordering
+from repro.core.flow import order_channel_wires, resolve_ordering
 from repro.core.ogws import OGWSOptimizer, run_lockstep
 from repro.core.problem import SizingProblem
 from repro.geometry.layout import ChannelLayout
@@ -71,17 +79,25 @@ from repro.timing.elmore import CouplingDelayMode, ElmoreEngine
 from repro.timing.metrics import evaluate_metrics
 from repro.utils.errors import ConvergenceError, ValidationError
 
+#: Maximum columns advanced in one lockstep batch.  Workspace memory
+#: scales with the widths a shrinking batch visits, so an uncapped
+#: 100-config group on a large circuit would pool gigabytes of buffers;
+#: chunks keep it bounded (the circuit artifacts are shared across
+#: chunks regardless).
+LOCKSTEP_WIDTH = 16
+
 
 class SolverSession:
     """Solver context bound to one circuit: build once, solve many.
 
     Construct via :meth:`for_ref` (a declarative
     :class:`~repro.runtime.config.CircuitRef`) or :meth:`for_circuit`
-    (a live circuit object).  Artifacts — the built circuit, its
-    compiled form, similarity analyzers, layouts, stage-1 orderings,
-    coupling sets, and delay engines — are created lazily and memoized
-    by the knobs that determine them, so any number of scenarios (or
-    repeated :meth:`run_flow` calls) share them.
+    (a live circuit object, which a flow can solve but :meth:`solve`
+    refuses: a record names its circuit by ref).  Artifacts — the built
+    circuit, its compiled form, similarity analyzers, the layout,
+    stage-1 orderings, coupling sets, delay engines and initial points —
+    are created lazily and memoized by the knobs that determine them, so
+    any number of scenarios (or repeated flow runs) share them.
 
     Sessions are single-threaded, like the kernel workspaces they own;
     parallel sweeps run one session per worker process
@@ -95,8 +111,8 @@ class SolverSession:
         self._circuit = circuit
         self._compiled = None
         self._fingerprint = None
+        self._layout = None
         self._analyzers = {}
-        self._layouts = {}
         self._orderings = {}     # stage-1 results
         self._couplings = {}
         self._engines = {}
@@ -144,148 +160,78 @@ class SolverSession:
                 self.circuit, n_patterns=n_patterns, seed=seed)
         return value
 
-    def base_layout(self, pitch=None):
+    def base_layout(self):
         """Memoized unordered :class:`ChannelLayout`."""
-        value = self._layouts.get(pitch)
-        if value is None:
-            value = self._layouts[pitch] = ChannelLayout.from_levels(
-                self.circuit, pitch=pitch)
-        return value
+        if self._layout is None:
+            self._layout = ChannelLayout.from_levels(self.circuit)
+        return self._layout
 
-    def stage1(self, ordering, n_patterns, seed, pitch=None):
+    def stage1(self, ordering, n_patterns, seed):
         """Memoized stage-1 result ``(ordered_layout, cost_before, cost_after)``.
 
         ``ordering`` is a name from
-        :data:`~repro.core.flow.ORDERING_NAMES` (memoized) or a callable
-        (computed fresh — callables have no stable identity to key on).
-        Only the result is kept: each ordering builds its channels'
-        similarity afresh, one channel at a time.
+        :data:`~repro.core.flow.ORDERING_NAMES`.  Only the result is
+        kept: each ordering builds its channels' similarity afresh, one
+        channel at a time.
         """
-        named = isinstance(ordering, str)
-        key = (ordering, int(n_patterns), seed, pitch) if named else None
-        if named and key in self._orderings:
-            return self._orderings[key]
-        fn = resolve_ordering(ordering, seed=seed) if named else ordering
-        result = order_channel_wires(self.analyzer(n_patterns, seed),
-                                     self.base_layout(pitch), fn)
-        if named:
-            self._orderings[key] = result
-        return result
+        key = (ordering, int(n_patterns), seed)
+        value = self._orderings.get(key)
+        if value is None:
+            value = self._orderings[key] = order_channel_wires(
+                self.analyzer(n_patterns, seed), self.base_layout(),
+                resolve_ordering(ordering, seed=seed))
+        return value
 
     def coupling(self, ordering, n_patterns, seed, miller_mode,
-                 coupling_order, pitch=None):
+                 coupling_order):
         """Memoized Miller-weighted :class:`CouplingSet` for an ordered layout."""
         miller_mode = MillerMode(miller_mode)
-        named = isinstance(ordering, str)
         key = (ordering, int(n_patterns), seed, miller_mode.value,
-               int(coupling_order), pitch) if named else None
-        if named and key in self._couplings:
-            return self._couplings[key]
-        ordered, _, _ = self.stage1(ordering, n_patterns, seed, pitch)
-        value = CouplingSet.from_layout(ordered,
-                                        self.analyzer(n_patterns, seed),
-                                        miller_mode, order=coupling_order)
-        if named:
-            self._couplings[key] = value
+               int(coupling_order))
+        value = self._couplings.get(key)
+        if value is None:
+            ordered, _, _ = self.stage1(ordering, n_patterns, seed)
+            value = self._couplings[key] = CouplingSet.from_layout(
+                ordered, self.analyzer(n_patterns, seed), miller_mode,
+                order=coupling_order)
         return value
 
     def engine(self, ordering, n_patterns, seed, miller_mode, coupling_order,
-               delay_mode, pitch=None):
-        """Memoized :class:`ElmoreEngine` for one config."""
+               delay_mode):
+        """Memoized :class:`ElmoreEngine` for one config.
+
+        Every engine draws its scratch from the session's one pool.
+        """
         delay_mode = CouplingDelayMode(delay_mode)
-        named = isinstance(ordering, str)
         key = (ordering, int(n_patterns), seed, MillerMode(miller_mode).value,
-               int(coupling_order), delay_mode.value, pitch) if named else None
-        if named and key in self._engines:
-            return self._engines[key]
-        value = self._new_engine(
-            self.coupling(ordering, n_patterns, seed, miller_mode,
-                          coupling_order, pitch),
-            delay_mode)
-        if named:
-            self._engines[key] = value
+               int(coupling_order), delay_mode.value)
+        value = self._engines.get(key)
+        if value is None:
+            coupling = self.coupling(ordering, n_patterns, seed, miller_mode,
+                                     coupling_order)
+            if self._pool is None:
+                self._pool = kernels.BatchWorkspace(
+                    self.compiled.sweep_plan())
+            value = self._engines[key] = ElmoreEngine(
+                self.compiled, coupling, delay_mode, pool=self._pool)
         return value
 
-    def initial_point(self, engine, key=None):
+    def initial_point(self, engine, key):
         """``(x_init, metrics)`` at the Table 1 "Init" sizing for ``engine``.
 
-        Memoized per engine key so a scenario group evaluates the
-        initial metrics once instead of once per scenario (the values
-        are identical either way — same engine, same point).
+        Memoized by ``key``, the engine's :meth:`engine` arguments, so
+        an engine group evaluates the initial metrics once instead of
+        once per config (the values are identical either way — same
+        engine, same point).
         """
-        if key is not None and key in self._initials:
-            return self._initials[key]
-        x_init = self.compiled.default_sizes(np.inf)
-        value = (x_init, evaluate_metrics(engine, x_init))
-        if key is not None:
-            self._initials[key] = value
+        value = self._initials.get(key)
+        if value is None:
+            x_init = self.compiled.default_sizes(np.inf)
+            value = self._initials[key] = (x_init,
+                                           evaluate_metrics(engine, x_init))
         return value
 
-    def _new_engine(self, coupling, delay_mode):
-        """An engine drawing scratch from the session's one pool."""
-        if self._pool is None:
-            self._pool = kernels.BatchWorkspace(self.compiled.sweep_plan())
-        return ElmoreEngine(self.compiled, coupling, delay_mode,
-                            pool=self._pool)
-
-    # -- the K = 1 path (NoiseAwareSizingFlow) -----------------------------------
-
-    def run_flow(self, flow):
-        """Execute a :class:`~repro.core.flow.NoiseAwareSizingFlow` here.
-
-        This *is* the two-stage flow's implementation — ``flow.run()``
-        delegates to it — expressed against the session's memoized
-        artifacts so repeated runs on one session skip re-analysis.
-        """
-        from repro.core.flow import NoiseAwareSizingFlow
-
-        if flow.circuit is not self.circuit:
-            raise ValidationError("flow and session bind different circuits")
-        if type(flow).order_wires is not NoiseAwareSizingFlow.order_wires:
-            # Subclass stage-1 hook: honor the override (unmemoized — an
-            # override has no stable identity to key artifacts on).
-            analyzer = self.analyzer(flow.n_patterns, flow.seed)
-            ordered, cost_before, cost_after = flow.order_wires(
-                analyzer, self.base_layout(flow.pitch))
-            coupling = CouplingSet.from_layout(ordered, analyzer,
-                                               flow.miller_mode,
-                                               order=flow.coupling_order)
-            engine = self._new_engine(coupling, flow.delay_mode)
-        else:
-            ordering = flow.ordering_name if flow.ordering_name is not None \
-                else flow.ordering
-            ordered, cost_before, cost_after = self.stage1(
-                ordering, flow.n_patterns, flow.seed, flow.pitch)
-            coupling = self.coupling(ordering, flow.n_patterns, flow.seed,
-                                     flow.miller_mode, flow.coupling_order,
-                                     flow.pitch)
-            engine = self.engine(ordering, flow.n_patterns, flow.seed,
-                                 flow.miller_mode, flow.coupling_order,
-                                 flow.delay_mode, flow.pitch)
-        compiled = self.compiled
-        x_init = compiled.default_sizes(np.inf) if flow.x_init is None \
-            else flow.x_init
-        problem = flow.problem
-        if problem is None:
-            slack, noise_frac, power_frac = flow.bound_factors
-            problem = SizingProblem.from_initial(
-                engine, x_init, delay_slack=slack, noise_fraction=noise_frac,
-                power_fraction=power_frac)
-        optimizer = OGWSOptimizer(engine, problem, x_init=x_init,
-                                  **flow.optimizer_options)
-        sizing = optimizer.run()
-        return FlowResult(
-            circuit=self.circuit,
-            layout=ordered,
-            coupling=coupling,
-            engine=engine,
-            problem=problem,
-            sizing=sizing,
-            ordering_cost_before=cost_before,
-            ordering_cost_after=cost_after,
-        )
-
-    # -- the scenario path (ScenarioBatch) ---------------------------------------
+    # -- stage 2 -----------------------------------------------------------------
 
     @staticmethod
     def _engine_key(config):
@@ -294,147 +240,107 @@ class SolverSession:
                 config.miller_mode, int(config.coupling_order),
                 config.delay_mode)
 
-    def solve(self, scenarios):
-        """Run scenarios over this circuit; returns records in input order.
+    def solve_configs(self, configs, seed):
+        """Stage 2 for ``configs`` under simulation seed ``seed``.
 
-        Scenarios are grouped by engine key and each group runs as one
-        :class:`ScenarioBatch` advancing in lockstep.  Records are
-        byte-identical to independent one-scenario solves.
+        The configs must share one engine (``_engine_key`` up to the
+        seed); they may differ in bounds (``delay_slack`` /
+        ``noise_fraction`` / ``power_fraction``) and solver options
+        (``max_iterations`` / ``tolerance`` / ``update``), which become
+        per-column state in the lockstep run.  Returns ``(engine,
+        stage1, sizings)``: the shared engine, the stage-1 result
+        ``(ordered_layout, cost_before, cost_after)`` and one
+        :class:`~repro.core.result.SizingResult` per config, in order.
+        A column that reaches a non-finite value raises
+        :class:`ConvergenceError` whose ``column`` indexes ``configs``.
         """
-        scenarios = list(scenarios)
-        if scenarios and self.ref is None:
-            # A for_circuit session has no ref to compare against; adopt
-            # the scenarios' (single) ref after checking it realizes the
-            # session's circuit — one extra build, once per session.
-            refs = {scenario.circuit for scenario in scenarios}
-            if len(refs) > 1:
-                raise ValidationError(
-                    "scenarios bind different circuits; one session per "
-                    "circuit")
-            candidate = next(iter(refs))
-            if candidate.fingerprint() != self.fingerprint():
-                raise ValidationError(
-                    "scenario circuit does not match this session's circuit")
-            self.ref = candidate
-        if self.ref is not None:
-            for scenario in scenarios:
-                if scenario.circuit != self.ref:
-                    raise ValidationError(
-                        f"scenario {scenario.label!r} references a different "
-                        "circuit than this session")
-        records = [None] * len(scenarios)
-        groups = {}
-        for index, scenario in enumerate(scenarios):
-            groups.setdefault(self._engine_key(scenario.config),
-                              []).append((index, scenario))
-        for members in groups.values():
-            batch_records = ScenarioBatch(
-                self, [s for _, s in members]).run()
-            for (index, _), record in zip(members, batch_records):
-                records[index] = record
-        return records
+        config = configs[0]
+        key = (config.ordering, int(config.n_patterns), int(seed),
+               config.miller_mode, int(config.coupling_order),
+               config.delay_mode)
+        engine = self.engine(*key)
+        stage1 = self.stage1(config.ordering, config.n_patterns, seed)
+        x_init, initial_metrics = self.initial_point(engine, key)
+        optimizers = [OGWSOptimizer(
+            engine,
+            SizingProblem.from_initial(
+                engine, x_init, delay_slack=c.delay_slack,
+                noise_fraction=c.noise_fraction,
+                power_fraction=c.power_fraction, metrics=initial_metrics),
+            x_init=x_init, initial_metrics=initial_metrics,
+            max_iterations=c.max_iterations, tolerance=c.tolerance,
+            update=c.update) for c in configs]
+        sizings = []
+        for lo in range(0, len(optimizers), LOCKSTEP_WIDTH):
+            chunk = optimizers[lo:lo + LOCKSTEP_WIDTH]
+            try:
+                sizings.extend(run_lockstep(chunk))
+            except ConvergenceError as error:
+                if hasattr(error, "column"):
+                    error.column += lo
+                raise
+        return engine, stage1, sizings
 
+    def solve(self, scenarios):
+        """Run scenarios over this session's ref; records in input order.
 
-class ScenarioBatch:
-    """K scenarios sharing one session *and* one engine configuration.
-
-    The scenarios must agree on every engine-determining knob (see
-    ``SolverSession._engine_key``); they may differ in bounds
-    (``delay_slack`` / ``noise_fraction`` / ``power_fraction``) and
-    solver options (``max_iterations`` / ``tolerance`` / ``update``),
-    which become per-column state in the lockstep run.
-
-    Lockstep batches are chunked at :attr:`LOCKSTEP_WIDTH` columns:
-    workspace memory scales with the widths the shrinking batch visits,
-    so an uncapped 100-scenario group on a large circuit would pool
-    gigabytes of buffers, while chunks keep it bounded (and the circuit
-    artifacts are shared across chunks regardless).
-    """
-
-    #: Maximum columns advanced in one lockstep batch.
-    LOCKSTEP_WIDTH = 16
-
-    def __init__(self, session, scenarios):
-        if not scenarios:
-            raise ValidationError("ScenarioBatch needs at least one scenario")
-        keys = {SolverSession._engine_key(s.config) for s in scenarios}
-        if len(keys) > 1:
-            raise ValidationError(
-                "ScenarioBatch scenarios must share one engine configuration")
-        self.session = session
-        self.scenarios = scenarios
-
-    def run(self):
-        """Execute the batch; returns one ``RunRecord`` per scenario.
-
-        Every chunk of up to :attr:`LOCKSTEP_WIDTH` scenarios advances in
-        lockstep through :func:`~repro.core.ogws.run_lockstep` (a chunk
-        of one is a batch of width one), so the records are
-        byte-identical to independent one-scenario solves.  A solve that
-        reaches a non-finite value raises :class:`ConvergenceError`
+        Scenarios are grouped by engine key and each group runs through
+        :meth:`solve_configs` with its scenarios' shared seed.  Records
+        are byte-identical to independent one-scenario solves.  A solve
+        that reaches a non-finite value raises :class:`ConvergenceError`
         naming its scenario.
         """
         from repro.runtime.records import RunRecord
 
-        session = self.session
-        config0 = self.scenarios[0].config
-        seed = self.scenarios[0].seed   # same circuit + config.seed => shared
-        key = SolverSession._engine_key(config0)
-        engine = session.engine(config0.ordering, config0.n_patterns, seed,
-                                config0.miller_mode, config0.coupling_order,
-                                config0.delay_mode)
-        _, cost_before, cost_after = session.stage1(
-            config0.ordering, config0.n_patterns, seed)
-        x_init, initial_metrics = session.initial_point(engine, key=key)
-
-        optimizers = []
-        for scenario in self.scenarios:
-            config = scenario.config
-            problem = SizingProblem.from_initial(
-                engine, x_init, delay_slack=config.delay_slack,
-                noise_fraction=config.noise_fraction,
-                power_fraction=config.power_fraction,
-                metrics=initial_metrics)
-            optimizers.append(OGWSOptimizer(
-                engine, problem, x_init=x_init,
-                initial_metrics=initial_metrics,
-                max_iterations=config.max_iterations,
-                tolerance=config.tolerance, update=config.update))
-
-        width = int(self.LOCKSTEP_WIDTH)
-        sizings = []
-        for lo in range(0, len(optimizers), width):
+        if self.ref is None:
+            raise ValidationError(
+                "SolverSession.solve needs a session over a CircuitRef "
+                "(SolverSession.for_ref)")
+        scenarios = list(scenarios)
+        for scenario in scenarios:
+            if scenario.circuit != self.ref:
+                raise ValidationError(
+                    f"scenario {scenario.label!r} references a different "
+                    "circuit than this session")
+        groups = {}
+        for index, scenario in enumerate(scenarios):
+            groups.setdefault(self._engine_key(scenario.config),
+                              []).append(index)
+        records = [None] * len(scenarios)
+        for indices in groups.values():
+            members = [scenarios[index] for index in indices]
             try:
-                sizings.extend(run_lockstep(optimizers[lo:lo + width]))
+                # Same circuit and config.seed, so one seed for the group.
+                _, (_, cost_before, cost_after), sizings = \
+                    self.solve_configs([s.config for s in members],
+                                       members[0].seed)
             except ConvergenceError as error:
                 if not hasattr(error, "column"):
                     raise
-                scenario = self.scenarios[lo + error.column]
+                scenario = members[error.column]
                 raise ConvergenceError(
                     f"scenario {scenario.label!r} "
                     f"({scenario.content_hash()[:12]}): {error}") from error
-
-        fingerprint = session.fingerprint()
-        records = []
-        for scenario, sizing in zip(self.scenarios, sizings):
-            records.append(RunRecord(
-                scenario=scenario,
-                feasible=bool(sizing.feasible),
-                converged=bool(sizing.converged),
-                iterations=int(sizing.iterations),
-                duality_gap=float(sizing.duality_gap),
-                ordering_cost_before=float(cost_before),
-                ordering_cost_after=float(cost_after),
-                initial_metrics=sizing.initial_metrics,
-                metrics=sizing.metrics,
-                sizes=tuple(sizing.x.tolist()),
-                diagnostics={"repair_evals": int(sizing.repair_evals)},
-                # Telemetry (excluded from the canonical record; in a
-                # lockstep batch each column's clock spans the batch).
-                runtime_s=float(sizing.runtime_s),
-                memory_bytes=int(sizing.memory_bytes),
-                fingerprint=fingerprint,
-            ))
+            fingerprint = self.fingerprint()
+            for index, scenario, sizing in zip(indices, members, sizings):
+                records[index] = RunRecord(
+                    scenario=scenario,
+                    feasible=bool(sizing.feasible),
+                    converged=bool(sizing.converged),
+                    iterations=int(sizing.iterations),
+                    duality_gap=float(sizing.duality_gap),
+                    ordering_cost_before=float(cost_before),
+                    ordering_cost_after=float(cost_after),
+                    initial_metrics=sizing.initial_metrics,
+                    metrics=sizing.metrics,
+                    sizes=tuple(sizing.x.tolist()),
+                    diagnostics={"repair_evals": int(sizing.repair_evals)},
+                    # Telemetry (excluded from the canonical record; in a
+                    # lockstep batch each column's clock spans the batch).
+                    runtime_s=float(sizing.runtime_s),
+                    memory_bytes=int(sizing.memory_bytes),
+                    fingerprint=fingerprint,
+                )
         return records
 
 

@@ -114,17 +114,12 @@ byte-identical to a serial run — see ``docs/api.md``::
 
 The dashboard at ``/dashboard`` and the SSE feed render from each
 sweep's event stream alone (:mod:`~repro.runtime.dashboard`), so
-monitoring never perturbs a drain.
+monitoring never perturbs a drain.  The package does not import the
+HTTP tier (a worker or ``repro size`` never loads it or ``asyncio``);
+embed it with ``from repro.runtime.api import SweepService,
+serve_in_thread``.
 """
 
-from repro.runtime.api import (
-    ApiError,
-    ApiServer,
-    SweepService,
-    TenantConfig,
-    load_tenants,
-    serve_in_thread,
-)
 from repro.runtime.cache import ResultCache, scenario_key
 from repro.runtime.config import CircuitRef, FlowConfig, Scenario, SweepSpec
 from repro.runtime.events import EventLog, EventTail, read_events, tail_events
@@ -177,12 +172,6 @@ __all__ = [
     "EventTail",
     "read_events",
     "tail_events",
-    "ApiError",
-    "ApiServer",
-    "SweepService",
-    "TenantConfig",
-    "load_tenants",
-    "serve_in_thread",
     "SweepQueue",
     "Shard",
     "QueueStatus",

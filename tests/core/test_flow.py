@@ -39,23 +39,18 @@ def test_none_ordering_keeps_cost(small_circuit):
     assert r.ordering_cost_after == pytest.approx(r.ordering_cost_before)
 
 
-def test_callable_ordering_accepted(small_circuit):
-    calls = []
-
-    def reverse_order(weights, label):
-        calls.append(label)
+def test_unknown_ordering_rejected(small_circuit):
+    """Every knob is validated at construction, a callable ordering and
+    junk modes included."""
+    def reverse(weights, label):
         return list(range(len(weights)))[::-1]
 
-    flow = NoiseAwareSizingFlow(small_circuit, ordering=reverse_order,
-                                n_patterns=64,
-                                optimizer_options={"max_iterations": 5})
-    flow.run()
-    assert calls  # invoked per multi-wire channel
-
-
-def test_unknown_ordering_rejected(small_circuit):
-    with pytest.raises(ValidationError):
-        NoiseAwareSizingFlow(small_circuit, ordering="definitely-not-real")
+    for knobs in ({"ordering": "definitely-not-real"},
+                  {"ordering": reverse},
+                  {"miller_mode": "definitely-not-real"},
+                  {"delay_mode": "definitely-not-real"}):
+        with pytest.raises(ValidationError):
+            NoiseAwareSizingFlow(small_circuit, **knobs)
 
 
 def test_miller_worst_mode_increases_noise_metric(small_circuit):
@@ -67,14 +62,6 @@ def test_miller_worst_mode_increases_noise_metric(small_circuit):
                                  optimizer_options={"max_iterations": 5}).run()
     x = sim.engine.compiled.default_sizes(1.0)
     assert worst.coupling.total(x) >= sim.coupling.total(x)
-
-
-def test_explicit_problem_used(small_circuit, small_flow_result):
-    problem = small_flow_result.problem
-    flow = NoiseAwareSizingFlow(small_circuit, problem=problem, n_patterns=64,
-                                optimizer_options={"max_iterations": 5})
-    r = flow.run()
-    assert r.problem is problem
 
 
 def test_coupling_order_parameter(small_circuit):

@@ -1,11 +1,11 @@
-"""SolverSession / ScenarioBatch: compile-once, solve-many.
+"""SolverSession: compile-once, solve-many.
 
 The contract under test: ``SolverSession.solve([s1..sK])`` produces
 records **byte-identical** to K independent one-scenario solves (a fresh
 session per scenario, so every lockstep batch has width one), across
-orderings, delay modes, and bound axes; the ``NoiseAwareSizingFlow``
-wrapper agrees with the session path; and the lockstep driver is
-bit-identical to scalar OGWS runs.
+orderings, delay modes, and bound axes; ``NoiseAwareSizingFlow``, which
+shares the session's one stage-2 setup, agrees with the scenario path;
+and the lockstep driver is bit-identical to scalar OGWS runs.
 """
 
 import numpy as np
@@ -15,7 +15,6 @@ from hypothesis import strategies as st
 
 from repro.core import OGWSOptimizer, SizingProblem, SolverSession
 from repro.core.ogws import run_lockstep
-from repro.core.session import ScenarioBatch
 from repro.core.subgradient import MultiplicativeUpdate
 from repro.runtime import CircuitRef, FlowConfig, Scenario, SweepSpec
 from repro.timing.metrics import evaluate_metrics
@@ -55,12 +54,6 @@ class TestArtifactSharing:
     def test_stage1_memoized_for_named_orderings(self, session):
         a = session.stage1("woss", 32, 0)
         assert session.stage1("woss", 32, 0) is a
-        # Callables cannot be keyed; they compute fresh but agree.
-        from repro.core.flow import resolve_ordering
-
-        b = session.stage1(resolve_ordering("woss"), 32, 0)
-        assert b is not a
-        assert b[1] == a[1] and b[2] == a[2]
 
     def test_foreign_scenario_rejected(self, session):
         other = CircuitRef.random(12, 4, 2, seed=9, target_depth=5)
@@ -70,22 +63,18 @@ class TestArtifactSharing:
             session.solve([foreign])
 
     def test_for_circuit_session_validates_scenarios(self):
-        """Regression: a for_circuit session must reject scenarios whose
-        ref realizes a different circuit (it adopts a matching one)."""
+        """A for_circuit session has no ref to name its records by, so
+        solve() refuses every scenario: a matching one as well as one
+        whose ref realizes a different circuit."""
         scenario = _spec().scenarios()[0]
         good = SolverSession.for_circuit(REF.build())
-        [record] = good.solve([scenario])
-        assert good.ref == REF                      # adopted after matching
-        assert record.fingerprint == REF.fingerprint()
+        with pytest.raises(ValidationError):
+            good.solve([scenario])
+        assert good.ref is None
         other = SolverSession.for_circuit(
             CircuitRef.random(12, 4, 2, seed=9, target_depth=5).build())
         with pytest.raises(ValidationError):
             other.solve([scenario])
-
-    def test_mixed_engine_batch_rejected(self):
-        scenarios = _spec(delay_modes=("own", "none")).scenarios()
-        with pytest.raises(ValidationError):
-            ScenarioBatch(SolverSession.for_ref(REF), scenarios)
 
 
 class TestBatchEquivalence:
@@ -111,25 +100,39 @@ class TestBatchEquivalence:
                 == [r.canonical_json() for r in again]
                 == [r.canonical_json() for r in solo])
 
-    def test_flow_wrapper_matches_session_solve(self):
-        """``NoiseAwareSizingFlow`` (the K = 1 public wrapper) lands on
-        the same sizing as the scenario path."""
+    @pytest.mark.parametrize("ordering", ["woss", "greedy2", "random",
+                                          "none"])
+    @pytest.mark.parametrize("delay_mode", ["own", "none", "propagated"])
+    def test_flow_wrapper_matches_session_solve(self, ordering, delay_mode):
+        """``NoiseAwareSizingFlow`` run with a scenario's seed lands on
+        every canonical field of that scenario's record."""
         from repro.core import NoiseAwareSizingFlow
 
-        [scenario] = _spec(delay_modes=("propagated",)).scenarios()
+        [scenario] = _spec(orderings=(ordering,),
+                           delay_modes=(delay_mode,)).scenarios()
         [record] = _solo([scenario])
         config = scenario.config
-        sizing = NoiseAwareSizingFlow(
+        outcome = NoiseAwareSizingFlow(
             REF.build(), ordering=config.ordering,
             miller_mode=config.miller_mode,
             coupling_order=config.coupling_order,
             delay_mode=config.delay_mode, n_patterns=config.n_patterns,
             seed=scenario.seed, bound_factors=config.bound_factors,
-            optimizer_options=config.optimizer_options).run().sizing
+            optimizer_options=config.optimizer_options).run()
+        sizing = outcome.sizing
         assert tuple(float(x) for x in sizing.x) == record.sizes
         assert all(type(v) is float for v in record.sizes)
         assert sizing.metrics == record.metrics
+        assert sizing.initial_metrics == record.initial_metrics
+        assert bool(sizing.feasible) == record.feasible
+        assert bool(sizing.converged) == record.converged
         assert sizing.iterations == record.iterations
+        assert float(sizing.duality_gap) == record.duality_gap
+        assert float(outcome.ordering_cost_before) == \
+            record.ordering_cost_before
+        assert float(outcome.ordering_cost_after) == \
+            record.ordering_cost_after
+        assert sizing.repair_evals == record.diagnostics["repair_evals"]
 
     def test_mixed_axes_grouped_and_ordered(self, session):
         """Axes that change the engine split into groups; record order is
@@ -147,7 +150,7 @@ class TestBatchEquivalence:
     def test_lockstep_chunking_preserves_bytes(self, monkeypatch):
         """Groups wider than LOCKSTEP_WIDTH split into chunks and still
         match the scalar records byte for byte."""
-        monkeypatch.setattr(ScenarioBatch, "LOCKSTEP_WIDTH", 2)
+        monkeypatch.setattr("repro.core.session.LOCKSTEP_WIDTH", 2)
         spec = _spec(noise_fractions=(0.08, 0.1, 0.12, 0.15, 0.2))
         scenarios = spec.scenarios()
         scalar = _solo(scenarios)
@@ -189,26 +192,6 @@ class TestBatchEquivalence:
         with pytest.raises(ConvergenceError,
                            match=scenarios[1].content_hash()[:12]):
             SolverSession.for_ref(REF).solve(scenarios)
-
-    def test_flow_order_wires_override_is_honored(self):
-        """Regression: run() routes through the session but a subclass's
-        order_wires override must still drive stage 1."""
-        from repro.core import NoiseAwareSizingFlow
-
-        calls = []
-
-        class ReversedStage1(NoiseAwareSizingFlow):
-            def order_wires(self, analyzer, layout):
-                calls.append("hit")
-                ordered, before, after = super().order_wires(analyzer, layout)
-                return ordered, before, after
-
-        circuit = REF.build()
-        result = ReversedStage1(
-            circuit, n_patterns=32,
-            optimizer_options={"max_iterations": 5}).run()
-        assert calls, "override was bypassed"
-        assert result.sizing is not None
 
     def test_diagnostics_carry_repair_counter(self, session):
         record = session.solve(_spec().scenarios())[0]

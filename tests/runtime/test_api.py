@@ -580,3 +580,23 @@ def test_run_server_max_idle_exit(tmp_path):
     text = out.getvalue()
     assert "serving sweep API on http://127.0.0.1:" in text
     assert "dashboard" in text
+
+
+def test_worker_and_cli_imports_leave_the_http_tier_unloaded():
+    """A serve worker and the CLI import the runtime package, but only
+    ``repro serve-api`` loads the HTTP API, and asyncio under it."""
+    import os
+    import subprocess
+    import sys
+
+    import repro
+
+    path = [os.path.dirname(os.path.dirname(repro.__file__)),
+            os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    for module in ("repro.runtime.worker", "repro.cli"):
+        code = (f"import sys, {module}; print(sorted("
+                "{'repro.runtime.api', 'asyncio'} & set(sys.modules)))")
+        out = subprocess.run([sys.executable, "-c", code], check=True,
+                             capture_output=True, text=True, env=env).stdout
+        assert out.strip() == "[]", module
