@@ -192,9 +192,8 @@ class NoiseAwareSizingFlow:
         self.circuit = circuit
         self.config = FlowConfig(
             ordering=ordering,
-            miller_mode=getattr(miller_mode, "value", miller_mode),
-            coupling_order=coupling_order,
-            delay_mode=getattr(delay_mode, "value", delay_mode),
+            miller_mode=miller_mode, coupling_order=coupling_order,
+            delay_mode=delay_mode,
             n_patterns=n_patterns, seed=seed, delay_slack=delay_slack,
             noise_fraction=noise_fraction, power_fraction=power_fraction,
             **options)

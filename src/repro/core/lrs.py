@@ -154,7 +154,6 @@ class LagrangianSubproblemSolver:
         coupling = engine.coupling
         propagated = engine.mode is CouplingDelayMode.PROPAGATED
         coupled_delay = engine.mode is not CouplingDelayMode.NONE
-        c = plan.cols()
 
         total = len(multipliers)
         order = np.arange(total)            # working column -> input index
@@ -173,14 +172,14 @@ class LagrangianSubproblemSolver:
                 [np.asarray(m.gamma, dtype=float) for m in multipliers])
         else:
             gamma = np.array([float(m.gamma) for m in multipliers])
-        np.multiply(lam, c.r_hat_eff, out=numer)
-        np.multiply(c.c_hat, beta, out=ab)
-        np.add(ab, c.alpha, out=ab)
+        np.multiply(lam, ws.r_hat_eff, out=numer)
+        np.multiply(ws.c_hat, beta, out=ab)
+        np.add(ab, ws.alpha, out=ab)
 
         for k, x0 in enumerate(x0s):
             x[:, k] = cc.lower if x0 is None else np.asarray(x0, dtype=float)
-        np.maximum(x, c.lower, out=x)
-        np.clip(x, c.lower, c.upper, out=x)
+        np.maximum(x, ws.lower, out=x)
+        np.clip(x, ws.lower, ws.upper, out=x)
         x[plan.nonsizable_idx] = 0.0
 
         passes = 0
@@ -189,18 +188,17 @@ class LagrangianSubproblemSolver:
                 passes += 1
                 terms = coupling.node_terms_batch(x, gamma,
                                                   node_caps=propagated)
-                kernels.s2_source_terms(plan, cc, x, terms.node_caps,
-                                        propagated, ws.cself,
-                                        ws.source_terms, ws.t1)
-                kernels.child_sum_sweep(plan, ws.source_terms, ws.child_sum)
-                np.divide(c.r_hat_eff, x, out=ws.r_eff, where=c.is_sizable)
+                kernels.s2_source_terms(ws, x, terms.node_caps, propagated,
+                                        ws.cself, ws.source_terms)
+                kernels.child_sum_sweep(ws, ws.source_terms, ws.child_sum)
+                np.divide(ws.r_hat_eff, x, out=ws.r_eff, where=ws.is_sizable)
                 np.multiply(lam, ws.r_eff, out=ws.t2)
                 kernels.upstream_sweep(plan, ws.t2, ws.upstream)
-                np.add(ws.child_sum, c.half_fringe_wire, out=ws.k_cap)
+                np.add(ws.child_sum, ws.half_fringe_wire, out=ws.k_cap)
                 if coupled_delay:
-                    np.multiply(terms.cap_sum, c.wire_mask_f, out=ws.t1)
+                    np.multiply(terms.cap_sum, ws.wire_mask_f, out=ws.t1)
                     np.add(ws.k_cap, ws.t1, out=ws.k_cap)
-                np.multiply(ws.upstream, c.c_hat, out=ws.denom)
+                np.multiply(ws.upstream, ws.c_hat, out=ws.denom)
                 np.add(ws.denom, ab, out=ws.denom)
                 np.add(ws.denom, terms.gamma_slopes, out=ws.denom)
                 if propagated:
@@ -208,15 +206,15 @@ class LagrangianSubproblemSolver:
                     np.add(ws.denom, ws.t1, out=ws.denom)
                 np.multiply(numer, ws.k_cap, out=ws.t1)
                 np.maximum(ws.t1, 0.0, out=ws.t1)
-                np.divide(ws.t1, ws.denom, out=ws.opt, where=c.is_sizable)
+                np.divide(ws.t1, ws.denom, out=ws.opt, where=ws.is_sizable)
                 np.sqrt(ws.opt, out=ws.opt)
-                np.clip(ws.opt, c.lower, c.upper, out=x_new)
+                np.clip(ws.opt, ws.lower, ws.upper, out=x_new)
                 x_new[plan.nonsizable_idx] = 0.0
                 np.subtract(x_new, x, out=ws.t1)
                 np.abs(ws.t1, out=ws.t1)
-                np.divide(ws.t1, x, out=ws.t1, where=c.is_sizable)
+                np.divide(ws.t1, x, out=ws.t1, where=ws.is_sizable)
                 if len(plan.sizable_idx):
-                    np.take(ws.t1, plan.sizable_idx, axis=0, out=ws.szbuf)
+                    ws.t1.take(plan.sizable_idx, 0, ws.szbuf, "clip")
                     np.maximum.reduce(ws.szbuf, axis=0, out=ws.colmax)
                 else:
                     ws.colmax.fill(0.0)
@@ -237,7 +235,8 @@ class LagrangianSubproblemSolver:
                 if not order.size:
                     break
                 # ...and compact the survivors into the smaller width's
-                # pooled buffers (contiguity for the raw CSR kernel).
+                # pooled buffers (contiguity for the raw CSR kernel); the
+                # pass body reads that width's constants from them.
                 new_ws = bws.buffers(order.size)
                 new_ws.x_a[:] = x[:, keep]
                 new_ws.lam[:] = lam[:, keep]

@@ -57,7 +57,8 @@ class _RunState:
     """Mutable per-run state of one OGWS execution (the lockstep unit)."""
 
     __slots__ = ("mult", "initial_metrics", "history", "best_dual",
-                 "best_feasible_x", "best_feasible_area", "x", "iteration",
+                 "best_feasible_x", "best_feasible_area",
+                 "best_feasible_metrics", "x", "metrics", "iteration",
                  "converged", "done", "paper_gap", "started", "repair_evals",
                  "evaluated")
 
@@ -66,9 +67,13 @@ class _RunState:
         self.initial_metrics = None
         self.history = []
         self.best_dual = -np.inf
+        #: The best feasible point on record and its metrics.
         self.best_feasible_x = None
         self.best_feasible_area = np.inf
+        self.best_feasible_metrics = None
+        #: The last iterate and its metrics.
         self.x = None
+        self.metrics = None
         self.iteration = 0
         self.converged = False
         self.done = False
@@ -185,8 +190,8 @@ class OGWSOptimizer:
         problem = self.problem
         state.iteration += 1
         x = lrs_result.x
-        state.x = x
         metrics = context.metrics
+        state.x, state.metrics = x, metrics
         dual = self.lrs.lagrangian_value(x, state.mult, problem,
                                          context=context)
         state.best_dual = max(state.best_dual, dual)
@@ -196,8 +201,7 @@ class OGWSOptimizer:
         feasible = self._is_feasible(metrics, x)
         state.evaluated = (context, dual, feasible)
         if feasible and area < state.best_feasible_area:
-            state.best_feasible_area = area
-            state.best_feasible_x = x.copy()
+            self._record_feasible(state, x.copy(), metrics)
         elif not feasible and state.best_feasible_x is not None:
             return x, state.best_feasible_x
         return None
@@ -232,17 +236,27 @@ class OGWSOptimizer:
             state.done = True
         return state.done
 
+    @staticmethod
+    def _record_feasible(state, x, metrics):
+        """Make ``x`` (with its ``metrics``) the best feasible point."""
+        state.best_feasible_area = metrics.area_um2
+        state.best_feasible_x = x
+        state.best_feasible_metrics = metrics
+
     def finish(self, state):
         """Assemble the :class:`SizingResult` for a completed run.
 
-        Every solve leaves through here, so this is where the
-        finite-or-fail contract holds: non-finite sizes, multipliers or
-        final metrics raise :class:`ConvergenceError` instead of leaving
-        the solver.
+        The reported point is the best feasible one, else the last
+        iterate, with the metrics its evaluation already produced (equal
+        bit for bit to evaluating it again).  Every solve leaves through
+        here, so this is where the finite-or-fail contract holds:
+        non-finite sizes, multipliers or final metrics raise
+        :class:`ConvergenceError` instead of leaving the solver.
         """
         feasible_found = state.best_feasible_x is not None
-        final_x = state.best_feasible_x if feasible_found else state.x
-        final_metrics = evaluate_metrics(self.engine, final_x)
+        final_x, final_metrics = \
+            (state.best_feasible_x, state.best_feasible_metrics) \
+            if feasible_found else (state.x, state.metrics)
         mult = state.mult
         for what, values in (
                 ("sizes", (final_x,)),
@@ -309,20 +323,29 @@ class OGWSOptimizer:
         if check_at is not None:
             return check_at(self.engine, x, context.metrics,
                             tolerance=self.feasibility_tolerance)
-        problem = self.problem
-        # The inline short-circuit replays SizingProblem.is_feasible
-        # specifically; a problem type overriding it keeps its own
-        # notion of feasibility (at eager-evaluation cost).
-        if type(problem).is_feasible is not SizingProblem.is_feasible:
+        if not self._inline_verdict():
             return self._is_feasible(context.metrics, x)
-        tol = self.feasibility_tolerance
-        if context.circuit_delay_ps / problem.delay_bound_ps - 1.0 > tol:
+        if not self._within_delay_bound(context):
             return False
+        problem, tol = self.problem, self.feasibility_tolerance
         noise_pf = context.coupling_total_ff / FF_PER_PF
         if noise_pf * FF_PER_PF / problem.noise_bound_ff - 1.0 > tol:
             return False
         return (context.total_cap_ff / problem.power_cap_bound_ff - 1.0
                 <= tol)
+
+    def _inline_verdict(self):
+        """Whether :meth:`_feasible_lazy` replays ``SizingProblem.
+        is_feasible`` inline: a problem type overriding it, or checking
+        per-net bounds, keeps its own notion (at eager-evaluation cost)."""
+        problem = self.problem
+        return getattr(problem, "is_feasible_at", None) is None \
+            and type(problem).is_feasible is SizingProblem.is_feasible
+
+    def _within_delay_bound(self, context):
+        """The inline verdict's first check: the circuit delay."""
+        return not (context.circuit_delay_ps / self.problem.delay_bound_ps
+                    - 1.0 > self.feasibility_tolerance)
 
     # -- memory accounting (Figure 10a) ----------------------------------------------
 
@@ -361,8 +384,8 @@ def run_lockstep(optimizers, multipliers=None):
     delay/arrival sweep plus one batched metrics-input sweep (coupling
     totals, total capacitance, area) seeding per-column
     ``EvalContext``\\ s, the primal repair of every column that needs
-    one as one batched delay/arrival sweep per bisection level
-    (:func:`repair_lockstep`), one **batched A4** per group of columns
+    one as one batched delay sweep and circuit-delay probe per bisection
+    level (:func:`repair_lockstep`), one **batched A4** per group of columns
     whose update rules share a :meth:`~repro.core.subgradient.
     MultiplicativeUpdate.batch_key` (single edge-terms pass and
     broadcast multiplier arithmetic; singletons and unknown rules take
@@ -372,11 +395,15 @@ def run_lockstep(optimizers, multipliers=None):
     column's feasibility verdict.  Optimizers retire from the batch as
     their own stop criteria fire.  Results are bit-identical per column
     to a batch of one — the batched kernels replay one column's
-    arithmetic exactly.
+    arithmetic exactly.  The work is paid per call, not per column:
+    the A1 start is built once and copied into each column, and
+    :meth:`~OGWSOptimizer.finish` reports the metrics the iterations
+    already computed instead of evaluating each column's point again.
 
     ``multipliers`` optionally supplies per-optimizer A1 starts (a
-    sequence aligned with ``optimizers``; ``None`` entries take each
-    optimizer's own :meth:`~OGWSOptimizer.start`).  A
+    sequence aligned with ``optimizers``; ``None`` entries take the
+    shared default start, or the optimizer's own when it overrides
+    :meth:`~OGWSOptimizer.start`).  A
     :class:`ConvergenceError` from an optimizer's
     :meth:`~OGWSOptimizer.finish` carries that optimizer's position in
     ``optimizers`` as its ``column`` attribute.
@@ -402,7 +429,7 @@ def run_lockstep(optimizers, multipliers=None):
     from repro.timing import kernels
 
     plan = engine.compiled.sweep_plan()
-    states = [opt.start(mult) for opt, mult in zip(optimizers, multipliers)]
+    states = _start_columns(optimizers, multipliers)
     live = [k for k in range(len(optimizers)) if not states[k].done]
     while live:
         mults = [states[k].mult for k in live]
@@ -436,12 +463,11 @@ def run_lockstep(optimizers, multipliers=None):
         # Primal repair of every column that needs one, in lockstep; a
         # repaired point replaces the anchor only if it is cheaper.
         if repairs:
-            for (_, state, _, _), (sizes, metrics) in zip(
+            for (opt, state, _, _), (sizes, metrics) in zip(
                     repairs, repair_lockstep(engine, repairs)):
                 if sizes is not None and \
                         metrics.area_um2 < state.best_feasible_area:
-                    state.best_feasible_area = metrics.area_um2
-                    state.best_feasible_x = sizes
+                    opt._record_feasible(state, sizes, metrics)
         # A4: one batched update per group of columns running literally
         # the same multiplier arithmetic; singletons and unknown rules
         # take their own apply.
@@ -490,6 +516,22 @@ def run_lockstep(optimizers, multipliers=None):
     return sizings
 
 
+def _start_columns(optimizers, multipliers):
+    """A1 for every column.  The default start depends on the circuit
+    alone, so it is built once and each column's :meth:`~OGWSOptimizer.
+    start` takes its own copy; an optimizer overriding ``start`` builds
+    its own."""
+    shared = None
+    states = []
+    for opt, mult in zip(optimizers, multipliers):
+        if mult is None and type(opt).start is OGWSOptimizer.start:
+            if shared is None:
+                shared = MultiplierState.initial(opt.engine.compiled)
+            mult = shared
+        states.append(opt.start(mult))
+    return states
+
+
 #: Log-space bisection steps of one primal repair (candidates evaluated).
 REPAIR_BISECTIONS = 7
 
@@ -509,22 +551,31 @@ def repair_lockstep(engine, columns):
     :class:`_RunState`, the infeasible iterate and the feasible anchor.
     The columns' bisections are independent, so bisection level ℓ of
     all K′ columns is one ``(K′, n)`` candidate matrix built in log
-    space, one batched delay sweep and one batched arrival sweep.  Each
-    column then takes its own verdict through
-    :meth:`OGWSOptimizer._feasible_lazy` on an ``EvalContext`` seeded
-    with its delay and arrival columns: noise and power are computed
-    only for candidates within the delay bound, full metrics only for
+    space, one batched delay sweep and one circuit-delay probe
+    (``kernels.arrival_sweep`` without an output: the condensed level
+    loop, read at the sink).  Each candidate's ``EvalContext`` is seeded
+    with its circuit delay alone; the columns whose problem takes the
+    inline verdict and whose candidate is within the delay bound then
+    get their coupling totals from one ``totals_batch`` pass, and each
+    column takes its own verdict through
+    :meth:`OGWSOptimizer._feasible_lazy`: power is computed only for
+    candidates within the delay and noise bounds, full metrics only for
     feasible ones.  The batched sweeps equal the 1-D sweeps bit for bit
-    per column, so each column's verdicts, accepted point and
+    per column, so each column's verdicts, accepted point, metrics and
     ``repair_evals`` equal a repair of that column alone.
 
     Returns one ``(sizes, metrics)`` pair per column: the feasible blend
     closest to the iterate, or ``(None, None)`` if even the smallest
     step leaves the feasible set (the anchor sits on the boundary).
     """
+    from repro.timing import kernels
+
     cc = engine.compiled
+    plan = cc.sweep_plan()
     mask = cc.is_sizable
     width = len(columns)
+    ws = engine.pool.buffers(width)
+    inline = [opt._inline_verdict() for opt, _, _, _ in columns]
     # Log sizes, zero off the sizable nodes (clip_sizes zeroes those).
     log_anchor = np.zeros((width, cc.num_nodes))
     log_x = np.zeros((width, cc.num_nodes))
@@ -538,15 +589,22 @@ def repair_lockstep(engine, columns):
         mid = 0.5 * (lo + hi)
         candidates = cc.clip_sizes(np.exp((1.0 - mid)[:, None] * log_anchor
                                           + mid[:, None] * log_x))
-        delays = engine.delays(np.ascontiguousarray(candidates.T))
-        arrival = engine.arrival_times(delays)
+        stacked = np.ascontiguousarray(candidates.T)
+        sink = kernels.arrival_sweep(plan, engine.delays(stacked), None, ws)
+        contexts = [EvalContext(engine, candidates[j]).seed(
+            circuit_delay_ps=sink[j]) for j in range(width)]
+        noisy = [j for j, (opt, _, _, _) in enumerate(columns)
+                 if inline[j] and opt._within_delay_bound(contexts[j])]
+        if noisy:
+            totals = engine.coupling.totals_batch(
+                stacked if len(noisy) == width
+                else stacked.take(noisy, axis=1))
+            for j, total in zip(noisy, totals):
+                contexts[j].seed(coupling_total_ff=total)
         for j, (opt, state, _, _) in enumerate(columns):
-            candidate = candidates[j]
-            context = EvalContext(engine, candidate).seed(
-                delays=delays[:, j], arrival=arrival[:, j])
             state.repair_evals += 1
-            if opt._feasible_lazy(context, candidate):
-                best[j] = (candidate.copy(), context.metrics)
+            if opt._feasible_lazy(contexts[j], candidates[j]):
+                best[j] = (candidates[j].copy(), contexts[j].metrics)
                 lo[j] = mid[j]
             else:
                 hi[j] = mid[j]

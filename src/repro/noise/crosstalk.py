@@ -220,16 +220,15 @@ class CouplingSet:
     def _ensure_batch_scratch(self, k):
         """Width-``k`` scratch for the column-stacked paths (memoized).
 
-        Shares the static endpoint-scatter operator (and, for k = 2, the
-        frozen slope sums) across widths; the ``(p, 1)`` column views of
-        the pair constants broadcast against ``(p, k)`` iterates without
-        per-call view creation.
+        Shares the static endpoint-scatter operator across widths and
+        holds the pair constants ``ctilde``, ``chat`` and ``2·distance``
+        (and, for k = 2, the frozen slope sums) at the same width as the
+        iterates: C-contiguous ``(p, k)`` / ``(n, k)`` copies at k ≥ 2,
+        ``(p, 1)`` / ``(n, 1)`` views of the set's own arrays at k = 1.
         """
         base = self._ensure_scratch()
         cache = self.__dict__.setdefault("_batch_scratch", {})
         s = cache.pop(k, None)
-        if s is not None:
-            cache[k] = s   # refresh recency (insertion order == LRU order)
         if s is None:
             p, n = self.num_pairs, self.num_nodes
             s = {
@@ -241,17 +240,19 @@ class CouplingSet:
                 "gamma_slopes": np.zeros((n, k)),
                 "node_caps": np.zeros((n, k)), "node_tmp": np.zeros((n, k)),
             }
+            constants = {"ctilde": self.ctilde, "chat": self.chat,
+                         "two_distance": self._two_distance}
             if self.order == 2:
-                s["dx_static_col"] = base["dx_static"][:, None]
-            if "_ctilde_col" not in self.__dict__:
-                self._ctilde_col = self.ctilde[:, None]
-                self._chat_col = self.chat[:, None]
-                self._two_distance_col = self._two_distance[:, None]
+                constants["dx_static"] = base["dx_static"]
+            for name, values in constants.items():
+                column = values[:, None]
+                s[name] = column if k == 1 else np.repeat(column, k, axis=1)
+                s[name].flags.writeable = False  # dx_sum reaches callers
             # Same LRU bound as kernels.BatchWorkspace: a batch visiting
             # many widths must not pool scratch for every one of them.
             while len(cache) >= 6:
                 cache.pop(next(iter(cache)))
-            cache[k] = s
+        cache[k] = s   # (re)insert as most recent
         return s
 
     def node_terms_batch(self, x, gamma, node_caps=False):
@@ -288,15 +289,15 @@ class CouplingSet:
         s = self._ensure_batch_scratch(k)
         u, term, tmp = s["u"], s["term"], s["tmp"]
         caps, slopes = s["caps"], s["slopes"]
-        np.take(x, self.pair_i, axis=0, out=u)
-        np.take(x, self.pair_j, axis=0, out=tmp)
+        x.take(self.pair_i, 0, u, "clip")
+        x.take(self.pair_j, 0, tmp, "clip")
         np.add(u, tmp, out=u)
-        np.divide(u, self._two_distance_col, out=u)
+        np.divide(u, s["two_distance"], out=u)
         if self.order == 2:
             # k = 2 closed form: c = ~c·(1 + u), constant slopes ĉ.
-            np.multiply(u, self._ctilde_col, out=caps)
-            np.add(caps, self._ctilde_col, out=caps)
-            slopes = self._chat_col
+            np.multiply(u, s["ctilde"], out=caps)
+            np.add(caps, s["ctilde"], out=caps)
+            slopes = s["chat"]
         else:
             caps.fill(1.0)
             slopes.fill(0.0)
@@ -306,13 +307,13 @@ class CouplingSet:
                 np.add(slopes, tmp, out=slopes)
                 np.multiply(term, u, out=term)
                 np.add(caps, term, out=caps)
-            np.multiply(caps, self._ctilde_col, out=caps)
-            np.multiply(slopes, self._chat_col, out=slopes)
+            np.multiply(caps, s["ctilde"], out=caps)
+            np.multiply(slopes, s["chat"], out=slopes)
 
         cap_sum, dx_sum, gs = s["cap_sum"], s["dx_sum"], s["gamma_slopes"]
         self._endpoint_scatter(caps, cap_sum, s)
         if self.order == 2:
-            dx_sum = s["dx_static_col"]
+            dx_sum = s["dx_static"]
         else:
             self._endpoint_scatter(slopes, dx_sum, s)
         out_caps = None
@@ -321,7 +322,7 @@ class CouplingSet:
             np.copyto(out_caps, cap_sum)
         if per_net:
             pw = s["pw"]
-            np.take(gamma, self.owner, axis=0, out=pw)
+            gamma.take(self.owner, 0, pw, "clip")
             np.multiply(pw, slopes, out=pw)
             self._endpoint_scatter(pw, gs, s)
         else:
@@ -345,17 +346,17 @@ class CouplingSet:
                 return np.zeros((self.num_nodes, k))
             s = self._ensure_batch_scratch(k)
             u, term, total = s["u"], s["term"], s["tmp"]
-            np.take(x, self.pair_i, axis=0, out=u)
-            np.take(x, self.pair_j, axis=0, out=total)
+            x.take(self.pair_i, 0, u, "clip")
+            x.take(self.pair_j, 0, total, "clip")
             np.add(u, total, out=u)
-            np.divide(u, self._two_distance_col, out=u)
+            np.divide(u, s["two_distance"], out=u)
             # pair_caps' spelling verbatim: Σ_{m<k} uᵐ, then ·~c.
             total.fill(0.0)
             term.fill(1.0)
             for _ in range(self.order):
                 np.add(total, term, out=total)
                 np.multiply(term, u, out=term)
-            np.multiply(total, self._ctilde_col, out=total)
+            np.multiply(total, s["ctilde"], out=total)
             out = np.empty((self.num_nodes, k))
             self._endpoint_scatter(total, out, s)
             return out
@@ -379,16 +380,16 @@ class CouplingSet:
             return np.zeros(k)
         s = self._ensure_batch_scratch(k)
         u, term, total = s["u"], s["term"], s["tmp"]
-        np.take(x, self.pair_i, axis=0, out=u)
-        np.take(x, self.pair_j, axis=0, out=total)
+        x.take(self.pair_i, 0, u, "clip")
+        x.take(self.pair_j, 0, total, "clip")
         np.add(u, total, out=u)
-        np.divide(u, self._two_distance_col, out=u)
+        np.divide(u, s["two_distance"], out=u)
         total.fill(0.0)
         term.fill(1.0)
         for _ in range(self.order):
             np.add(total, term, out=total)
             np.multiply(term, u, out=term)
-        np.multiply(total, self._ctilde_col, out=total)
+        np.multiply(total, s["ctilde"], out=total)
         cols = np.ascontiguousarray(total.T)
         return np.array([np.sum(col) for col in cols])
 

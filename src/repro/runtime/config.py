@@ -301,14 +301,17 @@ class FlowConfig:
             raise ValidationError(
                 f"unknown ordering {self.ordering!r}; "
                 f"choose from {sorted(ORDERING_NAMES)}")
+        # Modes are stored as their value strings, so an enum and its
+        # string spelling make one config (equal, hashed alike).
         for field, mode in (("miller_mode", MillerMode),
                             ("delay_mode", CouplingDelayMode)):
             try:
-                mode(getattr(self, field))
+                value = mode(getattr(self, field)).value
             except ValueError:
                 raise ValidationError(
                     f"unknown {field} {getattr(self, field)!r}; choose "
                     f"from {[m.value for m in mode]}") from None
+            object.__setattr__(self, field, value)
         if self.update not in _UPDATE_NAMES:
             raise ValidationError(
                 f"unknown update {self.update!r}; choose from {_UPDATE_NAMES}")

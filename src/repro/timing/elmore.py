@@ -133,10 +133,9 @@ class ElmoreEngine:
         # workspace.
         cself = np.empty(cc.num_nodes)
         source_terms = np.empty(cc.num_nodes)
-        kernels.s2_source_terms(plan, cc, x, cpl, propagated, cself,
-                                source_terms, ws.t1)
+        kernels.s2_source_terms(ws, x, cpl, propagated, cself, source_terms)
         child_sum = np.empty(cc.num_nodes)
-        kernels.child_sum_sweep(plan, source_terms, child_sum)
+        kernels.child_sum_sweep(ws, source_terms, child_sum)
         load = cself + plan.wire_mask_f * child_sum
         if propagated:
             load += plan.wire_mask_f * cpl
@@ -168,25 +167,20 @@ class ElmoreEngine:
         """
         if caps is not None:
             return self.effective_resistance(x) * caps["downstream"]
-        cc = self.compiled
-        plan = cc.sweep_plan()
         ws = self._scratch(x)
-        batched = x.ndim == 2
-        c = plan.cols() if batched else plan
-        sizable = c.is_sizable if batched else cc.is_sizable
         propagated = self.mode is CouplingDelayMode.PROPAGATED
         cpl = None if self.mode is CouplingDelayMode.NONE else \
             self.coupling.node_coupling_caps(x)
-        kernels.s2_source_terms(plan, cc, x, cpl, propagated, ws.cself,
-                                ws.source_terms, ws.t1)
-        kernels.child_sum_sweep(plan, ws.source_terms, ws.child_sum)
+        kernels.s2_source_terms(ws, x, cpl, propagated, ws.cself,
+                                ws.source_terms)
+        kernels.child_sum_sweep(ws, ws.source_terms, ws.child_sum)
         # downstream = child_sum + wires ∘ (cself/2 + cpl)
         np.multiply(ws.cself, 0.5, out=ws.t1)
         if cpl is not None:
             np.add(ws.t1, cpl, out=ws.t1)
-        np.multiply(ws.t1, c.wire_mask_f, out=ws.t1)
+        np.multiply(ws.t1, ws.wire_mask_f, out=ws.t1)
         np.add(ws.t1, ws.child_sum, out=ws.t1)
-        np.divide(c.r_hat_eff, x, out=ws.r_eff, where=sizable)
+        np.divide(ws.r_hat_eff, x, out=ws.r_eff, where=ws.is_sizable)
         return ws.r_eff * ws.t1
 
     def arrival_times(self, delays):

@@ -31,8 +31,9 @@ Wires have in-degree exactly one, so along a wire chain arrival is just
 another static closure (``chain = WireChain · delays``).  The level
 recursion then runs over the *condensed* graph (non-wire nodes only,
 one edge per gate input carrying its anchor and chain hop), which has
-roughly a third of the levels and edges; wire arrivals are filled in
-afterwards by one flat gather.
+roughly a third of the levels and edges; wire arrivals follow from
+each wire's anchor, and one gather puts every arrival in node order.
+A circuit-delay probe stops after the level loop and reads the sink.
 
 **Projection segments** (``proj_in`` / ``proj_out``).  The Theorem 3
 flow projection rescales each level's in-edge multipliers to match the
@@ -62,10 +63,12 @@ exactness is what lets the batched multi-scenario solver
 single-scenario runs.  A single column goes through SciPy's
 single-vector ``csr_matvec`` on 1-D views (same additions, same order,
 faster than the multi-vector kernel at K = 1).  Batched scratch comes
-from ``Workspace(plan, width=K)``; :class:`BatchWorkspace` pools those
-by width so the lockstep solver reuses buffers as scenario batches
-shrink, and its width-1 buffers double, as 1-D views, as the scratch of
-the engine's single-point sweeps.
+from ``Workspace(plan, width=K)``, which also holds the per-node
+constants at width K (contiguous copies, so no ufunc broadcasts an
+``(n, 1)`` column); :class:`BatchWorkspace` pools those by width so the
+lockstep solver reuses buffers as scenario batches shrink, and its
+width-1 buffers double, as 1-D views, as the scratch of the engine's
+single-point sweeps.
 
 The per-level ``np.add.at`` / ``np.maximum.at`` spelling these kernels
 replace lives on as a test oracle (``tests/oracles/``); equivalence
@@ -404,17 +407,14 @@ class SweepPlan:
         self.max_cond_edges = int(np.max(np.diff(self.arr_edge_ptr),
                                          initial=0))
         self.boundary_ids = boundary
-        # The arrival sweep's level loop, unrolled once: per condensed
-        # level its edge and node bounds as Python ints plus views of
-        # its anchor positions and segment starts.
-        edge_ptr = self.arr_edge_ptr.tolist()
-        node_ptr = self.cond_node_ptr.tolist()
-        self.arr_levels = [
-            (edge_ptr[level], edge_ptr[level + 1], node_ptr[level],
-             node_ptr[level + 1],
-             self.arr_anchor_pos[edge_ptr[level]:edge_ptr[level + 1]],
-             self.arr_starts[level])
-            for level in range(1, n_clevels)]
+        # The sink's condensed position (a circuit-delay probe reads only
+        # it) and the full sweep's one gather: node i's arrival sits at
+        # row arr_perm[i] of a node-length buffer holding the condensed
+        # arrivals first, then the wire arrivals in wire_indices order.
+        self.sink_pos = int(cpos[cc.sink])
+        cpos[cc.wire_indices] = len(self.cond_nodes) + np.arange(
+            len(cc.wire_indices))
+        self.arr_perm = cpos
 
     def _build_projection(self, cc):
         """The flow-projection cascade over the condensed graph.
@@ -466,35 +466,6 @@ class SweepPlan:
                 out_sel,
                 len(targets)))
 
-    def cols(self):
-        """Memoized ``(n, 1)`` column views of the per-node constants.
-
-        Batched sweeps broadcast these against ``(n, K)`` iterates; the
-        views are built once so steady-state batched passes create no
-        objects at all (a bare ``(n,)`` array would broadcast along the
-        wrong axis).
-        """
-        cols = self.__dict__.get("_cols")
-        if cols is None:
-            import types
-
-            cc = self.compiled
-            cols = types.SimpleNamespace(
-                r_hat_eff=self.r_hat_eff[:, None],
-                half_fringe_wire=self.half_fringe_wire[:, None],
-                wire_mask_f=self.wire_mask_f[:, None],
-                wire_load_cap=self.wire_load_cap[:, None],
-                desc_base=self.desc_base[:, None],
-                c_hat=cc.c_hat[:, None],
-                fringe=cc.fringe[:, None],
-                alpha=cc.alpha[:, None],
-                lower=cc.lower[:, None],
-                upper=cc.upper[:, None],
-                is_sizable=cc.is_sizable[:, None],
-            )
-            self._cols = cols
-        return cols
-
     @property
     def nbytes(self):
         total = (self.desc.nbytes + self.anc.nbytes + self.wire_chain.nbytes
@@ -508,10 +479,11 @@ class SweepPlan:
                       + lv.out_sel.nbytes)
         for name in ("anchor", "cond_nodes", "cond_node_ptr",
                      "wire_anchor_pos", "arr_anchor_pos", "arr_hop",
-                     "arr_edge_ptr", "boundary_ids", "gate_nodes",
-                     "driver_nodes", "sizable_idx", "nonsizable_idx",
-                     "r_hat_eff", "half_fringe_wire", "wire_mask_f",
-                     "wire_load_cap", "alpha_sizable", "c_hat_sizable"):
+                     "arr_edge_ptr", "arr_perm", "boundary_ids",
+                     "gate_nodes", "driver_nodes", "sizable_idx",
+                     "nonsizable_idx", "r_hat_eff", "half_fringe_wire",
+                     "wire_mask_f", "wire_load_cap", "alpha_sizable",
+                     "c_hat_sizable"):
             total += getattr(self, name).nbytes
         return total
 
@@ -521,30 +493,49 @@ class SweepPlan:
                 f"cond_levels={len(self.arr_starts)})")
 
 
+def _base(array):
+    """The array that owns ``array``'s memory."""
+    return array if array.base is None else array.base
+
+
 class Workspace:
     """Preallocated buffers for the kernel sweeps and the fused LRS pass.
 
     Node-length buffers double as sweep outputs inside the fused pass;
-    ``ebuf`` is the arrival sweep's per-level gather scratch and
-    ``szbuf`` holds the per-pass relative change restricted to sizable
-    nodes.  Reusing one workspace across passes is what makes a
-    steady-state LRS pass allocation-free; it is strictly
+    ``ebuf`` is the arrival sweep's per-level gather scratch, ``arr`` its
+    node-length arrival buffer (condensed arrivals first, then wire
+    arrivals; one gather through ``plan.arr_perm`` puts them in node
+    order) and ``szbuf`` holds the per-pass relative change restricted
+    to sizable nodes.  Reusing one workspace across passes is what makes
+    a steady-state LRS pass allocation-free; it is strictly
     single-threaded.
 
     With ``width=K`` every buffer is a C-contiguous ``(rows, K)`` matrix
     — one column per scenario — and the workspace additionally carries
     the batched solver's per-solve constants (``lam``, ``numer``,
     ``alpha_beta``) and per-column reduction scratch (``colmax``,
-    ``colmask``).  A width-1 workspace lends its buffers to 1-D sweeps
-    through :meth:`vectors`.
+    ``colmask``).  The per-node constants the sweeps combine with the
+    iterates (:attr:`CONSTANTS`) ride along at the same width: at
+    K ≥ 2 as C-contiguous ``(n, K)`` copies (a broadcast ``(n, 1)``
+    operand runs every ufunc's inner loop K wide, per row, at two to
+    three times the cost), at K = 1 as ``(n, 1)`` views of the plan's
+    own arrays, and in a 1-D workspace as those arrays.  A width-1
+    workspace lends its buffers to 1-D sweeps through :meth:`vectors`.
     """
 
     NODE_BUFFERS = (
         "cself", "child_sum", "source_terms", "r_eff", "chain",
         "upstream", "k_cap", "denom", "opt", "x_a", "x_b", "t1", "t2",
+        "arr",
     )
-    SCRATCH_BUFFERS = ("ebuf", "szbuf", "wbuf", "wbuf2", "arrc", "delays_c",
-                       "chain_e")
+    SCRATCH_BUFFERS = ("ebuf", "szbuf", "wchain", "delays_c", "chain_e")
+    #: Per-node constants, by name: the plan's fused-pass constants and
+    #: ``desc_base``, then the circuit's model vectors.
+    PLAN_CONSTANTS = ("r_hat_eff", "half_fringe_wire", "wire_mask_f",
+                      "wire_load_cap", "desc_base")
+    CIRCUIT_CONSTANTS = ("c_hat", "fringe", "alpha", "lower", "upper",
+                         "is_sizable")
+    CONSTANTS = PLAN_CONSTANTS + CIRCUIT_CONSTANTS
 
     def __init__(self, plan, width=None):
         n = plan.num_nodes
@@ -560,12 +551,16 @@ class Workspace:
             setattr(self, name, buf(n))
         self.ebuf = buf(plan.max_cond_edges)
         self.szbuf = buf(len(plan.sizable_idx))
-        self.wbuf = buf(len(plan.wire_indices))
-        self.wbuf2 = buf(len(plan.wire_indices))
+        self.wchain = buf(len(plan.wire_indices))
         n_cond = len(plan.cond_nodes)
-        self.arrc = buf(n_cond)
         self.delays_c = buf(n_cond)
         self.chain_e = buf(len(plan.arr_hop))
+        for name, source in self.constant_sources(plan).items():
+            if self.width is not None:
+                source = source[:, None]
+                if self.width > 1:
+                    source = np.repeat(source, self.width, axis=1)
+            setattr(self, name, source)
         if self.width is not None:
             # Batched-solve extras: per-column multiplier constants and
             # the per-column convergence reduction targets.
@@ -580,11 +575,19 @@ class Workspace:
         self.r_eff[plan.driver_nodes] = preset if self.width is None \
             else preset[:, None]
 
+    @classmethod
+    def constant_sources(cls, plan):
+        """``{name: 1-D array}`` the :attr:`CONSTANTS` are built from."""
+        sources = {name: getattr(plan, name) for name in cls.PLAN_CONSTANTS}
+        for name in cls.CIRCUIT_CONSTANTS:
+            sources[name] = getattr(plan.compiled, name)
+        return sources
+
     def vectors(self):
         """This width-1 workspace as 1-D views of the same buffers.
 
-        The engine's single-point sweeps (initial metrics, the final
-        evaluation) and every one-column arrival sweep run on these
+        The engine's single-point sweeps (the initial metrics, any
+        ``evaluate_metrics``) and every one-column arrival sweep run on these
         views, so one set of width-1 scratch serves them and the
         width-1 LRS pass.  Memoized.
         """
@@ -592,21 +595,46 @@ class Workspace:
         if flat is None:
             flat = object.__new__(Workspace)
             flat.plan, flat.width = self.plan, None
-            for name in self.NODE_BUFFERS + self.SCRATCH_BUFFERS:
+            for name in (self.NODE_BUFFERS + self.SCRATCH_BUFFERS
+                         + self.CONSTANTS):
                 setattr(flat, name, getattr(self, name).reshape(-1))
             self._vectors = flat
         return flat
 
+    def arrival_levels(self):
+        """The arrival sweep's level loop over this workspace, unrolled:
+        per condensed level after the first, the plan's anchor positions
+        and segment starts, with views of the gather scratch, the chain
+        hops, the level's arrivals and its delays.  Memoized."""
+        levels = self.__dict__.get("_levels")
+        if levels is None:
+            plan = self.plan
+            edge_ptr = plan.arr_edge_ptr.tolist()
+            node_ptr = plan.cond_node_ptr.tolist()
+            arrc = self.arr[:len(plan.cond_nodes)]
+            levels = self._levels = [
+                (plan.arr_anchor_pos[e_lo:e_hi], self.ebuf[:e_hi - e_lo],
+                 self.chain_e[e_lo:e_hi], plan.arr_starts[level],
+                 arrc[n_lo:n_hi], self.delays_c[n_lo:n_hi])
+                for level, (e_lo, e_hi, n_lo, n_hi) in enumerate(zip(
+                    edge_ptr, edge_ptr[1:], node_ptr, node_ptr[1:]))
+                if level]
+        return levels
+
     @property
     def nbytes(self):
-        total = 0
-        names = self.NODE_BUFFERS + self.SCRATCH_BUFFERS
-        if self.width is not None:
-            names = names + ("lam", "numer", "alpha_beta", "colmax",
-                             "colmask")
-        for name in names:
-            total += getattr(self, name).nbytes
-        return total
+        """Bytes this workspace allocated, each base array counted once.
+
+        Views add nothing: the condensed arrivals are rows of ``arr``,
+        and the width-1 constants view the plan's own arrays.
+        """
+        shared = {id(_base(a))
+                  for a in self.constant_sources(self.plan).values()}
+        owned = {}
+        for value in vars(self).values():
+            if isinstance(value, np.ndarray) and id(_base(value)) not in shared:
+                owned[id(_base(value))] = _base(value)
+        return sum(array.nbytes for array in owned.values())
 
 
 class BatchWorkspace:
@@ -648,8 +676,7 @@ class BatchWorkspace:
         return sum(ws.nbytes for ws in self._pool.values())
 
 
-def s2_source_terms(plan, compiled, x, cpl, propagated, cself_out, source_out,
-                    scratch):
+def s2_source_terms(ws, x, cpl, propagated, cself_out, source_out):
     """Assemble the S2 inputs at sizes ``x`` (the one shared spelling).
 
     Fills ``cself_out`` with the self capacitance ``ĉ·x + f`` (zero on
@@ -657,25 +684,21 @@ def s2_source_terms(plan, compiled, x, cpl, propagated, cself_out, source_out,
     to its ancestors' loads: input capacitance for gates, self + output
     load (+ coupling ``cpl`` when ``propagated``) for wires.  Used by
     the engine's kernel capacitance/delay paths and the fused LRS pass,
-    so the delay model has exactly one kernel-side definition.
-    ``x`` may be ``(n,)`` or column-stacked ``(n, K)``.
+    so the delay model has exactly one kernel-side definition.  ``x``
+    may be ``(n,)`` or column-stacked ``(n, K)``, with ``ws`` the
+    workspace of that shape: its constants and its ``t1`` scratch.
     """
-    batched = x.ndim == 2
-    c = plan.cols() if batched else None
-    np.multiply(c.c_hat if batched else compiled.c_hat, x, out=cself_out)
-    np.add(cself_out, c.fringe if batched else compiled.fringe,
-           out=cself_out)
-    cself_out[plan.nonsizable_idx] = 0.0
-    np.add(cself_out, c.wire_load_cap if batched else plan.wire_load_cap,
-           out=source_out)
+    np.multiply(ws.c_hat, x, out=cself_out)
+    np.add(cself_out, ws.fringe, out=cself_out)
+    cself_out[ws.plan.nonsizable_idx] = 0.0
+    np.add(cself_out, ws.wire_load_cap, out=source_out)
     if propagated:
-        np.multiply(cpl, c.wire_mask_f if batched else plan.wire_mask_f,
-                    out=scratch)
-        np.add(source_out, scratch, out=source_out)
+        np.multiply(cpl, ws.wire_mask_f, out=ws.t1)
+        np.add(source_out, ws.t1, out=source_out)
     return cself_out, source_out
 
 
-def child_sum_sweep(plan, source_terms, child_sum):
+def child_sum_sweep(ws, source_terms, child_sum):
     """Stage-closure capacitance accumulation (kernel S2).
 
     ``child_sum[i] = load_cap[i] + Σ_{j ∈ desc(i)} source_terms[j]``
@@ -683,11 +706,10 @@ def child_sum_sweep(plan, source_terms, child_sum):
     ancestors' loads: input capacitance for gates, self + output load
     (+ coupling when PROPAGATED) for wires, zero otherwise.  One sparse
     product evaluates the whole reverse sweep (matrix–matrix over the
-    columns in the batched case).
+    columns in the batched case); ``ws`` is the workspace of that shape.
     """
-    csr_matvec(plan.desc, source_terms, child_sum)
-    base = plan.cols().desc_base if child_sum.ndim == 2 else plan.desc_base
-    np.add(child_sum, base, out=child_sum)
+    csr_matvec(ws.plan.desc, source_terms, child_sum)
+    np.add(child_sum, ws.desc_base, out=child_sum)
     return child_sum
 
 
@@ -709,48 +731,54 @@ def arrival_sweep(plan, delays, arrival, ws):
     chain hops from one gather; the level recursion then runs over
     non-wire nodes only (``a_g = max over gate inputs of (a_anchor +
     chain) + D_g``) with contiguous per-level slices, and wire arrivals
-    are reconstructed by a flat gather at the end.  Matches the
-    per-level max-plus recurrence to floating-point reassociation.
-    ``delays`` may be ``(n,)`` or column-stacked ``(n, K)`` (``arrival``
-    and ``ws`` shaped to match); each column's max-plus recursion is
-    bit-identical to the single-vector sweep, and one column runs as
-    one vector (on 1-D views of the width-1 buffers).
+    follow from one flat gather each.  Matches the per-level max-plus
+    recurrence to floating-point reassociation.  ``delays`` may be
+    ``(n,)`` or column-stacked ``(n, K)`` (``arrival`` and ``ws`` shaped
+    to match); each column's max-plus recursion is bit-identical to the
+    single-vector sweep, and one column runs as one vector (on 1-D
+    views of the width-1 buffers).
 
-    The level loop walks the plan's precomputed ``arr_levels`` and
-    calls ``ndarray.take`` directly: a primal repair probe is a
-    width-1 sweep of a few thousand nodes, where per-level Python
-    overhead, not arithmetic, sets the cost.
+    With ``arrival=None`` the sweep is a circuit-delay probe: it runs
+    only the condensed level loop and returns each column's sink
+    arrival (a ``(K,)`` array, a 0-d one for ``(n,)`` delays), bit for
+    bit ``arrival_times(delays)[sink]``.  A full sweep writes every
+    node with one gather through ``plan.arr_perm`` from the workspace's
+    ``arr`` buffer (condensed arrivals, then wire arrivals).
+
+    The level loop walks the workspace's memoized per-level views
+    (:meth:`Workspace.arrival_levels`) and calls ``ndarray.take``
+    directly: a primal repair probe is a sweep of a few thousand nodes,
+    where per-level Python overhead, not arithmetic, sets the cost.
+    Every gather passes ``mode="clip"``: the plan's indices are in
+    range, and a bounds-checked (``"raise"``) gather copies its output
+    through a temporary buffer.
     """
+    shape = delays.shape
     out = arrival
-    if delays.ndim == 2 and delays.shape[1] == 1 \
-            and arrival.flags.c_contiguous:
-        delays, out, ws = delays.reshape(-1), arrival.reshape(-1), \
-            ws.vectors()
+    if delays.ndim == 2 and shape[1] == 1 \
+            and (arrival is None or arrival.flags.c_contiguous):
+        delays, ws = delays.reshape(-1), ws.vectors()
+        out = None if arrival is None else arrival.reshape(-1)
     chain = csr_matvec(plan.wire_chain, delays, ws.chain)
     n_cond = len(plan.cond_nodes)
-    arrc = ws.arrc[:n_cond]
-    arrc.fill(0.0)
-    if n_cond:
-        dc = delays.take(plan.cond_nodes, axis=0, out=ws.delays_c[:n_cond])
-        chain_e = chain.take(plan.arr_hop, axis=0,
-                             out=ws.chain_e[:len(plan.arr_hop)])
-        take, add, reduceat = arrc.take, np.add, np.maximum.reduceat
-        ebuf = ws.ebuf
-        for e_lo, e_hi, n_lo, n_hi, anchors, starts in plan.arr_levels:
-            g = ebuf[:e_hi - e_lo]
-            take(anchors, 0, g)
-            add(g, chain_e[e_lo:e_hi], out=g)
-            level = arrc[n_lo:n_hi]
-            reduceat(g, starts, 0, None, level)
-            add(level, dc[n_lo:n_hi], out=level)
-    out.fill(0.0)
-    out[plan.cond_nodes] = arrc
+    arrc = ws.arr[:n_cond]
+    arrc[:plan.cond_node_ptr[1]] = 0.0  # level 0 (source, drivers)
+    delays.take(plan.cond_nodes, 0, ws.delays_c[:n_cond], "clip")
+    chain.take(plan.arr_hop, 0, ws.chain_e[:len(plan.arr_hop)], "clip")
+    take, add, reduceat = arrc.take, np.add, np.maximum.reduceat
+    for anchors, g, chain_e, starts, level, delays_c in ws.arrival_levels():
+        take(anchors, 0, g, "clip")
+        add(g, chain_e, out=g)
+        reduceat(g, starts, 0, None, level)
+        add(level, delays_c, out=level)
+    if arrival is None:
+        return np.array(arrc[plan.sink_pos]).reshape(shape[1:])
     wires = plan.wire_indices
     if len(wires):
-        t = arrc.take(plan.wire_anchor_pos, axis=0, out=ws.wbuf[:len(wires)])
-        t2 = chain.take(wires, axis=0, out=ws.wbuf2[:len(wires)])
-        np.add(t, t2, out=t)
-        out[wires] = t
+        wire_arr = ws.arr[n_cond:]
+        arrc.take(plan.wire_anchor_pos, 0, wire_arr, "clip")
+        add(wire_arr, chain.take(wires, 0, ws.wchain, "clip"), out=wire_arr)
+    ws.arr.take(plan.arr_perm, 0, out, "clip")
     return arrival
 
 
@@ -774,19 +802,24 @@ def project_sweep(plan, lam):
     column-stacked ``(E, K)`` matrix of K independent multiplier
     vectors; each column projects bit-identically to the single-vector
     sweep (``of / where(pos, inflow, 1)`` equals ``of / inflow`` bitwise
-    wherever the fast path would have taken over).
+    wherever the fast path would have taken over).  A level whose
+    targets all have fan-out reduces straight into its out-flow.
     """
-    lamb = lam[plan.boundary_ids]
+    lamb = lam.take(plan.boundary_ids, axis=0)
     batched = lamb.ndim == 2
     for lv in plan.proj_levels:
-        of = np.zeros((lv.n_targets,) + lamb.shape[1:])
-        if len(lv.out_sel):
-            of[lv.out_sel] = np.add.reduceat(lamb[lv.out_pos], lv.out_starts,
-                                             axis=0)
-        values = lamb[lv.in_pos]
+        if len(lv.out_sel) == lv.n_targets:
+            of = np.add.reduceat(lamb.take(lv.out_pos, axis=0),
+                                 lv.out_starts, axis=0)
+        else:
+            of = np.zeros((lv.n_targets,) + lamb.shape[1:])
+            if len(lv.out_sel):
+                of[lv.out_sel] = np.add.reduceat(
+                    lamb.take(lv.out_pos, axis=0), lv.out_starts, axis=0)
+        values = lamb.take(lv.in_pos, axis=0)
         inflow = np.add.reduceat(values, lv.in_starts, axis=0)
         if inflow.min(initial=np.inf) > 0.0:  # common case: all flows live
-            lamb[lv.in_pos] = values * (of / inflow)[lv.expand]
+            lamb[lv.in_pos] = values * (of / inflow).take(lv.expand, axis=0)
             continue
         pos = inflow > 0.0
         scale = np.where(pos, of / np.where(pos, inflow, 1.0), 0.0)

@@ -10,9 +10,12 @@ sweep, delays, arrival times, coupling totals, the Table 1 metrics) is
 computed at most once and reused by the metrics, the Lagrangian value,
 and the multiplier update.  The lockstep driver seeds each column's
 context from its batched sweeps, and the merged primal repair seeds
-each candidate's delays and arrival times from its per-level batched
-sweeps; single-point evaluations (the initial metrics, the final point)
-fill it lazily from the engine's 1-D sweeps.
+each candidate's circuit delay from its per-level sink probe (and,
+within the delay bound, its coupling total from one batched pass); the
+single-point evaluation of the initial metrics fills it lazily from the
+engine's 1-D sweeps.  A solve reports the metrics of these contexts
+rather than evaluating its final point again: seeded values equal the
+lazy ones bit for bit.
 """
 
 import dataclasses
@@ -87,14 +90,15 @@ class EvalContext:
         self.engine = engine
         self.x = np.asarray(x, dtype=float)
 
-    def seed(self, *, delays=None, arrival=None, coupling_total_ff=None,
-             total_cap_ff=None, area_um2=None):
+    def seed(self, *, delays=None, arrival=None, circuit_delay_ps=None,
+             coupling_total_ff=None, total_cap_ff=None, area_um2=None):
         """Pre-populate lazy caches with externally computed values.
 
         The lockstep driver evaluates delays, arrivals, and the metrics
         inputs for all scenario columns in batched sweeps, then hands
         each column to its scalar consumers through here (the supported
-        keywords are exactly the batched quantities).  Seeded values
+        keywords are exactly the batched quantities; the primal repair
+        seeds a candidate's circuit delay alone).  Seeded values
         must equal what the lazy property would have computed — the
         lockstep bit-identity contract; this method validates shapes and
         trusts values.  Returns ``self`` for chaining.
@@ -108,7 +112,8 @@ class EvalContext:
                 raise ValidationError(
                     f"seeded {name} must have shape ({n},), got {value.shape}")
             self.__dict__[name] = value
-        for name, value in (("coupling_total_ff", coupling_total_ff),
+        for name, value in (("circuit_delay_ps", circuit_delay_ps),
+                            ("coupling_total_ff", coupling_total_ff),
                             ("total_cap_ff", total_cap_ff),
                             ("area_um2", area_um2)):
             if value is not None:
@@ -137,7 +142,7 @@ class EvalContext:
         """Per-node arrival times (ps)."""
         return self.engine.arrival_times(self.delays)
 
-    @property
+    @functools.cached_property
     def circuit_delay_ps(self):
         """Max primary-output arrival time (Table 1's "Delay")."""
         return float(self.arrival[self.engine.compiled.sink])

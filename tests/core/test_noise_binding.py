@@ -76,3 +76,13 @@ def test_bus_feasible_where_noise_has_slack(bus_setting):
     "after 300 iterations with an infinite gap"))
 def test_bus_feasible_where_noise_binds(bus_setting):
     assert _solve_bus(bus_setting, 0.115).feasible
+
+
+def test_bus_without_a_feasible_point_reports_its_last_iterate(bus_setting):
+    """At 0.115 no iterate is feasible: the result is the last iterate,
+    with the metrics its evaluation produced, equal to evaluating it
+    again."""
+    engine = bus_setting[0]
+    result = _solve_bus(bus_setting, 0.115)
+    assert not result.feasible
+    assert result.metrics == evaluate_metrics(engine, result.x)

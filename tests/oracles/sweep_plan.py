@@ -110,16 +110,18 @@ def reference_sweep_plan(compiled):
             if hi > lo else np.zeros(0, dtype=np.int64)
         plan.arr_starts.append(np.ascontiguousarray(starts))
     plan.max_cond_edges = int(np.max(np.diff(plan.arr_edge_ptr), initial=0))
-    plan.arr_levels = []
-    for level in range(1, n_clevels):
-        lo = int(plan.arr_edge_ptr[level])
-        hi = int(plan.arr_edge_ptr[level + 1])
-        plan.arr_levels.append((
-            lo, hi, int(plan.cond_node_ptr[level]),
-            int(plan.cond_node_ptr[level + 1]), plan.arr_anchor_pos[lo:hi],
-            plan.arr_starts[level]))
 
     plan.boundary_ids = boundary
+    plan.sink_pos = next(k for k, node in enumerate(plan.cond_nodes)
+                         if node == cc.sink)
+    # Node i's row in the arrival buffer: condensed nodes in condensed
+    # order, then wires in wire_indices order.
+    perm = np.zeros(n, dtype=np.int64)
+    for row, node in enumerate(plan.cond_nodes):
+        perm[node] = row
+    for row, node in enumerate(cc.wire_indices):
+        perm[node] = len(plan.cond_nodes) + row
+    plan.arr_perm = perm
     by_anchor = [[] for _ in range(n)]
     for k, e in enumerate(boundary):
         by_anchor[int(anchor[cc.edge_src[e]])].append(k)

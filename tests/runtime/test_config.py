@@ -239,6 +239,31 @@ class TestFlowConfig:
         other = base.replace(ordering="none")
         assert base.ordering == "woss" and other.ordering == "none"
 
+    def test_enum_and_string_modes_make_one_config(self):
+        """An enum mode is stored as its value string: equal configs,
+        one canonical form, one scenario hash, one initial point."""
+        from repro.core.session import SolverSession
+        from repro.noise.miller import MillerMode
+        from repro.timing.elmore import CouplingDelayMode
+
+        by_enum = FlowConfig(miller_mode=MillerMode.WORST,
+                             delay_mode=CouplingDelayMode.PROPAGATED,
+                             n_patterns=32, max_iterations=3)
+        by_value = FlowConfig(miller_mode="worst", delay_mode="propagated",
+                              n_patterns=32, max_iterations=3)
+        assert by_enum == by_value
+        assert by_enum.miller_mode == "worst"
+        assert by_enum.delay_mode == "propagated"
+        assert by_enum.canonical_json() == by_value.canonical_json()
+        assert FlowConfig.from_dict(by_enum.canonical_dict()) == by_value
+        ref = CircuitRef.iscas85("c432")
+        assert Scenario(ref, by_enum).content_hash() == \
+            Scenario(ref, by_value).content_hash()
+        session = SolverSession.for_ref(ref)
+        session.solve_configs([by_enum], 0)
+        session.solve_configs([by_value], 0)
+        assert len(session._initials) == 1
+
 
 class TestScenario:
     def test_label_and_hash(self):
