@@ -1,8 +1,9 @@
 """Ablation — where coupling capacitance enters the delay model.
 
-DESIGN.md §2 documents that Theorem 5's closed form corresponds to
-coupling loading only the victim wire's own delay (`OWN`).  This bench
-compares the three supported attachments on c432 via a declarative
+``docs/architecture.md`` ("Model choices: generalizations") documents
+that Theorem 5's closed form corresponds to coupling loading only the
+victim wire's own delay (`OWN`).  This bench compares the three
+supported attachments on c432 via a declarative
 :class:`SweepSpec` over the ``delay_modes`` axis: ignoring coupling in
 delay (`NONE`), the paper-consistent `OWN`, and full upstream
 propagation (`PROPAGATED`, with the corrected denominator term).  The

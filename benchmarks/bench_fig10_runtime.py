@@ -4,6 +4,12 @@ The paper plots per-iteration runtime (up to ~400 s for its C solver on
 a 1999 workstation) against #gates+#wires and claims linear growth.  We
 time a fixed number of OGWS outer iterations (LRS solve + metric
 evaluation + multiplier update + projection) per circuit and fit a line.
+
+Each point is the fastest of :data:`_ROUNDS` timed runs.  Every
+circuit's solver is built once, run once untimed (sweep plan and
+workspaces), then timed in rounds interleaved across the circuits, so a
+minute of host drift lands on every circuit alike instead of on
+whichever one it happened to hit.
 """
 
 import time
@@ -16,11 +22,15 @@ from repro.analysis import format_fig10_rows, linear_fit
 from repro.core import OGWSOptimizer, SizingProblem
 from repro.noise import CouplingSet, MillerMode
 
+CIRCUITS = ["c432", "c880", "c499", "c1355", "c1908", "c2670", "c3540",
+            "c5315", "c6288", "c7552"]
 _ROWS = []
 _ITERATIONS = 10
+_ROUNDS = 5
 
 
-def timed_iterations(name):
+def build(name):
+    """``(#gates+#wires, optimizer)`` for the circuit's default problem."""
     circuit = iscas85_circuit(name)
     compiled = circuit.compile()
     analyzer = SimilarityAnalyzer(circuit, n_patterns=128)
@@ -31,18 +41,33 @@ def timed_iterations(name):
                                          compiled.default_sizes(np.inf))
     optimizer = OGWSOptimizer(engine, problem, max_iterations=_ITERATIONS,
                               tolerance=1e-12)  # never stops early
+    return compiled.num_components, optimizer
+
+
+def seconds_per_iteration(optimizer):
     start = time.perf_counter()
     result = optimizer.run()
-    elapsed = time.perf_counter() - start
-    return compiled.num_components, elapsed / result.iterations
+    return (time.perf_counter() - start) / result.iterations
 
 
-@pytest.mark.parametrize("name", ["c432", "c880", "c499", "c1355", "c1908",
-                                  "c2670", "c3540", "c5315", "c6288", "c7552"])
-def test_fig10b_runtime_per_iteration(benchmark, name):
-    size, per_iter = benchmark.pedantic(timed_iterations, args=(name,),
+@pytest.fixture(scope="module")
+def timings():
+    """``{name: (size, s/iteration)}``, each the fastest of its rounds."""
+    solvers = {name: build(name) for name in CIRCUITS}
+    for _, optimizer in solvers.values():
+        optimizer.run()
+    best = dict.fromkeys(CIRCUITS, np.inf)
+    for _ in range(_ROUNDS):
+        for name, (_, optimizer) in solvers.items():
+            best[name] = min(best[name], seconds_per_iteration(optimizer))
+    return {name: (solvers[name][0], best[name]) for name in CIRCUITS}
+
+
+@pytest.mark.parametrize("name", CIRCUITS)
+def test_fig10b_runtime_per_iteration(benchmark, timings, name):
+    size, per_iter = benchmark.pedantic(timings.get, args=(name,),
                                         rounds=1, iterations=1)
-    _ROWS.append((size, per_iter))
+    _ROWS.append((size, per_iter, name))
     benchmark.extra_info["seconds_per_iteration"] = round(per_iter, 4)
 
 
@@ -51,12 +76,9 @@ def test_fig10b_linearity(benchmark, report_writer):
         rows = sorted(_ROWS)
         all_fit = linear_fit([r[0] for r in rows], [r[1] for r in rows])
         # The paper notes "some points deviate from the linear line; a
-        # probable reason is that these circuits are not regular".  Our
-        # deviant is the same circuit family: c6288 (the 16x16
-        # multiplier analogue) is 3x deeper than anything else, and the
-        # per-level sweep overhead shows.  Report the fit with and
-        # without the single largest residual.
-        residuals = [abs(y - all_fit.predict(x)) for x, y in rows]
+        # probable reason is that these circuits are not regular".
+        # Report the fit with and without the single largest residual.
+        residuals = [abs(y - all_fit.predict(x)) for x, y, _ in rows]
         drop = residuals.index(max(residuals))
         kept = [r for i, r in enumerate(rows) if i != drop]
         regular_fit = linear_fit([r[0] for r in kept], [r[1] for r in kept])
@@ -72,9 +94,11 @@ def test_fig10b_linearity(benchmark, report_writer):
     text += "\n\n" + ascii_scatter(
         [r[0] for r in rows], [r[1] for r in rows], fit=all_fit,
         x_label="#gates+#wires", y_label="s/iter")
-    text += (f"\nexcluding the deepest circuit (size {outlier[0]}, the c6288 "
-             f"analogue — the paper's own deviating point): "
+    text += (f"\nexcluding the largest residual ({outlier[2]}, size "
+             f"{outlier[0]}; the paper also shows deviating points): "
              f"R^2 = {regular_fit.r_squared:.4f}")
+    text += (f"\neach point: fastest of {_ROUNDS} runs of {_ITERATIONS} "
+             "iterations, interleaved across circuits after a warm-up")
     text += ("\npaper: ~0-400 s/iteration (C, UltraSPARC-I), linear with "
              "deviations for irregular circuits; ours (NumPy) reproduces "
              "the same picture at ms scale.")

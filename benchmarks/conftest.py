@@ -2,7 +2,7 @@
 
 Every bench writes its rendered report (the paper-layout tables) to
 ``benchmarks/reports/<name>.txt`` so results survive pytest's output
-capture; EXPERIMENTS.md indexes those files.
+capture.
 """
 
 import pathlib

@@ -49,11 +49,12 @@ def main(argv=None):
     print(format_table1(results))
     print()
     print(format_paper_table1())
-    print("\nshape notes: noise ends ~10x below initial (the binding X_B),")
-    print("area/power drop by roughly an order of magnitude, delay moves only")
-    print("a few percent — matching the paper's Impr(%) row qualitatively.")
+    print("\nshape notes: noise ends ~12x below initial, under its bound")
+    print("(X_B = 0.1 x initial; the paper's X_B binds, ours does not),")
+    print("power drops ~12x, area ~100x and delay rises about 10% — the")
+    print("paper's Impr(%) row, qualitatively.")
     print("Absolute numbers differ by construction (synthetic layout; see")
-    print("DESIGN.md section 3 and EXPERIMENTS.md).")
+    print('docs/architecture.md, "Model choices: substitutions").')
 
 
 if __name__ == "__main__":

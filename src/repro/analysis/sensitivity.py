@@ -17,8 +17,6 @@ bench), and :func:`bound_sweep` traces a full area-vs-bound frontier.
 
 import dataclasses
 
-import numpy as np
-
 from repro.core.ogws import OGWSOptimizer
 from repro.core.problem import SizingProblem
 
@@ -45,12 +43,9 @@ class ShadowPrices:
 def shadow_prices(result):
     """Read the shadow prices off a converged :class:`SizingResult`."""
     mult = result.multipliers
-    gamma = mult.gamma
-    if np.ndim(gamma):  # distributed bounds: report the total price
-        gamma = float(np.sum(gamma[np.isfinite(gamma)]))
     return ShadowPrices(
         delay=float(mult.sink_flow()),
-        noise=float(gamma),
+        noise=float(mult.gamma),
         power=float(mult.beta),
     )
 

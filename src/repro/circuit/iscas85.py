@@ -4,7 +4,8 @@ The paper evaluates on ten ISCAS85 circuits.  :data:`ISCAS85_SPECS` embeds
 the per-circuit gate and wire counts exactly as printed in Table 1,
 together with the real ISCAS85 primary-input/output counts; the circuits
 themselves are generated by :func:`repro.circuit.generators.random_circuit`
-with those statistics (see DESIGN.md §3 for the substitution rationale).
+with those statistics (see ``docs/architecture.md``, "Model choices: substitutions"
+for the substitution rationale).
 
 Every entry is deterministic: the seed is derived from the circuit name,
 so ``iscas85_circuit("c432")`` returns the identical graph in every

@@ -11,7 +11,7 @@ The paper evaluates on the ISCAS85 suite, which is distributed in the
 inputs become drivers, each assignment becomes a gate, and every
 connection gets a wire whose length is drawn from a seeded distribution
 (netlists carry no geometry, so lengths are a declared substitution — see
-DESIGN.md §3).  Sequential elements (``DFF``) are rejected by default
+``docs/architecture.md``, "Model choices: substitutions").  Sequential elements (``DFF``) are rejected by default
 because the paper optimizes the combinational part only; pass
 ``dff_as_buffer=True`` to cut the sequential loop the usual way (treat the
 flop as a buffer fed by a pseudo-input boundary is *not* modeled — the

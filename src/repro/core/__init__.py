@@ -9,12 +9,6 @@
 * :class:`~repro.core.flow.NoiseAwareSizingFlow` — the two-stage flow.
 """
 
-from repro.core.distributed import (
-    DistributedMultiplicativeUpdate,
-    DistributedNoiseOGWS,
-    DistributedSizingProblem,
-    initial_distributed_multipliers,
-)
 from repro.core.flow import FlowResult, NoiseAwareSizingFlow
 from repro.core.kkt import KKTReport, check_kkt
 from repro.core.lrs import LagrangianSubproblemSolver, LRSResult
@@ -23,21 +17,10 @@ from repro.core.ogws import OGWSOptimizer, run_lockstep
 from repro.core.problem import SizingProblem
 from repro.core.result import IterationRecord, SizingResult
 from repro.core.session import SessionPool, SolverSession
-from repro.core.subgradient import (
-    ConstantStep,
-    HarmonicStep,
-    MultiplicativeUpdate,
-    PowerStep,
-    SqrtStep,
-    SubgradientUpdate,
-)
+from repro.core.subgradient import MultiplicativeUpdate, SubgradientUpdate
 
 __all__ = [
     "SizingProblem",
-    "DistributedSizingProblem",
-    "DistributedNoiseOGWS",
-    "DistributedMultiplicativeUpdate",
-    "initial_distributed_multipliers",
     "MultiplierState",
     "LagrangianSubproblemSolver",
     "LRSResult",
@@ -51,10 +34,6 @@ __all__ = [
     "check_kkt",
     "NoiseAwareSizingFlow",
     "FlowResult",
-    "HarmonicStep",
-    "PowerStep",
-    "SqrtStep",
-    "ConstantStep",
     "MultiplicativeUpdate",
     "SubgradientUpdate",
 ]

@@ -169,7 +169,8 @@ class NoiseAwareSizingFlow:
         ``(delay_slack, noise_fraction, power_fraction)`` for
         :meth:`SizingProblem.from_initial`, relative to the Table 1
         "Init" sizing (every component at its upper bound — see
-        DESIGN.md §3), which is also where OGWS starts.
+        ``docs/architecture.md``, "Model choices: substitutions"),
+        which is also where OGWS starts.
     optimizer_options:
         OGWS options: any of ``max_iterations``, ``tolerance`` and
         ``update`` (the config's solver fields).

@@ -45,16 +45,11 @@ class KKTReport:
         return self.max_residual() <= tolerance
 
 
-def check_kkt(engine, problem, x, multipliers, lrs=None):
-    """Evaluate Theorem 6 at ``(x, multipliers)``.
-
-    ``lrs`` (a :class:`LagrangianSubproblemSolver`) supplies the
-    fixed-point re-evaluation; a default one is built if omitted.
-    """
+def check_kkt(engine, problem, x, multipliers):
+    """Evaluate Theorem 6 at ``(x, multipliers)``."""
     from repro.core.lrs import LagrangianSubproblemSolver
 
     cc = engine.compiled
-    lrs = lrs or LagrangianSubproblemSolver(engine)
 
     # (1) flow conservation, normalized by the mean positive multiplier.
     lam_scale = float(np.mean(multipliers.lam_edge)) or 1.0

@@ -35,10 +35,10 @@ and a steady-state pass performs **no array allocation** (guarded by
 tracemalloc in ``tests/timing/test_kernels.py``).  The original
 engine-method-per-sweep spelling is a test oracle
 (``tests/oracles/lrs.py``); the property tests pin the pass to it to
-1e-12 relative across delay modes, coupling orders, and scalar /
-per-net γ.
+1e-12 relative across delay modes and coupling orders.
 
-Generalizations beyond the paper, both documented in DESIGN.md §2:
+Generalizations beyond the paper, both documented in
+``docs/architecture.md`` ("Model choices: generalizations"):
 
 * coupling Taylor order k > 2: the coupling sums are evaluated at the
   current iterate via :meth:`CouplingSet.node_terms_batch` (exactly the
@@ -54,7 +54,7 @@ import numpy as np
 from repro.timing import kernels
 from repro.timing.elmore import CouplingDelayMode
 from repro.timing.metrics import total_area, total_capacitance
-from repro.utils.errors import ConvergenceError, ValidationError
+from repro.utils.errors import ValidationError
 
 
 @dataclasses.dataclass(frozen=True)
@@ -78,15 +78,13 @@ class LagrangianSubproblemSolver:
     tolerance:
         Fixed-point stop: max relative size change per pass.
     max_passes:
-        Pass budget; exceeding it returns ``converged=False`` (or raises
-        when ``strict``).
+        Pass budget; exceeding it returns ``converged=False``.
     """
 
-    def __init__(self, engine, tolerance=1e-7, max_passes=200, strict=False):
+    def __init__(self, engine, tolerance=1e-7, max_passes=200):
         self.engine = engine
         self.tolerance = float(tolerance)
         self.max_passes = int(max_passes)
-        self.strict = bool(strict)
 
     def solve(self, multipliers, x0=None):
         """Minimize ``L_{λ,β,γ}(x)`` over the size box.
@@ -110,9 +108,7 @@ class LagrangianSubproblemSolver:
         matvec becomes matmat, every elementwise update runs on
         ``(n, K)`` matrices — and a column is frozen (copied out,
         removed from the working set) the moment its own fixed-point
-        criterion fires, so later passes never touch it.  The
-        multipliers must agree on the form of ``gamma``: all scalar (the
-        paper) or all per-net arrays (the distributed extension).
+        criterion fires, so later passes never touch it.
         """
         multipliers = list(multipliers)
         if x0s is None:
@@ -122,16 +118,11 @@ class LagrangianSubproblemSolver:
             raise ValidationError("x0s must align with multipliers")
         if not multipliers:
             return []
-        per_net = {np.ndim(m.gamma) > 0 for m in multipliers}
-        if len(per_net) > 1:
-            raise ValidationError(
-                "solve_batch multipliers mix scalar and per-net gamma")
-        return self._solve_kernel_batch(multipliers, x0s,
-                                        per_net=per_net.pop())
+        return self._solve_kernel_batch(multipliers, x0s)
 
     # -- the fused pass -----------------------------------------------------------
 
-    def _solve_kernel_batch(self, multipliers, x0s, per_net=False):
+    def _solve_kernel_batch(self, multipliers, x0s):
         """S2+S3+S4 fused into one pass over ``(n, K)`` column-stacked
         iterates.
 
@@ -167,11 +158,7 @@ class LagrangianSubproblemSolver:
         for k, mult in enumerate(multipliers):
             lam[:, k] = mult.node_multipliers()
         beta = np.array([float(m.beta) for m in multipliers])
-        if per_net:
-            gamma = np.column_stack(
-                [np.asarray(m.gamma, dtype=float) for m in multipliers])
-        else:
-            gamma = np.array([float(m.gamma) for m in multipliers])
+        gamma = np.array([float(m.gamma) for m in multipliers])
         np.multiply(lam, ws.r_hat_eff, out=numer)
         np.multiply(ws.c_hat, beta, out=ab)
         np.add(ab, ws.alpha, out=ab)
@@ -246,8 +233,7 @@ class LagrangianSubproblemSolver:
                 # the final allowed pass, the tail below must see their
                 # true max_rel, not the fresh buffer's zeros.
                 new_ws.colmax[:] = ws.colmax[keep]
-                gamma = np.ascontiguousarray(
-                    gamma[:, keep] if per_net else gamma[keep])
+                gamma = gamma[keep]
                 ws = new_ws
                 x, x_new = ws.x_a, ws.x_b
                 lam, numer, ab = ws.lam, ws.numer, ws.alpha_beta
@@ -256,18 +242,10 @@ class LagrangianSubproblemSolver:
             out_x[k] = x[:, wk].copy()
             out_passes[k] = passes
             out_maxrel[k] = float(ws.colmax[wk]) if passes else np.inf
-        return [self._finish(out_x[k], out_passes[k], out_maxrel[k])
+        return [LRSResult(x=out_x[k], passes=out_passes[k],
+                          max_rel_change=out_maxrel[k],
+                          converged=out_maxrel[k] <= self.tolerance)
                 for k in range(total)]
-
-    def _finish(self, x, passes, max_rel):
-        converged = max_rel <= self.tolerance
-        if not converged and self.strict:
-            raise ConvergenceError(
-                f"LRS did not reach tolerance {self.tolerance} in "
-                f"{self.max_passes} passes (last change {max_rel:.2e})"
-            )
-        return LRSResult(x=x, passes=passes, max_rel_change=max_rel,
-                         converged=converged)
 
     # -- Lagrangian evaluation ----------------------------------------------------
 
@@ -297,14 +275,7 @@ class LagrangianSubproblemSolver:
                 else total_capacitance(cc, x)
             value += multipliers.beta * (total_cap
                                          - problem.power_cap_bound_ff)
-        gamma = np.asarray(multipliers.gamma, dtype=float)
-        if gamma.ndim:  # distributed per-net bounds (extension)
-            net_caps = context.net_caps_ff if context is not None \
-                else engine.coupling.net_caps(x)
-            slack = net_caps - problem.noise_bounds_ff
-            active = np.isfinite(problem.noise_bounds_ff)
-            value += float(np.dot(gamma[active], slack[active]))
-        elif np.isfinite(problem.noise_bound_ff):
+        if np.isfinite(problem.noise_bound_ff):
             coupling_total = context.coupling_total_ff if context is not None \
                 else engine.coupling.total(x)
             value += multipliers.gamma * (coupling_total

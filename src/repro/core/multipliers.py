@@ -14,7 +14,7 @@ sum equals the (already final) out-flow.  This restores conservation
 *exactly* in a single O(#edges) pass — it is a network-flow
 renormalization rather than the Euclidean projection, preserving the
 relative weights the subgradient step assigned to competing in-edges
-(DESIGN.md §2).
+(``docs/architecture.md``, "Model choices: generalizations").
 """
 
 import numpy as np
@@ -37,14 +37,11 @@ class MultiplierState:
         lam_edge = np.asarray(lam_edge, dtype=float).copy()
         if lam_edge.shape != (compiled.num_edges,):
             raise ValidationError("lam_edge must have one entry per edge")
-        if np.any(lam_edge < 0) or beta < 0 or np.any(np.asarray(gamma) < 0):
+        if np.any(lam_edge < 0) or beta < 0 or gamma < 0:
             raise ValidationError("multipliers must be non-negative (Theorem 6(4))")
         self.lam_edge = lam_edge
         self.beta = float(beta)
-        # γ is the paper's scalar, or a per-node array under the
-        # distributed per-net crosstalk bounds extension.
-        gamma_arr = np.asarray(gamma, dtype=float)
-        self.gamma = gamma_arr.copy() if gamma_arr.ndim else float(gamma)
+        self.gamma = float(gamma)
 
     @classmethod
     def initial(cls, compiled, beta=1e-3, gamma=1e-3, sink_weight=1.0):
@@ -111,37 +108,38 @@ class MultiplierState:
         The lockstep driver and the batched A4 updates move K scenarios'
         edge multipliers through matrix kernels (batched projection,
         broadcast ratio updates); this pairs with :meth:`unstack_lam`
-        for the writeback.
+        for the writeback.  One state's stack is an ``(E, 1)`` view of
+        its own array, so a width-one batch copies nothing.
         """
+        if len(states) == 1:
+            return states[0].lam_edge[:, None]
         return np.column_stack([s.lam_edge for s in states])
 
     @staticmethod
     def unstack_lam(states, lam_cols):
         """Write ``lam_cols`` columns back into ``states``' ``lam_edge``.
 
-        Each state receives a fresh contiguous copy of its column —
-        downstream consumers (kernels, the next LRS aggregate) assume
-        contiguous edge arrays, and a strided view would silently change
-        reduction bits (see :func:`repro.timing.kernels.column_sums`).
+        Each state receives its column as a contiguous array: a copy
+        when ``lam_cols`` has several columns, the column itself at
+        width one.  Downstream consumers (kernels, the next LRS
+        aggregate) assume contiguous edge arrays, and a strided view
+        would silently change reduction bits (see
+        :func:`repro.timing.kernels.column_sums`).
         """
         for j, state in enumerate(states):
             state.lam_edge = np.ascontiguousarray(lam_cols[:, j])
         return states
 
     def copy(self):
-        gamma = self.gamma.copy() if isinstance(self.gamma, np.ndarray) \
-            else self.gamma
-        return MultiplierState(self.compiled, self.lam_edge.copy(),
-                               beta=self.beta, gamma=gamma)
+        return MultiplierState(self.compiled, self.lam_edge,
+                               beta=self.beta, gamma=self.gamma)
 
     @property
     def nbytes(self):
         return self.lam_edge.nbytes
 
     def __repr__(self):
-        gamma = f"{self.gamma:.4g}" if np.ndim(self.gamma) == 0 else \
-            f"array(max={float(np.max(self.gamma)):.4g})"
         return (
             f"MultiplierState(sink_flow={self.sink_flow():.4g}, "
-            f"beta={self.beta:.4g}, gamma={gamma})"
+            f"beta={self.beta:.4g}, gamma={self.gamma:.4g})"
         )

@@ -17,8 +17,9 @@ of within 1% error"; ``tolerance=0.01`` is the default here too.
 
 Feasibility: intermediate LRS iterates generally violate constraints
 (the dual approaches from below).  The optimizer tracks the best
-*feasible* iterate (within ``feasibility_tolerance``) and reports it;
-the final iterate is reported (flagged infeasible) if none was found.
+*feasible* iterate (within :data:`FEASIBILITY_TOLERANCE`) and reports
+it; the final iterate is reported (flagged infeasible) if none was
+found.
 An infeasible iterate is primal-repaired toward the best feasible point
 (:func:`repair_lockstep`, for every repairing column at once).
 
@@ -44,13 +45,15 @@ import numpy as np
 
 from repro.core.lrs import LagrangianSubproblemSolver
 from repro.core.multipliers import MultiplierState
-from repro.core.problem import SizingProblem
 from repro.core.result import IterationRecord, SizingResult
-from repro.core.subgradient import MultiplicativeUpdate, SubgradientUpdate
+from repro.core.subgradient import UPDATE_RULES
 from repro.timing.metrics import EvalContext, evaluate_metrics
 from repro.utils.errors import ConvergenceError, ValidationError
 from repro.utils.memory import MemoryLedger
 from repro.utils.units import FF_PER_PF
+
+#: Relative constraint slack accepted as "feasible".
+FEASIBILITY_TOLERANCE = 1e-3
 
 
 class _RunState:
@@ -96,38 +99,40 @@ class OGWSOptimizer:
     problem:
         :class:`~repro.core.problem.SizingProblem` bounds.
     update:
-        ``"multiplicative"`` (default) or ``"subgradient"`` — see
-        :mod:`repro.core.subgradient` — or a ready update object.
+        The A4 rule by name: ``"multiplicative"`` (default) or
+        ``"subgradient"`` — see :mod:`repro.core.subgradient`.
     tolerance:
         Relative stop threshold for step A7 (paper: 1%).
-    feasibility_tolerance:
-        Relative constraint slack accepted as "feasible" (default 1e-3).
     max_iterations:
         Outer iteration budget.
     x_init:
         Sizes whose metrics define the "Init" row.  Default: every
         component at its *upper* bound — the unsized starting point that
-        reproduces Table 1's Init column (DESIGN.md §3).
-    warm_start_lrs:
-        Seed each LRS call with the previous iterate (same unique
-        optimum as the paper's cold start, fewer passes).
+        reproduces Table 1's Init column (``docs/architecture.md``,
+        "Model choices: substitutions").
+    initial_metrics:
+        Optional precomputed metrics at ``x_init``.
+
+    Every LRS call after the first is warm-started from the previous
+    iterate (the same unique optimum as the paper's cold start, in fewer
+    passes), and every iteration is recorded in the result's history.
     """
 
     def __init__(self, engine, problem, update="multiplicative", tolerance=0.01,
-                 feasibility_tolerance=1e-3, max_iterations=200, x_init=None,
-                 lrs=None, warm_start_lrs=True, record_history=True,
-                 initial_metrics=None):
+                 max_iterations=200, x_init=None, initial_metrics=None):
         self.engine = engine
         self.problem = problem
-        self.update = self._make_update(update)
+        rule = UPDATE_RULES.get(update) if isinstance(update, str) else None
+        if rule is None:
+            raise ValidationError(
+                f"unknown update rule {update!r}; choose from "
+                f"{sorted(UPDATE_RULES)}")
+        self.update = rule()
         if tolerance <= 0:
             raise ValidationError("tolerance must be positive")
         self.tolerance = float(tolerance)
-        self.feasibility_tolerance = float(feasibility_tolerance)
         self.max_iterations = int(max_iterations)
-        self.lrs = lrs or LagrangianSubproblemSolver(engine)
-        self.warm_start_lrs = bool(warm_start_lrs)
-        self.record_history = bool(record_history)
+        self.lrs = LagrangianSubproblemSolver(engine)
         compiled = engine.compiled
         self.x_init = compiled.default_sizes(np.inf) if x_init is None else np.asarray(
             x_init, dtype=float)
@@ -136,37 +141,24 @@ class OGWSOptimizer:
         # every scenario of an engine group.
         self._initial_metrics = initial_metrics
 
-    @staticmethod
-    def _make_update(update):
-        if isinstance(update, str):
-            if update == "multiplicative":
-                return MultiplicativeUpdate()
-            if update == "subgradient":
-                return SubgradientUpdate()
-            raise ValidationError(f"unknown update rule {update!r}")
-        if not hasattr(update, "apply"):
-            raise ValidationError("update must provide .apply(...)")
-        return update
-
     # -- main loop ------------------------------------------------------------------
 
-    def run(self, multipliers=None):
+    def run(self):
         """Execute Fig. 9 and return a :class:`SizingResult`.
 
-        ``multipliers`` optionally replaces the A1 start.  One run is a
-        lockstep batch of width one.
+        One run is a lockstep batch of width one.
         """
-        return run_lockstep([self], [multipliers])[0]
+        return run_lockstep([self])[0]
 
-    def start(self, multipliers=None):
-        """A1: initial metrics and a flow-conserving multiplier start."""
+    def start(self, multipliers):
+        """A1: initial metrics and this column's own copy of the
+        flow-conserving multiplier start ``multipliers``."""
         state = _RunState()
         state.started = time.perf_counter()
         state.initial_metrics = self._initial_metrics \
             if self._initial_metrics is not None \
             else evaluate_metrics(self.engine, self.x_init)
-        state.mult = multipliers.copy() if multipliers is not None else \
-            MultiplierState.initial(self.engine.compiled)
+        state.mult = multipliers.copy()
         state.done = self.max_iterations < 1
         return state
 
@@ -198,7 +190,7 @@ class OGWSOptimizer:
         area = metrics.area_um2
         state.paper_gap = abs(area - dual) / max(area, 1e-30)  # A7 quantity
 
-        feasible = self._is_feasible(metrics, x)
+        feasible = problem.is_feasible(metrics, FEASIBILITY_TOLERANCE)
         state.evaluated = (context, dual, feasible)
         if feasible and area < state.best_feasible_area:
             self._record_feasible(state, x.copy(), metrics)
@@ -218,15 +210,14 @@ class OGWSOptimizer:
         state.evaluated = None
         metrics = context.metrics
         gap = self._duality_gap(state.best_feasible_area, state.best_dual)
-        if self.record_history:
-            state.history.append(IterationRecord(
-                iteration=state.iteration, area_um2=metrics.area_um2,
-                delay_ps=metrics.delay_ps,
-                noise_pf=metrics.noise_pf, power_mw=metrics.power_mw,
-                dual_value=dual, paper_gap=state.paper_gap, duality_gap=gap,
-                feasible=feasible, lrs_passes=lrs_result.passes, step=step,
-                beta=state.mult.beta, gamma=state.mult.gamma,
-            ))
+        state.history.append(IterationRecord(
+            iteration=state.iteration, area_um2=metrics.area_um2,
+            delay_ps=metrics.delay_ps,
+            noise_pf=metrics.noise_pf, power_mw=metrics.power_mw,
+            dual_value=dual, paper_gap=state.paper_gap, duality_gap=gap,
+            feasible=feasible, lrs_passes=lrs_result.passes, step=step,
+            beta=state.mult.beta, gamma=state.mult.gamma,
+        ))
         # A7: stop once the certified duality gap (best feasible area
         # vs best dual bound) is inside the error bound.
         if gap <= self.tolerance:
@@ -295,21 +286,9 @@ class OGWSOptimizer:
             return np.inf
         return max(0.0, (primal_area - dual) / primal_area)
 
-    def _is_feasible(self, metrics, x):
-        """Feasibility under the problem's own notion.
-
-        Distributed-bound problems expose ``is_feasible_at`` (they need
-        per-net crosstalk, not just the total); the paper's scalar
-        problem checks the three aggregate metrics.
-        """
-        check_at = getattr(self.problem, "is_feasible_at", None)
-        if check_at is not None:
-            return check_at(self.engine, x, metrics,
-                            tolerance=self.feasibility_tolerance)
-        return self.problem.is_feasible(metrics, self.feasibility_tolerance)
-
-    def _feasible_lazy(self, context, x):
-        """:meth:`_is_feasible` evaluated lazily through an ``EvalContext``.
+    def _feasible_lazy(self, context):
+        """``SizingProblem.is_feasible`` at :data:`FEASIBILITY_TOLERANCE`,
+        evaluated lazily through an ``EvalContext``.
 
         Checks the constraints in the same order as
         ``SizingProblem.violations`` (delay, noise, power) and
@@ -319,33 +298,20 @@ class OGWSOptimizer:
         spelling bit-for-bit (including the ``noise_pf`` unit
         round-trip), so the accepted set is unchanged.
         """
-        check_at = getattr(self.problem, "is_feasible_at", None)
-        if check_at is not None:
-            return check_at(self.engine, x, context.metrics,
-                            tolerance=self.feasibility_tolerance)
-        if not self._inline_verdict():
-            return self._is_feasible(context.metrics, x)
         if not self._within_delay_bound(context):
             return False
-        problem, tol = self.problem, self.feasibility_tolerance
+        problem = self.problem
         noise_pf = context.coupling_total_ff / FF_PER_PF
-        if noise_pf * FF_PER_PF / problem.noise_bound_ff - 1.0 > tol:
+        if noise_pf * FF_PER_PF / problem.noise_bound_ff - 1.0 \
+                > FEASIBILITY_TOLERANCE:
             return False
         return (context.total_cap_ff / problem.power_cap_bound_ff - 1.0
-                <= tol)
-
-    def _inline_verdict(self):
-        """Whether :meth:`_feasible_lazy` replays ``SizingProblem.
-        is_feasible`` inline: a problem type overriding it, or checking
-        per-net bounds, keeps its own notion (at eager-evaluation cost)."""
-        problem = self.problem
-        return getattr(problem, "is_feasible_at", None) is None \
-            and type(problem).is_feasible is SizingProblem.is_feasible
+                <= FEASIBILITY_TOLERANCE)
 
     def _within_delay_bound(self, context):
-        """The inline verdict's first check: the circuit delay."""
+        """The lazy verdict's first check: the circuit delay."""
         return not (context.circuit_delay_ps / self.problem.delay_bound_ps
-                    - 1.0 > self.feasibility_tolerance)
+                    - 1.0 > FEASIBILITY_TOLERANCE)
 
     # -- memory accounting (Figure 10a) ----------------------------------------------
 
@@ -373,7 +339,7 @@ class OGWSOptimizer:
 # -- lockstep multi-scenario driver ---------------------------------------------
 
 
-def run_lockstep(optimizers, multipliers=None):
+def run_lockstep(optimizers):
     """Advance K OGWS runs sharing one engine in lockstep.
 
     This is the one OGWS loop; a single run is a batch of width one.
@@ -385,58 +351,43 @@ def run_lockstep(optimizers, multipliers=None):
     totals, total capacitance, area) seeding per-column
     ``EvalContext``\\ s, the primal repair of every column that needs
     one as one batched delay sweep and circuit-delay probe per bisection
-    level (:func:`repair_lockstep`), one **batched A4** per group of columns
-    whose update rules share a :meth:`~repro.core.subgradient.
-    MultiplicativeUpdate.batch_key` (single edge-terms pass and
-    broadcast multiplier arithmetic; singletons and unknown rules take
-    their own ``apply``), and one batched Theorem 3 projection.  No
-    Python loop over nodes or edges remains in the iteration; what
-    loops over columns is per-column bookkeeping and each repairing
-    column's feasibility verdict.  Optimizers retire from the batch as
-    their own stop criteria fire.  Results are bit-identical per column
-    to a batch of one — the batched kernels replay one column's
-    arithmetic exactly.  The work is paid per call, not per column:
-    the A1 start is built once and copied into each column, and
+    level (:func:`repair_lockstep`), one **batched A4** per update rule
+    (single edge-terms pass and broadcast multiplier arithmetic; a rule
+    that covers every live column takes the column stacks whole), and
+    one batched Theorem 3 projection.  No Python loop over nodes or
+    edges remains in the iteration; what loops over columns is
+    per-column bookkeeping and each repairing column's feasibility
+    verdict.  Optimizers retire from the batch as their own stop
+    criteria fire.  Results are bit-identical per column to a batch of
+    one — the batched kernels replay one column's arithmetic exactly.
+    The work is paid per call, not per column: the A1 start is built
+    once, copied into each column and released, and
     :meth:`~OGWSOptimizer.finish` reports the metrics the iterations
     already computed instead of evaluating each column's point again.
 
-    ``multipliers`` optionally supplies per-optimizer A1 starts (a
-    sequence aligned with ``optimizers``; ``None`` entries take the
-    shared default start, or the optimizer's own when it overrides
-    :meth:`~OGWSOptimizer.start`).  A
-    :class:`ConvergenceError` from an optimizer's
+    A :class:`ConvergenceError` from an optimizer's
     :meth:`~OGWSOptimizer.finish` carries that optimizer's position in
     ``optimizers`` as its ``column`` attribute.
     """
     optimizers = list(optimizers)
     if not optimizers:
         return []
-    multipliers = [None] * len(optimizers) if multipliers is None \
-        else list(multipliers)
-    if len(multipliers) != len(optimizers):
-        raise ValidationError("multipliers must align with optimizers")
     engine = optimizers[0].engine
-    solver = optimizers[0].lrs
-    compatible = all(
-        opt.engine is engine
-        and opt.lrs.tolerance == solver.tolerance
-        and opt.lrs.max_passes == solver.max_passes
-        and opt.lrs.strict == solver.strict
-        for opt in optimizers)
-    if not compatible:
-        raise ValidationError(
-            "lockstep optimizers must share one engine and LRS settings")
+    if any(opt.engine is not engine for opt in optimizers):
+        raise ValidationError("lockstep optimizers must share one engine")
     from repro.timing import kernels
 
     plan = engine.compiled.sweep_plan()
-    states = _start_columns(optimizers, multipliers)
+    solver = optimizers[0].lrs
+    # A1 depends on the circuit alone: build it once; each column keeps
+    # its own copy and the shared start dies here.
+    start = MultiplierState.initial(engine.compiled)
+    states = [opt.start(start) for opt in optimizers]
+    del start
     live = [k for k in range(len(optimizers)) if not states[k].done]
     while live:
-        mults = [states[k].mult for k in live]
-        x0s = [states[k].x
-               if (optimizers[k].warm_start_lrs and states[k].x is not None)
-               else None for k in live]
-        results = solver.solve_batch(mults, x0s)
+        results = solver.solve_batch([states[k].mult for k in live],
+                                     [states[k].x for k in live])
         x_cols = np.column_stack([r.x for r in results])
         delays = engine.delays(x_cols)
         arrival = engine.arrival_times(delays)
@@ -468,31 +419,19 @@ def run_lockstep(optimizers, multipliers=None):
                 if sizes is not None and \
                         metrics.area_um2 < state.best_feasible_area:
                     opt._record_feasible(state, sizes, metrics)
-        # A4: one batched update per group of columns running literally
-        # the same multiplier arithmetic; singletons and unknown rules
-        # take their own apply.
+        # A4: one batched update per rule; a group of one is a batch of
+        # width one.
         steps = [None] * len(live)
         groups = {}
         for j, k in enumerate(live):
-            key = getattr(optimizers[k].update, "batch_key", lambda: None)()
-            groups.setdefault(key if key is not None else ("", j), []).append(j)
-        for key, js in groups.items():
-            if len(js) == 1:
-                j = js[0]
-                k = live[j]
-                opt = optimizers[k]
-                metrics = contexts[j].metrics
-                steps[j] = opt.update.apply(
-                    states[k].mult, states[k].iteration, contexts[j].arrival,
-                    contexts[j].delays, opt.problem,
-                    power_cap=metrics.total_cap_ff,
-                    noise=metrics.noise_pf * FF_PER_PF,
-                    engine=engine, x=results[j].x)
-                continue
+            groups.setdefault(optimizers[k].update.name, []).append(j)
+        for js in groups.values():
+            whole = len(js) == len(live)
             mus = optimizers[live[js[0]]].update.apply_batch(
                 [states[live[j]].mult for j in js],
                 [states[live[j]].iteration for j in js],
-                arrival[:, js], delays[:, js],
+                arrival if whole else arrival[:, js],
+                delays if whole else delays[:, js],
                 [optimizers[live[j]].problem for j in js],
                 [contexts[j].metrics.total_cap_ff for j in js],
                 [contexts[j].metrics.noise_pf * FF_PER_PF for j in js])
@@ -516,22 +455,6 @@ def run_lockstep(optimizers, multipliers=None):
     return sizings
 
 
-def _start_columns(optimizers, multipliers):
-    """A1 for every column.  The default start depends on the circuit
-    alone, so it is built once and each column's :meth:`~OGWSOptimizer.
-    start` takes its own copy; an optimizer overriding ``start`` builds
-    its own."""
-    shared = None
-    states = []
-    for opt, mult in zip(optimizers, multipliers):
-        if mult is None and type(opt).start is OGWSOptimizer.start:
-            if shared is None:
-                shared = MultiplierState.initial(opt.engine.compiled)
-            mult = shared
-        states.append(opt.start(mult))
-    return states
-
-
 #: Log-space bisection steps of one primal repair (candidates evaluated).
 REPAIR_BISECTIONS = 7
 
@@ -547,17 +470,16 @@ def repair_lockstep(engine, columns):
     closest feasible blend.
 
     ``columns`` holds one ``(optimizer, state, x, anchor)`` per column:
-    the optimizer (on ``engine``) whose feasibility notion applies, its
+    the optimizer (on ``engine``) whose problem's bounds apply, its
     :class:`_RunState`, the infeasible iterate and the feasible anchor.
     The columns' bisections are independent, so bisection level ℓ of
     all K′ columns is one ``(K′, n)`` candidate matrix built in log
     space, one batched delay sweep and one circuit-delay probe
     (``kernels.arrival_sweep`` without an output: the condensed level
     loop, read at the sink).  Each candidate's ``EvalContext`` is seeded
-    with its circuit delay alone; the columns whose problem takes the
-    inline verdict and whose candidate is within the delay bound then
-    get their coupling totals from one ``totals_batch`` pass, and each
-    column takes its own verdict through
+    with its circuit delay alone; the columns whose candidate is within
+    the delay bound then get their coupling totals from one
+    ``totals_batch`` pass, and each column takes its own verdict through
     :meth:`OGWSOptimizer._feasible_lazy`: power is computed only for
     candidates within the delay and noise bounds, full metrics only for
     feasible ones.  The batched sweeps equal the 1-D sweeps bit for bit
@@ -575,7 +497,6 @@ def repair_lockstep(engine, columns):
     mask = cc.is_sizable
     width = len(columns)
     ws = engine.pool.buffers(width)
-    inline = [opt._inline_verdict() for opt, _, _, _ in columns]
     # Log sizes, zero off the sizable nodes (clip_sizes zeroes those).
     log_anchor = np.zeros((width, cc.num_nodes))
     log_x = np.zeros((width, cc.num_nodes))
@@ -594,7 +515,7 @@ def repair_lockstep(engine, columns):
         contexts = [EvalContext(engine, candidates[j]).seed(
             circuit_delay_ps=sink[j]) for j in range(width)]
         noisy = [j for j, (opt, _, _, _) in enumerate(columns)
-                 if inline[j] and opt._within_delay_bound(contexts[j])]
+                 if opt._within_delay_bound(contexts[j])]
         if noisy:
             totals = engine.coupling.totals_batch(
                 stacked if len(noisy) == width
@@ -603,7 +524,7 @@ def repair_lockstep(engine, columns):
                 contexts[j].seed(coupling_total_ff=total)
         for j, (opt, state, _, _) in enumerate(columns):
             state.repair_evals += 1
-            if opt._feasible_lazy(contexts[j], candidates[j]):
+            if opt._feasible_lazy(contexts[j]):
                 best[j] = (candidates[j].copy(), contexts[j].metrics)
                 lo[j] = mid[j]
             else:

@@ -12,7 +12,7 @@ The optimization problem ``PP``:
 units (ps / fF / fF) plus reporting conversions, and evaluates
 feasibility.  :meth:`SizingProblem.from_initial` reverse-engineers the
 paper's Table 1 setup: bounds proportional to the metrics of the initial
-sizing (DESIGN.md §3).
+sizing (``docs/architecture.md``, "Model choices: substitutions").
 """
 
 import dataclasses

@@ -1,91 +1,33 @@
-"""Step-size schedules and multiplier update rules (paper Fig. 9, A4).
+"""Multiplier update rules (paper Fig. 9, A4).
 
 The paper requires a diminishing, non-summable step sequence
-(``μ_k → 0``, ``Σ μ_k = ∞``).  Two update rules are provided:
+(``μ_k → 0``, ``Σ μ_k = ∞``).  Two update rules are provided, each with
+its step sequence fixed:
 
 * :class:`SubgradientUpdate` — the paper's A4 verbatim: additive steps
-  proportional to constraint violations.  Violations are normalized by
-  their bounds (dimensionless) so one ``μ₀`` works across circuits; this
-  is A4 up to a per-constraint rescaling of μ, which the convergence
-  conditions allow.
+  proportional to constraint violations, ``μ_k = 1/√k``.  Violations
+  are normalized by their bounds (dimensionless) so one ``μ₀`` works
+  across circuits; this is A4 up to a per-constraint rescaling of μ,
+  which the convergence conditions allow.
 * :class:`MultiplicativeUpdate` — the scale-free variant standard in LR
   sizing practice: ``λ ← λ·ratioᵘ`` with ``ratio = (a_j + D_i)/a_i``
-  (``a_j/A0`` on sink edges), ``β ← β·(P(x)/P')ᵘ``, ``γ ← γ·(X(x)/X_B)ᵘ``.
-  Ratios are 1 exactly on tight constraints, so fixed points coincide
-  with the subgradient rule's; convergence is considerably faster and is
-  the library default.  The convergence bench compares both.
+  (``a_j/A0`` on sink edges), ``β ← β·(P(x)/P')ᵘ``, ``γ ← γ·(X(x)/X_B)ᵘ``
+  and ``μ_k = 3/k^0.3``.  Ratios are 1 exactly on tight constraints, so
+  fixed points coincide with the subgradient rule's; convergence is
+  considerably faster and is the library default.  The convergence
+  bench compares both.
 
-Both rules leave multipliers non-negative and are followed by the
-Theorem 3 projection (``MultiplierState.project``).
+Each rule updates through one method, ``apply_batch``, over the K
+columns of a lockstep iteration; one scenario is a batch of width one.  Both rules
+leave multipliers non-negative and are followed by the Theorem 3
+projection (``MultiplierState.project``).  The one-column spelling of
+both rules is the oracle in ``tests/oracles/a4.py``.
 """
 
 import numpy as np
 
-from repro.utils.errors import ValidationError
-
-
-class StepSchedule:
-    """Base: callable ``k → μ_k`` for iteration k = 1, 2, ..."""
-
-    def __call__(self, k):
-        raise NotImplementedError
-
-
-class HarmonicStep(StepSchedule):
-    """``μ_k = μ₀ / k`` — classic diminishing, non-summable sequence."""
-
-    def __init__(self, mu0=1.0):
-        if mu0 <= 0:
-            raise ValidationError("mu0 must be positive")
-        self.mu0 = float(mu0)
-
-    def __call__(self, k):
-        return self.mu0 / max(1, k)
-
-
-class PowerStep(StepSchedule):
-    """``μ_k = μ₀ / k^p`` with ``0 < p ≤ 1``.
-
-    Satisfies the paper's conditions for any ``p ≤ 1``; slower decay
-    (small p) equilibrates multipliers across deep circuits much faster.
-    The library default (p = 0.3, μ₀ = 3) converges the full ISCAS85
-    suite, including the 100+-level c6288, within tens of iterations.
-    """
-
-    def __init__(self, mu0=3.0, p=0.3):
-        if mu0 <= 0:
-            raise ValidationError("mu0 must be positive")
-        if not 0.0 < p <= 1.0:
-            raise ValidationError("p must lie in (0, 1]")
-        self.mu0 = float(mu0)
-        self.p = float(p)
-
-    def __call__(self, k):
-        return self.mu0 / max(1, k) ** self.p
-
-
-class SqrtStep(StepSchedule):
-    """``μ_k = μ₀ / √k`` — slower decay, usually faster in practice."""
-
-    def __init__(self, mu0=1.0):
-        if mu0 <= 0:
-            raise ValidationError("mu0 must be positive")
-        self.mu0 = float(mu0)
-
-    def __call__(self, k):
-        return self.mu0 / np.sqrt(max(1, k))
-
-
-class ConstantStep(StepSchedule):
-    """Fixed μ (violates the paper's conditions; for experiments only)."""
-
-    def __init__(self, mu0=0.1):
-        if mu0 <= 0:
-            raise ValidationError("mu0 must be positive")
-        self.mu0 = float(mu0)
-
-    def __call__(self, k):
-        return self.mu0
+from repro.core.multipliers import MultiplierState
+from repro.timing import kernels
 
 
 def edge_timing_terms(compiled, arrival, delays, delay_bound):
@@ -98,199 +40,127 @@ def edge_timing_terms(compiled, arrival, delays, delay_bound):
     * sink edge (j, m):       residual ``a_j − A0``, reference ``A0``
 
     ``residual/reference`` is the normalized violation; ``1 + residual/
-    reference`` is the multiplicative ratio.
+    reference`` is the multiplicative ratio.  ``arrival`` and ``delays``
+    are ``(n,)`` with a scalar ``delay_bound``, or ``(n, K)`` column
+    stacks with a ``(K,)`` vector of per-column bounds; column ``j`` of
+    the ``(E, K)`` result is bit-identical to the ``(n,)`` call on that
+    column (the same elementwise operations, broadcast across columns).
     """
     src, dst = compiled.edge_src, compiled.edge_dst
-    residual = arrival[src] + delays[dst] - arrival[dst]
-    reference = np.maximum(arrival[dst], 1e-30)
-    on_sink = dst == compiled.sink
-    residual[on_sink] = arrival[src[on_sink]] - delay_bound
-    reference[on_sink] = delay_bound
+    arrival_dst = arrival.take(dst, 0)
+    residual = arrival.take(src, 0)
+    residual += delays.take(dst, 0)
+    residual -= arrival_dst
+    reference = np.maximum(arrival_dst, 1e-30, out=arrival_dst)
+    sink = compiled.sink_in_edges
+    residual[sink] = arrival.take(src.take(sink), 0) - delay_bound
+    reference[sink] = delay_bound
     return residual, reference
-
-
-def edge_timing_terms_batch(compiled, arrival, delays, delay_bounds):
-    """:func:`edge_timing_terms` over ``(n, K)`` column-stacked matrices.
-
-    ``delay_bounds`` is a ``(K,)`` vector of per-scenario bounds; column
-    ``j`` of the returned ``(E, K)`` ``(residual, reference)`` matrices
-    is bitwise-identical to the scalar function on that column — the
-    same elementwise operations, broadcast across columns.
-    """
-    src, dst = compiled.edge_src, compiled.edge_dst
-    delay_bounds = np.asarray(delay_bounds, dtype=float)
-    residual = arrival[src] + delays[dst] - arrival[dst]
-    reference = np.maximum(arrival[dst], 1e-30)
-    on_sink = dst == compiled.sink
-    residual[on_sink] = arrival[src[on_sink]] - delay_bounds[None, :]
-    reference[on_sink] = delay_bounds
-    return residual, reference
-
-
-def _schedule_key(schedule):
-    """Hashable identity of a builtin schedule, or ``None`` if unknown.
-
-    A subclassed or user-supplied schedule could close over anything, so
-    only the builtin types (compared by exact class — their state is all
-    constructor floats) participate in batched A4 grouping; everything
-    else falls back to scalar ``apply``.
-    """
-    cls = type(schedule)
-    if cls not in (HarmonicStep, PowerStep, SqrtStep, ConstantStep):
-        return None
-    return (cls.__name__,) + tuple(sorted(vars(schedule).items()))
 
 
 class SubgradientUpdate:
     """The paper's additive A4 step with bound-normalized violations.
 
-    Steps are additionally scaled by the current mean multiplier (with a
-    small floor), i.e. the effective μ₀ adapts to the problem's natural
-    multiplier magnitude.  This is still a valid diminishing-step
-    subgradient method (the adaptive factor is bounded between the floor
-    and the converged scale) and removes the need to hand-tune μ₀ per
-    circuit; the convergence bench compares it against the
-    multiplicative rule.
+    Steps are additionally scaled by the current mean multiplier (floored
+    at :attr:`SCALE_FLOOR`), i.e. the effective μ₀ adapts to the
+    problem's natural multiplier magnitude.  This is still a valid
+    diminishing-step subgradient method (the adaptive factor is bounded
+    between the floor and the converged scale) and removes the need to
+    hand-tune μ₀ per circuit; the convergence bench compares it against
+    the multiplicative rule.
     """
 
     name = "subgradient"
+    #: Floor of the adaptive multiplier scale.
+    SCALE_FLOOR = 1e-4
 
-    def __init__(self, schedule=None, scale_floor=1e-4):
-        self.schedule = schedule or SqrtStep(1.0)
-        if scale_floor <= 0:
-            raise ValidationError("scale_floor must be positive")
-        self.scale_floor = float(scale_floor)
-
-    def apply(self, multipliers, k, arrival, delays, problem, power_cap, noise,
-              engine=None, x=None):
-        mu = self.schedule(k)
-        cc = multipliers.compiled
-        residual, reference = edge_timing_terms(cc, arrival, delays,
-                                                problem.delay_bound_ps)
-        lam_scale = max(float(np.mean(multipliers.lam_edge)), self.scale_floor)
-        multipliers.lam_edge = np.maximum(
-            0.0, multipliers.lam_edge + mu * lam_scale * residual / reference)
-        beta_scale = max(multipliers.beta, self.scale_floor)
-        multipliers.beta = max(
-            0.0, multipliers.beta
-            + mu * beta_scale * (power_cap / problem.power_cap_bound_ff - 1.0))
-        gamma_scale = max(multipliers.gamma, self.scale_floor)
-        multipliers.gamma = max(
-            0.0, multipliers.gamma
-            + mu * gamma_scale * (noise / problem.noise_bound_ff - 1.0))
-        return mu
-
-    def batch_key(self):
-        """Grouping key for lockstep A4 batching (``None`` ⇒ scalar path).
-
-        Two updates may share one :meth:`apply_batch` call only when the
-        per-edge arithmetic they would run is literally identical:
-        exact class, same clip/floor constants, and a builtin schedule.
-        """
-        sched = _schedule_key(self.schedule)
-        if type(self) is not SubgradientUpdate or sched is None:
-            return None
-        return ("subgradient", self.scale_floor, sched)
+    @staticmethod
+    def step(k):
+        """``μ_k = 1/√k`` for iteration k = 1, 2, ..."""
+        return 1.0 / np.sqrt(max(1, k))
 
     def apply_batch(self, multipliers, ks, arrival, delays, problems,
                     power_caps, noises):
-        """A4 over K lockstep columns whose updates share :meth:`batch_key`.
+        """A4 over K lockstep columns.
 
         ``arrival``/``delays`` are ``(n, K)`` column stacks; the other
         arguments are per-column sequences.  Column ``j`` is
-        bit-identical to :meth:`apply` on optimizer ``j`` alone: the
-        edge terms come from :func:`edge_timing_terms_batch`, the mean
-        multiplier scales from :func:`~repro.timing.kernels.column_means`
-        (both bitwise-equal per column), and the scalar β/γ lines keep
-        the scalar spelling.  Returns the per-column step sizes μ.
+        bit-identical to the one-column rule on that column alone: the
+        edge terms come from one :func:`edge_timing_terms` call, the
+        mean multiplier scales from
+        :func:`~repro.timing.kernels.column_means` (both bitwise-equal
+        per column), and the scalar β/γ lines keep the scalar spelling.
+        Returns the per-column step sizes μ.
         """
-        from repro.timing import kernels
-
-        cc = multipliers[0].compiled
-        mus = [self.schedule(k) for k in ks]
-        residual, reference = edge_timing_terms_batch(
-            cc, arrival, delays, [p.delay_bound_ps for p in problems])
-        lam_cols = type(multipliers[0]).stack_lam(multipliers)
-        lam_means = kernels.column_means(lam_cols)
-        coef = np.array([mu * max(float(mean), self.scale_floor)
-                         for mu, mean in zip(mus, lam_means)])
-        lam_new = np.maximum(0.0, lam_cols + coef[None, :] * residual
-                             / reference)
-        type(multipliers[0]).unstack_lam(multipliers, lam_new)
-        for j, (m, mu, problem) in enumerate(zip(multipliers, mus, problems)):
-            beta_scale = max(m.beta, self.scale_floor)
-            m.beta = max(
-                0.0, m.beta + mu * beta_scale
-                * (power_caps[j] / problem.power_cap_bound_ff - 1.0))
-            gamma_scale = max(m.gamma, self.scale_floor)
-            m.gamma = max(
-                0.0, m.gamma + mu * gamma_scale
-                * (noises[j] / problem.noise_bound_ff - 1.0))
+        floor = self.SCALE_FLOOR
+        mus = [self.step(k) for k in ks]
+        residual, reference = edge_timing_terms(
+            multipliers[0].compiled, arrival, delays,
+            np.array([p.delay_bound_ps for p in problems]))
+        lam_cols = MultiplierState.stack_lam(multipliers)
+        coef = np.array([mu * max(float(mean), floor) for mu, mean
+                         in zip(mus, kernels.column_means(lam_cols))])
+        MultiplierState.unstack_lam(multipliers, np.maximum(
+            0.0, lam_cols + coef[None, :] * residual / reference))
+        for m, mu, problem, power_cap, noise in zip(
+                multipliers, mus, problems, power_caps, noises):
+            beta_scale = max(m.beta, floor)
+            m.beta = max(0.0, m.beta + mu * beta_scale
+                         * (power_cap / problem.power_cap_bound_ff - 1.0))
+            gamma_scale = max(m.gamma, floor)
+            m.gamma = max(0.0, m.gamma + mu * gamma_scale
+                          * (noise / problem.noise_bound_ff - 1.0))
         return mus
 
 
 class MultiplicativeUpdate:
-    """Scale-free ratio update (library default; see module docstring)."""
+    """Scale-free ratio update (library default; see module docstring).
+
+    ``μ_k = 3/k^0.3`` meets the paper's conditions (any exponent ≤ 1
+    does); its slow decay equilibrates multipliers across deep circuits
+    much faster, converging the full ISCAS85 suite, including the
+    100+-level c6288, within tens of iterations.  Every ratio is clipped
+    to ``[1/RATIO_CLIP, RATIO_CLIP]``.
+    """
 
     name = "multiplicative"
+    #: Bound on every per-step ratio.
+    RATIO_CLIP = 4.0
 
-    def __init__(self, schedule=None, ratio_clip=4.0):
-        self.schedule = schedule or PowerStep()
-        if ratio_clip <= 1.0:
-            raise ValidationError("ratio_clip must exceed 1")
-        self.ratio_clip = float(ratio_clip)
-
-    def apply(self, multipliers, k, arrival, delays, problem, power_cap, noise,
-              engine=None, x=None):
-        mu = self.schedule(k)
-        cc = multipliers.compiled
-        residual, reference = edge_timing_terms(cc, arrival, delays,
-                                                problem.delay_bound_ps)
-        ratio = np.clip(1.0 + residual / reference, 1.0 / self.ratio_clip,
-                        self.ratio_clip)
-        multipliers.lam_edge = multipliers.lam_edge * ratio ** mu
-        multipliers.beta *= min(self.ratio_clip, max(
-            1.0 / self.ratio_clip, power_cap / problem.power_cap_bound_ff)) ** mu
-        multipliers.gamma *= min(self.ratio_clip, max(
-            1.0 / self.ratio_clip, noise / problem.noise_bound_ff)) ** mu
-        return mu
-
-    def batch_key(self):
-        """Grouping key for lockstep A4 batching (``None`` ⇒ scalar path).
-
-        See :meth:`SubgradientUpdate.batch_key` — exact class, same
-        clip constant, builtin schedule.
-        """
-        sched = _schedule_key(self.schedule)
-        if type(self) is not MultiplicativeUpdate or sched is None:
-            return None
-        return ("multiplicative", self.ratio_clip, sched)
+    @staticmethod
+    def step(k):
+        """``μ_k = 3/k^0.3`` for iteration k = 1, 2, ..."""
+        return 3.0 / max(1, k) ** 0.3
 
     def apply_batch(self, multipliers, ks, arrival, delays, problems,
                     power_caps, noises):
-        """A4 over K lockstep columns whose updates share :meth:`batch_key`.
+        """A4 over K lockstep columns.
 
         Same contract as :meth:`SubgradientUpdate.apply_batch`: one
-        :func:`edge_timing_terms_batch` call and one broadcast
-        clip/power/multiply replace K per-column edge passes, column
-        ``j`` bit-identical to :meth:`apply` (``ratio ** μ`` with a
-        broadcast per-column exponent runs the same elementwise ``pow``).
-        Returns the per-column step sizes μ.
+        :func:`edge_timing_terms` call and one broadcast
+        clip/power/multiply serve every column, column ``j``
+        bit-identical to the one-column rule (``ratio ** μ`` with a
+        broadcast per-column exponent runs the same elementwise
+        ``pow``).  Returns the per-column step sizes μ.
         """
-        cc = multipliers[0].compiled
-        mus = [self.schedule(k) for k in ks]
-        residual, reference = edge_timing_terms_batch(
-            cc, arrival, delays, [p.delay_bound_ps for p in problems])
-        ratio = np.clip(1.0 + residual / reference, 1.0 / self.ratio_clip,
-                        self.ratio_clip)
-        lam_cols = type(multipliers[0]).stack_lam(multipliers)
-        lam_new = lam_cols * ratio ** np.array(mus)[None, :]
-        type(multipliers[0]).unstack_lam(multipliers, lam_new)
-        for j, (m, mu, problem) in enumerate(zip(multipliers, mus, problems)):
-            m.beta *= min(self.ratio_clip, max(
-                1.0 / self.ratio_clip,
-                power_caps[j] / problem.power_cap_bound_ff)) ** mu
-            m.gamma *= min(self.ratio_clip, max(
-                1.0 / self.ratio_clip,
-                noises[j] / problem.noise_bound_ff)) ** mu
+        clip = self.RATIO_CLIP
+        mus = [self.step(k) for k in ks]
+        residual, reference = edge_timing_terms(
+            multipliers[0].compiled, arrival, delays,
+            np.array([p.delay_bound_ps for p in problems]))
+        ratio = np.clip(1.0 + residual / reference, 1.0 / clip, clip)
+        MultiplierState.unstack_lam(
+            multipliers, MultiplierState.stack_lam(multipliers)
+            * ratio ** np.array(mus)[None, :])
+        for m, mu, problem, power_cap, noise in zip(
+                multipliers, mus, problems, power_caps, noises):
+            m.beta *= min(clip, max(
+                1.0 / clip, power_cap / problem.power_cap_bound_ff)) ** mu
+            m.gamma *= min(clip, max(
+                1.0 / clip, noise / problem.noise_bound_ff)) ** mu
         return mus
+
+
+#: The A4 rules by name (``OGWSOptimizer(update=...)``, ``FlowConfig.update``).
+UPDATE_RULES = {rule.name: rule
+                for rule in (MultiplicativeUpdate, SubgradientUpdate)}

@@ -7,7 +7,7 @@ abstraction for arbitrary circuits:
 
 * :func:`~repro.geometry.channels.wires_by_level` groups wires into
   routing channels (one per topological level — the standard-cell row
-  model; see DESIGN.md §3),
+  model; see ``docs/architecture.md``, "Model choices: substitutions"),
 * :class:`~repro.geometry.layout.ChannelLayout` holds the track order of
   every channel and extracts :class:`~repro.geometry.layout.CouplingPair`
   records for adjacent tracks.

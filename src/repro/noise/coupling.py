@@ -76,7 +76,8 @@ def taylor_derivative_factor(u, order):
     ``~c·Σ_{n<k} uⁿ`` and its derivative w.r.t. ``x_i`` equals
     ``ĉ_ij · Σ_{1≤n<k} n·uⁿ⁻¹``.  For the paper's k = 2 this factor is
     exactly 1, which recovers the closed-form ``opt_i``; for k > 2 the
-    sizing engine evaluates it at the current iterate (DESIGN.md §2).
+    sizing engine evaluates it at the current iterate
+    (``docs/architecture.md``, "Model choices: generalizations").
     """
     if order < 1:
         raise GeometryError("Taylor order must be >= 1")

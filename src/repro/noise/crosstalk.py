@@ -14,7 +14,8 @@ For the paper's Taylor order k = 2 the derivative ``∂c_ij/∂x_i`` is the
 constant ``ĉ_ij`` and the two sums reduce literally to the paper's
 ``Σ ĉ_ij·x_j`` (plus the constant ``~c_ij`` absorbed in C'_i) and
 ``Σ ĉ_ij``.  Higher orders evaluate the same quantities at the current
-iterate (see DESIGN.md §2 and ``noise/coupling.py``).
+iterate (see ``docs/architecture.md``, "Model choices: generalizations",
+and ``noise/coupling.py``).
 
 All constants here are already Miller-weighted: ``ctilde`` stores
 ``w_ij · ~c_ij`` and ``chat`` stores ``w_ij · ĉ_ij``, which preserves the
@@ -221,10 +222,11 @@ class CouplingSet:
         """Width-``k`` scratch for the column-stacked paths (memoized).
 
         Shares the static endpoint-scatter operator across widths and
-        holds the pair constants ``ctilde``, ``chat`` and ``2·distance``
-        (and, for k = 2, the frozen slope sums) at the same width as the
-        iterates: C-contiguous ``(p, k)`` / ``(n, k)`` copies at k ≥ 2,
-        ``(p, 1)`` / ``(n, 1)`` views of the set's own arrays at k = 1.
+        holds the pair constants ``ctilde`` and ``2·distance``, and for
+        k = 2 the frozen slope sums, else ``chat``, at the same width as
+        the iterates: C-contiguous ``(p, k)`` / ``(n, k)`` copies at
+        k ≥ 2, ``(p, 1)`` / ``(n, 1)`` views of the set's own arrays at
+        k = 1.
         """
         base = self._ensure_scratch()
         cache = self.__dict__.setdefault("_batch_scratch", {})
@@ -235,15 +237,17 @@ class CouplingSet:
                 "op": base["op"],
                 "u": np.zeros((p, k)), "term": np.zeros((p, k)),
                 "tmp": np.zeros((p, k)), "caps": np.zeros((p, k)),
-                "slopes": np.zeros((p, k)), "pw": np.zeros((p, k)),
                 "cap_sum": np.zeros((n, k)), "dx_sum": np.zeros((n, k)),
                 "gamma_slopes": np.zeros((n, k)),
                 "node_caps": np.zeros((n, k)), "node_tmp": np.zeros((n, k)),
             }
-            constants = {"ctilde": self.ctilde, "chat": self.chat,
+            constants = {"ctilde": self.ctilde,
                          "two_distance": self._two_distance}
             if self.order == 2:
                 constants["dx_static"] = base["dx_static"]
+            else:
+                s["slopes"] = np.zeros((p, k))
+                constants["chat"] = self.chat
             for name, values in constants.items():
                 column = values[:, None]
                 s[name] = column if k == 1 else np.repeat(column, k, axis=1)
@@ -266,39 +270,38 @@ class CouplingSet:
           ``Σ (~c_ij + ĉ_ij·x_j)``),
         * ``dx_sum[i] = Σ_{j∈N(i)} ∂c_ij/∂x_i`` — the coupling slope in
           the denominator (for k = 2: ``Σ ĉ_ij``),
-        * ``gamma_slopes[i] = Σ_{j∈N(i)} γ_owner(i,j) · ∂c_ij/∂x_i``,
+        * ``gamma_slopes[i] = γ · dx_sum[i]``,
         * with ``node_caps=True``, the per-node total coupling
           capacitance (:meth:`node_coupling_caps`, needed by the
           ``PROPAGATED`` delay mode) riding along for free.
 
-        ``gamma`` is a ``(K,)`` vector of per-scenario scalar multipliers
-        or an ``(n, K)`` matrix of per-net multipliers (one column per
-        scenario; entry read at each pair's owner).  The size ratio, the
-        Taylor factors of both series and the endpoint scatter are each
-        evaluated once, and every column is independent of the others.
-        Returned arrays live in width-keyed scratch reused by the next
-        batched call — consume them before calling again.
+        ``gamma`` is a ``(K,)`` vector of per-scenario crosstalk
+        multipliers.  The size ratio, the Taylor factors of both series
+        and the endpoint scatter are each evaluated once, and every
+        column is independent of the others.  Returned arrays live in
+        width-keyed scratch reused by the next batched call — consume
+        them before calling again.
         """
         k = x.shape[1]
-        gamma = np.asarray(gamma, dtype=float)
-        per_net = gamma.ndim == 2
         if self.num_pairs == 0:
             zeros = np.zeros((4, self.num_nodes, k))
             return CouplingTerms(zeros[0], zeros[1], zeros[2],
                                  zeros[3] if node_caps else None)
         s = self._ensure_batch_scratch(k)
-        u, term, tmp = s["u"], s["term"], s["tmp"]
-        caps, slopes = s["caps"], s["slopes"]
+        u, term, tmp, caps = s["u"], s["term"], s["tmp"], s["caps"]
+        cap_sum, dx_sum, gs = s["cap_sum"], s["dx_sum"], s["gamma_slopes"]
         x.take(self.pair_i, 0, u, "clip")
         x.take(self.pair_j, 0, tmp, "clip")
         np.add(u, tmp, out=u)
         np.divide(u, s["two_distance"], out=u)
         if self.order == 2:
-            # k = 2 closed form: c = ~c·(1 + u), constant slopes ĉ.
+            # k = 2 closed form: c = ~c·(1 + u), constant slopes ĉ whose
+            # per-node sums are frozen.
             np.multiply(u, s["ctilde"], out=caps)
             np.add(caps, s["ctilde"], out=caps)
-            slopes = s["chat"]
+            dx_sum = s["dx_static"]
         else:
+            slopes = s["slopes"]
             caps.fill(1.0)
             slopes.fill(0.0)
             term.fill(1.0)
@@ -309,24 +312,13 @@ class CouplingSet:
                 np.add(caps, term, out=caps)
             np.multiply(caps, s["ctilde"], out=caps)
             np.multiply(slopes, s["chat"], out=slopes)
-
-        cap_sum, dx_sum, gs = s["cap_sum"], s["dx_sum"], s["gamma_slopes"]
-        self._endpoint_scatter(caps, cap_sum, s)
-        if self.order == 2:
-            dx_sum = s["dx_static"]
-        else:
             self._endpoint_scatter(slopes, dx_sum, s)
+        self._endpoint_scatter(caps, cap_sum, s)
         out_caps = None
         if node_caps:
             out_caps = s["node_caps"]
             np.copyto(out_caps, cap_sum)
-        if per_net:
-            pw = s["pw"]
-            gamma.take(self.owner, 0, pw, "clip")
-            np.multiply(pw, slopes, out=pw)
-            self._endpoint_scatter(pw, gs, s)
-        else:
-            np.multiply(dx_sum, gamma, out=gs)
+        np.multiply(dx_sum, gamma, out=gs)
         np.multiply(x, dx_sum, out=s["node_tmp"])
         np.subtract(cap_sum, s["node_tmp"], out=cap_sum)
         return CouplingTerms(cap_sum, dx_sum, gs, out_caps)
@@ -393,36 +385,24 @@ class CouplingSet:
         cols = np.ascontiguousarray(total.T)
         return np.array([np.sum(col) for col in cols])
 
-    # -- per-net (distributed-bound) views ----------------------------------------
-
-    @property
-    def owner(self):
-        """Constraint owner of each pair: the dominating-index convention.
-
-        The paper sums pair ``(i, j)`` into wire ``i``'s term via
-        ``j ∈ I(i)`` (neighbors with larger index), so the lower-index
-        wire owns the pair.  Used by the distributed-bound extension.
-        """
-        return self.pair_i
-
-    def net_caps(self, x):
-        """Per-node owned crosstalk ``X_i(x) = Σ_{j∈I(i)} c_ij(x)`` (fF).
-
-        Summing over owners: ``net_caps(x).sum() == total(x)``.
-        """
-        out = np.zeros(self.num_nodes)
-        if self.num_pairs:
-            out = np.bincount(self.owner, weights=self.pair_caps(x),
-                              minlength=self.num_nodes).astype(float)
-        return out
-
     @property
     def nbytes(self):
-        total = 0
-        for value in vars(self).values():
-            if isinstance(value, np.ndarray):
-                total += value.nbytes
-        return total
+        """Bytes this set allocated, its solver scratch included.
+
+        Each base array counts once: the width-1 batch constants view
+        the set's own arrays, and every width shares one
+        endpoint-scatter operator.
+        """
+        arrays = list(vars(self).values())
+        for scratch in [self._scratch or {}, *self.__dict__.get(
+                "_batch_scratch", {}).values()]:
+            for value in scratch.values():
+                arrays += [value] if isinstance(value, np.ndarray) else \
+                    [value.indptr, value.indices, value.data]
+        owned = {id(base): base for base in (
+            array if array.base is None else array.base
+            for array in arrays if isinstance(array, np.ndarray))}
+        return sum(array.nbytes for array in owned.values())
 
     def __repr__(self):
         return f"CouplingSet(pairs={self.num_pairs}, order={self.order})"

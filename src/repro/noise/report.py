@@ -2,13 +2,13 @@
 
 Turns a coupling set + sizing point into the victim-oriented view a
 noise sign-off wants: which nets own the most (Miller-weighted)
-coupling, how close each sits to its budget, and which aggressor pairs
-dominate.  Used by the bus example and the distributed-bounds bench.
+coupling and which aggressor pairs dominate.  A pair ``(i, j)`` with
+``i < j`` is owned by wire ``i``: the paper sums it into ``i``'s term
+through ``j ∈ I(i)``, the neighbors of larger index.  Used by the adder
+example.
 """
 
 import dataclasses
-
-import numpy as np
 
 from repro.utils.errors import GeometryError
 from repro.utils.tables import format_table
@@ -22,61 +22,41 @@ class VictimRecord:
     name: str                # node name
     noise_ff: float          # owned Σ c_ij
     n_pairs: int             # pairs owned
-    bound_ff: float          # per-net bound (inf if unconstrained)
-    utilization: float       # noise/bound (0 when unbounded)
     worst_pair: tuple        # (other node index, cap fF) of the top aggressor
 
 
-def victim_records(circuit, coupling, x, bounds=None):
-    """Per-owning-net records, sorted by descending owned noise.
-
-    ``bounds`` is a per-node array of noise bounds (fF; inf = none), e.g.
-    ``DistributedSizingProblem.noise_bounds_ff``.
-    """
+def victim_records(circuit, coupling, x):
+    """Per-owning-net records, sorted by descending owned noise."""
     if coupling.num_nodes != circuit.num_nodes:
         raise GeometryError("coupling set does not match the circuit")
-    if bounds is None:
-        bounds = np.full(circuit.num_nodes, np.inf)
-    bounds = np.asarray(bounds, dtype=float)
     caps = coupling.pair_caps(x)
     per_net = {}
     for p in range(coupling.num_pairs):
-        owner = int(coupling.owner[p])
-        other = int(coupling.pair_j[p]) if owner == int(coupling.pair_i[p]) \
-            else int(coupling.pair_i[p])
+        owner = int(coupling.pair_i[p])
+        other = int(coupling.pair_j[p])
         entry = per_net.setdefault(owner, {"noise": 0.0, "pairs": 0,
                                            "worst": (other, 0.0)})
         entry["noise"] += float(caps[p])
         entry["pairs"] += 1
         if caps[p] > entry["worst"][1]:
             entry["worst"] = (other, float(caps[p]))
-    records = []
-    for net, entry in per_net.items():
-        bound = float(bounds[net])
-        util = entry["noise"] / bound if np.isfinite(bound) and bound > 0 else 0.0
-        records.append(VictimRecord(
-            net=net, name=circuit.node(net).name, noise_ff=entry["noise"],
-            n_pairs=entry["pairs"], bound_ff=bound, utilization=util,
-            worst_pair=entry["worst"],
-        ))
+    records = [VictimRecord(
+        net=net, name=circuit.node(net).name, noise_ff=entry["noise"],
+        n_pairs=entry["pairs"], worst_pair=entry["worst"])
+        for net, entry in per_net.items()]
     records.sort(key=lambda r: -r.noise_ff)
     return records
 
 
-def noise_report(circuit, coupling, x, bounds=None, top=10,
+def noise_report(circuit, coupling, x, top=10,
                  title="per-net crosstalk report"):
     """Monospace victim table (top ``top`` nets by owned noise)."""
-    records = victim_records(circuit, coupling, x, bounds=bounds)
-    rows = []
-    for r in records[:top]:
-        bound = f"{r.bound_ff:.2f}" if np.isfinite(r.bound_ff) else "-"
-        util = f"{r.utilization:.0%}" if r.utilization else "-"
-        aggressor = circuit.node(r.worst_pair[0]).name
-        rows.append([r.name, r.n_pairs, r.noise_ff, bound, util,
-                     f"{aggressor} ({r.worst_pair[1]:.2f} fF)"])
+    records = victim_records(circuit, coupling, x)
+    rows = [[r.name, r.n_pairs, r.noise_ff,
+             f"{circuit.node(r.worst_pair[0]).name} "
+             f"({r.worst_pair[1]:.2f} fF)"] for r in records[:top]]
     table = format_table(
-        ["victim net", "pairs", "noise (fF)", "bound", "util",
-         "worst aggressor"],
+        ["victim net", "pairs", "noise (fF)", "worst aggressor"],
         rows, title=title, floatfmt="{:.3f}")
     total = sum(r.noise_ff for r in records)
     return table + f"\ntotal weighted crosstalk: {total / 1e3:.3f} pF over " \

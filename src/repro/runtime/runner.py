@@ -173,8 +173,8 @@ class SweepStats:
     total: int = 0
     computed: int = 0
     cache_hits: int = 0
-    #: Circuit groups dispatched by the grouping planner (0 ⇒ a custom
-    #: ``run`` function ran per scenario, or the cache was fully warm).
+    #: Circuit groups dispatched by the grouping planner (0 ⇒ the cache
+    #: was fully warm).
     groups: int = 0
     #: Cache writes that failed with OSError and were skipped — the
     #: record still streamed to the caller (the cache is an
@@ -201,23 +201,16 @@ class BatchRunner:
     cache:
         Optional :class:`ResultCache`.  Hits skip the solver entirely;
         fresh results are persisted as they complete.
-    run:
-        The per-scenario work function (testing hook, e.g. to count
-        invocations).  Anything other than the default requires
-        ``jobs=1`` — worker processes can only import module-level
-        functions — and bypasses the grouping planner (custom runs are
-        per-scenario by definition).  The default groups cache-missing
-        scenarios by circuit and solves each group through one
-        compile-once :class:`~repro.core.session.SolverSession`
-        (lockstep batching inside).
+
+    Cache-missing scenarios are grouped by circuit and each group is
+    solved through one compile-once
+    :class:`~repro.core.session.SolverSession` (lockstep batching
+    inside).
     """
 
-    def __init__(self, jobs=1, cache=None, run=run_scenario):
+    def __init__(self, jobs=1, cache=None):
         self.jobs = resolve_jobs(jobs)
-        if run is not run_scenario and self.jobs > 1:
-            raise ValidationError("a custom run function requires jobs=1")
         self.cache = cache
-        self._run = run
         self.stats = SweepStats()
         self._sessions = None
 
@@ -252,11 +245,19 @@ class BatchRunner:
     def iter_records(self, spec_or_scenarios):
         """Yield one :class:`RunRecord` per scenario, in scenario order.
 
-        Cache hits yield immediately; misses are dispatched to the
-        executor — whole circuit groups under the grouping planner,
-        single scenarios through a custom ``run`` — and merged back into
-        the stream in order, so a warm cache streams the whole sweep
-        without touching the solver.
+        Cache hits yield immediately and are peeled off before the
+        grouping planner runs.  The remaining scenarios partition by
+        their ``CircuitRef`` in first-appearance order, each group
+        running as one :func:`run_scenario_group` work unit.  When that
+        yields fewer work units than workers (e.g. a single-circuit
+        sweep with ``--jobs 4``), groups split further by engine
+        configuration — each sub-group is still fully
+        lockstep-compatible and amortizes its own circuit build, and the
+        requested parallelism is preserved.  The merged stream preserves
+        scenario order: group results are fetched from the executor
+        lazily as the stream first needs them (groups of interleaved
+        sweeps buffer until their turn).  A fully warm cache streams the
+        whole sweep without starting an executor or touching the solver.
         """
         scenarios = self._expand(spec_or_scenarios)
         self.stats = SweepStats(total=len(scenarios))
@@ -269,53 +270,6 @@ class BatchRunner:
                 cached[index] = record
             else:
                 missing.append((index, scenario))
-
-        if self._run is run_scenario and missing:
-            yield from self._iter_grouped(scenarios, cached, missing)
-            return
-
-        # A fully warm cache must not pay pool spin-up for zero work.
-        executor = make_executor(self.jobs) if missing else SerialExecutor()
-        completed = False
-        try:
-            fresh = iter(executor.map(self._run, [s for _, s in missing]))
-            for index, scenario in enumerate(scenarios):
-                if index in cached:
-                    self.stats.cache_hits += 1
-                    yield cached[index]
-                    continue
-                record = next(fresh)
-                self.stats.computed += 1
-                if self.cache is not None:
-                    self._cache_put(scenario, record)
-                yield record
-            completed = True
-        finally:
-            # On early abandonment (consumer break / exception) drop the
-            # queued work instead of joining on the whole remaining sweep.
-            if completed:
-                executor.close()
-            else:
-                executor.abort()
-            if self.cache is not None:
-                self.cache.flush()  # persist buffered hit/miss counters
-
-    def _iter_grouped(self, scenarios, cached, missing):
-        """The grouping planner: partition misses by circuit, dispatch groups.
-
-        Cache hits were already peeled off (``cached``); the remaining
-        scenarios partition by their ``CircuitRef`` in first-appearance
-        order, each group running as one :func:`run_scenario_group` work
-        unit.  When that yields fewer work units than workers (e.g. a
-        single-circuit sweep with ``--jobs 4``), groups split further by
-        engine configuration — each sub-group is still fully
-        lockstep-compatible and amortizes its own circuit build, and the
-        requested parallelism is preserved.  The merged stream preserves
-        scenario order: group results are fetched from the executor
-        lazily as the stream first needs them (groups of interleaved
-        sweeps buffer until their turn).
-        """
-        from repro.core.session import SolverSession
 
         def partition(key_fn):
             groups = []
@@ -330,7 +284,9 @@ class BatchRunner:
             return groups
 
         groups = partition(lambda s: s.circuit)
-        if 1 < self.jobs and len(groups) < self.jobs:
+        if 0 < len(groups) < self.jobs:
+            from repro.core.session import SolverSession
+
             groups = partition(
                 lambda s: (s.circuit, SolverSession._engine_key(s.config)))
         self.stats.groups = len(groups)
@@ -340,12 +296,12 @@ class BatchRunner:
                 locate[index] = (gpos, offset)
 
         work = run_scenario_group
-        if self.jobs == 1:
+        if self.jobs == 1 and groups:
             # In-process execution: hand the groups the runner's warm
             # session pool (never crosses a process boundary).
             work = functools.partial(run_scenario_group,
                                      pool=self.session_pool())
-        executor = make_executor(self.jobs)
+        executor = make_executor(self.jobs) if groups else SerialExecutor()
         completed = False
         try:
             fresh = iter(executor.map(
@@ -373,12 +329,14 @@ class BatchRunner:
                 yield record
             completed = True
         finally:
+            # On early abandonment (consumer break / exception) drop the
+            # queued work instead of joining on the whole remaining sweep.
             if completed:
                 executor.close()
             else:
                 executor.abort()
             if self.cache is not None:
-                self.cache.flush()
+                self.cache.flush()  # persist buffered hit/miss counters
 
     def run(self, spec_or_scenarios, progress=None):
         """Execute everything; returns the record list in scenario order.

@@ -15,7 +15,8 @@ paper:
 The paper prints the gate unit resistance with a garbled unit glyph
 ("10 ?Ω?µm"); 10 kΩ·µm is the standard value for the era's processes and
 gives delays in the paper's reported range (≈0.8–4.9 ns for ISCAS85-sized
-circuits), so that reading is used here and called out in DESIGN.md.
+circuits), so that reading is used here and called out in
+``docs/architecture.md``, "Model choices: substitutions".
 """
 
 import dataclasses
@@ -56,10 +57,10 @@ class Technology:
     #: Tight (≈ min_size scale) so that, as in Table 1, most of the
     #: initial coupling is size-dependent and sizing can cut noise ~10×
     #: (the x=L noise floor must sit below 10% of the x=U value);
-    #: see DESIGN.md §3 (the Taylor form is used consistently as both the
-    #: metric and the constraint, so u = (x_i+x_j)/2d > 1 at the fat
-    #: initial sizing is well-defined even though the hyperbolic form
-    #: would not be).
+    #: see docs/architecture.md, "Model choices: substitutions" (the
+    #: Taylor form is used consistently as both the metric and the
+    #: constraint, so u = (x_i+x_j)/2d > 1 at the fat initial sizing is
+    #: well-defined even though the hyperbolic form would not be).
     track_pitch: float = 0.8
     #: Area per µm of gate size, µm²/µm (layout cell height proxy).
     gate_area_per_size: float = 10.0

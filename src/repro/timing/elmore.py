@@ -12,7 +12,7 @@ Coupling capacitance enters the delay model according to
 
 * ``OWN`` (paper): a wire's weighted coupling cap adds to that wire's own
   ``C_i`` only — the attachment for which Theorem 5's ``opt_i`` is exact
-  (DESIGN.md §2),
+  (``docs/architecture.md``, "Model choices: generalizations"),
 * ``NONE``: coupling affects the crosstalk constraint but not delay,
 * ``PROPAGATED``: coupling also loads all upstream resistors of the
   stage, like ordinary wire capacitance (ablation; the sizing engine

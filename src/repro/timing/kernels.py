@@ -73,7 +73,7 @@ single-point sweeps.
 The per-level ``np.add.at`` / ``np.maximum.at`` spelling these kernels
 replace lives on as a test oracle (``tests/oracles/``); equivalence
 property tests pin agreement to 1e-12 relative across delay modes,
-coupling orders, and scalar / per-net γ.  Plans are read-only,
+coupling orders and multipliers.  Plans are read-only,
 workspaces single-threaded; obtain them via ``compiled.sweep_plan()``
 and ``ElmoreEngine.pool``.
 """

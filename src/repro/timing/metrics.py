@@ -152,11 +152,6 @@ class EvalContext:
         """Total weighted crosstalk ``X(x)`` (fF)."""
         return self.engine.coupling.total(self.x)
 
-    @functools.cached_property
-    def net_caps_ff(self):
-        """Per-node owned crosstalk (fF) — distributed-bound extension."""
-        return self.engine.coupling.net_caps(self.x)
-
     # The two totals below intentionally carry a second, dot-product
     # spelling of total_area/total_capacitance (a measurable share of
     # the OGWS outer loop); equality with the canonical definitions is

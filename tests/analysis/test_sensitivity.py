@@ -1,6 +1,5 @@
 """Shadow prices — the duality identity, validated numerically."""
 
-import numpy as np
 import pytest
 
 from repro.analysis.sensitivity import (
@@ -27,6 +26,18 @@ def test_prices_nonnegative(converged):
     assert prices.delay >= 0
     assert prices.noise >= 0
     assert prices.power >= 0
+
+
+def test_prices_read_the_final_multipliers(converged):
+    """Delay is priced by the sink flow, power by β and the one global
+    crosstalk bound by the scalar γ."""
+    prices = shadow_prices(converged.sizing)
+    mult = converged.sizing.multipliers
+    assert prices.delay == mult.sink_flow()
+    assert prices.noise == mult.gamma
+    assert prices.power == mult.beta
+    assert all(type(p) is float for p in (prices.delay, prices.noise,
+                                          prices.power))
 
 
 def test_delay_price_positive_when_binding(converged):
@@ -70,18 +81,3 @@ def test_bound_sweep_monotone(converged):
     prices = [r[3] for r in feasible]
     assert prices[-1] >= prices[0] - 1e-9
 
-
-def test_distributed_price_aggregates(small_circuit, small_coupling):
-    from repro.core import DistributedNoiseOGWS, DistributedSizingProblem
-    from repro.timing import ElmoreEngine
-
-    cc = small_circuit.compile()
-    engine = ElmoreEngine(cc, small_coupling)
-    x_init = cc.default_sizes(np.inf)
-    problem = DistributedSizingProblem.from_initial(engine, x_init)
-    result = DistributedNoiseOGWS(engine, problem, x_init=x_init,
-                                  max_iterations=150).run()
-    prices = shadow_prices(result)
-    gamma = result.multipliers.gamma
-    assert prices.noise == pytest.approx(
-        float(np.sum(gamma[np.isfinite(gamma)])))

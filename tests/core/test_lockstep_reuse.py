@@ -121,10 +121,10 @@ def test_each_column_starts_from_its_own_copy_of_one_a1_start():
     start = OGWSOptimizer.start
     initial = MultiplierState.initial.__func__
 
-    def recording_start(opt, multipliers=None):
+    def recording_start(opt, multipliers):
         state = start(opt, multipliers)
         mult = state.mult
-        starts.append((mult.lam_edge, mult.lam_edge.copy(), mult.beta))
+        starts.append((mult.lam_edge, mult.lam_edge.copy()))
         return state
 
     def counted_initial(cls, *args, **kwargs):
@@ -137,15 +137,7 @@ def test_each_column_starts_from_its_own_copy_of_one_a1_start():
         run_lockstep(optimizers)
         assert len(built) == 1
         assert len(starts) == 3
-        for k, (array, values, _) in enumerate(starts):
+        for k, (array, values) in enumerate(starts):
             np.testing.assert_array_equal(values, expected)
-            for other, _, _ in starts[k + 1:]:
+            for other, _ in starts[k + 1:]:
                 assert not np.shares_memory(array, other)
-        # Explicit starts stay each column's own: no default is built.
-        given = [MultiplierState(compiled, expected, beta=beta)
-                 for beta in (1e-3, 2e-3, 3e-3)]
-        starts.clear()
-        built.clear()
-        run_lockstep(optimizers, given)
-        assert not built
-        assert [beta for _, _, beta in starts] == [1e-3, 2e-3, 3e-3]

@@ -6,7 +6,6 @@ from scipy import optimize
 
 from repro.core import LagrangianSubproblemSolver, MultiplierState, SizingProblem
 from repro.timing import CouplingDelayMode, ElmoreEngine
-from repro.utils.errors import ConvergenceError
 
 
 @pytest.fixture(scope="module")
@@ -134,12 +133,22 @@ class TestTheorem5Formula:
 
 
 class TestModesAndErrors:
-    def test_strict_raises_on_budget(self, setup):
-        _, engine, mult = setup
-        solver = LagrangianSubproblemSolver(engine, tolerance=0.0, max_passes=2,
-                                            strict=True)
-        with pytest.raises(ConvergenceError):
-            solver.solve(mult)
+    def test_pass_budget_returns_unconverged(self, setup):
+        """An exhausted pass budget is reported, not raised: the result
+        carries the last pass's iterate."""
+        cc, engine, mult = setup
+        result = LagrangianSubproblemSolver(engine, tolerance=0.0,
+                                            max_passes=2).solve(mult)
+        assert result.passes == 2
+        assert not result.converged
+        assert result.max_rel_change > 0.0
+        mask = cc.is_sizable
+        assert np.all(result.x[mask] >= cc.lower[mask])
+        assert np.all(result.x[mask] <= cc.upper[mask])
+        more = LagrangianSubproblemSolver(engine, tolerance=0.0,
+                                          max_passes=3).solve(mult)
+        assert more.passes == 3
+        assert not np.array_equal(more.x, result.x)
 
     def test_propagated_mode_solves(self, small_circuit, small_coupling):
         cc = small_circuit.compile()

@@ -122,3 +122,26 @@ def test_stack_unstack_lam_round_trip(cc, rng):
         assert s.lam_edge.tobytes() == orig.tobytes()
         assert s.lam_edge.flags["C_CONTIGUOUS"]
         assert s.lam_edge is not orig  # fresh copies, no column views
+
+
+def test_one_state_stacks_as_a_view(cc, rng):
+    """A width-one stack copies nothing; the write-back hands the state
+    its column, contiguous."""
+    state = MultiplierState.initial(cc)
+    state.lam_edge = rng.uniform(0.0, 2.0, cc.num_edges)
+    cols = MultiplierState.stack_lam([state])
+    assert cols.shape == (cc.num_edges, 1)
+    assert np.shares_memory(cols, state.lam_edge)
+    cols *= 2.0
+    expected = state.lam_edge.copy()
+    MultiplierState.unstack_lam([state], cols)
+    assert state.lam_edge.tobytes() == expected.tobytes()
+    assert state.lam_edge.flags["C_CONTIGUOUS"]
+
+
+def test_gamma_is_one_scalar(cc):
+    """Problem PP has one crosstalk bound, priced by one float γ."""
+    state = MultiplierState(cc, gamma=np.float64(0.25))
+    assert type(state.gamma) is float and state.gamma == 0.25
+    assert type(MultiplierState.initial(cc, gamma=1).gamma) is float
+    assert type(state.copy().gamma) is float

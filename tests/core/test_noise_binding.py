@@ -1,26 +1,25 @@
 """OGWS where the crosstalk bound binds: the parallel-bus setting.
 
-The bus is the one of ``benchmarks/bench_ablation_distributed.py``
-(``build_bus_setting``), rebuilt here with the same builder calls: 8
-buses × 3 stages of four 800 µm segments, a delay bound 25% above the
-probed minimum delay, and X_B a fraction of the initial noise.  At
-fraction 0.12 OGWS converges feasible; at 0.115 it finds no feasible
-iterate in 300 iterations although the problem is feasible there (the
-SLSQP reference reaches a point within 1e-3), which the strict xfail
-below pins until OGWS is fixed.
+The bus: 8 buses × 3 stages of four 800 µm segments with wire unit
+resistance 0.8, a delay bound 25% above the probed minimum delay, and
+X_B a fraction of the initial noise.  At fraction 0.12 OGWS converges
+feasible; at 0.115 it finds no feasible iterate in 300 iterations
+although the problem is feasible there (the SLSQP reference reaches a
+point within 1e-3), which the strict xfail below pins until OGWS is
+fixed.
 """
 
 import numpy as np
 import pytest
 
 from repro import CircuitBuilder, NoiseAwareSizingFlow, Technology
-from repro.core import DistributedSizingProblem, OGWSOptimizer, SizingProblem
+from repro.core import OGWSOptimizer, SizingProblem
 from repro.timing.metrics import evaluate_metrics
 
 
 @pytest.fixture(scope="module")
 def bus_setting():
-    """``build_bus_setting`` of the distributed-bound ablation bench."""
+    """``(engine, x_init, delay bound, power bound)`` on the bus."""
     tech = Technology.dac99().replace(wire_unit_resistance=0.8)
     builder = CircuitBuilder(tech=tech, name="buses", default_wire_length=60.0)
     signals = [builder.add_input(f"bus{k}") for k in range(8)]
@@ -56,8 +55,12 @@ def bus_setting():
 
 def _solve_bus(bus_setting, noise_fraction):
     engine, x_init, delay_bound, power_bound = bus_setting
-    noise_bound = DistributedSizingProblem.from_initial(
-        engine, x_init, noise_fraction=noise_fraction).noise_bound_ff
+    # X_B: the fraction of each wire's initial owned noise (the pairs
+    # whose lower index it is), summed over the owning wires.
+    coupling = engine.coupling
+    owned = np.bincount(coupling.pair_i, weights=coupling.pair_caps(x_init),
+                        minlength=coupling.num_nodes).astype(float)
+    noise_bound = float(np.sum(noise_fraction * owned[owned > 0.0]))
     problem = SizingProblem(delay_bound, noise_bound, power_bound)
     return OGWSOptimizer(engine, problem, x_init=x_init,
                          max_iterations=300).run()

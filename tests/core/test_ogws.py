@@ -3,8 +3,12 @@
 import numpy as np
 import pytest
 
-from repro.core import MultiplierState, OGWSOptimizer, SizingProblem
-from repro.core.subgradient import MultiplicativeUpdate
+from repro.core import OGWSOptimizer, SizingProblem
+from repro.core.subgradient import (
+    UPDATE_RULES,
+    MultiplicativeUpdate,
+    SubgradientUpdate,
+)
 from repro.timing import ElmoreEngine, evaluate_metrics
 from repro.utils.errors import ConvergenceError, ValidationError
 from repro.utils.units import FF_PER_PF
@@ -80,12 +84,21 @@ class TestRules:
         with pytest.raises(ValidationError):
             OGWSOptimizer(engine, problem, update=object())
 
-    def test_custom_multiplier_start(self, engine, problem):
-        mult = MultiplierState.initial(engine.compiled, beta=0.1, gamma=0.1)
-        res = OGWSOptimizer(engine, problem, max_iterations=300).run(mult)
-        assert res.feasible
-        # Caller's object must not be mutated.
-        assert mult.beta == 0.1
+    @pytest.mark.parametrize("name", ["multiplicative", "subgradient"])
+    def test_update_rule_by_name(self, engine, problem, name):
+        update = OGWSOptimizer(engine, problem, update=name).update
+        assert type(update) is UPDATE_RULES[name]
+        assert update.name == name
+
+    def test_multiplicative_is_the_default(self, engine, problem):
+        update = OGWSOptimizer(engine, problem).update
+        assert type(update) is MultiplicativeUpdate
+
+    @pytest.mark.parametrize("rule", [MultiplicativeUpdate, SubgradientUpdate])
+    def test_rule_objects_rejected(self, engine, problem, rule):
+        """A4 is named, never injected: only the two names select it."""
+        with pytest.raises(ValidationError, match="multiplicative"):
+            OGWSOptimizer(engine, problem, update=rule())
 
 
 class TestReporting:
@@ -130,15 +143,17 @@ class TestReporting:
 
 
 class TestFiniteOrFail:
-    def test_non_finite_multipliers_never_leave_the_solver(self, engine,
-                                                          problem):
-        class PoisonBeta(MultiplicativeUpdate):
-            def apply(self, multipliers, *args, **kwargs):
-                step = super().apply(multipliers, *args, **kwargs)
-                multipliers.beta = float("inf")
-                return step
+    def test_non_finite_multipliers_never_leave_the_solver(
+            self, engine, problem, monkeypatch):
+        apply_batch = MultiplicativeUpdate.apply_batch
 
-        optimizer = OGWSOptimizer(engine, problem, update=PoisonBeta(),
-                                  max_iterations=1)
+        def poison_beta(self, multipliers, *args):
+            steps = apply_batch(self, multipliers, *args)
+            for m in multipliers:
+                m.beta = float("inf")
+            return steps
+
+        monkeypatch.setattr(MultiplicativeUpdate, "apply_batch", poison_beta)
+        optimizer = OGWSOptimizer(engine, problem, max_iterations=1)
         with pytest.raises(ConvergenceError, match="multipliers"):
             optimizer.run()

@@ -5,11 +5,14 @@ import pytest
 
 from repro.core import (
     LagrangianSubproblemSolver,
+    MultiplierState,
     OGWSOptimizer,
     SizingProblem,
 )
-from repro.core.ogws import repair_lockstep
+from repro.core.ogws import FEASIBILITY_TOLERANCE, repair_lockstep
 from repro.timing import ElmoreEngine
+from repro.timing.metrics import EvalContext, evaluate_metrics
+from repro.utils.units import FF_PER_PF
 
 
 @pytest.fixture(scope="module")
@@ -23,38 +26,56 @@ def problem(engine):
         engine, engine.compiled.default_sizes(np.inf))
 
 
-def test_history_can_be_disabled(engine, problem):
-    result = OGWSOptimizer(engine, problem, record_history=False,
-                           max_iterations=60).run()
-    assert result.history == []
-    assert result.feasible
-
-
-def test_cold_start_lrs_same_solution(engine, problem):
-    warm = OGWSOptimizer(engine, problem, warm_start_lrs=True,
-                         max_iterations=120).run()
-    cold = OGWSOptimizer(engine, problem, warm_start_lrs=False,
-                         max_iterations=120).run()
-    assert warm.metrics.area_um2 == pytest.approx(cold.metrics.area_um2,
-                                                  rel=0.01)
-
-
-def test_custom_lrs_injected(engine, problem):
-    lrs = LagrangianSubproblemSolver(engine, tolerance=1e-5, max_passes=50)
-    result = OGWSOptimizer(engine, problem, lrs=lrs, max_iterations=80).run()
-    assert result.feasible
-
-
 def test_single_iteration_budget(engine, problem):
     result = OGWSOptimizer(engine, problem, max_iterations=1).run()
     assert result.iterations == 1
     assert not result.converged
 
 
+def test_every_lrs_call_after_the_first_is_warm_started(engine, problem,
+                                                        monkeypatch):
+    """A3 starts from the box's lower corner once, then from the
+    previous iterate."""
+    calls = []
+    solve_batch = LagrangianSubproblemSolver.solve_batch
+
+    def tracing(self, multipliers, x0s=None):
+        results = solve_batch(self, multipliers, x0s)
+        calls.append((list(x0s), [r.x for r in results]))
+        return results
+
+    monkeypatch.setattr(LagrangianSubproblemSolver, "solve_batch", tracing)
+    result = OGWSOptimizer(engine, problem, max_iterations=5).run()
+    assert len(calls) == result.iterations >= 2
+    assert calls[0][0] == [None]
+    for (_, [previous]), ([x0], _) in zip(calls, calls[1:]):
+        assert x0 is previous
+
+
+@pytest.mark.parametrize("constraint", ["delay", "noise", "power"])
+def test_feasibility_tolerance_is_the_verdict_threshold(engine, constraint):
+    """A point over one bound by half of FEASIBILITY_TOLERANCE is
+    feasible and over it by twice that is not, in both the eager verdict
+    of every iterate and the lazy one of every repair candidate."""
+    x = engine.compiled.default_sizes(1.0)
+    metrics = evaluate_metrics(engine, x)
+    values = {"delay": metrics.delay_ps,
+              "noise": metrics.noise_pf * FF_PER_PF,
+              "power": metrics.total_cap_ff}
+    for over, feasible in ((0.5, True), (2.0, False)):
+        bounds = {name: 2.0 * value for name, value in values.items()}
+        bounds[constraint] = values[constraint] / (
+            1.0 + over * FEASIBILITY_TOLERANCE)
+        problem = SizingProblem(delay_bound_ps=bounds["delay"],
+                                noise_bound_ff=bounds["noise"],
+                                power_cap_bound_ff=bounds["power"])
+        optimizer = OGWSOptimizer(engine, problem)
+        assert problem.is_feasible(metrics, FEASIBILITY_TOLERANCE) is feasible
+        assert optimizer._feasible_lazy(EvalContext(engine, x)) is feasible
+
+
 def test_repair_produces_feasible_blend(engine):
     """repair_lockstep returns a feasible point between anchor and iterate."""
-    from repro.timing.metrics import evaluate_metrics
-
     cc = engine.compiled
     # A problem where a fat uniform anchor is certainly feasible: bounds
     # taken at x = 2 with generous slack.
@@ -66,13 +87,15 @@ def test_repair_produces_feasible_blend(engine):
     )
     opt = OGWSOptimizer(engine, problem)
     anchor = cc.default_sizes(2.0)
-    assert opt._is_feasible(mid_metrics, anchor)
+    assert problem.is_feasible(mid_metrics, FEASIBILITY_TOLERANCE)
     x_bad = cc.default_sizes(0.0)  # min sizes: delay blows the bound
-    assert not opt._is_feasible(evaluate_metrics(engine, x_bad), x_bad)
+    assert not problem.is_feasible(evaluate_metrics(engine, x_bad),
+                                   FEASIBILITY_TOLERANCE)
+    state = opt.start(MultiplierState.initial(cc))
     [(repaired, metrics)] = repair_lockstep(
-        engine, [(opt, opt.start(), x_bad, anchor)])
+        engine, [(opt, state, x_bad, anchor)])
     assert repaired is not None
-    assert opt._is_feasible(metrics, repaired)
+    assert problem.is_feasible(metrics, FEASIBILITY_TOLERANCE)
     # The repair moves off the anchor toward the (cheaper) iterate.
     anchor_area = float(np.sum(cc.alpha[cc.is_sizable] * anchor[cc.is_sizable]))
     assert metrics.area_um2 < anchor_area

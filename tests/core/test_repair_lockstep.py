@@ -8,7 +8,6 @@ sizes, metrics and ``repair_evals``, and ``(None, None)`` when the
 anchor sits on the boundary.
 """
 
-import dataclasses
 import functools
 import types
 from unittest import mock
@@ -21,11 +20,11 @@ from hypothesis import strategies as st
 from oracles.repair import repair as oracle_repair
 from repro.core import (
     LagrangianSubproblemSolver,
+    MultiplierState,
     OGWSOptimizer,
     SizingProblem,
     ogws,
 )
-from repro.core.distributed import DistributedNoiseOGWS, DistributedSizingProblem
 from repro.core.ogws import REPAIR_BISECTIONS, repair_lockstep, run_lockstep
 from repro.core.session import SolverSession
 from repro.runtime import CircuitRef
@@ -33,14 +32,6 @@ from repro.timing import kernels
 from repro.timing.metrics import evaluate_metrics
 
 MODES = ("own", "none", "propagated")
-
-
-@dataclasses.dataclass(frozen=True)
-class _StrictProblem(SizingProblem):
-    """A problem type with its own ``is_feasible`` (the eager path)."""
-
-    def is_feasible(self, metrics, tolerance=1e-6):
-        return super().is_feasible(metrics, tolerance / 2)
 
 
 @functools.lru_cache(maxsize=None)
@@ -52,22 +43,18 @@ def _engine(seed, mode):
     return engine, x_init, evaluate_metrics(engine, x_init)
 
 
-def _optimizer(engine, x_init, initial, kind, slack, noise,
-               max_iterations=40):
-    if kind == "distributed":
-        problem = DistributedSizingProblem.from_initial(
-            engine, x_init, delay_slack=slack, noise_fraction=noise)
-        return DistributedNoiseOGWS(engine, problem, x_init=x_init,
-                                    initial_metrics=initial,
-                                    max_iterations=max_iterations)
+def _optimizer(engine, x_init, initial, slack, noise, max_iterations=40):
     problem = SizingProblem.from_initial(engine, x_init, delay_slack=slack,
                                          noise_fraction=noise,
                                          metrics=initial)
-    if kind == "custom":
-        problem = _StrictProblem(*dataclasses.astuple(problem))
     return OGWSOptimizer(engine, problem, x_init=x_init,
                          initial_metrics=initial,
                          max_iterations=max_iterations)
+
+
+def _start(opt):
+    """A fresh run state for ``opt`` (its repair-evaluation counter)."""
+    return opt.start(MultiplierState.initial(opt.engine.compiled))
 
 
 def _boundary_column(engine, x_init):
@@ -76,7 +63,8 @@ def _boundary_column(engine, x_init):
     The anchor is the all-upper-bound sizing and the iterate the
     all-lower-bound one; shrinking every size toward its lower bound
     raises the delay, so with the delay bound at the anchor's delay and
-    no tolerance every blend strictly between them is infeasible.
+    no tolerance (``ogws.FEASIBILITY_TOLERANCE`` patched to 0 around its
+    repair) every blend strictly between them is infeasible.
     """
     cc = engine.compiled
     anchor = x_init.copy()
@@ -84,8 +72,12 @@ def _boundary_column(engine, x_init):
     problem = SizingProblem(delay_bound_ps=metrics.delay_ps,
                             noise_bound_ff=1e30, power_cap_bound_ff=1e30)
     opt = OGWSOptimizer(engine, problem, x_init=x_init,
-                        initial_metrics=metrics, feasibility_tolerance=0.0)
-    return opt, opt.start(), cc.default_sizes(0.0), anchor
+                        initial_metrics=metrics)
+    return opt, _start(opt), cc.default_sizes(0.0), anchor
+
+
+def _no_tolerance():
+    return mock.patch.object(ogws, "FEASIBILITY_TOLERANCE", 0.0)
 
 
 def _repair_checked(engine, columns, merged=repair_lockstep):
@@ -111,22 +103,15 @@ def _repair_checked(engine, columns, merged=repair_lockstep):
 
 @settings(max_examples=20, deadline=None)
 @given(seed=st.integers(0, 3), mode=st.sampled_from(MODES),
-       distributed=st.booleans(),
        columns=st.lists(st.tuples(
-           st.sampled_from(("scalar", "scalar", "custom")),
            st.sampled_from((1.02, 1.1, 1.2)),
            st.sampled_from((0.08, 0.1, 0.15, 0.3))), min_size=2, max_size=5),
        boundary=st.integers(0, 5))
-def test_merged_repair_equals_sequential_oracle(seed, mode, distributed,
-                                                columns, boundary):
-    """Scalar columns (the lazy verdict and a problem's own
-    ``is_feasible``) or distributed ones (``is_feasible_at``): a
-    lockstep batch cannot mix scalar and per-net γ."""
+def test_merged_repair_equals_sequential_oracle(seed, mode, columns,
+                                                boundary):
     engine, x_init, initial = _engine(seed, mode)
-    optimizers = [_optimizer(engine, x_init, initial,
-                             "distributed" if distributed else kind,
-                             slack, noise)
-                  for kind, slack, noise in columns]
+    optimizers = [_optimizer(engine, x_init, initial, slack, noise)
+                  for slack, noise in columns]
     # Every merged repair of a lockstep run, checked as it happens.
     calls = []
 
@@ -142,11 +127,12 @@ def test_merged_repair_equals_sequential_oracle(seed, mode, distributed,
     # One direct call over all K columns, each from its own best point
     # toward the all-lower-bound iterate, with a boundary column
     # spliced in.
-    batch = [(opt, opt.start(), engine.compiled.default_sizes(0.0), r.x)
+    batch = [(opt, _start(opt), engine.compiled.default_sizes(0.0), r.x)
              for opt, r in zip(optimizers, results) if r.feasible]
     edge = _boundary_column(engine, x_init)
     batch.insert(boundary % (len(batch) + 1), edge)
-    got = _repair_checked(engine, batch)
+    with _no_tolerance():
+        got = _repair_checked(engine, batch)
     assert got[batch.index(edge)] == (None, None)
     assert edge[1].repair_evals == REPAIR_BISECTIONS
 
@@ -155,7 +141,8 @@ def test_merged_repair_equals_sequential_oracle(seed, mode, distributed,
 def test_boundary_anchor_gives_no_repair(mode):
     engine, x_init, _ = _engine(0, mode)
     column = _boundary_column(engine, x_init)
-    assert _repair_checked(engine, [column]) == [(None, None)]
+    with _no_tolerance():
+        assert _repair_checked(engine, [column]) == [(None, None)]
 
 
 def _sweep_log(optimizers):
@@ -204,7 +191,7 @@ def test_lockstep_iteration_makes_at_most_eight_arrival_sweeps(width):
     """
     engine, x_init, initial = _engine(1, "own")
     grid = [(1.1, 0.1), (1.1, 0.15), (1.2, 0.1), (1.05, 0.12)]
-    optimizers = [_optimizer(engine, x_init, initial, "scalar",
+    optimizers = [_optimizer(engine, x_init, initial,
                              *grid[k % len(grid)], max_iterations=60)
                   for k in range(width)]
     iterations, results = _sweep_log(optimizers)

@@ -14,8 +14,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import OGWSOptimizer, SizingProblem, SolverSession
-from repro.core.ogws import run_lockstep
-from repro.core.subgradient import MultiplicativeUpdate
+from repro.core.ogws import FEASIBILITY_TOLERANCE, run_lockstep
+from repro.core.subgradient import MultiplicativeUpdate, SubgradientUpdate
 from repro.runtime import CircuitRef, FlowConfig, Scenario, SweepSpec
 from repro.timing.metrics import evaluate_metrics
 from repro.utils.errors import ConvergenceError, ValidationError
@@ -319,9 +319,10 @@ class TestLockstep:
                         run_lockstep(optimizers())):
             self._assert_bitwise(a, b)
 
-    def test_mixed_update_rules_group_independently(self, session):
-        """Columns with different rules split into separate A4 groups
-        (plus scalar singletons) yet still match their scalar runs."""
+    def test_mixed_update_rules_group_independently(self, session,
+                                                    monkeypatch):
+        """Columns with different rules split into one A4 batch per rule
+        yet still match their runs alone."""
         engine = self._engine(session)
         x_init = session.compiled.default_sizes(np.inf)
         rules = ("multiplicative", "subgradient", "multiplicative",
@@ -334,37 +335,52 @@ class TestLockstep:
                 update=rule, x_init=x_init)
                 for nf, rule in zip((0.08, 0.1, 0.12, 0.15, 0.2), rules)]
 
-        for a, b in zip([opt.run() for opt in optimizers()],
-                        run_lockstep(optimizers())):
+        alone = [opt.run() for opt in optimizers()]
+        widths = []
+        for cls in (MultiplicativeUpdate, SubgradientUpdate):
+            def tracing(self, multipliers, *args, _apply=cls.apply_batch):
+                widths.append((self.name, len(multipliers)))
+                return _apply(self, multipliers, *args)
+
+            monkeypatch.setattr(cls, "apply_batch", tracing)
+        for a, b in zip(alone, run_lockstep(optimizers())):
             self._assert_bitwise(a, b)
+        # The first iteration steps every column: one batch per rule.
+        assert widths[:2] == [("multiplicative", 3), ("subgradient", 2)]
 
-    def test_nonbatchable_update_takes_scalar_fallback(self, session):
-        """A subclassed update (batch_key → None) must still run
-        correctly in lockstep via the scalar apply path."""
-        from repro.core.subgradient import MultiplicativeUpdate
-
-        class TracingUpdate(MultiplicativeUpdate):
-            applied = 0
-
-            def apply(self, *args, **kwargs):
-                TracingUpdate.applied += 1
-                return super().apply(*args, **kwargs)
-
+    @pytest.mark.parametrize("first", ["multiplicative", "subgradient"])
+    def test_rule_group_goes_whole_when_the_other_retires(
+            self, session, monkeypatch, first):
+        """While both rules run, each is a group of one stepping its
+        column from a slice of the stacks; once ``first`` retires, the
+        other rule covers every live column and is passed the stacks
+        whole.  Both columns stay bit-identical to their runs alone."""
         engine = self._engine(session)
         x_init = session.compiled.default_sizes(np.inf)
+        other = ({"multiplicative", "subgradient"} - {first}).pop()
 
-        def optimizers(cls):
+        def optimizers():
             return [OGWSOptimizer(
                 engine,
                 SizingProblem.from_initial(engine, x_init, noise_fraction=nf),
-                update=cls(), x_init=x_init) for nf in (0.1, 0.15)]
+                update=rule, x_init=x_init, max_iterations=budget)
+                for nf, rule, budget in ((0.1, first, 3), (0.12, other, 8))]
 
-        assert TracingUpdate().batch_key() is None
-        scalar = [opt.run() for opt in optimizers(MultiplicativeUpdate)]
-        lockstep = run_lockstep(optimizers(TracingUpdate))
-        assert TracingUpdate.applied > 0  # fallback actually exercised
-        for a, b in zip(scalar, lockstep):
+        alone = [opt.run() for opt in optimizers()]
+        calls = []
+        for cls in (MultiplicativeUpdate, SubgradientUpdate):
+            def tracing(self, multipliers, ks, arrival, *args,
+                        _apply=cls.apply_batch):
+                calls.append((self.name, len(multipliers), arrival.shape[1]))
+                return _apply(self, multipliers, ks, arrival, *args)
+
+            monkeypatch.setattr(cls, "apply_batch", tracing)
+        together = run_lockstep(optimizers())
+        for a, b in zip(alone, together):
             self._assert_bitwise(a, b)
+        assert [r.iterations for r in together] == [3, 8]
+        assert calls == [(first, 1, 1), (other, 1, 1)] * 3 + \
+            [(other, 1, 1)] * 5
 
 
 class TestRepairShortCircuit:
@@ -382,8 +398,9 @@ class TestRepairShortCircuit:
             x = cc.default_sizes(1.0)
             x[mask] = np.clip(rng.uniform(0.3, 4.0, int(mask.sum())),
                               cc.lower[mask], cc.upper[mask])
-            eager = optimizer._is_feasible(evaluate_metrics(engine, x), x)
-            lazy = optimizer._feasible_lazy(EvalContext(engine, x), x)
+            eager = problem.is_feasible(evaluate_metrics(engine, x),
+                                        FEASIBILITY_TOLERANCE)
+            lazy = optimizer._feasible_lazy(EvalContext(engine, x))
             assert eager == lazy
 
     def _noise_engine(self, session):

@@ -1,39 +1,46 @@
-"""Step schedules and multiplier updates (Fig. 9 step A4)."""
+"""Multiplier updates (Fig. 9 step A4)."""
 
 import numpy as np
 import pytest
 
+from oracles import a4
 from repro.core import (
-    ConstantStep,
-    HarmonicStep,
     MultiplierState,
     MultiplicativeUpdate,
     SizingProblem,
-    SqrtStep,
     SubgradientUpdate,
 )
-from repro.core.subgradient import edge_timing_terms
+from repro.core.subgradient import UPDATE_RULES, edge_timing_terms
 from repro.timing import ElmoreEngine
-from repro.utils.errors import ValidationError
+
+ORACLES = {MultiplicativeUpdate: a4.multiplicative,
+           SubgradientUpdate: a4.subgradient}
 
 
-class TestSchedules:
-    def test_paper_conditions(self):
+class TestSteps:
+    @pytest.mark.parametrize("rule", [MultiplicativeUpdate, SubgradientUpdate])
+    def test_paper_conditions(self, rule):
         """μ_k → 0 and Σ μ_k → ∞ (checked on a long prefix)."""
-        for schedule in (HarmonicStep(1.0), SqrtStep(1.0)):
-            steps = [schedule(k) for k in range(1, 5001)]
-            assert steps[-1] < 0.05
-            assert all(a >= b for a, b in zip(steps, steps[1:]))
-            assert sum(steps) > 8.0
+        steps = [rule.step(k) for k in range(1, 5001)]
+        assert steps[-1] < steps[0] / 10
+        assert all(a > b for a, b in zip(steps, steps[1:]))
+        assert sum(steps) > 8.0
 
-    def test_constant_violates_decay_but_is_constant(self):
-        s = ConstantStep(0.2)
-        assert s(1) == s(1000) == 0.2
+    @pytest.mark.parametrize("rule", [MultiplicativeUpdate, SubgradientUpdate])
+    def test_step_arithmetic(self, rule):
+        """The fixed sequences, spelled as the one-column oracle spells
+        them (``3/k^0.3`` and ``1/√k``); k < 1 counts as the first step."""
+        spell = {MultiplicativeUpdate: lambda k: 3.0 / k ** 0.3,
+                 SubgradientUpdate: lambda k: 1.0 / np.sqrt(k)}[rule]
+        for k in (1, 2, 3, 10, 60, 299, 2380):
+            assert rule.step(k) == spell(k)
+        assert rule.step(0) == rule.step(-4) == rule.step(1)
 
-    def test_mu0_validated(self):
-        for cls in (HarmonicStep, SqrtStep, ConstantStep):
-            with pytest.raises(ValidationError):
-                cls(0.0)
+    def test_rules_registered_by_name(self):
+        assert UPDATE_RULES == {"multiplicative": MultiplicativeUpdate,
+                                "subgradient": SubgradientUpdate}
+        for name, rule in UPDATE_RULES.items():
+            assert rule.name == name
 
 
 @pytest.fixture(scope="module")
@@ -77,6 +84,30 @@ class TestEdgeTerms:
         np.testing.assert_allclose(residual[on_sink], arrival[src] - half_bound)
         np.testing.assert_allclose(reference[on_sink], half_bound)
 
+    @pytest.mark.parametrize("width", [None, 3])
+    def test_inputs_left_untouched(self, setting, width):
+        """The in-place steps write only into the gathered copies."""
+        cc, _, arrival, delays, problem = setting
+        bound = problem.delay_bound_ps
+        if width is not None:
+            arrival = np.column_stack([arrival * (1 + 0.1 * j)
+                                       for j in range(width)])
+            delays = np.column_stack([delays] * width)
+            bound = np.full(width, bound)
+        before = arrival.copy(), delays.copy()
+        residual, reference = edge_timing_terms(cc, arrival, delays, bound)
+        assert arrival.tobytes() == before[0].tobytes()
+        assert delays.tobytes() == before[1].tobytes()
+        assert not np.shares_memory(residual, arrival)
+        assert not np.shares_memory(reference, arrival)
+
+
+def _apply(update, mult, k, arrival, delays, problem, power_cap, noise):
+    """``update`` on one scenario: a batch of width one."""
+    [mu] = update.apply_batch([mult], [k], arrival[:, None], delays[:, None],
+                              [problem], [power_cap], [noise])
+    return mu
+
 
 class TestUpdates:
     def _apply(self, update, setting, beta0=0.1, gamma0=0.1,
@@ -84,8 +115,7 @@ class TestUpdates:
         cc, _, arrival, delays, problem = setting
         mult = MultiplierState.initial(cc, beta=beta0, gamma=gamma0)
         before = mult.lam_edge.copy()
-        update.apply(mult, 1, arrival, delays, problem,
-                     power_cap=power_cap, noise=noise)
+        _apply(update, mult, 1, arrival, delays, problem, power_cap, noise)
         return mult, before
 
     def test_subgradient_nonnegative_after_update(self, setting):
@@ -112,17 +142,12 @@ class TestUpdates:
         assert np.all(mult.lam_edge[positive] > 0)
 
     def test_multiplicative_ratio_clipped(self, setting):
-        cc, _, arrival, delays, problem = setting
-        update = MultiplicativeUpdate(schedule=ConstantStep(1.0), ratio_clip=2.0)
-        mult = MultiplierState.initial(cc, beta=1.0, gamma=1.0)
-        update.apply(mult, 1, arrival, delays, problem,
-                     power_cap=1e9, noise=1e9)  # huge violations
-        assert mult.beta <= 2.0 + 1e-12
-        assert mult.gamma <= 2.0 + 1e-12
-
-    def test_ratio_clip_validated(self):
-        with pytest.raises(ValidationError):
-            MultiplicativeUpdate(ratio_clip=1.0)
+        """Huge violations step β and γ by at most ``RATIO_CLIP ** μ``."""
+        mult, _ = self._apply(MultiplicativeUpdate(), setting, beta0=1.0,
+                              gamma0=1.0, power_cap=1e9, noise=1e9)
+        bound = MultiplicativeUpdate.RATIO_CLIP ** MultiplicativeUpdate.step(1)
+        assert mult.beta <= bound * (1 + 1e-12)
+        assert mult.gamma <= bound * (1 + 1e-12)
 
     def test_noncritical_edges_decay(self, setting):
         """Edges with slack lose multiplier mass under both rules."""
@@ -135,14 +160,51 @@ class TestUpdates:
         for update in (SubgradientUpdate(), MultiplicativeUpdate()):
             mult = MultiplierState.initial(cc, beta=0.1, gamma=0.1)
             before = mult.lam_edge.copy()
-            update.apply(mult, 1, arrival, delays, problem,
-                         power_cap=500.0, noise=50.0)
+            _apply(update, mult, 1, arrival, delays, problem, 500.0, 50.0)
             changed = mult.lam_edge[slack_edges] <= before[slack_edges] + 1e-12
             assert np.all(changed)
 
+    @pytest.mark.parametrize("rule", [MultiplicativeUpdate, SubgradientUpdate])
+    def test_tight_constraints_are_fixed_points(self, setting, rule):
+        """Zero residuals leave λ, β and γ unchanged to the bit, so both
+        rules share their fixed points."""
+        cc, _, arrival, delays, problem = setting
+        residual, _ = edge_timing_terms(cc, arrival, delays,
+                                        problem.delay_bound_ps)
+        tight = residual == 0.0
+        assert tight[cc.sink_in_edges].any()
+        mult = MultiplierState.initial(cc, beta=0.1, gamma=0.2)
+        before = mult.copy()
+        _apply(rule(), mult, 4, arrival, delays, problem,
+               problem.power_cap_bound_ff, problem.noise_bound_ff)
+        assert mult.lam_edge[tight].tobytes() == \
+            before.lam_edge[tight].tobytes()
+        assert mult.beta == before.beta and mult.gamma == before.gamma
+
+    def test_subgradient_scale_floor_on_zero_multipliers(self, setting):
+        """From λ = β = γ = 0 the step scale is the floor, so only
+        violated constraints gain multiplier mass."""
+        cc, _, arrival, delays, problem = setting
+        half = SizingProblem(delay_bound_ps=problem.delay_bound_ps / 2,
+                             noise_bound_ff=problem.noise_bound_ff,
+                             power_cap_bound_ff=problem.power_cap_bound_ff)
+        mult = MultiplierState(cc)
+        mu = _apply(SubgradientUpdate(), mult, 1, arrival, delays, half,
+                    2 * half.power_cap_bound_ff, half.noise_bound_ff / 2)
+        floor = SubgradientUpdate.SCALE_FLOOR
+        residual, reference = edge_timing_terms(cc, arrival, delays,
+                                                half.delay_bound_ps)
+        np.testing.assert_allclose(
+            mult.lam_edge, np.maximum(0.0, mu * floor * residual / reference),
+            rtol=1e-15, atol=0.0)
+        assert np.all(mult.lam_edge[residual <= 0] == 0.0)
+        assert mult.lam_edge[cc.sink_in_edges].max() > 0
+        assert mult.beta == mu * floor * (2.0 - 1.0)
+        assert mult.gamma == 0.0
+
 
 class TestBatchedA4:
-    """apply_batch column j must be bit-identical to apply on column j."""
+    """apply_batch column j must be bit-identical to the one-column oracle."""
 
     def _columns(self, setting, K, seed=0):
         """K perturbed (arrival, delays, mult, problem, caps) scenarios."""
@@ -162,20 +224,18 @@ class TestBatchedA4:
                 power_cap=1500.0 + 100 * j, noise=40.0 + 5 * j, k=j + 1))
         return cols
 
-    @pytest.mark.parametrize("make", [SubgradientUpdate, MultiplicativeUpdate])
+    @pytest.mark.parametrize("rule", [SubgradientUpdate, MultiplicativeUpdate])
     @pytest.mark.parametrize("K", [1, 3, 8])
-    def test_bitwise_equals_scalar(self, setting, make, K):
+    def test_bitwise_equals_oracle(self, setting, rule, K):
         cols = self._columns(setting, K)
-        scalar_update = make()
-        scalar_mults = [c["mult"].copy() for c in cols]
-        scalar_mus = [scalar_update.apply(
+        oracle_mults = [c["mult"].copy() for c in cols]
+        oracle_mus = [ORACLES[rule](
             m, c["k"], c["arrival"], c["delays"], c["problem"],
             power_cap=c["power_cap"], noise=c["noise"])
-            for m, c in zip(scalar_mults, cols)]
+            for m, c in zip(oracle_mults, cols)]
 
-        batch_update = make()
         batch_mults = [c["mult"].copy() for c in cols]
-        mus = batch_update.apply_batch(
+        mus = rule().apply_batch(
             batch_mults, [c["k"] for c in cols],
             np.column_stack([c["arrival"] for c in cols]),
             np.column_stack([c["delays"] for c in cols]),
@@ -183,48 +243,46 @@ class TestBatchedA4:
             [c["power_cap"] for c in cols],
             [c["noise"] for c in cols])
 
-        assert mus == scalar_mus
-        for s, b in zip(scalar_mults, batch_mults):
+        assert mus == oracle_mus
+        for s, b in zip(oracle_mults, batch_mults):
             assert s.lam_edge.tobytes() == b.lam_edge.tobytes()
             assert s.beta == b.beta and s.gamma == b.gamma
             assert b.lam_edge.flags["C_CONTIGUOUS"]
 
-    def test_batch_key_groups_identical_rules_only(self):
-        a = MultiplicativeUpdate()
-        b = MultiplicativeUpdate()
-        assert a.batch_key() == b.batch_key() is not None
-        assert a.batch_key() != MultiplicativeUpdate(
-            ratio_clip=2.0).batch_key()
-        assert a.batch_key() != SubgradientUpdate().batch_key()
-        assert SubgradientUpdate().batch_key() == \
-            SubgradientUpdate().batch_key()
-        assert SubgradientUpdate(schedule=SqrtStep(2.0)).batch_key() != \
-            SubgradientUpdate(schedule=SqrtStep(1.0)).batch_key()
+    @pytest.mark.parametrize("rule", [SubgradientUpdate, MultiplicativeUpdate])
+    @pytest.mark.parametrize("K", [2, 5])
+    def test_column_independent_of_its_batch(self, setting, rule, K):
+        """A column steps the same alone, through a strided view of a
+        wider stack, as it does among K columns."""
+        cols = self._columns(setting, K, seed=7)
+        arrival = np.column_stack([c["arrival"] for c in cols])
+        delays = np.column_stack([c["delays"] for c in cols])
+        together = [c["mult"].copy() for c in cols]
+        mus = rule().apply_batch(
+            together, [c["k"] for c in cols], arrival, delays,
+            [c["problem"] for c in cols], [c["power_cap"] for c in cols],
+            [c["noise"] for c in cols])
+        for j, c in enumerate(cols):
+            alone = c["mult"].copy()
+            [mu] = rule().apply_batch(
+                [alone], [c["k"]], arrival[:, j:j + 1], delays[:, j:j + 1],
+                [c["problem"]], [c["power_cap"]], [c["noise"]])
+            assert mu == mus[j]
+            assert alone.lam_edge.tobytes() == together[j].lam_edge.tobytes()
+            assert alone.beta == together[j].beta
+            assert alone.gamma == together[j].gamma
 
-    def test_unknown_schedule_or_subclass_opts_out(self):
-        class MySchedule(SqrtStep):
-            pass
-
-        class MyUpdate(MultiplicativeUpdate):
-            pass
-
-        assert MultiplicativeUpdate(schedule=MySchedule()).batch_key() is None
-        assert MyUpdate().batch_key() is None
-        assert SubgradientUpdate(schedule=MySchedule()).batch_key() is None
-
-    def test_edge_terms_batch_matches_scalar(self, setting):
+    def test_edge_terms_batch_matches_oracle(self, setting):
         cc, _, arrival, delays, problem = setting
-        from repro.core.subgradient import edge_timing_terms_batch
-
         bounds = [problem.delay_bound_ps, problem.delay_bound_ps / 2]
         arr = np.column_stack([arrival, arrival * 1.1])
         del_ = np.column_stack([delays, delays * 1.1])
-        res_b, ref_b = edge_timing_terms_batch(cc, arr, del_, bounds)
+        res_b, ref_b = edge_timing_terms(cc, arr, del_, np.array(bounds))
         for j, bound in enumerate(bounds):
-            res_s, ref_s = edge_timing_terms(
-                cc, np.ascontiguousarray(arr[:, j]),
-                np.ascontiguousarray(del_[:, j]), bound)
-            assert res_s.tobytes() == np.ascontiguousarray(
-                res_b[:, j]).tobytes()
-            assert ref_s.tobytes() == np.ascontiguousarray(
-                ref_b[:, j]).tobytes()
+            column = (np.ascontiguousarray(arr[:, j]),
+                      np.ascontiguousarray(del_[:, j]))
+            for got in (edge_timing_terms(cc, *column, bound),
+                        (res_b[:, j], ref_b[:, j])):
+                want = a4.edge_terms(cc, *column, bound)
+                for g, w in zip(got, want):
+                    assert np.ascontiguousarray(g).tobytes() == w.tobytes()

@@ -24,9 +24,8 @@ def two_pair_set(order=2, weights=(1.0, 1.0)):
 
 def node_terms(cs, x, gamma, node_caps=False):
     """``node_terms_batch`` at width one, as fresh 1-D arrays."""
-    gamma = np.asarray(gamma, dtype=float)
-    terms = cs.node_terms_batch(x[:, None], gamma[..., None] if gamma.ndim
-                                else gamma[None], node_caps=node_caps)
+    terms = cs.node_terms_batch(x[:, None], np.array([gamma]),
+                                node_caps=node_caps)
     return CouplingTerms(*(None if a is None else a[:, 0].copy()
                            for a in terms))
 
@@ -212,13 +211,31 @@ class TestNodeTerms:
         assert terms.node_caps is None
 
     @pytest.mark.parametrize("order", [2, 4])
-    def test_matches_separate_sums_per_net_gamma(self, order):
+    def test_matches_separate_sums_per_column_gamma(self, order):
+        """Each of K columns carries its own sizes and its own γ."""
         cs = two_pair_set(order=order)
-        x = self._random_sizes(cs, seed=3)
-        gamma = np.linspace(0.01, 0.4, cs.num_nodes)
-        terms = node_terms(cs, x, gamma)
-        np.testing.assert_allclose(terms.gamma_slopes,
-                                   slope_sums(cs, x, gamma),
+        xs = [self._random_sizes(cs, seed=seed) for seed in (3, 4, 5)]
+        gammas = np.array([0.01, 0.2, 0.4])
+        terms = cs.node_terms_batch(np.column_stack(xs), gammas)
+        assert terms.gamma_slopes.shape == (cs.num_nodes, len(xs))
+        for j, (x, gamma) in enumerate(zip(xs, gammas)):
+            cap_sum, dx_sum = node_sums(cs, x)
+            np.testing.assert_allclose(terms.cap_sum[:, j], cap_sum,
+                                       rtol=1e-12, atol=1e-15)
+            np.testing.assert_allclose(terms.dx_sum[:, j], dx_sum,
+                                       rtol=1e-12, atol=1e-15)
+            np.testing.assert_allclose(terms.gamma_slopes[:, j],
+                                       slope_sums(cs, x, gamma),
+                                       rtol=1e-12, atol=1e-15)
+
+    def test_gamma_slopes_scale_dx_sum_on_a_layout(self, small_coupling, rng):
+        """On a real layout the slopes are γ times the dx sums, bit for
+        bit."""
+        x = rng.uniform(0.1, 3.0, small_coupling.num_nodes)
+        terms = node_terms(small_coupling, x, 0.7)
+        assert terms.gamma_slopes.tobytes() == (0.7 * terms.dx_sum).tobytes()
+        _, dx_sum = node_sums(small_coupling, x)
+        np.testing.assert_allclose(terms.dx_sum, dx_sum,
                                    rtol=1e-12, atol=1e-15)
 
     def test_node_caps_ride_along(self):

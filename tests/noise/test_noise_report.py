@@ -1,6 +1,5 @@
 """Per-net crosstalk reporting."""
 
-import numpy as np
 import pytest
 
 from repro.noise.report import noise_report, victim_records
@@ -28,8 +27,18 @@ def test_totals_match_coupling_set(setting):
 
 def test_owners_match_dominating_index(setting):
     circuit, coupling, x = setting
-    owners = {int(o) for o in coupling.owner}
+    owners = {int(o) for o in coupling.pair_i}
     assert {r.net for r in victim_records(circuit, coupling, x)} == owners
+
+
+def test_each_pair_owned_by_its_smaller_index(setting):
+    """A pair (i, j) with i < j is reported under wire i, once."""
+    circuit, coupling, x = setting
+    assert (coupling.pair_i < coupling.pair_j).all()
+    records = victim_records(circuit, coupling, x)
+    assert sum(r.n_pairs for r in records) == coupling.num_pairs
+    for record in records:
+        assert record.n_pairs == int((coupling.pair_i == record.net).sum())
 
 
 def test_worst_pair_is_largest(setting):
@@ -38,19 +47,8 @@ def test_worst_pair_is_largest(setting):
     caps = coupling.pair_caps(x)
     for record in records[:5]:
         owned = [float(caps[p]) for p in range(coupling.num_pairs)
-                 if int(coupling.owner[p]) == record.net]
+                 if int(coupling.pair_i[p]) == record.net]
         assert record.worst_pair[1] == pytest.approx(max(owned))
-
-
-def test_utilization_with_bounds(setting):
-    circuit, coupling, x = setting
-    bounds = np.full(circuit.num_nodes, np.inf)
-    records = victim_records(circuit, coupling, x)
-    target = records[0]
-    bounds[target.net] = target.noise_ff * 2.0
-    updated = victim_records(circuit, coupling, x, bounds=bounds)
-    record = next(r for r in updated if r.net == target.net)
-    assert record.utilization == pytest.approx(0.5)
 
 
 def test_report_renders(setting):

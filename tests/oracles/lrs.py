@@ -40,20 +40,14 @@ def node_sums(coupling, x):
 
 
 def slope_sums(coupling, x, gamma):
-    """``Σ_{j∈N(i)} γ_owner(i,j) · ∂c_ij/∂x_i`` per node.
-
-    ``gamma`` is the scalar crosstalk multiplier or a per-node array
-    (read at each pair's owner).
-    """
+    """``Σ_{j∈N(i)} γ · ∂c_ij/∂x_i`` per node, for the scalar crosstalk
+    multiplier ``gamma``."""
     n = coupling.num_nodes
     if coupling.num_pairs == 0:
         return np.zeros(n)
     u = coupling.size_ratio(x)
     slopes = coupling.chat * taylor_derivative_factor(u, coupling.order)
-    gamma = np.asarray(gamma, dtype=float)
-    pair_gamma = gamma[coupling.owner] if gamma.ndim else np.full(
-        coupling.num_pairs, float(gamma))
-    weighted = pair_gamma * slopes
+    weighted = gamma * slopes
     endpoints = np.concatenate([coupling.pair_i, coupling.pair_j])
     return np.bincount(endpoints, weights=np.concatenate([weighted, weighted]),
                        minlength=n).astype(float)

@@ -45,7 +45,7 @@ def repair(opt, x, x_feasible, bisections=7, state=None):
         context = EvalContext(engine, cand)
         if state is not None:
             state.repair_evals += 1
-        if opt._feasible_lazy(context, cand):
+        if opt._feasible_lazy(context):
             best, best_metrics = cand, context.metrics
             lo = mid
         else:

@@ -1,5 +1,8 @@
 """Batch execution: parallel determinism, cache short-circuit, streaming."""
 
+import contextlib
+from unittest import mock
+
 import pytest
 
 from repro.runtime import (
@@ -10,6 +13,7 @@ from repro.runtime import (
     SweepSpec,
     run_scenario,
 )
+from repro.runtime import runner as runner_module
 from repro.utils.errors import ValidationError
 
 
@@ -22,6 +26,20 @@ def sweep():
         orderings=("woss", "random"),
         base=FlowConfig(n_patterns=32, max_iterations=50),
     )
+
+
+@contextlib.contextmanager
+def counting_groups():
+    """Record every scenario the runner hands to the solver (jobs=1)."""
+    calls = []
+    run_group = runner_module.run_scenario_group
+
+    def counting(scenarios, pool=None):
+        calls.extend(scenarios)
+        return run_group(scenarios, pool=pool)
+
+    with mock.patch.object(runner_module, "run_scenario_group", counting):
+        yield calls
 
 
 @pytest.fixture(scope="module")
@@ -69,14 +87,9 @@ def test_second_run_served_entirely_from_cache(tmp_path, sweep, serial_records):
     assert cold.stats.computed == len(sweep)
     assert cold.stats.cache_hits == 0
 
-    calls = []
-
-    def counting_run(scenario):
-        calls.append(scenario)
-        return run_scenario(scenario)
-
-    warm = BatchRunner(jobs=1, cache=cache, run=counting_run)
-    warm_records = warm.run(sweep)
+    with counting_groups() as calls:
+        warm = BatchRunner(jobs=1, cache=cache)
+        warm_records = warm.run(sweep)
     assert calls == [], "warm cache must not invoke the solver at all"
     assert warm.stats.computed == 0
     assert warm.stats.cache_hits == len(sweep)
@@ -91,14 +104,9 @@ def test_partial_cache_computes_only_misses(tmp_path, sweep):
     cache = ResultCache(tmp_path)
     BatchRunner(jobs=1, cache=cache).run(scenarios[:2])
 
-    calls = []
-
-    def counting_run(scenario):
-        calls.append(scenario)
-        return run_scenario(scenario)
-
-    runner = BatchRunner(jobs=1, cache=cache, run=counting_run)
-    records = runner.run(scenarios)
+    with counting_groups() as calls:
+        runner = BatchRunner(jobs=1, cache=cache)
+        records = runner.run(scenarios)
     assert [s.content_hash() for s in calls] == \
         [s.content_hash() for s in scenarios[2:]]
     assert runner.stats.cache_hits == 2 and runner.stats.computed == 2
@@ -125,8 +133,6 @@ def test_progress_callback_streams_every_record(sweep):
 def test_invalid_construction_rejected():
     with pytest.raises(ValidationError):
         BatchRunner(jobs=0)
-    with pytest.raises(ValidationError):
-        BatchRunner(jobs=2, run=lambda s: None)
 
 
 def test_resolve_jobs_accepts_auto_and_rejects_nonpositive():
@@ -210,6 +216,27 @@ class TestGroupingPlanner:
         assert [r.canonical_json() for r in records] == \
             [by_hash[s.content_hash()] for s in shuffled]
 
+    def test_each_circuit_group_dispatched_once(self, sweep, serial_records):
+        """A serial run hands the solver one call per circuit, holding
+        that circuit's scenarios in input order."""
+        calls = []
+        run_group = runner_module.run_scenario_group
+
+        def recording(scenarios, pool=None):
+            calls.append(list(scenarios))
+            return run_group(scenarios, pool=pool)
+
+        runner = BatchRunner(jobs=1)
+        with mock.patch.object(runner_module, "run_scenario_group",
+                               recording):
+            records = runner.run(sweep)
+        scenarios = sweep.scenarios()
+        assert calls == [[s for s in scenarios if s.circuit == circuit]
+                         for circuit in sweep.circuits]
+        assert runner.stats.groups == len(calls)
+        assert ([r.canonical_json() for r in records]
+                == [r.canonical_json() for r in serial_records])
+
     def test_cache_hits_peeled_before_grouping(self, tmp_path, sweep):
         scenarios = sweep.scenarios()
         cache = ResultCache(tmp_path)
@@ -225,23 +252,13 @@ class TestGroupingPlanner:
     def test_warm_cache_skips_grouping_entirely(self, tmp_path, sweep):
         cache = ResultCache(tmp_path)
         BatchRunner(jobs=1, cache=cache).run(sweep)
-        runner = BatchRunner(jobs=1, cache=cache)
-        records = runner.run(sweep)
+        runner = BatchRunner(jobs=2, cache=cache)
+        with mock.patch.object(runner_module, "make_executor") as executor:
+            records = runner.run(sweep)
+        executor.assert_not_called()
         assert runner.stats.cache_hits == len(sweep)
         assert runner.stats.groups == 0
         assert all(r.cached for r in records)
-
-    def test_custom_run_disables_grouping(self, sweep):
-        calls = []
-
-        def counting_run(scenario):
-            calls.append(scenario)
-            return run_scenario(scenario)
-
-        runner = BatchRunner(jobs=1, run=counting_run)
-        runner.run(sweep.scenarios()[:2])
-        assert runner.stats.groups == 0
-        assert len(calls) == 2
 
     def test_abandoned_grouped_stream_terminates(self, sweep):
         runner = BatchRunner(jobs=2)

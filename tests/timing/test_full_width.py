@@ -8,7 +8,8 @@ the one-gather arrival write-back and workspace memory counted once.
 * ``arrival_sweep(plan, delays, None, ws)`` returns each column's sink
   arrival, bit for bit ``arrival_times(delays)[sink]``, and a full sweep
   equals the fill-and-scatter spelling in ``tests/oracles/arrival.py``.
-* ``Workspace.nbytes`` counts each base allocation once.
+* ``Workspace.nbytes`` and ``CouplingSet.nbytes`` count each base
+  allocation once, the coupling set's solver scratch included.
 """
 
 import numpy as np
@@ -17,8 +18,9 @@ import pytest
 from repro import ChannelLayout, SimilarityAnalyzer, iscas85_circuit
 from repro.circuit import load_bench, random_circuit, random_tree_circuit
 from repro.circuit.parser import builtin_bench_path
+from repro.core import OGWSOptimizer, SizingProblem, run_lockstep
 from repro.noise import CouplingSet, MillerMode
-from repro.timing import ElmoreEngine, kernels
+from repro.timing import CouplingDelayMode, ElmoreEngine, kernels
 
 from oracles.arrival import arrival_fill_scatter
 
@@ -36,11 +38,12 @@ def _bits(values):
     return np.ascontiguousarray(values, dtype=float).view(np.int64)
 
 
-def _coupled(name):
+def _coupled(name, order=2):
     circuit = CIRCUITS[name]()
     analyzer = SimilarityAnalyzer(circuit, n_patterns=32)
     coupling = CouplingSet.from_layout(ChannelLayout.from_levels(circuit),
-                                       analyzer, MillerMode.SIMILARITY)
+                                       analyzer, MillerMode.SIMILARITY,
+                                       order=order)
     return circuit.compile(), coupling
 
 
@@ -73,23 +76,29 @@ def test_workspace_constants_at_width(name, width):
 @pytest.mark.parametrize("width", WIDTHS)
 @pytest.mark.parametrize("name", ["c432", "random"])
 def test_coupling_scratch_constants_at_width(name, width):
-    _, coupling = _coupled(name)
-    assert coupling.num_pairs
-    s = coupling._ensure_batch_scratch(width)
-    sources = {"ctilde": coupling.ctilde, "chat": coupling.chat,
-               "two_distance": coupling._two_distance,
-               "dx_static": coupling._ensure_scratch()["dx_static"]}
-    np.testing.assert_array_equal(sources["two_distance"],
-                                  2.0 * coupling.distance)
-    for const_name, source in sources.items():
-        const = s[const_name]
-        assert const.shape == (len(source), width), const_name
-        assert const.flags.c_contiguous, const_name
-        assert not const.flags.writeable, const_name
-        np.testing.assert_array_equal(
-            const, np.broadcast_to(source[:, None], const.shape))
-        assert np.shares_memory(const, source) == (width == 1), const_name
-    assert not any(name.endswith("_col") for name in vars(coupling))
+    """Order 2 keeps the frozen slope sums, higher orders ``chat``."""
+    for order in (2, 3):
+        _, coupling = _coupled(name, order)
+        assert coupling.num_pairs
+        s = coupling._ensure_batch_scratch(width)
+        sources = {"ctilde": coupling.ctilde,
+                   "two_distance": coupling._two_distance}
+        if order == 2:
+            sources["dx_static"] = coupling._ensure_scratch()["dx_static"]
+        else:
+            sources["chat"] = coupling.chat
+        np.testing.assert_array_equal(sources["two_distance"],
+                                      2.0 * coupling.distance)
+        for const_name, source in sources.items():
+            const = s[const_name]
+            assert const.shape == (len(source), width), const_name
+            assert const.flags.c_contiguous, const_name
+            assert not const.flags.writeable, const_name
+            np.testing.assert_array_equal(
+                const, np.broadcast_to(source[:, None], const.shape))
+            assert np.shares_memory(const, source) == (width == 1), \
+                const_name
+        assert not any(name.endswith("_col") for name in vars(coupling))
 
 
 def _delay_columns(compiled, count, seed):
@@ -176,3 +185,82 @@ def test_workspace_nbytes_counts_each_base_once(width):
     n_cond = len(plan.cond_nodes)
     for *_, level, _ in ws.arrival_levels():
         assert level.base is ws.arr and level.shape[0] <= n_cond
+
+
+@pytest.mark.parametrize("order", (2, 3))
+def test_coupling_nbytes_counts_its_scratch_once(order):
+    """After a lockstep solve ``nbytes`` holds the set's arrays, the
+    endpoint-scatter operator once and every pooled width's scratch; the
+    width-1 constants view the set's own arrays and add nothing."""
+    compiled, coupling = _coupled("c432", order)
+    engine = ElmoreEngine(compiled, coupling)
+    x_init = compiled.default_sizes(np.inf)
+    run_lockstep([OGWSOptimizer(
+        engine, SizingProblem.from_initial(engine, x_init, noise_fraction=nf),
+        x_init=x_init, max_iterations=5) for nf in (0.1, 0.12, 0.14, 0.16)])
+    coupling._ensure_batch_scratch(1)
+    assert {1, 4} <= set(coupling.__dict__["_batch_scratch"])
+    _assert_nbytes_counts_each_base_once(coupling)
+
+
+@pytest.mark.parametrize("mode", list(CouplingDelayMode))
+def test_coupling_nbytes_counts_its_scratch_in_every_delay_mode(mode):
+    """The count holds whichever scratch the delay mode's passes use,
+    after a width-2 lockstep solve and a width-1 run on one set."""
+    compiled, coupling = _coupled("c432")
+    engine = ElmoreEngine(compiled, coupling, mode)
+    x_init = compiled.default_sizes(np.inf)
+
+    def optimizer(nf):
+        return OGWSOptimizer(
+            engine,
+            SizingProblem.from_initial(engine, x_init, noise_fraction=nf),
+            x_init=x_init, max_iterations=3)
+
+    run_lockstep([optimizer(0.1), optimizer(0.14)])
+    optimizer(0.12).run()
+    assert {1, 2} <= set(coupling.__dict__["_batch_scratch"])
+    _assert_nbytes_counts_each_base_once(coupling)
+
+
+@pytest.mark.parametrize("order", (2, 3))
+def test_coupling_nbytes_follows_the_pooled_widths(order):
+    """A new width adds exactly the scratch it allocates (at width 1 the
+    pair constants are views and add nothing); the width the LRU evicts
+    drops out of the count."""
+    _, coupling = _coupled("c432", order)
+    coupling._ensure_scratch()
+
+    def allocated(s):
+        return sum(value.nbytes for name, value in s.items()
+                   if name != "op" and value.base is None)
+
+    pooled = {}
+    for width in range(1, 8):
+        before = coupling.nbytes
+        pooled[width] = coupling._ensure_batch_scratch(width)
+        evicted = pooled.pop(width - 6) if width > 6 else {}
+        assert coupling.nbytes - before == \
+            allocated(pooled[width]) - allocated(evicted)
+    assert set(coupling.__dict__["_batch_scratch"]) == set(pooled)
+    _assert_nbytes_counts_each_base_once(coupling)
+
+
+def _assert_nbytes_counts_each_base_once(coupling):
+    """``nbytes`` is the sum over the set's arrays, the endpoint-scatter
+    operator once and every pooled width's own scratch; each is a base
+    allocation counted once."""
+    scratch = coupling._scratch
+    op = scratch["op"]
+    owned = [value for value in vars(coupling).values()
+             if isinstance(value, np.ndarray)]
+    owned += [op.indptr, op.indices, op.data]
+    owned += [value for name, value in scratch.items() if name != "op"]
+    for width, s in coupling.__dict__["_batch_scratch"].items():
+        assert s["op"] is op
+        owned += [value for name, value in s.items() if name != "op"
+                  and (width > 1 or name not in (
+                      "ctilde", "chat", "two_distance", "dx_static"))]
+    assert all(array.base is None for array in owned)
+    assert len({id(array) for array in owned}) == len(owned)
+    assert coupling.nbytes == sum(array.nbytes for array in owned)

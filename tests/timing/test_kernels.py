@@ -15,7 +15,6 @@ from repro.circuit import random_circuit
 from repro.core import LagrangianSubproblemSolver, MultiplierState
 from repro.noise import CouplingSet, MillerMode
 from repro.timing import CouplingDelayMode, ElmoreEngine
-from repro.utils.errors import ValidationError
 
 from oracles.csr import csr_matvec as csr_oracle
 from oracles.elmore import LevelSweepEngine
@@ -399,35 +398,6 @@ class TestBatchedKernels:
             assert got.passes == want.passes
             assert got.max_rel_change == want.max_rel_change
             np.testing.assert_array_equal(got.x, want.x)
-
-    def test_solve_batch_per_net_gamma(self, setup):
-        """Distributed per-net γ columns batch bitwise too."""
-        compiled, coupling = setup
-        engine = ElmoreEngine(compiled, coupling)
-        solver = LagrangianSubproblemSolver(engine)
-        rng = np.random.default_rng(31)
-        mults = []
-        for k in range(3):
-            mult = MultiplierState.initial(compiled, beta=1e-3, gamma=0.0)
-            mult.gamma = rng.uniform(1e-5, 1e-1, compiled.num_nodes)
-            mults.append(mult)
-        batch = solver.solve_batch(mults)
-        for mult, got in zip(mults, batch):
-            want = solver.solve(mult)
-            assert got.passes == want.passes
-            np.testing.assert_array_equal(got.x, want.x)
-
-    def test_solve_batch_mixed_gamma_forms_fall_back(self, setup):
-        """One batch runs one γ form: a batch mixing scalar and per-net
-        columns is rejected."""
-        compiled, coupling = setup
-        engine = ElmoreEngine(compiled, coupling)
-        solver = LagrangianSubproblemSolver(engine)
-        scalar_g = MultiplierState.initial(compiled, beta=1e-3, gamma=1e-3)
-        per_net = MultiplierState.initial(compiled, beta=1e-3, gamma=0.0)
-        per_net.gamma = np.full(compiled.num_nodes, 1e-3)
-        with pytest.raises(ValidationError):
-            solver.solve_batch([scalar_g, per_net])
 
     def test_solve_batch_warm_starts(self, setup):
         compiled, coupling = setup

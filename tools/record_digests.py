@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Print the sha256 of the canonical record stream of two fixed sweeps.
+"""Print the sha256 of the canonical record stream of three fixed sweeps.
 
 Run against a source tree:
 
@@ -7,7 +7,7 @@ Run against a source tree:
 
 Each line is ``<spec> <records> <sha256>``, where the digest covers
 ``"\\n".join(record.canonical_json())`` over a serial
-``BatchRunner(jobs=1)`` run without a cache.  Two specs:
+``BatchRunner(jobs=1)`` run without a cache.  Three specs:
 
 * ``golden-144``: c432, c880 and c1355 × orderings woss/greedy2/random/
   none × delay modes own/none/propagated × Miller modes similarity/
@@ -17,6 +17,11 @@ Each line is ``<spec> <records> <sha256>``, where the digest covers
 * ``lockstep-24``: c432, c880 and c1355 × delay slack {1.1, 1.2} ×
   noise fraction {0.10, 0.12, 0.14, 0.16}: three engine groups of eight
   columns each, the wide lockstep path.
+* ``subgradient-12``: c432 and c880 × delay modes own/none/propagated ×
+  coupling orders 2 and 3 under the subgradient A4 rule
+  (``FlowConfig(update="subgradient", max_iterations=60)``): twelve
+  width-one solves through the rule the other two specs never run, at
+  Taylor orders both equal to and above the paper's.
 
 The CI ``records`` job runs this script against the base tree and the
 head tree on one runner and fails on any difference unless
@@ -33,7 +38,7 @@ CIRCUITS = ("c432", "c880", "c1355")
 
 def specs():
     """``{name: SweepSpec}`` in print order."""
-    from repro.runtime import CircuitRef, SweepSpec
+    from repro.runtime import CircuitRef, FlowConfig, SweepSpec
 
     circuits = tuple(CircuitRef.iscas85(name) for name in CIRCUITS)
     return {
@@ -46,6 +51,11 @@ def specs():
             circuits=circuits,
             delay_slacks=(1.1, 1.2),
             noise_fractions=(0.10, 0.12, 0.14, 0.16)),
+        "subgradient-12": SweepSpec(
+            circuits=circuits[:2],
+            delay_modes=("own", "none", "propagated"),
+            coupling_orders=(2, 3),
+            base=FlowConfig(update="subgradient", max_iterations=60)),
     }
 
 
