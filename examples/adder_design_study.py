@@ -3,24 +3,16 @@
 
 Exercises the library end to end on a functionally verified datapath
 block: structural generation, noise-constrained sizing, shadow-price
-readout (what one more picosecond would cost), activity-aware power
-versus the paper's uniform model, the per-net crosstalk report, and a
-JSON artifact for reproducibility.
+readout (what one more picosecond would cost), and activity-aware power
+versus the paper's uniform model.
 
 Run:  python examples/adder_design_study.py
 """
 
-import pathlib
-import tempfile
-
-import numpy as np
-
 from repro import NoiseAwareSizingFlow
 from repro.analysis import shadow_prices
 from repro.circuit import ripple_carry_adder
-from repro.io import load_sizing_summary, save_sizing_result
-from repro.noise import noise_report
-from repro.timing import activity_power, static_timing_analysis, toggle_rates
+from repro.timing import activity_power, toggle_rates
 
 
 def main():
@@ -35,14 +27,6 @@ def main():
     outcome = flow.run()
     sizing = outcome.sizing
     print("\nsizing: " + sizing.summary())
-
-    # Where did the delay go?  The carry chain, as the textbook says.
-    report = static_timing_analysis(outcome.engine, sizing.x,
-                                    delay_bound=outcome.problem.delay_bound_ps)
-    chain = [adder.node(i).name for i in report.critical_path]
-    carry_hops = sum(1 for name in chain if name.startswith(("c", "t", "g")))
-    print(f"critical path: {len(chain)} nodes, {carry_hops} on the "
-          f"carry/generate chain ({' -> '.join(chain[:6])} ...)")
 
     # Shadow prices: the marginal exchange rates at this optimum.
     prices = shadow_prices(sizing)
@@ -60,20 +44,6 @@ def main():
     top = ", ".join(f"{adder.node(i).name} ({mw * 1e3:.1f} uW)"
                     for i, mw in power.top_consumers[:3])
     print(f"hottest nodes: {top}")
-
-    # Victim-oriented crosstalk view at the solution.
-    print()
-    print(noise_report(adder, outcome.coupling, sizing.x, top=5,
-                       title="worst crosstalk victims after sizing"))
-
-    # Persist the artifact and prove it reloads.
-    with tempfile.TemporaryDirectory() as tmp:
-        path = pathlib.Path(tmp) / "rca16_sizing.json"
-        save_sizing_result(sizing, path)
-        reloaded = load_sizing_summary(path)
-        same = np.allclose(reloaded["sizes"], sizing.x)
-        print(f"\nartifact: saved {path.name} "
-              f"({path.stat().st_size} bytes), reload bit-exact: {same}")
 
 
 if __name__ == "__main__":

@@ -1,9 +1,9 @@
 #!/usr/bin/env python3
 """Working from a standard ``.bench`` netlist (ISCAS85 format).
 
-Loads the genuine c17 benchmark shipped with the library, inspects its
-time-domain switching waveforms with the event-driven simulator, runs
-static timing analysis, and finally sizes it under noise constraints.
+Loads the genuine c17 benchmark shipped with the library, lists its
+busiest signals from the cycle-accurate logic simulation, and sizes it
+under noise constraints.
 
 Run:  python examples/custom_bench_netlist.py [path/to/netlist.bench]
 """
@@ -12,9 +12,9 @@ import sys
 
 import numpy as np
 
-from repro import NoiseAwareSizingFlow, load_bench, static_timing_analysis
+from repro import NoiseAwareSizingFlow, load_bench
 from repro.circuit.parser import builtin_bench_path
-from repro.simulate import EventDrivenSimulator, random_patterns
+from repro.timing import toggle_rates
 
 
 def main(argv):
@@ -22,32 +22,17 @@ def main(argv):
     circuit = load_bench(path)
     print(f"loaded {circuit} from {path}")
 
-    # Time-domain waveforms (captures glitches the cycle view misses).
-    sim = EventDrivenSimulator(circuit)
-    patterns = random_patterns(circuit.num_drivers, n_patterns=24, seed=7)
-    waves = sim.run(patterns)
-    print("\nbusiest signals (transitions over 24 cycles):")
-    busiest = sorted(waves.items(), key=lambda kv: -kv[1].num_transitions)[:5]
-    for index, wave in busiest:
-        print(f"  {circuit.node(index).name:14s} {wave.num_transitions:3d} transitions, "
-              f"high {wave.high_fraction():.0%} of the time")
+    # Switching activity: one steady value per node per cycle.
+    rates = toggle_rates(circuit, n_patterns=24, seed=7)
+    print("\nbusiest signals (toggles per cycle over 24 cycles):")
+    for index in np.argsort(-rates, kind="stable")[:5]:
+        print(f"  {circuit.node(int(index)).name:14s} {rates[index]:.2f}")
 
-    # Timing before sizing.
     flow = NoiseAwareSizingFlow(circuit, n_patterns=128,
                                 optimizer_options={"max_iterations": 300})
     outcome = flow.run()
-    x_init = outcome.engine.compiled.default_sizes(np.inf)
-    report = static_timing_analysis(outcome.engine, x_init)
-    names = [circuit.node(i).name for i in report.critical_path]
-    print(f"\ninitial critical path ({report.circuit_delay:.0f} ps): "
-          + " -> ".join(names))
-
-    print("\nsizing outcome:")
+    print(f"\nsizing outcome (delay bound {outcome.problem.delay_bound_ps:.0f} ps):")
     print("  " + outcome.sizing.summary())
-    after = static_timing_analysis(outcome.engine, outcome.sizing.x,
-                                   delay_bound=outcome.problem.delay_bound_ps)
-    print(f"  post-sizing delay {after.circuit_delay:.0f} ps vs bound "
-          f"{after.delay_bound:.0f} ps (worst slack {after.worst_slack:+.0f} ps)")
 
 
 if __name__ == "__main__":

@@ -2,10 +2,10 @@
 """Stage 1 worked example — the paper's Figure 6 scenario.
 
 Four wires (named 4, 5, 7, 8 as in the figure) carry signals with known
-switching behavior.  We compute the exact waveform similarities, build
-the ``1 − similarity`` weight graph, and compare the WOSS heuristic
-(Fig. 7) against the exact optimum and baselines on the NP-hard ``SS``
-ordering problem.
+switching behavior, one value per cycle.  We compute their switching
+similarities, build the ``1 − similarity`` weight graph, and compare the
+WOSS heuristic (Fig. 7) against the exact optimum and baselines on the
+NP-hard ``SS`` ordering problem.
 
 Run:  python examples/ordering_demo.py
 """
@@ -16,33 +16,31 @@ from repro.noise import (
     exact_ordering,
     ordering_cost,
     random_ordering,
-    similarity_from_waveforms,
+    similarity_from_values,
     two_opt_improve,
     woss_ordering,
 )
-from repro.simulate import Waveform
 
 
-def figure6_waveforms(slots=200, seed=0):
-    """Waveforms in the spirit of Fig. 6: {5,7} switch together, {4,8}
-    switch together, and the two groups are nearly uncorrelated."""
+def figure6_values(slots=200, seed=0):
+    """Per-cycle values in the spirit of Fig. 6: {5,7} switch together,
+    {4,8} switch together, and the two groups are nearly uncorrelated."""
     rng = np.random.default_rng(seed)
     base_a = rng.random(slots) < 0.5          # drives wires 5 and 7
     base_b = rng.random(slots) < 0.5          # drives wires 4 and 8
     flip = rng.random(slots) < 0.035          # small per-wire disturbance
-    wave = {
-        "5": Waveform.from_bits(base_a),
-        "7": Waveform.from_bits(np.logical_xor(base_a, flip)),
-        "4": Waveform.from_bits(base_b),
-        "8": Waveform.from_bits(np.logical_xor(base_b, np.roll(flip, 7))),
+    return {
+        "5": base_a,
+        "7": np.logical_xor(base_a, flip),
+        "4": base_b,
+        "8": np.logical_xor(base_b, np.roll(flip, 7)),
     }
-    return wave
 
 
 def main():
     names = ["4", "5", "7", "8"]
-    waves = figure6_waveforms()
-    sim = similarity_from_waveforms([waves[n] for n in names])
+    values = figure6_values()
+    sim = similarity_from_values(np.stack([values[n] for n in names]))
 
     print("similarity matrix (paper Sec. 3.2):")
     print("      " + "  ".join(f"{n:>6s}" for n in names))

@@ -17,15 +17,15 @@ Quickstart::
 Package map (bottom-up):
 
 * :mod:`repro.circuit`   — circuit graphs, builder, .bench parser, generators
-* :mod:`repro.simulate`  — logic simulation (levelized + event-driven)
+* :mod:`repro.simulate`  — levelized (cycle-accurate) logic simulation
 * :mod:`repro.geometry`  — channels, track assignment, coupling extraction
 * :mod:`repro.noise`     — coupling model, similarity, Miller, WOSS ordering
-* :mod:`repro.timing`    — Elmore engine, STA, power/area metrics
-* :mod:`repro.opt`       — posynomials + SciPy reference optimum
+* :mod:`repro.timing`    — Elmore engine, power/area metrics
+* :mod:`repro.opt`       — SciPy reference optimum
 * :mod:`repro.core`      — LRS, OGWS, KKT certificate, two-stage flow
 * :mod:`repro.runtime`   — scenario specs, batch runner, result cache
-* :mod:`repro.baselines` — uniform / TILOS-like / noise-blind baselines
-* :mod:`repro.analysis`  — paper data and report formatting
+* :mod:`repro.baselines` — uniform / TILOS-like baselines
+* :mod:`repro.analysis`  — paper data, fits, shadow prices, reports
 
 Sweeps (many circuits × many configurations, parallel, cached) go
 through :mod:`repro.runtime` — see its docstring for the quickstart.
@@ -64,12 +64,7 @@ from repro.runtime import (
     run_scenario,
 )
 from repro.tech import Technology
-from repro.timing import (
-    CouplingDelayMode,
-    ElmoreEngine,
-    evaluate_metrics,
-    static_timing_analysis,
-)
+from repro.timing import CouplingDelayMode, ElmoreEngine, evaluate_metrics
 
 __version__ = "1.0.0"
 
@@ -96,7 +91,6 @@ __all__ = [
     "ElmoreEngine",
     "CouplingDelayMode",
     "evaluate_metrics",
-    "static_timing_analysis",
     # core
     "SizingProblem",
     "MultiplierState",

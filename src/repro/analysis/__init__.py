@@ -2,20 +2,17 @@
 
 * :mod:`~repro.analysis.paper_data` — Table 1 and the in-text numbers as
   published, for side-by-side comparison,
-* :mod:`~repro.analysis.compare` — improvement/shape comparisons and the
+* :mod:`~repro.analysis.compare` — the Table 1 shape check and the
   linearity fits behind Figure 10,
+* :mod:`~repro.analysis.sensitivity` — shadow prices of the three bounds
+  read off the multipliers (an extension; the sensitivity bench checks
+  them against finite differences),
 * :mod:`~repro.analysis.report` — monospace tables in the paper's layout,
 * :mod:`~repro.analysis.live` — live sweep monitoring: render progress
   tables from a queue's tailed event stream (``repro queue watch``).
 """
 
-from repro.analysis.compare import (
-    LinearFit,
-    best_by_circuit,
-    linear_fit,
-    shape_check_table1,
-    sweep_summary,
-)
+from repro.analysis.compare import LinearFit, linear_fit, shape_check_table1
 from repro.analysis.live import watch_queue
 from repro.analysis.paper_data import PAPER_IMPROVEMENTS, PAPER_TABLE1, PaperRow
 from repro.analysis.report import format_fig10_rows, format_sweep, format_table1
@@ -33,8 +30,6 @@ __all__ = [
     "linear_fit",
     "LinearFit",
     "shape_check_table1",
-    "sweep_summary",
-    "best_by_circuit",
     "format_table1",
     "format_sweep",
     "format_fig10_rows",

@@ -56,68 +56,3 @@ def shape_check_table1(name, improvements, noise_band=(70.0, 100.0),
         for metric in bands
     }
 
-
-def sweep_summary(records, axes=("ordering", "delay_mode")):
-    """Aggregate a sweep's records along configuration axes.
-
-    Groups :class:`~repro.runtime.records.RunRecord`\\ s by the values of
-    the named :class:`FlowConfig` fields and reports, per group, the run
-    count, feasibility rate, mean iterations, and mean Impr(%) per metric
-    — the metric means over *feasible* runs only (an infeasible run's
-    final metrics describe whatever iterate the solver stopped on, not an
-    outcome worth averaging; groups with no feasible run report NaN).
-    Returns ``{axis values tuple: summary dict}`` in first-seen order —
-    the reading layer for ablation sweeps (which ordering/delay-mode
-    combination wins, and by how much).
-    """
-    groups = {}
-    for record in records:
-        key = tuple(getattr(record.scenario.config, axis) for axis in axes)
-        groups.setdefault(key, []).append(record)
-    summary = {}
-    for key, members in groups.items():
-        improvements = [m.improvements for m in members if m.feasible]
-        summary[key] = {
-            "runs": len(members),
-            "feasible_fraction": sum(m.feasible for m in members) / len(members),
-            "mean_iterations": float(np.mean([m.iterations for m in members])),
-            **{
-                metric: (float(np.mean([imp[metric] for imp in improvements]))
-                         if improvements else float("nan"))
-                for metric in ("noise", "delay", "power", "area")
-            },
-        }
-    return summary
-
-
-def best_by_circuit(records, metric="area_um2"):
-    """The best feasible record per circuit (lowest final ``metric``).
-
-    Infeasible records never win; circuits with no feasible record are
-    omitted.  Returns ``{circuit label: RunRecord}``.
-    """
-    best = {}
-    for record in records:
-        if not record.feasible:
-            continue
-        label = record.scenario.circuit.label
-        value = getattr(record.metrics, metric)
-        incumbent = best.get(label)
-        if incumbent is None or value < getattr(incumbent.metrics, metric):
-            best[label] = record
-    return best
-
-
-def improvement_rows(results):
-    """Per-circuit improvement table: ours vs the paper's.
-
-    ``results`` maps circuit name → :class:`SizingResult`.  Returns rows
-    ``[name, metric, paper %, ours %]`` flattened per metric.
-    """
-    rows = []
-    for name, result in results.items():
-        paper = PAPER_TABLE1[name]
-        ours = result.improvements
-        for metric in ("noise", "delay", "power", "area"):
-            rows.append([name, metric, paper.improvement(metric), ours[metric]])
-    return rows

@@ -1,18 +1,14 @@
 """Comparison baselines for the sizing experiments.
 
 The paper's claims are comparative ("optimal", "efficient"); these
-baselines make the comparisons concrete:
+baselines make the comparisons concrete in the optimality bench:
 
 * :func:`~repro.baselines.uniform.uniform_scaling_baseline` — one global
   size for every component (what you get with no per-component sizing),
 * :class:`~repro.baselines.tilos.TilosLikeSizer` — the classic greedy
-  sensitivity-based sizer (TILOS-style), the standard pre-LR heuristic,
-* :func:`~repro.baselines.noise_blind.noise_blind_sizing` — the same LR
-  machinery with the crosstalk constraint dropped (what "currently
-  existing literature" did, per the paper's introduction).
+  sensitivity-based sizer (TILOS-style), the standard pre-LR heuristic.
 """
 
-from repro.baselines.noise_blind import noise_blind_sizing
 from repro.baselines.tilos import TilosLikeSizer, TilosResult
 from repro.baselines.uniform import UniformResult, uniform_scaling_baseline
 
@@ -21,5 +17,4 @@ __all__ = [
     "UniformResult",
     "TilosLikeSizer",
     "TilosResult",
-    "noise_blind_sizing",
 ]

@@ -32,7 +32,6 @@ from repro.circuit.library import (
     ripple_carry_adder,
 )
 from repro.circuit.parser import load_bench, load_bench_text
-from repro.circuit.trees import random_tree_circuit
 
 __all__ = [
     "Node",
@@ -43,7 +42,6 @@ __all__ = [
     "load_bench",
     "load_bench_text",
     "random_circuit",
-    "random_tree_circuit",
     "ISCAS85_SPECS",
     "iscas85_circuit",
     "iscas85_suite",

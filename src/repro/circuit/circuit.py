@@ -2,9 +2,9 @@
 
 :class:`Circuit` is the immutable product of the generators (which write
 its columns directly through :meth:`Circuit.from_columns`) and of
-:class:`~repro.circuit.builder.CircuitBuilder`, the ``.bench`` parser and
-:func:`repro.io.circuit_from_dict` (which hand it a :class:`Node` list).
-Either way it stores one struct of arrays:
+:class:`~repro.circuit.builder.CircuitBuilder` and the ``.bench`` parser
+(which hand it a :class:`Node` list).  Either way it stores one struct of
+arrays:
 
 * read-only per-node columns — ``kind``, ``function_code`` (indexing the
   ``functions`` name table), ``r_hat``, ``c_hat``, ``fringe``, ``alpha``,
@@ -67,8 +67,8 @@ class Circuit:
     """An immutable combinational circuit graph (paper Sec. 2.1).
 
     ``Circuit(nodes, edges, tech, name)`` adapts a :class:`Node` list
-    (:class:`CircuitBuilder`, the parser, :mod:`repro.io`, hand-built
-    graphs) and keeps that list as its node view; the generators use
+    (:class:`CircuitBuilder`, the parser, hand-built graphs) and keeps
+    that list as its node view; the generators use
     :meth:`from_columns`.  Both fill the same column store and run
     :meth:`validate`, raising :class:`~repro.utils.errors.ValidationError`
     (or :class:`~repro.utils.errors.CircuitError` for bad per-node

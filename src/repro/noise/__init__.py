@@ -2,8 +2,8 @@
 
 * :mod:`~repro.noise.coupling` — physical coupling capacitance, its
   posynomial Taylor truncation, and the Theorem 1 error bound,
-* :mod:`~repro.noise.similarity` — switching similarity from levelized
-  values or time-domain waveforms,
+* :mod:`~repro.noise.similarity` — cycle-accurate switching similarity
+  from levelized values,
 * :mod:`~repro.noise.miller` — Miller / anti-Miller weighting modes,
 * :mod:`~repro.noise.ordering` — the WOSS heuristic (Fig. 7) plus exact
   and baseline orderings for the NP-hard ``SS`` problem,
@@ -18,7 +18,6 @@ from repro.noise.coupling import (
 )
 from repro.noise.crosstalk import CouplingSet
 from repro.noise.miller import MillerMode, miller_weight
-from repro.noise.report import noise_report, victim_records
 from repro.noise.ordering import (
     exact_ordering,
     ordering_cost,
@@ -26,11 +25,7 @@ from repro.noise.ordering import (
     two_opt_improve,
     woss_ordering,
 )
-from repro.noise.similarity import (
-    SimilarityAnalyzer,
-    similarity_from_values,
-    similarity_from_waveforms,
-)
+from repro.noise.similarity import SimilarityAnalyzer, similarity_from_values
 
 __all__ = [
     "coupling_capacitance_exact",
@@ -45,8 +40,5 @@ __all__ = [
     "ordering_cost",
     "SimilarityAnalyzer",
     "similarity_from_values",
-    "similarity_from_waveforms",
     "CouplingSet",
-    "noise_report",
-    "victim_records",
 ]

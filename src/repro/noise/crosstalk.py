@@ -226,7 +226,8 @@ class CouplingSet:
         k = 2 the frozen slope sums, else ``chat``, at the same width as
         the iterates: C-contiguous ``(p, k)`` / ``(n, k)`` copies at
         k ≥ 2, ``(p, 1)`` / ``(n, 1)`` views of the set's own arrays at
-        k = 1.
+        k = 1.  The ``node_caps`` buffer only the ``PROPAGATED`` delay
+        mode reads is added by :meth:`node_terms_batch` on first request.
         """
         base = self._ensure_scratch()
         cache = self.__dict__.setdefault("_batch_scratch", {})
@@ -238,8 +239,7 @@ class CouplingSet:
                 "u": np.zeros((p, k)), "term": np.zeros((p, k)),
                 "tmp": np.zeros((p, k)), "caps": np.zeros((p, k)),
                 "cap_sum": np.zeros((n, k)), "dx_sum": np.zeros((n, k)),
-                "gamma_slopes": np.zeros((n, k)),
-                "node_caps": np.zeros((n, k)), "node_tmp": np.zeros((n, k)),
+                "gamma_slopes": np.zeros((n, k)), "node_tmp": np.zeros((n, k)),
             }
             constants = {"ctilde": self.ctilde,
                          "two_distance": self._two_distance}
@@ -316,7 +316,9 @@ class CouplingSet:
         self._endpoint_scatter(caps, cap_sum, s)
         out_caps = None
         if node_caps:
-            out_caps = s["node_caps"]
+            out_caps = s.get("node_caps")
+            if out_caps is None:
+                out_caps = s["node_caps"] = np.empty_like(cap_sum)
             np.copyto(out_caps, cap_sum)
         np.multiply(dx_sum, gamma, out=gs)
         np.multiply(x, dx_sum, out=s["node_tmp"])

@@ -2,14 +2,10 @@
 
     similarity(i, j) = ∫₀ᵀ f(i,t)·f(j,t) dt / T  ∈ [−1, 1]
 
-Two forms are provided:
-
-* **cycle-accurate** (default): node values come from the levelized
-  zero-delay simulator; with one ±1 value per cycle the integral reduces
-  to the mean of the per-cycle products — a single matrix product over
-  all wires at once;
-* **time-domain**: exact integration of event-driven waveforms, capturing
-  glitches, via :meth:`Waveform.product_integral`.
+The similarity is cycle-accurate: node values come from the levelized
+zero-delay simulator, and with one ±1 value per cycle the integral
+reduces to the mean of the per-cycle products — a single matrix product
+over all wires at once.  Glitches are not modelled.
 
 :class:`SimilarityAnalyzer` runs the simulation once and serves the
 ordering stage one channel's similarity at a time.
@@ -48,21 +44,6 @@ def similarity_from_values(values, indices=None):
     signed = np.where(rows, 1.0, -1.0)
     matrix = signed @ signed.T / signed.shape[1]
     np.fill_diagonal(matrix, 1.0)
-    return matrix
-
-
-def similarity_from_waveforms(waveforms):
-    """Exact pairwise similarity of a list of :class:`Waveform` objects.
-
-    O(n² · transitions); intended for single channels or demos.
-    """
-    n = len(waveforms)
-    if n == 0:
-        raise SimulationError("need at least one waveform")
-    matrix = np.eye(n)
-    for a in range(n):
-        for b in range(a + 1, n):
-            matrix[a, b] = matrix[b, a] = waveforms[a].similarity(waveforms[b])
     return matrix
 
 

@@ -1,24 +1,17 @@
-"""Posynomial machinery and the independent reference solver.
+"""The independent reference optimum.
 
 The paper's optimality claim (Theorems 6–7) rests on problem ``PP`` being
-posynomial, hence convex after the log-variable transform.  This package
-provides:
-
-* :mod:`~repro.opt.posynomial` — explicit monomial/posynomial objects,
-  used to *prove structurally* that the objective and constraints of a
-  given circuit are posynomials (tests assert it; Eq. 3's purpose),
-* :mod:`~repro.opt.reference` — an independent NLP solution of ``PP``
-  via SciPy (explicit arrival-time variables, SLSQP/trust-constr),
-  certifying OGWS's global optimum on small circuits.
+posynomial, hence convex after the log-variable transform, so any KKT
+point is the global optimum.  :mod:`~repro.opt.reference` solves ``PP``
+independently via SciPy (explicit arrival-time variables,
+SLSQP/trust-constr), certifying OGWS's global optimum on small circuits
+in the optimality bench.  The structural posynomial check lives with the
+tests (``tests/oracles/posynomial.py``).
 """
 
-from repro.opt.posynomial import Monomial, Posynomial, build_problem_posynomials
 from repro.opt.reference import ReferenceSolution, solve_reference
 
 __all__ = [
-    "Monomial",
-    "Posynomial",
-    "build_problem_posynomials",
     "ReferenceSolution",
     "solve_reference",
 ]

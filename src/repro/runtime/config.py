@@ -86,19 +86,17 @@ def circuit_fingerprint(circuit):
     fingerprint the circuit they already constructed, so cache writes in
     the parent never have to build one).
 
-    The digest covers, in order: the header JSON of
-    :func:`repro.io.circuit_header` (schema, kind, name, technology);
-    every column of :class:`~repro.circuit.circuit.Circuit` under its
+    The digest covers, in order: a header JSON (schema 1, kind
+    ``circuit``, the circuit's name and its technology's fields); every
+    column of :class:`~repro.circuit.circuit.Circuit` under its
     name with an explicit little-endian dtype (``kind`` as ``i1``, the
     float parameters as ``f8``); the node names and each node's function
     name as length-prefixed UTF-8; and the sorted ``edge_src`` /
     ``edge_dst`` arrays as ``i8``.  Each part is framed by its label and
     byte count and hashed as it is produced, so the same circuit hashes
-    equal whether it was built from columns, from a ``Node`` list, or
-    read back by :mod:`repro.io`.
+    equal whether it was built from columns or from a ``Node`` list.
     """
     from repro.circuit.circuit import PARAM_COLUMNS
-    from repro.io import circuit_header
 
     digest = hashlib.sha256()
 
@@ -112,7 +110,9 @@ def circuit_fingerprint(circuit):
         part(f"{name}:{dtype}",
              np.ascontiguousarray(getattr(circuit, name), dtype=dtype))
 
-    part("header", _canonical_json(circuit_header(circuit)).encode())
+    header = {"schema": 1, "kind": "circuit", "name": circuit.name,
+              "technology": dataclasses.asdict(circuit.tech)}
+    part("header", _canonical_json(header).encode())
     column("kind", "<i1")
     for field in PARAM_COLUMNS:
         column(field, "<f8")

@@ -20,8 +20,8 @@ import math
 
 import numpy as np
 
-from repro.io import metrics_from_dict, metrics_to_dict
 from repro.runtime.config import Scenario
+from repro.timing.metrics import CircuitMetrics
 from repro.utils.errors import ReproError, ValidationError
 
 #: Bumped to 2 when solver diagnostics (``repair_evals``) joined the
@@ -29,6 +29,18 @@ from repro.utils.errors import ReproError, ValidationError
 #: partition-routing fields (every scenario's canonical JSON changed);
 #: older cache entries read back as misses.
 RECORD_SCHEMA_VERSION = 3
+
+_METRIC_FIELDS = ("noise_pf", "delay_ps", "power_mw", "area_um2", "total_cap_ff")
+
+
+def metrics_to_dict(metrics):
+    """Plain-dict form of a :class:`CircuitMetrics`."""
+    return {key: float(getattr(metrics, key)) for key in _METRIC_FIELDS}
+
+
+def metrics_from_dict(data):
+    """Rebuild a :class:`CircuitMetrics` from :func:`metrics_to_dict`."""
+    return CircuitMetrics(**{key: float(data[key]) for key in _METRIC_FIELDS})
 
 
 @dataclasses.dataclass(frozen=True)

@@ -156,17 +156,15 @@ class ElmoreEngine:
         """Per-node resistance scaled so that r·C is in picoseconds."""
         return self.compiled.resistance(x) * OHM_FF_TO_PS
 
-    def delays(self, x, caps=None):
+    def delays(self, x):
         """Per-node Elmore delay ``D_i`` (ps).  Source/sink are zero.
 
-        Without precomputed ``caps`` the component dict is skipped
-        entirely: the downstream capacitance is assembled in workspace
-        buffers and only the delay vector is allocated.  ``x`` may be
-        ``(n,)`` or column-stacked ``(n, K)`` sizes, one scenario per
-        column; each column is bit-identical to the 1-D sweep.
+        The downstream capacitance is assembled in workspace buffers
+        (the :meth:`capacitances` component dict is never built) and only
+        the delay vector is allocated.  ``x`` may be ``(n,)`` or
+        column-stacked ``(n, K)`` sizes, one scenario per column; each
+        column is bit-identical to the 1-D sweep.
         """
-        if caps is not None:
-            return self.effective_resistance(x) * caps["downstream"]
         ws = self._scratch(x)
         propagated = self.mode is CouplingDelayMode.PROPAGATED
         cpl = None if self.mode is CouplingDelayMode.NONE else \

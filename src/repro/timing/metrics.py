@@ -80,8 +80,8 @@ class EvalContext:
 
     Each property runs its sweep on first access and caches the result;
     chained quantities share their prerequisites (``arrival`` reuses
-    ``delays`` reuses ``caps``), so an OGWS outer iteration touches each
-    full-circuit sweep exactly once per iterate.  The context is tied to
+    ``delays``), so an OGWS outer iteration touches each full-circuit
+    sweep exactly once per iterate.  The context is tied to
     ``(engine, x)`` at construction — build a fresh one per point and do
     not mutate ``x`` afterwards.
     """
@@ -121,20 +121,8 @@ class EvalContext:
         return self
 
     @functools.cached_property
-    def caps(self):
-        """The capacitance-sweep component dict (``ElmoreEngine.capacitances``)."""
-        return self.engine.capacitances(self.x)
-
-    @functools.cached_property
     def delays(self):
-        """Per-node Elmore delays (ps).
-
-        Reuses :attr:`caps` only if it was already materialized — the
-        engine otherwise computes delays directly in workspace buffers
-        without assembling the component dict.
-        """
-        if "caps" in self.__dict__:
-            return self.engine.delays(self.x, caps=self.caps)
+        """Per-node Elmore delays (ps)."""
         return self.engine.delays(self.x)
 
     @functools.cached_property

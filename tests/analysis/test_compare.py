@@ -3,57 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.analysis import (
-    best_by_circuit,
-    linear_fit,
-    shape_check_table1,
-    sweep_summary,
-)
-from repro.analysis.compare import improvement_rows
-
-
-def test_sweep_summary_groups_by_axes(sweep_records):
-    summary = sweep_summary(sweep_records, axes=("ordering",))
-    assert set(summary) == {("woss",), ("none",)}
-    for entry in summary.values():
-        assert entry["runs"] == 2
-        assert 0.0 <= entry["feasible_fraction"] <= 1.0
-        assert entry["mean_iterations"] >= 1
-        for metric in ("noise", "delay", "power", "area"):
-            assert metric in entry
-
-
-def test_sweep_summary_means_exclude_infeasible(sweep_records):
-    import dataclasses
-
-    crippled = [dataclasses.replace(r, feasible=False) for r in sweep_records]
-    summary = sweep_summary(crippled, axes=("ordering",))
-    for entry in summary.values():
-        assert entry["feasible_fraction"] == 0.0
-        assert np.isnan(entry["area"])
-    # one feasible record per group -> its improvements alone are the mean
-    mixed = [sweep_records[0]] + [dataclasses.replace(r, feasible=False)
-                                  for r in sweep_records[1:]]
-    summary = sweep_summary(mixed, axes=())
-    [entry] = summary.values()
-    assert entry["area"] == sweep_records[0].improvements["area"]
-
-
-def test_best_by_circuit_picks_lowest_area(sweep_records):
-    best = best_by_circuit(sweep_records)
-    labels = {r.scenario.circuit.label for r in sweep_records}
-    assert set(best) == labels
-    for label, winner in best.items():
-        rivals = [r for r in sweep_records
-                  if r.scenario.circuit.label == label and r.feasible]
-        assert winner.metrics.area_um2 == min(r.metrics.area_um2 for r in rivals)
-
-
-def test_best_by_circuit_skips_infeasible(sweep_records):
-    import dataclasses
-
-    crippled = [dataclasses.replace(r, feasible=False) for r in sweep_records]
-    assert best_by_circuit(crippled) == {}
+from repro.analysis import linear_fit, shape_check_table1
+from repro.analysis.paper_data import PAPER_TABLE1
 
 
 def test_linear_fit_exact_line():
@@ -75,6 +26,25 @@ def test_linear_fit_noisy_line_high_r2():
 def test_linear_fit_predict():
     fit = linear_fit([0.0, 1.0], [1.0, 3.0])
     np.testing.assert_allclose(fit.predict([2.0]), [5.0])
+
+
+def test_linear_fit_flat_line_is_a_perfect_fit():
+    fit = linear_fit([1.0, 2.0, 3.0], [4.0, 4.0, 4.0])
+    assert fit.slope == pytest.approx(0.0, abs=1e-12)
+    assert fit.intercept == pytest.approx(4.0)
+    assert fit.r_squared == 1.0
+
+
+def test_linear_fit_ignores_point_order():
+    rng = np.random.default_rng(2)
+    x = rng.uniform(0, 5, 12)
+    y = -1.5 * x + rng.normal(0, 0.2, 12)
+    order = rng.permutation(12)
+    a, b = linear_fit(x, y), linear_fit(x[order], y[order])
+    assert a.slope < 0
+    assert b.slope == pytest.approx(a.slope, rel=1e-12)
+    assert b.intercept == pytest.approx(a.intercept, rel=1e-12)
+    assert b.r_squared == pytest.approx(a.r_squared, rel=1e-12)
 
 
 def test_linear_fit_validation():
@@ -99,9 +69,20 @@ def test_shape_check_unknown_circuit():
         shape_check_table1("c9999", {})
 
 
-def test_improvement_rows_layout(small_flow_result):
-    rows = improvement_rows({"c432": small_flow_result.sizing})
-    assert len(rows) == 4
-    assert {r[1] for r in rows} == {"noise", "delay", "power", "area"}
-    noise_row = next(r for r in rows if r[1] == "noise")
-    assert noise_row[2] == pytest.approx(87.96, abs=0.1)  # paper c432 noise impr
+
+@pytest.mark.parametrize("name", sorted(PAPER_TABLE1))
+def test_paper_rows_pass_their_own_shape_check(name):
+    """The bands encode the paper's shape claims, so every printed
+    Table 1 row lands inside them."""
+    row = PAPER_TABLE1[name]
+    improvements = {metric: row.improvement(metric)
+                    for metric in ("noise", "delay", "power", "area")}
+    assert shape_check_table1(name, improvements) == dict.fromkeys(
+        improvements, True)
+
+
+def test_shape_check_band_edges_are_inclusive():
+    edges = {"noise": 70.0, "delay": 40.0, "power": 100.0, "area": 70.0}
+    assert all(shape_check_table1("c432", edges).values())
+    below = {"noise": 69.9, "delay": -25.1, "power": 69.9, "area": 100.1}
+    assert not any(shape_check_table1("c432", below).values())

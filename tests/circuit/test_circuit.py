@@ -1,14 +1,17 @@
 """Circuit graph invariants and the paper's traversal definitions."""
 
+import dataclasses
 import re
 
+import numpy as np
 import pytest
 
-from repro.circuit import Circuit, CircuitBuilder
+from repro.circuit import Circuit, CircuitBuilder, iscas85_circuit, random_circuit
 from repro.circuit.circuit import PARAM_COLUMNS
 from repro.circuit.components import Node, NodeKind
-from repro.io import circuit_from_dict, circuit_to_dict
+from repro.simulate import random_patterns, simulate_levelized
 from repro.tech import Technology
+from repro.timing import ElmoreEngine
 from repro.utils.errors import CircuitError, ValidationError
 
 
@@ -172,6 +175,68 @@ class TestValidationErrors:
         assert x[0] == 0.0
 
 
+#: Generated circuits (built from columns, with no ``Node`` list).
+_GENERATED = {
+    "small": lambda: random_circuit(25, 5, 4, seed=0, target_depth=8),
+    "medium": lambda: random_circuit(120, 12, 8, seed=3, target_depth=15),
+    "c432": lambda: iscas85_circuit("c432"),
+}
+
+
+class TestNodeListRebuild:
+    """A generated circuit's ``nodes`` fed back through the ``Node``-list
+    adapter give the same circuit: the two constructors fill one column
+    store, so structure, parameters and behaviour all survive."""
+
+    @pytest.fixture(params=sorted(_GENERATED))
+    def pair(self, request):
+        circuit = _GENERATED[request.param]()
+        return circuit, Circuit(circuit.nodes, circuit.edges, circuit.tech,
+                                name=circuit.name)
+
+    def test_structure_preserved(self, pair):
+        circuit, rebuilt = pair
+        assert rebuilt.edges == circuit.edges
+        assert rebuilt.name == circuit.name
+        assert rebuilt.names == circuit.names
+        assert (rebuilt.num_drivers, rebuilt.num_gates, rebuilt.num_wires) \
+            == (circuit.num_drivers, circuit.num_gates, circuit.num_wires)
+
+    def test_node_parameters_preserved(self, pair):
+        circuit, rebuilt = pair
+        assert rebuilt.nodes == circuit.nodes  # frozen dataclass equality
+        for field in ("kind", *PARAM_COLUMNS, "edge_src", "edge_dst"):
+            ours, theirs = getattr(rebuilt, field), getattr(circuit, field)
+            assert ours.dtype == theirs.dtype, field
+            np.testing.assert_array_equal(ours, theirs, err_msg=field)
+        assert [rebuilt.functions[c] for c in rebuilt.function_code] == \
+            [circuit.functions[c] for c in circuit.function_code]
+
+    def test_rebuilt_circuit_simulates_identically(self, pair):
+        circuit, rebuilt = pair
+        patterns = random_patterns(circuit.num_drivers, 32, seed=5)
+        np.testing.assert_array_equal(simulate_levelized(rebuilt, patterns),
+                                      simulate_levelized(circuit, patterns))
+
+    def test_rebuilt_circuit_times_identically(self, pair, rng):
+        circuit, rebuilt = pair
+        engines = [ElmoreEngine(c.compile()) for c in (circuit, rebuilt)]
+        cc = circuit.compile()
+        x = cc.clip_sizes(cc.default_sizes(1.0)
+                          * rng.uniform(0.5, 4.0, cc.num_nodes))
+        delays = [engine.delays(x) for engine in engines]
+        np.testing.assert_array_equal(delays[1], delays[0])
+        np.testing.assert_array_equal(engines[1].arrival_times(delays[1]),
+                                      engines[0].arrival_times(delays[0]))
+
+
+def test_node_list_rebuild_is_validated():
+    circuit = _GENERATED["small"]()
+    with pytest.raises(ValidationError):
+        Circuit(circuit.nodes, circuit.edges[:-1], circuit.tech,
+                name=circuit.name)
+
+
 # -- one broken circuit per documented invariant, through both constructors ----
 
 #: A valid two-driver, one-gate circuit as (kind, name, params) rows.
@@ -272,15 +337,13 @@ class TestDocumentedInvariants:
 
 
 def test_interior_sink_rejected_from_outside_input(c17):
-    """A c17 document with an extra SINK-kind leaf on a primary-output
-    wire used to load and run; it is now rejected on load."""
-    data = circuit_to_dict(c17)
-    sink = len(data["nodes"]) - 1
-    po_wire = next(u for u, v in data["edges"] if v == sink)
-    stray = dict(data["nodes"][sink], index=sink, name="stray")
-    data["nodes"][sink]["index"] = sink + 1
-    data["nodes"].insert(sink, stray)
-    data["edges"] = [[u, v + (v == sink)] for u, v in data["edges"]]
-    data["edges"].append([po_wire, sink])
+    """c17's Node list with an extra SINK-kind leaf on a primary-output
+    wire used to build and run; it is now rejected."""
+    nodes = list(c17.nodes)
+    sink = len(nodes) - 1
+    po_wire = next(u for u, v in c17.edges if v == sink)
+    nodes.insert(sink, dataclasses.replace(nodes[sink], name="stray"))
+    nodes[sink + 1] = dataclasses.replace(nodes[sink + 1], index=sink + 1)
+    edges = [(u, v + (v == sink)) for u, v in c17.edges] + [(po_wire, sink)]
     with pytest.raises(ValidationError, match="sink node 'stray'"):
-        circuit_from_dict(data)
+        Circuit(nodes, edges, c17.tech, name=c17.name)

@@ -15,11 +15,11 @@ import pytest
 from oracles.circuit import (
     reference_channels, reference_compiled, reference_coupling,
     reference_fix_coverage, reference_random_circuit)
+from oracles.trees import random_tree_circuit
 from repro.circuit import generators, random_circuit
 from repro.circuit.circuit import PARAM_COLUMNS
 from repro.circuit.components import Node
 from repro.circuit.iscas85 import ISCAS85_SPECS
-from repro.circuit.trees import random_tree_circuit
 from repro.core.session import SolverSession
 from repro.geometry import ChannelLayout, CouplingPair
 from repro.noise import CouplingSet, MillerMode, SimilarityAnalyzer

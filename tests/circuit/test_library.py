@@ -48,16 +48,19 @@ class TestRippleCarryAdder:
         assert len(circuit.primary_output_wires()) == 9
 
     def test_carry_chain_is_critical(self):
-        """The carry chain dominates arrival times (textbook RCA)."""
-        from repro.timing import ElmoreEngine, static_timing_analysis
+        """The carry ripples (textbook RCA): each sum bit arrives after
+        the one below it, and the carry out arrives last."""
+        from repro.timing import ElmoreEngine
 
         circuit = ripple_carry_adder(8)
         cc = circuit.compile()
-        report = static_timing_analysis(ElmoreEngine(cc), cc.default_sizes(1.0))
-        names = [circuit.node(i).name for i in report.critical_path]
-        assert any(name.startswith("c") or name.startswith("t")
-                   for name in names)
-        assert names[-1] in ("cout", "sum7.out", "sum7")
+        engine = ElmoreEngine(cc)
+        arrival = engine.arrival_times(engine.delays(cc.default_sizes(1.0)))
+        outputs = {w.name: arrival[w.index]
+                   for w in circuit.primary_output_wires()}
+        assert sorted(outputs, key=outputs.get) == \
+            [f"sum{k}" for k in range(8)] + ["cout"]
+        assert arrival[cc.sink] == outputs["cout"]
 
     def test_validation(self):
         with pytest.raises(CircuitError):

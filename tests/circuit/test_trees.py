@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from repro.circuit import random_circuit
-from repro.circuit.trees import random_tree_circuit
 from repro.utils.errors import CircuitError
+
+from oracles.trees import random_tree_circuit
 
 
 def test_segments_increase_wire_count():

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.circuit.components import NodeKind
 from repro.geometry import ChannelLayout, CouplingPair
 from repro.noise import CouplingSet, MillerMode, SimilarityAnalyzer
 from repro.noise.coupling import coupling_capacitance_taylor
@@ -133,6 +134,28 @@ class TestFromLayout:
         worst = CouplingSet.from_layout(layout, mode=MillerMode.WORST)
         x = small_circuit.compile().default_sizes(1.0)
         assert worst.total(x) >= sim.total(x)
+
+    def test_each_pair_owned_by_its_smaller_index(self, small_circuit,
+                                                  small_coupling):
+        """A pair of neighbouring wires is stored once, under ``i < j``:
+        wire ``i`` owns it when noise is summed per victim (X_B)."""
+        i, j = small_coupling.pair_i, small_coupling.pair_j
+        assert small_coupling.num_pairs > 0
+        assert (i < j).all()
+        assert len(set(zip(i.tolist(), j.tolist()))) == \
+            small_coupling.num_pairs
+        assert (small_circuit.kind[i] == NodeKind.WIRE).all()
+        assert (small_circuit.kind[j] == NodeKind.WIRE).all()
+
+    def test_owned_noise_sums_to_the_total(self, small_circuit,
+                                           small_coupling):
+        x = small_circuit.compile().default_sizes(1.0)
+        caps = small_coupling.pair_caps(x)
+        assert (caps >= 0).all()
+        owned = np.bincount(small_coupling.pair_i, weights=caps,
+                            minlength=small_coupling.num_nodes)
+        assert owned.sum() == pytest.approx(small_coupling.total(x),
+                                            rel=1e-12)
 
     def test_similarity_mode_requires_analyzer(self, small_circuit):
         layout = ChannelLayout.from_levels(small_circuit)

@@ -1,9 +1,11 @@
 """The paper's Figure 6 worked example.
 
 Four wires; {5,7} switch almost identically, {4,8} switch almost
-identically, and the groups are uncorrelated.  The minimum effective
-loading keeps each similar pair on adjacent tracks — the figure's
-conclusion (orderings like <7,5,4,8> / <5,7,4,8>).
+identically, and the groups are uncorrelated.  Each wire carries one
+value per cycle (a ±1 row), so the similarity is the mean of the
+per-cycle products.  The minimum effective loading keeps each similar
+pair on adjacent tracks — the figure's conclusion (orderings like
+<7,5,4,8> / <5,7,4,8>).
 """
 
 import numpy as np
@@ -12,10 +14,9 @@ import pytest
 from repro.noise import (
     exact_ordering,
     ordering_cost,
-    similarity_from_waveforms,
+    similarity_from_values,
     woss_ordering,
 )
-from repro.simulate import Waveform
 
 NAMES = ["4", "5", "7", "8"]
 
@@ -27,16 +28,16 @@ def figure6():
     base_a = rng.random(slots) < 0.5
     base_b = rng.random(slots) < 0.5
     flip = rng.random(slots) < 0.03
-    waves = {
-        "5": Waveform.from_bits(base_a),
-        "7": Waveform.from_bits(np.logical_xor(base_a, flip)),
-        "4": Waveform.from_bits(base_b),
-        "8": Waveform.from_bits(np.logical_xor(base_b, np.roll(flip, 11))),
+    rows = {
+        "5": base_a,
+        "7": np.logical_xor(base_a, flip),
+        "4": base_b,
+        "8": np.logical_xor(base_b, np.roll(flip, 11)),
     }
-    sim = similarity_from_waveforms([waves[n] for n in NAMES])
+    sim = similarity_from_values(np.stack([rows[n] for n in NAMES]))
     weights = 1.0 - sim
     np.fill_diagonal(weights, 0.0)
-    return waves, sim, weights
+    return rows, sim, weights
 
 
 def test_similar_pairs_have_high_similarity(figure6):

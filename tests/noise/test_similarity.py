@@ -3,12 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.noise import (
-    SimilarityAnalyzer,
-    similarity_from_values,
-    similarity_from_waveforms,
-)
-from repro.simulate import Waveform, random_patterns, simulate_levelized
+from repro.noise import SimilarityAnalyzer, similarity_from_values
+from repro.simulate import random_patterns, simulate_levelized
 from repro.utils.errors import SimulationError
 
 
@@ -47,20 +43,6 @@ class TestFromValues:
     def test_empty_patterns_rejected(self):
         with pytest.raises(SimulationError):
             similarity_from_values(np.zeros((3, 0), dtype=bool))
-
-
-class TestFromWaveforms:
-    def test_agrees_with_value_form_on_cycle_waveforms(self):
-        rng = np.random.default_rng(2)
-        bits = rng.random((4, 60)) < 0.5
-        s_vals = similarity_from_values(bits)
-        waves = [Waveform.from_bits(row) for row in bits]
-        s_wave = similarity_from_waveforms(waves)
-        np.testing.assert_allclose(s_vals, s_wave, atol=1e-12)
-
-    def test_empty_rejected(self):
-        with pytest.raises(SimulationError):
-            similarity_from_waveforms([])
 
 
 class TestAnalyzer:

@@ -5,9 +5,10 @@ import pytest
 
 from repro.geometry import ChannelLayout
 from repro.noise import CouplingSet, MillerMode, SimilarityAnalyzer
-from repro.opt import Monomial, Posynomial, build_problem_posynomials
 from repro.timing import ElmoreEngine
 from repro.utils.errors import ValidationError
+
+from oracles.posynomial import Monomial, Posynomial, build_problem_posynomials
 
 
 class TestMonomial:

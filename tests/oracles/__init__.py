@@ -9,4 +9,11 @@ sweeps, the per-sweep LRS and its coupling sums, the per-level flow
 projection, the per-node simulator and the one-column primal repair.
 Tests compare the two exactly, or to a tolerance fixed in the test where
 the summation order differs.
+
+Two modules here are not references but test-only tools that no command,
+bench or workload runs: :mod:`oracles.trees` generates random circuits
+with multi-segment routing trees (wire-to-wire edges and deep RC stages)
+for the engine tests, and :mod:`oracles.posynomial` builds problem PP's
+objective and constraints as explicit posynomials, the structural check
+that Theorems 6–7 rest on.
 """

@@ -49,7 +49,6 @@ def random_tree_circuit(n_gates, n_inputs, n_outputs, seed=0, tech=None,
         if node.is_driver:
             refs[node.index] = builder.add_input(name=node.name,
                                                  resistance=node.r_hat)
-    sink = base.sink_index
     for node in base.nodes:
         if node.is_gate:
             input_wires = []
@@ -68,7 +67,6 @@ def random_tree_circuit(n_gates, n_inputs, n_outputs, seed=0, tech=None,
         tail = _emit_chain(builder, refs[parent], wire, rng,
                            max_segments, segment_probability)
         builder.set_output(tail, load=wire.load_cap)
-    _ = sink
     return builder.build()
 
 

@@ -9,12 +9,12 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.circuit.trees import random_tree_circuit
 from repro.geometry import ChannelLayout
 from repro.noise import CouplingSet, MillerMode, SimilarityAnalyzer
 from repro.timing import CouplingDelayMode, ElmoreEngine
 
 from oracles.elmore import ElmoreReference
+from oracles.trees import random_tree_circuit
 
 
 @st.composite

@@ -12,7 +12,6 @@ from repro.circuit import Circuit, iscas85_circuit, load_bench
 from repro.circuit.circuit import PARAM_COLUMNS
 from repro.circuit.components import NodeKind
 from repro.circuit.parser import builtin_bench_path
-from repro.io import circuit_from_dict, circuit_to_dict
 from repro.tech import Technology
 from repro.runtime import CircuitRef, FlowConfig, Scenario, SweepSpec
 from repro.runtime import config as runtime_config
@@ -94,17 +93,15 @@ class TestCircuitRef:
 
 
 def _rebuilt(circuit, how):
-    """``circuit`` rebuilt through one of the three constructors."""
+    """``circuit`` rebuilt through one of the two constructors."""
     if how == "columns":
         return Circuit.from_columns(
             circuit.kind, circuit.names, circuit.functions,
             circuit.function_code, circuit.edge_src, circuit.edge_dst,
             circuit.tech, name=circuit.name,
             **{f: getattr(circuit, f) for f in PARAM_COLUMNS})
-    if how == "nodes":
-        return Circuit(circuit.nodes, circuit.edges, circuit.tech,
-                       name=circuit.name)
-    return circuit_from_dict(json.loads(json.dumps(circuit_to_dict(circuit))))
+    return Circuit(circuit.nodes, circuit.edges, circuit.tech,
+                   name=circuit.name)
 
 
 def _with(circuit, **changes):
@@ -155,13 +152,12 @@ class TestStreamedFingerprint:
 
     @pytest.mark.parametrize("name", ["c17", "c432", "c7552"])
     def test_iscas_circuits(self, name):
-        """Column constructor, Node-list adapter and io round trip hash
-        the same circuit to the same digest (c17 is parsed, the others
-        generated)."""
+        """Column constructor and Node-list adapter hash the same circuit
+        to the same digest (c17 is parsed, the others generated)."""
         circuit = load_bench(builtin_bench_path("c17")) if name == "c17" \
             else iscas85_circuit(name)
         digest = runtime_config.circuit_fingerprint(circuit)
-        for how in ("columns", "nodes", "io"):
+        for how in ("columns", "nodes"):
             rebuilt = _rebuilt(circuit, how)
             assert runtime_config.circuit_fingerprint(rebuilt) == digest, how
 

@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from repro.circuit import CircuitBuilder
+from repro.noise import SimilarityAnalyzer
 from repro.simulate import exhaustive_patterns, random_patterns, simulate_levelized
 from repro.utils.errors import SimulationError
 
@@ -65,3 +67,32 @@ def test_one_pattern_works(small_circuit):
     vals = simulate_levelized(
         small_circuit, np.ones((1, small_circuit.num_drivers), dtype=bool))
     assert vals.shape == (small_circuit.num_nodes, 1)
+
+
+@pytest.mark.parametrize("level", [False, True])
+def test_constant_inputs_produce_no_transitions(small_circuit, level):
+    """Held inputs hold every node: no row changes from cycle to cycle,
+    so every toggle rate is zero."""
+    pats = np.full((12, small_circuit.num_drivers), level)
+    vals = simulate_levelized(small_circuit, pats)
+    assert not np.any(vals[:, 1:] != vals[:, :-1])
+    analyzer = SimilarityAnalyzer(small_circuit, patterns=pats)
+    assert all(analyzer.toggle_rate(node) == 0.0
+               for node in range(small_circuit.num_nodes))
+
+
+def test_reconvergent_hazard_reads_its_static_value():
+    """``a AND NOT a`` glitches on a rising ``a`` in a timed simulation;
+    the zero-delay view, which similarity is computed from, holds the
+    static value 0 on every cycle (glitches are not modelled)."""
+    builder = CircuitBuilder()
+    a = builder.add_input("a")
+    inv = builder.add_gate("not", [a], name="inv")
+    g = builder.add_gate("and", [a, inv], name="g")
+    builder.set_output(g)
+    circuit = builder.build()
+    pats = np.array([[0], [1], [0], [1]], dtype=bool)
+    vals = simulate_levelized(circuit, pats)
+    assert not vals[circuit.node_by_name("g").index].any()
+    np.testing.assert_array_equal(vals[circuit.node_by_name("inv").index],
+                                  ~pats[:, 0])

@@ -16,13 +16,14 @@ import numpy as np
 import pytest
 
 from repro import ChannelLayout, SimilarityAnalyzer, iscas85_circuit
-from repro.circuit import load_bench, random_circuit, random_tree_circuit
+from repro.circuit import load_bench, random_circuit
 from repro.circuit.parser import builtin_bench_path
 from repro.core import OGWSOptimizer, SizingProblem, run_lockstep
 from repro.noise import CouplingSet, MillerMode
 from repro.timing import CouplingDelayMode, ElmoreEngine, kernels
 
 from oracles.arrival import arrival_fill_scatter
+from oracles.trees import random_tree_circuit
 
 CIRCUITS = {
     "c17": lambda: load_bench(builtin_bench_path("c17")),
@@ -220,6 +221,24 @@ def test_coupling_nbytes_counts_its_scratch_in_every_delay_mode(mode):
     run_lockstep([optimizer(0.1), optimizer(0.14)])
     optimizer(0.12).run()
     assert {1, 2} <= set(coupling.__dict__["_batch_scratch"])
+    _assert_nbytes_counts_each_base_once(coupling)
+
+
+@pytest.mark.parametrize("mode", list(CouplingDelayMode))
+def test_node_caps_scratch_only_where_propagated_reads_it(mode):
+    """Only the ``PROPAGATED`` delay mode asks the batched coupling pass
+    for per-node caps, so only its solves allocate that buffer."""
+    compiled, coupling = _coupled("c432")
+    engine = ElmoreEngine(compiled, coupling, mode)
+    x_init = compiled.default_sizes(np.inf)
+    run_lockstep([OGWSOptimizer(
+        engine, SizingProblem.from_initial(engine, x_init, noise_fraction=nf),
+        x_init=x_init, max_iterations=5) for nf in (0.1, 0.12, 0.14, 0.16)])
+    scratch = coupling.__dict__["_batch_scratch"]
+    if mode is CouplingDelayMode.PROPAGATED:
+        assert "node_caps" in scratch[4]
+    else:
+        assert not any("node_caps" in s for s in scratch.values())
     _assert_nbytes_counts_each_base_once(coupling)
 
 

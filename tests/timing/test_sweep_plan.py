@@ -9,18 +9,13 @@ any reordering would change results in the last bit.
 import numpy as np
 import pytest
 
-from repro.circuit import (
-    CircuitBuilder,
-    iscas85_circuit,
-    load_bench,
-    random_circuit,
-    random_tree_circuit,
-)
+from repro.circuit import CircuitBuilder, iscas85_circuit, load_bench, random_circuit
 from repro.circuit.parser import builtin_bench_path
 from repro.runtime import CircuitRef
 from repro.timing.kernels import CSROp, ProjectLevel, SweepPlan
 
 from oracles.sweep_plan import csr_from_lists, reference_sweep_plan
+from oracles.trees import random_tree_circuit
 
 
 def _branching_wires():
